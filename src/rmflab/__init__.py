@@ -18,6 +18,7 @@ from .bounds import (
 from .distances import (
     SampleSet,
     kkw_check,
+    kkw_from,
     kolmogorov_stat,
     normal_cdf,
     normal_pdf,

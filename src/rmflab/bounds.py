@@ -31,13 +31,20 @@ class BoundInputs:
         return cls(x, y, s_count, delta, z)
 
 
+def _log_y(b: BoundInputs) -> float:
+    """ln y, by which the third term of both distance bounds divides."""
+    if b.y < 2:
+        raise ValueError(f"the distance bounds divide by ln y and need y >= 2, got y={b.y}")
+    return math.log(b.y)
+
+
 def wasserstein_bound_terms(b: BoundInputs) -> tuple[float, float, float]:
     """The three summands (y/S)^{3/2} (ln 1/d)^{-1/2}, (y/S) sqrt(d ln x),
-    y ln x / (S^{3/2} ln y); requires S >= 1."""
+    y ln x / (S^{3/2} ln y); requires S >= 1 and y >= 2."""
     ys = b.y / b.s_count
     t1 = ys ** 1.5 / math.sqrt(math.log(1.0 / b.delta))
     t2 = ys * math.sqrt(b.delta * math.log(b.x))
-    t3 = b.y * math.log(b.x) / (b.s_count ** 1.5 * math.log(b.y))
+    t3 = b.y * math.log(b.x) / (b.s_count ** 1.5 * _log_y(b))
     return t1, t2, t3
 
 
@@ -47,7 +54,7 @@ def kolmogorov_bound_terms(b: BoundInputs) -> tuple[float, float, float]:
     ys = b.y / b.s_count
     t1 = ys ** 0.75 / math.log(1.0 / b.delta) ** 0.25
     t2 = math.sqrt(ys) * (b.delta * math.log(b.x)) ** 0.25
-    t3 = math.sqrt(b.y * math.log(b.x)) / (b.s_count ** 0.75 * math.sqrt(math.log(b.y)))
+    t3 = math.sqrt(b.y * math.log(b.x)) / (b.s_count ** 0.75 * math.sqrt(_log_y(b)))
     return t1, t2, t3
 
 

@@ -142,10 +142,14 @@ def smoothing_majorant(xi: float, t: float, eps: float) -> float:
     return 0.0
 
 
+def kkw_from(k: float, w1: float) -> tuple[bool, float]:
+    """Check K <= 2*sqrt(W) for a Kolmogorov distance k and a Wasserstein-1
+    distance w1 already computed; returns (holds, K / (2*sqrt(W)))."""
+    bound = 2.0 * math.sqrt(w1)
+    return k <= bound, k / bound
+
+
 def kkw_check(sample: SampleSet) -> tuple[bool, float]:
     """Check K <= 2*sqrt(W) for the sample against the standard normal;
     returns (holds, K / (2*sqrt(W)))."""
-    k = kolmogorov_stat(sample)
-    w = wasserstein1(sample)
-    bound = 2.0 * math.sqrt(w)
-    return k <= bound, k / bound
+    return kkw_from(kolmogorov_stat(sample), wasserstein1(sample))

@@ -131,7 +131,8 @@ class ExperimentReport:
         }
 
     def dumps(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True,
+                          allow_nan=False)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
@@ -179,8 +180,9 @@ def _moment_block(w: np.ndarray) -> dict:
     t = len(w)
     powers = {k: w ** k for k in (1, 2, 3, 4)}
     moments = {f"m{k}": float(p.mean()) for k, p in powers.items()}
+    # one trial has no standard error; null keeps the report strict JSON
     moments["se"] = {
-        f"m{k}": float(p.std(ddof=1) / math.sqrt(t)) if t > 1 else float("nan")
+        f"m{k}": float(p.std(ddof=1) / math.sqrt(t)) if t > 1 else None
         for k, p in powers.items()
     }
     return moments
@@ -227,7 +229,7 @@ def run_simulate(config: ExperimentConfig) -> ExperimentReport:
     sample = dist_mod.SampleSet.from_values(w)
     ks = dist_mod.kolmogorov_stat(sample)
     w1 = dist_mod.wasserstein1(sample)
-    holds, ratio = dist_mod.kkw_check(sample)
+    holds, ratio = dist_mod.kkw_from(ks, w1)
     distances = {"ks": ks, "w1": w1, "kkw_ratio": ratio, "kkw_holds": holds}
 
     bounds = _bound_block(cfg, s)
@@ -390,8 +392,8 @@ def _add_interval_args(p: argparse.ArgumentParser, trials: bool = False) -> None
                    help="override the small/large prime threshold")
     if trials:
         p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("RMF_LAB_WORKERS", "1")))
+        p.add_argument("--workers", type=int, default=None,
+                       help="trial worker processes (default: $RMF_LAB_WORKERS or 1)")
     p.add_argument("--out", default=None, help="output path base (default stdout)")
 
 
@@ -434,7 +436,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _env_workers() -> int:
+    raw = os.environ.get("RMF_LAB_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"RMF_LAB_WORKERS must be an integer, got {raw!r}") from None
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    workers = getattr(args, "workers", 1)
     return ExperimentConfig(
         x=args.x,
         y=args.y,
@@ -442,14 +453,33 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         trials=getattr(args, "trials", 1),
         master_seed=args.seed,
         z_override=args.z,
-        workers=getattr(args, "workers", 1),
+        workers=_env_workers() if workers is None else workers,
         output_path=args.out,
         formats=tuple(getattr(args, "format", "json").split(",")),
     )
 
 
+def _read_w_csv(path: str) -> list[float]:
+    """The w column of a `trial,w` CSV written by `simulate`."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "trial,w":
+            raise ValueError(f"unexpected CSV header {header!r}")
+        values = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                _, w = line.split(",")
+                values.append(float(w))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed row {line.strip()!r}") from None
+    return values
+
+
 def _emit_or_print(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out is None:
         print(text)
     else:
@@ -498,17 +528,14 @@ def main(argv: list[str] | None = None) -> int:
             table = segmented_factorize(cfg.x, cfg.y)
             _emit_or_print(_bound_block(cfg, table.squarefree_count), args.out)
         elif args.command == "distances":
-            with open(args.infile) as fh:
-                header = fh.readline().strip()
-                if header != "trial,w":
-                    raise ValueError(f"unexpected CSV header {header!r}")
-                values = [float(line.split(",")[1]) for line in fh if line.strip()]
-            sample = dist_mod.SampleSet.from_values(values)
-            holds, ratio = dist_mod.kkw_check(sample)
+            sample = dist_mod.SampleSet.from_values(_read_w_csv(args.infile))
+            ks = dist_mod.kolmogorov_stat(sample)
+            w1 = dist_mod.wasserstein1(sample)
+            holds, ratio = dist_mod.kkw_from(ks, w1)
             _emit_or_print({
                 "n": sample.n,
-                "ks": dist_mod.kolmogorov_stat(sample),
-                "w1": dist_mod.wasserstein1(sample),
+                "ks": ks,
+                "w1": w1,
                 "kkw_ratio": ratio,
                 "kkw_holds": holds,
             }, args.out)

@@ -111,24 +111,51 @@ def partial_sum_m(x: int, signs: SignSource, block: int = 1 << 16) -> int:
 # Vectorized trial engine
 # ---------------------------------------------------------------------------
 
+_C1 = np.uint64(0xBF58476D1CE4E5B9)
+_C2 = np.uint64(0x94D049BB133111EB)
+_S27 = np.uint64(27)
+
+
 def _mix64_np(z: np.ndarray) -> np.ndarray:
     z = z.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
+    z *= _C1
+    z ^= z >> _S27
+    z *= _C2
     z ^= z >> np.uint64(31)
     return z
+
+
+def _xorshift30(z: np.ndarray) -> np.ndarray:
+    return z ^ (z >> np.uint64(30))
+
+
+_S7 = np.uint8(7)
+# byte of a uint64 that holds bit 63
+_TOP_BYTE = 7 if np.little_endian else 0
+# words of uint64 hash scratch per block (1 MiB); a tile is at least
+# _MIN_TILE trials wide so that every gathered sign row is worth copying
+_TILE_WORDS = 1 << 17
+_MIN_TILE = 64
 
 
 class IntervalSampler:
     """Batched sampler of interval sums over derived per-trial sign sources.
 
     Produces exactly the values the scalar path (SignSource.for_trial +
-    interval_sum) would, but evaluates whole batches of trials through
-    packed bit masks: entry i of the interval carries the bit set of its
-    prime factors, a trial carries the bit vector of negative signs, and
-    X(n) = (-1)^popcount(mask & trial_bits).
+    interval_sum) would.  The square-free entries are grouped by omega(n):
+    bucket k is a (k, n_k) array of prime indices, one column per entry
+    with k distinct prime factors.  For a tile of trials the sampler hashes
+    a prime-major (P x T) matrix of sign bits, XORs the k gathered rows of
+    each bucket into the parity of X(n) = -1, and returns
+    S - 2 * (number of entries with X(n) = -1).  Cost per trial is linear in
+    P plus the number of (entry, prime) incidences.
+
+    The hash is the splitmix64 finalizer of seed_half ^ prime_half, cut
+    short twice without changing a sign bit: its first step
+    z ^= z >> 30 is linear over XOR, so it is applied to each half once
+    instead of to every (trial, prime) word; and its last step
+    z ^= z >> 31 never changes bit 63, the sign bit, so it is skipped.
     """
 
     def __init__(self, table: IntervalTable, master_seed: int):
@@ -136,51 +163,64 @@ class IntervalSampler:
         self.s_count = len(items)
         self.master_seed = master_seed & _M64
         primes = sorted({p for _, ps in items for p in ps})
-        self._primes = np.array(primes, dtype=np.uint64)
         index = {p: j for j, p in enumerate(primes)}
-        n_primes = len(primes)
-        bits = np.zeros((self.s_count, n_primes), dtype=np.uint8)
-        for i, (_, ps) in enumerate(items):
-            for p in ps:
-                bits[i, index[p]] = 1
-        self._masks = self._pack(bits)
-        self._blocks = self._masks.shape[1]
-        # hoisted PRF halves: sign bit of entry (t, j) is the top bit of
-        # mix64(mix64(trial_seed ^ SIGN_TAG) ^ mix64(prime_j + GOLDEN))
-        self._prime_half = _mix64_np(self._primes + np.uint64(_GOLDEN))
-
-    @staticmethod
-    def _pack(bits: np.ndarray) -> np.ndarray:
-        nbytes = bits.shape[1] // 8 + (bits.shape[1] % 8 > 0)
-        pad = (-nbytes) % 8
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        if pad:
-            packed = np.pad(packed, ((0, 0), (0, pad)))
-        return packed.view(np.uint64)
+        by_omega: dict[int, list[list[int]]] = {}
+        for _, ps in items:
+            if ps:  # n = 1 has X(1) = +1 for every trial
+                by_omega.setdefault(len(ps), []).append([index[p] for p in ps])
+        self._buckets = [
+            np.array(rows, dtype=np.intp).T.copy()
+            for _, rows in sorted(by_omega.items())
+        ]
+        # hoisted PRF halves: sign bit of (prime j, trial t) is the top bit of
+        # mix64(mix64(trial_seed ^ SIGN_TAG) ^ mix64(prime_j + GOLDEN)); each
+        # half carries the first xorshift of the outer mix64
+        self._prime_half = _xorshift30(
+            _mix64_np(np.array(primes, dtype=np.uint64) + np.uint64(_GOLDEN)))
 
     def trial_seeds(self, indices: np.ndarray) -> np.ndarray:
         key = np.uint64(_mix64((self.master_seed ^ _TRIAL_TAG) & _M64))
         return _mix64_np(key ^ _mix64_np(indices.astype(np.uint64) + np.uint64(_GOLDEN)))
 
-    def raw_sums(self, start: int, count: int, batch: int = 512) -> np.ndarray:
-        """Interval sums for trials start, ..., start+count-1 (int64)."""
+    def raw_sums(self, start: int, count: int, batch: int | None = None) -> np.ndarray:
+        """Interval sums for trials start, ..., start+count-1 (int64),
+        `batch` trials per tile (default from the number of primes)."""
+        n_primes = len(self._prime_half)
+        if batch is None:
+            batch = max(_MIN_TILE, _TILE_WORDS // max(n_primes, 1))
+        tile = max(1, min(batch, count))
+        rows = max(1, min(n_primes, _TILE_WORDS // tile))
+        h = np.empty(rows * tile, dtype=np.uint64)
+        u = np.empty_like(h)
+        signs_buf = np.empty(n_primes * tile, dtype=np.uint8)
+        idx = np.arange(start, start + count, dtype=np.uint64)
+        seed_half = _xorshift30(_mix64_np(self.trial_seeds(idx) ^ np.uint64(_SIGN_TAG)))
         out = np.empty(count, dtype=np.int64)
-        for off in range(0, count, batch):
-            t = min(batch, count - off)
-            idx = np.arange(start + off, start + off + t, dtype=np.uint64)
-            seeds = self.trial_seeds(idx)
-            seed_half = _mix64_np(seeds ^ np.uint64(_SIGN_TAG))
-            h = _mix64_np(seed_half[:, None] ^ self._prime_half[None, :])
-            neg = (h >> np.uint64(63)).astype(np.uint8)
-            eps = self._pack(neg)
-            par = np.zeros((t, self.s_count), dtype=np.uint64)
-            for b in range(self._blocks):
-                par += np.bitwise_count(eps[:, b, None] & self._masks[None, :, b])
-            n_neg = (par & np.uint64(1)).sum(axis=1).astype(np.int64)
+        for off in range(0, count, tile):
+            t = min(tile, count - off)
+            signs = signs_buf[: n_primes * t].reshape(n_primes, t)
+            for j in range(0, n_primes, rows):
+                m = min(rows, n_primes - j)
+                hb = h[: m * t].reshape(m, t)
+                ub = u[: m * t].reshape(m, t)
+                np.bitwise_xor(self._prime_half[j : j + m, None],
+                               seed_half[None, off : off + t], out=hb)
+                hb *= _C1
+                np.right_shift(hb, _S27, out=ub)
+                hb ^= ub
+                hb *= _C2
+                np.right_shift(hb.view(np.uint8)[:, _TOP_BYTE::8], _S7,
+                               out=signs[j : j + m])
+            n_neg = np.zeros(t, dtype=np.int64)
+            for bucket in self._buckets:
+                parity = signs[bucket[0]]
+                for row in bucket[1:]:
+                    parity ^= signs[row]
+                n_neg += np.add.reduce(parity, axis=0, dtype=np.int64)
             out[off : off + t] = self.s_count - 2 * n_neg
         return out
 
-    def w_values(self, start: int, count: int, batch: int = 512) -> np.ndarray:
+    def w_values(self, start: int, count: int, batch: int | None = None) -> np.ndarray:
         if self.s_count == 0:
             raise DegenerateIntervalError("no square-free integers in interval")
         return self.raw_sums(start, count, batch) / math.sqrt(self.s_count)

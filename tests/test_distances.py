@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rmflab.distances import (
     SampleSet,
     kkw_check,
+    kkw_from,
     kolmogorov_stat,
     normal_cdf,
     normal_quantile,
@@ -160,3 +161,11 @@ def test_kkw_quantile_sample_ratio_small():
 def test_kkw_always_holds(values):
     holds, ratio = kkw_check(SampleSet.from_values(values))
     assert holds and ratio <= 1.0
+
+
+def test_kkw_from_reuses_distances():
+    sample = quantile_sample(200)
+    k, w = kolmogorov_stat(sample), wasserstein1(sample)
+    assert kkw_from(k, w) == kkw_check(sample)
+    assert kkw_from(0.5, 0.25) == (True, 0.5)
+    assert kkw_from(1.5, 0.25) == (False, 1.5)

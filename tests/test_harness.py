@@ -225,3 +225,39 @@ def test_cli_stein_and_bounds_subcommands(capsys):
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert set(data) == {"wasserstein", "kolmogorov", "nondiagonal", "delta3_sum", "exchange_variance"}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_cli_simulate_trials_one_is_strict_json(capsys):
+    rc = main(["simulate", "--x", "2000", "--y", "150", "--trials", "1"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert data["moments"]["se"] == {"m1": None, "m2": None, "m3": None, "m4": None}
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    return err[0]
+
+
+def test_cli_bounds_y_one_exits_2(capsys):
+    # ln y = 0 would divide by zero in the third bound terms
+    assert main(["bounds", "--x", "100", "--y", "1"]) == 2
+    assert "y >= 2" in _one_line_error(capsys)
+
+
+def test_cli_distances_malformed_row_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("trial,w\n0,0.5\n1\n2,0.25\n")
+    assert main(["distances", "--infile", str(path)]) == 2
+    assert "bad.csv:3" in _one_line_error(capsys)
+
+
+def test_cli_env_workers_invalid_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("RMF_LAB_WORKERS", "two")
+    assert main(["simulate", "--x", "2000", "--y", "100", "--trials", "4"]) == 2
+    assert "RMF_LAB_WORKERS" in _one_line_error(capsys)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -150,3 +151,41 @@ def test_sampler_w_values():
     w = samp.w_values(0, 5)
     raw = samp.raw_sums(0, 5)
     assert np.allclose(w, raw / math.sqrt(6))
+
+
+def test_sampler_matches_scalar_path_high_omega():
+    # (10^10, 10^10 + 10^4] has entries with 7 and 8 distinct prime factors
+    t = segmented_factorize(10**10, 10**4)
+    assert max(len(ps) for _, ps in t.squarefree_items()) >= 7
+    seed = 77
+    root = SignSource(seed)
+    samp = IntervalSampler(t, seed)
+    # 72 trials make a full tile, whose signs are hashed in several prime
+    # blocks, and a short one hashed in a single block
+    vec = samp.raw_sums(0, 72)
+    assert vec[:8].tolist() == [interval_sum(t, root.for_trial(i)) for i in range(8)]
+    assert np.array_equal(samp.raw_sums(64, 8), vec[64:])
+
+
+def test_sampler_unaligned_tiles_match_one_long_call():
+    t = segmented_factorize(10**6, 10**3)
+    samp = IntervalSampler(t, 9)
+    long = samp.raw_sums(0, 1000)
+    assert np.array_equal(samp.raw_sums(137, 501), long[137:638])
+    assert np.array_equal(samp.raw_sums(137, 501, batch=50), long[137:638])
+    assert np.array_equal(samp.raw_sums(999, 1), long[999:])
+
+
+def test_sampler_empty_interval_gives_zeros():
+    samp = IntervalSampler(segmented_factorize(47, 1), 1)  # 48 = 2^4 * 3
+    assert samp.s_count == 0
+    out = samp.raw_sums(0, 5)
+    assert out.dtype == np.int64 and out.tolist() == [0] * 5
+
+
+def test_sampler_golden_digest():
+    # raw sums of the bitmask sampler this kernel replaced, frozen byte for byte
+    samp = IntervalSampler(segmented_factorize(10**6, 10**3), 1)
+    raw = samp.raw_sums(0, 4096)
+    digest = hashlib.sha256(raw.astype("<i8").tobytes()).hexdigest()
+    assert digest == "9f5d89ab2b1d5dfd69025bc950df35dddbafe839c5a7d0d53b138efc4b051436"
