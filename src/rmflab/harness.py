@@ -244,12 +244,14 @@ def run_simulate(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_moments(config: ExperimentConfig) -> dict:
-    """Exact fourth-moment fragment: counts, closed forms and bound ratios."""
+def run_moments(config: ExperimentConfig,
+                budget: int = quad_mod.DEFAULT_BUDGET) -> dict:
+    """Exact fourth-moment fragment: counts, closed forms and bound ratios;
+    the non-diagonal enumeration is refused beyond `budget` steps."""
     cfg = config.resolved()
     table = segmented_factorize(cfg.x, cfg.y)
     s = table.squarefree_count
-    nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y)
+    nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y, budget)
     diag = quad_mod.diagonal_count(s)
     out = {
         "s_count": s,
@@ -269,6 +271,8 @@ def run_stein_checks(config: ExperimentConfig, identity_max_l: int = 30,
                      var_trials: int = 2000) -> dict:
     """Identity and conditional-moment checks; each sub-check reports its
     own result or the scale refusal that stopped it."""
+    if identity_max_l < 1:
+        raise ValueError(f"identity_max_l must be >= 1, got {identity_max_l}")
     cfg = config.resolved()
     table = segmented_factorize(cfg.x, cfg.y)
     out: dict = {"s_count": table.squarefree_count}
@@ -282,12 +286,11 @@ def run_stein_checks(config: ExperimentConfig, identity_max_l: int = 30,
 
     signs = SignSource(cfg.master_seed)
     try:
-        rng = np.random.default_rng(cfg.master_seed)
         small = sieve_primes(math.floor(cfg.z))
         assignments = [
-            {p: int(rng.choice((-1, 1))) for p in small} for _ in range(5)
+            {p: signs.for_trial(i).sign(p) for p in small} for i in range(5)
         ]
-        rep = stein_mod.conditional_moments_check(table, cfg.delta, assignments)
+        rep = stein_mod.conditional_moments_check(table, cfg.z, assignments)
         out["conditional_moments"] = {
             "large_primes": len(rep.large_primes),
             "ok": rep.ok,
@@ -502,23 +505,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(report.dumps(args.timed_json))
             else:
                 emit(report, cfg.formats, cfg.output_path, args.timed_json)
-        elif args.command == "moments":
-            cfg = _config_from_args(args)
-            _emit_or_print(run_moments(cfg), args.out)
-        elif args.command == "quadruples":
-            cfg = _config_from_args(args).resolved()
-            table = segmented_factorize(cfg.x, cfg.y)
-            s = table.squarefree_count
-            payload = {
-                "s_count": s,
-                "diagonal": quad_mod.diagonal_count(s),
-                "nondiagonal": quad_mod.param_enumerate_nondiagonal(
-                    cfg.x, cfg.y, args.budget),
-                "nondiagonal_bound": bounds_mod.nondiagonal_bound(cfg.x, cfg.delta),
-            }
-            if s <= quad_mod.ORACLE_MAX_S:
-                payload["oracle"] = quad_mod.oracle_count_square_quadruples(table)
-            _emit_or_print(payload, args.out)
+        elif args.command in ("moments", "quadruples"):
+            out = run_moments(_config_from_args(args), args.budget)
+            if args.command == "quadruples":
+                out = {k: out[k] for k in ("s_count", "diagonal", "nondiagonal",
+                                           "nondiagonal_bound", "oracle") if k in out}
+            _emit_or_print(out, args.out)
         elif args.command == "stein":
             cfg = _config_from_args(args)
             _emit_or_print(

@@ -139,6 +139,60 @@ _TILE_WORDS = 1 << 17
 _MIN_TILE = 64
 
 
+# The sign of (prime p, trial t) is the top bit of
+# mix64(mix64(trial_seed(t) ^ SIGN_TAG) ^ mix64(p + GOLDEN)).  The two inner
+# mix64 values are hoisted out as halves, each carrying the first xorshift of
+# the outer mix64: that step is linear over XOR, so it is applied to each half
+# once instead of to every (trial, prime) word.  The outer mix64's last step
+# z ^= z >> 31 never changes bit 63, the sign bit, so it is skipped.
+
+def _prime_halves(primes: list[int]) -> np.ndarray:
+    return _xorshift30(_mix64_np(np.array(primes, dtype=np.uint64) + np.uint64(_GOLDEN)))
+
+
+def _trial_halves(master_seed: int, start: int, count: int) -> np.ndarray:
+    """Halves of the trials start, ..., start+count-1 of
+    SignSource(master_seed).for_trial."""
+    key = np.uint64(_mix64((master_seed ^ _TRIAL_TAG) & _M64))
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    seeds = _mix64_np(key ^ _mix64_np(idx + np.uint64(_GOLDEN)))
+    return _xorshift30(_mix64_np(seeds ^ np.uint64(_SIGN_TAG)))
+
+
+def _hash_scratch(n_primes: int, tile: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two uint64 buffers of whole tile-wide rows, about _TILE_WORDS words."""
+    h = np.empty(max(1, min(n_primes, _TILE_WORDS // tile)) * tile, dtype=np.uint64)
+    return h, np.empty_like(h)
+
+
+def _hash_sign_bits(prime_half: np.ndarray, trial_half: np.ndarray,
+                    out: np.ndarray, h: np.ndarray, u: np.ndarray) -> None:
+    """out[j, t] = 1 if prime j has sign -1 in trial t, else 0 (uint8,
+    primes x trials), hashed in blocks of primes in the scratch h and u."""
+    n_primes, t = out.shape
+    rows = h.size // t
+    for j in range(0, n_primes, rows):
+        m = min(rows, n_primes - j)
+        hb = h[: m * t].reshape(m, t)
+        ub = u[: m * t].reshape(m, t)
+        np.bitwise_xor(prime_half[j : j + m, None], trial_half[None, :], out=hb)
+        hb *= _C1
+        np.right_shift(hb, _S27, out=ub)
+        hb ^= ub
+        hb *= _C2
+        np.right_shift(hb.view(np.uint8)[:, _TOP_BYTE::8], _S7, out=out[j : j + m])
+
+
+def trial_signs(primes: list[int], master_seed: int, start: int, count: int) -> np.ndarray:
+    """(len(primes) x count) int8 matrix whose [j, t] entry is
+    SignSource(master_seed).for_trial(start + t).sign(primes[j])."""
+    bits = np.empty((len(primes), count), dtype=np.uint8)
+    if bits.size:
+        _hash_sign_bits(_prime_halves(primes), _trial_halves(master_seed, start, count),
+                        bits, *_hash_scratch(len(primes), count))
+    return 1 - 2 * bits.view(np.int8)
+
+
 class IntervalSampler:
     """Batched sampler of interval sums over derived per-trial sign sources.
 
@@ -149,13 +203,8 @@ class IntervalSampler:
     a prime-major (P x T) matrix of sign bits, XORs the k gathered rows of
     each bucket into the parity of X(n) = -1, and returns
     S - 2 * (number of entries with X(n) = -1).  Cost per trial is linear in
-    P plus the number of (entry, prime) incidences.
-
-    The hash is the splitmix64 finalizer of seed_half ^ prime_half, cut
-    short twice without changing a sign bit: its first step
-    z ^= z >> 30 is linear over XOR, so it is applied to each half once
-    instead of to every (trial, prime) word; and its last step
-    z ^= z >> 31 never changes bit 63, the sign bit, so it is skipped.
+    P plus the number of (entry, prime) incidences.  The sign matrix is
+    that of trial_signs, hashed tile by tile.
     """
 
     def __init__(self, table: IntervalTable, master_seed: int):
@@ -172,15 +221,7 @@ class IntervalSampler:
             np.array(rows, dtype=np.intp).T.copy()
             for _, rows in sorted(by_omega.items())
         ]
-        # hoisted PRF halves: sign bit of (prime j, trial t) is the top bit of
-        # mix64(mix64(trial_seed ^ SIGN_TAG) ^ mix64(prime_j + GOLDEN)); each
-        # half carries the first xorshift of the outer mix64
-        self._prime_half = _xorshift30(
-            _mix64_np(np.array(primes, dtype=np.uint64) + np.uint64(_GOLDEN)))
-
-    def trial_seeds(self, indices: np.ndarray) -> np.ndarray:
-        key = np.uint64(_mix64((self.master_seed ^ _TRIAL_TAG) & _M64))
-        return _mix64_np(key ^ _mix64_np(indices.astype(np.uint64) + np.uint64(_GOLDEN)))
+        self._prime_half = _prime_halves(primes)
 
     def raw_sums(self, start: int, count: int, batch: int | None = None) -> np.ndarray:
         """Interval sums for trials start, ..., start+count-1 (int64),
@@ -189,28 +230,14 @@ class IntervalSampler:
         if batch is None:
             batch = max(_MIN_TILE, _TILE_WORDS // max(n_primes, 1))
         tile = max(1, min(batch, count))
-        rows = max(1, min(n_primes, _TILE_WORDS // tile))
-        h = np.empty(rows * tile, dtype=np.uint64)
-        u = np.empty_like(h)
+        h, u = _hash_scratch(n_primes, tile)
         signs_buf = np.empty(n_primes * tile, dtype=np.uint8)
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        seed_half = _xorshift30(_mix64_np(self.trial_seeds(idx) ^ np.uint64(_SIGN_TAG)))
+        trial_half = _trial_halves(self.master_seed, start, count)
         out = np.empty(count, dtype=np.int64)
         for off in range(0, count, tile):
             t = min(tile, count - off)
             signs = signs_buf[: n_primes * t].reshape(n_primes, t)
-            for j in range(0, n_primes, rows):
-                m = min(rows, n_primes - j)
-                hb = h[: m * t].reshape(m, t)
-                ub = u[: m * t].reshape(m, t)
-                np.bitwise_xor(self._prime_half[j : j + m, None],
-                               seed_half[None, off : off + t], out=hb)
-                hb *= _C1
-                np.right_shift(hb, _S27, out=ub)
-                hb ^= ub
-                hb *= _C2
-                np.right_shift(hb.view(np.uint8)[:, _TOP_BYTE::8], _S7,
-                               out=signs[j : j + m])
+            _hash_sign_bits(self._prime_half, trial_half[off : off + t], signs, h, u)
             n_neg = np.zeros(t, dtype=np.int64)
             for bucket in self._buckets:
                 parity = signs[bucket[0]]

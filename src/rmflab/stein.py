@@ -7,11 +7,17 @@ small/large prime threshold z:
            as a function of the signs of the large primes (> z);
   N(p)     support of prime p: square-free k coprime to p with k*p in the
            interval (equivalently, k*p a square-free interval entry);
+  L        the large primes (> z) dividing some square-free entry;
   Delta_p f  change in f when the sign of p is resampled;
   T_p      per-prime exchange statistic: the omega-weighted off-diagonal
            quadratic form over N(p) defined in exchange_statistic;
-  W(A)     subset weight 1 / (C(|L|,|A|) (|L|-|A|)) over subsets A of the
-           large-prime set L.
+  W(A)     subset weight 1 / (C(|L|,|A|) (|L|-|A|)) over subsets A of L.
+
+Every N(p) comes from one support map (_supports), built in a single pass
+over the square-free entries; each member k of N(p) carries the distinct
+primes of k, so omega_L(k p) and X(k) need no table lookup.  T_p is
+evaluated in one place (_t_p): exactly for a given sign source, and for the
+exchange variance over a whole matrix of trial signs at once.
 
 Identity checks run in exact rational arithmetic (fractions.Fraction);
 exhaustive sign-vector averages run as integer Walsh-Hadamard transforms,
@@ -28,9 +34,12 @@ from math import comb
 import numpy as np
 
 from .errors import ScaleError
-from .numtheory import IntervalTable, sieve_primes, z_of_delta
+from .numtheory import IntervalTable
 from .quadruples import _oracle_count_members
-from .rmf_core import SignSource
+from .rmf_core import SignSource, trial_signs
+
+# a member k of N(p), with the distinct primes of k
+_Member = tuple[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -42,18 +51,27 @@ class IncrementSupport:
     members: tuple[int, ...]
 
 
+def _supports(table: IntervalTable) -> dict[int, list[_Member]]:
+    """N(p) for every prime p dividing a square-free entry, members in
+    ascending order."""
+    out: dict[int, list[_Member]] = {}
+    for n, primes in table.squarefree_items():
+        for p in primes:
+            out.setdefault(p, []).append((n // p, tuple(q for q in primes if q != p)))
+    return out
+
+
+def _large_primes(supports: dict[int, list[_Member]], z: float) -> list[int]:
+    return sorted(p for p in supports if p > z)
+
+
+def _large_prime_set(table: IntervalTable, z: float) -> list[int]:
+    """L, ascending."""
+    return _large_primes(_supports(table), z)
+
+
 def increment_support(p: int, table: IntervalTable) -> IncrementSupport:
-    members = []
-    start = (table.x_lo // p + 1) * p
-    for m in range(start, table.x_hi + 1, p):
-        if table.is_squarefree(m):
-            members.append(m // p)
-    return IncrementSupport(p, tuple(members))
-
-
-def _member_primes(p: int, k: int, table: IntervalTable) -> tuple[int, ...]:
-    """Distinct primes of member k of N(p), read off the table entry of k*p."""
-    return tuple(q for q, _ in table.factors(k * p) if q != p)
+    return IncrementSupport(p, tuple(k for k, _ in _supports(table).get(p, ())))
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +121,31 @@ def delta2_exact(p: int, table: IntervalTable) -> int:
     return 2 * len(increment_support(p, table).members)
 
 
+def _delta4(members: list[_Member]) -> int:
+    return 8 * _oracle_count_members([k for k, _ in members])
+
+
 def delta4_exact(p: int, table: IntervalTable, max_members: int = 400) -> int:
     """E|Delta_p f|^4 = 8 * (ordered square quadruples within N(p))."""
-    members = increment_support(p, table).members
+    members = _supports(table).get(p, [])
     if len(members) > max_members:
         raise ScaleError(f"|N(p)| = {len(members)} exceeds {max_members}")
-    return 8 * _oracle_count_members(list(members))
+    return _delta4(members)
+
+
+def _delta3(p: int, members: list[_Member], prime_budget: int) -> float:
+    primes = sorted({q for _, qs in members for q in qs})
+    if len(primes) > prime_budget:
+        raise ScaleError(
+            f"{len(primes)} distinct primes in N({p}) exceeds budget {prime_budget}"
+        )
+    index = {q: j for j, q in enumerate(primes)}
+    k = len(primes)
+    masks = [sum(1 << index[q] for q in qs) for _, qs in members]
+    v = _all_sign_values(masks, [1] * len(masks), k)
+    a = np.abs(v)
+    third = int((a * a * a).sum())
+    return 4 * third / float(1 << k)
 
 
 def delta3_exact_tiny(p: int, table: IntervalTable, prime_budget: int = 20) -> float:
@@ -117,22 +154,7 @@ def delta3_exact_tiny(p: int, table: IntervalTable, prime_budget: int = 20) -> f
     difference takes values -2, 0, 2 with probabilities 1/4, 1/2, 1/4.
 
     The result is a dyadic rational represented exactly in a float."""
-    members = increment_support(p, table).members
-    if not members:
-        return 0.0
-    prime_sets = [_member_primes(p, k, table) for k in members]
-    primes = sorted({q for ps in prime_sets for q in ps})
-    if len(primes) > prime_budget:
-        raise ScaleError(
-            f"{len(primes)} distinct primes in N({p}) exceeds budget {prime_budget}"
-        )
-    index = {q: j for j, q in enumerate(primes)}
-    k = len(primes)
-    masks = [sum(1 << index[q] for q in ps) for ps in prime_sets]
-    v = _all_sign_values(masks, [1] * len(masks), k)
-    a = np.abs(v)
-    third = int((a * a * a).sum())
-    return 4 * third / float(1 << k)
+    return _delta3(p, _supports(table).get(p, []), prime_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +184,22 @@ def subset_weight_identity(l_size: int, omega: int) -> Fraction:
 # Exchange statistics
 # ---------------------------------------------------------------------------
 
-def _omega_large(n: int, z: float, table: IntervalTable) -> int:
-    return sum(1 for q, _ in table.factors(n) if q > z)
+def _omega_l(qs: tuple[int, ...], z: float) -> int:
+    """omega_L(k p) for p > z and a member k of N(p) with distinct primes qs."""
+    return 1 + sum(q > z for q in qs)
 
 
-def _x_of_member(p: int, k: int, table: IntervalTable, signs: SignSource) -> int:
-    v = 1
-    for q in _member_primes(p, k, table):
-        v *= signs.sign(q)
-    return v
+def _t_p(xs, omegas):
+    """sum_k (g - x_k) x_k / omega_k with g = sum_k x_k: the sum over ordered
+    pairs k != l of x_k x_l / omega_l.  Exact for int xs and Fraction omegas;
+    per trial for xs that are int arrays over trials."""
+    g = sum(xs)
+    return sum((g - x) * x / w for x, w in zip(xs, omegas))
+
+
+def _exact_t_p(members: list[_Member], signs: SignSource, z: float) -> Fraction:
+    xs = [math.prod(signs.sign(q) for q in qs) for _, qs in members]
+    return Fraction(_t_p(xs, [Fraction(_omega_l(qs, z)) for _, qs in members]))
 
 
 def exchange_statistic(p: int, table: IntervalTable, signs: SignSource,
@@ -179,52 +208,31 @@ def exchange_statistic(p: int, table: IntervalTable, signs: SignSource,
     exactly."""
     if p <= z:
         raise ValueError(f"T_p is defined for large primes only: p={p} <= z={z}")
-    members = increment_support(p, table).members
-    if len(members) <= 1:
-        return Fraction(0)
-    xs = [_x_of_member(p, k, table, signs) for k in members]
-    g = sum(xs)
-    total = Fraction(0)
-    for k, xk in zip(members, xs):
-        total += Fraction((g - xk) * xk, _omega_large(k * p, z, table))
-    return total
+    return _exact_t_p(_supports(table).get(p, []), signs, z)
 
 
 def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
                                   master_seed: int) -> float:
     """Sample variance (ddof=1) of sum_{p in L} T_p over seeded trials.
 
-    Only primes z < p <= y can have |N(p)| >= 2; all other T_p vanish."""
+    T_p vanishes unless |N(p)| >= 2.  The signs of trial t are those of
+    SignSource(master_seed).for_trial(t); each T_p is evaluated for all
+    trials at once, and every trial's terms are added in ascending p as in
+    a per-trial evaluation."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    per_p = []
-    prime_pool: set[int] = set()
-    for p in sieve_primes(table.y_len):
-        if p <= z:
-            continue
-        members = increment_support(p, table).members
-        if len(members) < 2:
-            continue
-        rows = []
-        for k in members:
-            qs = _member_primes(p, k, table)
-            rows.append((qs, _omega_large(k * p, z, table)))
-            prime_pool.update(qs)
-        per_p.append(rows)
+    supports = _supports(table)
+    per_p = [supports[p] for p in _large_primes(supports, z) if len(supports[p]) >= 2]
     if not per_p:
         return 0.0
-    pool = sorted(prime_pool)
-    root = SignSource(master_seed)
-    values = np.empty(trials)
-    for t in range(trials):
-        signs = root.for_trial(t)
-        sgn = {q: signs.sign(q) for q in pool}
-        total = 0.0
-        for rows in per_p:
-            xs = [(math.prod(sgn[q] for q in qs), w) for qs, w in rows]
-            g = sum(x for x, _ in xs)
-            total += sum((g - x) * x / w for x, w in xs)
-        values[t] = total
+    pool = sorted({q for members in per_p for _, qs in members for q in qs})
+    row = {q: j for j, q in enumerate(pool)}
+    signs = trial_signs(pool, master_seed, 0, trials)
+    values = np.zeros(trials)
+    for members in per_p:
+        xs = [np.prod(signs[[row[q] for q in qs]], axis=0, dtype=np.int64)
+              for _, qs in members]
+        values += _t_p(xs, [_omega_l(qs, z) for _, qs in members])
     return float(values.var(ddof=1))
 
 
@@ -249,24 +257,21 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
     the support involves at most prime_budget distinct primes, otherwise by
     the Cauchy-Schwarz bound sqrt(E|Delta_p f|^2 E|Delta_p f|^4); plus the
     sampled Var(sum_p T_p)."""
-    relevant = sorted({
-        q for _, primes in table.squarefree_items() for q in primes if q > z
-    })
+    supports = _supports(table)
     total = 0.0
     d2: dict[int, int] = {}
     d4: dict[int, int] = {}
     exact_primes = bounded_primes = 0
-    for p in relevant:
-        members = increment_support(p, table).members
+    for p in _large_primes(supports, z):
+        members = supports[p]
         if len(members) > member_budget:
             raise ScaleError(f"|N({p})| = {len(members)} exceeds {member_budget}")
         d2[p] = 2 * len(members)
-        d4[p] = delta4_exact(p, table, member_budget)
-        distinct = {q for k in members for q in _member_primes(p, k, table)}
-        if len(distinct) <= prime_budget:
-            total += delta3_exact_tiny(p, table, prime_budget)
+        d4[p] = _delta4(members)
+        try:
+            total += _delta3(p, members, prime_budget)
             exact_primes += 1
-        else:
+        except ScaleError:
             total += math.sqrt(d2[p] * d4[p])
             bounded_primes += 1
     var_t = exchange_variance_monte_carlo(table, z, var_trials, master_seed)
@@ -305,15 +310,14 @@ class ConditionalMomentsReport:
         )
 
 
-def conditional_moments_check(table: IntervalTable, delta: float,
+def conditional_moments_check(table: IntervalTable, z: float,
                   small_sign_assignments: list[dict[int, int]],
                   large_prime_budget: int = 22) -> ConditionalMomentsReport:
-    """For each fixed assignment of signs to the small primes, average the
-    interval sum and its square over ALL 2^k large-prime sign vectors; the
+    """For each fixed assignment of signs to the small primes (<= z), average
+    the interval sum and its square over ALL 2^k sign vectors of L; the
     conditional mean must be exactly 0 and the second moment exactly S."""
-    z = z_of_delta(delta)
     entries = _split_entries(table, z)
-    large = sorted({q for _, _, lg in entries for q in lg})
+    large = _large_prime_set(table, z)
     if len(large) > large_prime_budget:
         raise ScaleError(
             f"{len(large)} distinct large primes exceeds budget {large_prime_budget}"
@@ -342,12 +346,6 @@ def conditional_moments_check(table: IntervalTable, delta: float,
     )
 
 
-def _large_prime_set(table: IntervalTable, z: float) -> list[int]:
-    return sorted({
-        q for _, primes in table.squarefree_items() for q in primes if q > z
-    })
-
-
 def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
                         l_budget: int = 12) -> tuple[Fraction, Fraction]:
     """Both sides of the conditional decomposition of the exchange statistic,
@@ -365,7 +363,8 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
     some square-free entry; primes outside it have Delta_p f identically 0
     and identical nu-weighted contributions on both sides.
     """
-    large = _large_prime_set(table, z)
+    supports = _supports(table)
+    large = _large_primes(supports, z)
     l_size = len(large)
     if l_size > l_budget:
         raise ScaleError(f"|L| = {l_size} exceeds budget {l_budget}")
@@ -420,17 +419,8 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
 
     closed = Fraction(0)
     for j, p in enumerate(large):
-        members = increment_support(p, table).members
-        if not members:
-            continue
-        mem_masks = []
-        mem_x = []
-        mem_omega = []
-        for k in members:
-            qs = _member_primes(p, k, table)
-            mem_masks.append(sum(1 << index[q] for q in qs if q > z))
-            mem_x.append(_x_of_member(p, k, table, signs))
-            mem_omega.append(_omega_large(k * p, z, table))
+        members = supports[p]
+        mem_masks = [sum(1 << index[q] for q in qs if q > z) for _, qs in members]
         # diagonal part: sum over A of W(A) |N^A(p)|
         rest = full & ~(1 << j)
         a = rest
@@ -441,9 +431,7 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
                 break
             a = (a - 1) & rest
         # off-diagonal part: T_p
-        g = sum(mem_x)
-        for xk, w in zip(mem_x, mem_omega):
-            closed += Fraction((g - xk) * xk, w)
+        closed += _exact_t_p(members, signs, z)
 
     return direct, closed
 

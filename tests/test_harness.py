@@ -15,6 +15,7 @@ from rmflab.harness import (
     run_simulate,
     run_stein_checks,
 )
+from rmflab.numtheory import segmented_factorize
 
 
 def small_config(trials=200, workers=1, **kw):
@@ -196,6 +197,7 @@ def test_cli_exit_codes(capsys):
     assert main(["simulate", "--x", "1000", "--y", "2000", "--trials", "5"]) == 2
     # scale error: oracle-sized check refused
     assert main(["quadruples", "--x", "5000", "--y", "400", "--budget", "10"]) == 3
+    assert main(["moments", "--x", "5000", "--y", "400", "--budget", "10"]) == 3
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required --x
     assert exc.value.code == 2
@@ -261,3 +263,29 @@ def test_cli_env_workers_invalid_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("RMF_LAB_WORKERS", "two")
     assert main(["simulate", "--x", "2000", "--y", "100", "--trials", "4"]) == 2
     assert "RMF_LAB_WORKERS" in _one_line_error(capsys)
+
+
+def test_cli_stein_splits_primes_at_given_z(capsys):
+    # the conditional moments use --z, not z(delta) = 2.18 here
+    large = {p for _, ps in segmented_factorize(700, 9).squarefree_items()
+             for p in ps if p > 3.5}
+    assert main(["stein", "--x", "700", "--y", "9", "--z", "3.5",
+                 "--var-trials", "20", "--identity-max-l", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["conditional_moments"] == {"large_primes": len(large), "ok": True}
+    # with z given, delta >= 1/10 only warns, as in simulate
+    assert main(["stein", "--x", "700", "--y", "80", "--z", "3",
+                 "--var-trials", "20", "--identity-max-l", "3"]) == 0
+
+
+def test_cli_stein_negative_seed(capsys):
+    assert main(["stein", "--x", "700", "--y", "9", "--seed", "-1",
+                 "--var-trials", "20", "--identity-max-l", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["conditional_moments"]["ok"]
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_cli_stein_identity_max_l_below_one_exits_2(capsys, value):
+    # an identity check over no L at all would report ok
+    assert main(["stein", "--x", "700", "--y", "9", "--identity-max-l", value]) == 2
+    assert "identity_max_l" in _one_line_error(capsys)

@@ -14,6 +14,7 @@ from rmflab.rmf_core import (
     normalized_w,
     partial_sum_m,
     rmf_value,
+    trial_signs,
 )
 from rmflab.stein import sign_vector_moments
 
@@ -189,3 +190,15 @@ def test_sampler_golden_digest():
     raw = samp.raw_sums(0, 4096)
     digest = hashlib.sha256(raw.astype("<i8").tobytes()).hexdigest()
     assert digest == "9f5d89ab2b1d5dfd69025bc950df35dddbafe839c5a7d0d53b138efc4b051436"
+
+
+def test_trial_signs_match_scalar_source():
+    primes = [2, 3, 5, 7, 101, 65537, 10**9 + 7]
+    for seed in (0, 5, -1, 2**64 + 3):
+        root = SignSource(seed)
+        signs = trial_signs(primes, seed, 11, 40)
+        assert signs.shape == (len(primes), 40)
+        assert signs.tolist() == [
+            [root.for_trial(11 + t).sign(p) for t in range(40)] for p in primes
+        ]
+    assert trial_signs([], 0, 0, 3).shape == (0, 3)

@@ -174,6 +174,14 @@ def test_exchange_variance_trivial_and_deterministic():
         exchange_variance_monte_carlo(t, 3.0, 1, 0)
 
 
+def test_exchange_variance_golden_values():
+    # values of the per-trial scalar loop over SignSource.for_trial, frozen
+    t = segmented_factorize(10**4, 400)
+    assert exchange_variance_monte_carlo(t, 0.5 * math.log(25), 2000, 5) == 4034.537993545384
+    t = segmented_factorize(200, 80)
+    assert exchange_variance_monte_carlo(t, 3.0, 200, 99) == 81.81304020100502
+
+
 def test_conditional_moments_exact():
     x, y = 700, 9
     delta = y / x
@@ -184,7 +192,7 @@ def test_conditional_moments_exact():
         {p: -1 for p in small},
         {p: (-1) ** i for i, p in enumerate(small)},
     ]
-    rep = conditional_moments_check(t, delta, assignments)
+    rep = conditional_moments_check(t, z_of_delta(delta), assignments)
     assert rep.ok
     assert rep.means == (Fraction(0),) * 3
     assert rep.second_moments == (Fraction(t.squarefree_count),) * 3
@@ -201,20 +209,20 @@ def test_every_squarefree_entry_has_a_large_prime():
 
 def test_conditional_moments_s_zero_interval():
     t = segmented_factorize(47, 1)  # 48 = 2^4 * 3
-    rep = conditional_moments_check(t, 1 / 47, [{}])
+    rep = conditional_moments_check(t, z_of_delta(1 / 47), [{}])
     assert rep.ok and rep.s_count == 0
 
 
 def test_conditional_moments_budget_and_validation():
     t = segmented_factorize(10**4, 300)
     with pytest.raises(ScaleError):
-        conditional_moments_check(t, 0.03, [{2: 1}], large_prime_budget=22)
+        conditional_moments_check(t, z_of_delta(0.03), [{2: 1}], large_prime_budget=22)
     t2 = segmented_factorize(700, 9)
     with pytest.raises(ValueError):
-        conditional_moments_check(t2, 9 / 700, [{}])  # missing small primes 2, 3
+        conditional_moments_check(t2, z_of_delta(9 / 700), [{}])  # missing small prime 2
     small = sieve_primes(math.floor(z_of_delta(9 / 700)))
     with pytest.raises(ValueError):
-        conditional_moments_check(t2, 9 / 700, [{p: 2 for p in small}])
+        conditional_moments_check(t2, z_of_delta(9 / 700), [{p: 2 for p in small}])
 
 
 def test_sign_vector_moments_tiny():
@@ -274,3 +282,12 @@ def test_large_prime_third_moment_structure():
     for p in big[::25]:
         assert len(increment_support(p, t).members) == 1
         assert delta3_exact_tiny(p, t) == 4.0
+
+
+def test_stein_terms_golden_values():
+    terms = stein_terms(segmented_factorize(200, 80), 3.0, var_trials=50, master_seed=2)
+    assert terms.sum_delta3 == 565.75
+    assert terms.exchange_variance == 81.16285714285715
+    assert (terms.exact_primes, terms.bounded_primes) == (42, 0)
+    assert sum(terms.delta2_by_p.values()) == 134
+    assert sum(terms.delta4_by_p.values()) == 3656
