@@ -10,9 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContractViolation
+import numpy as np
+
+from .errors import ContractViolation, ScaleError
 
 _U64_LIMIT = 1 << 64
+# Largest interval segmented_factorize accepts: the sieve holds the primes
+# up to sqrt(x+y) in memory and the table holds about 4y int64 incidences.
+MAX_X_PLUS_Y = 10**15
+MAX_Y = 10**7
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -24,7 +30,7 @@ def sieve_primes(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i in range(2, limit + 1) if flags[i]]
+    return np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).tolist()
 
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
@@ -62,89 +68,108 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalTable:
-    """Complete factorizations and square-free flags for (x, x+y].
+    """Complete factorizations and square-free flags for (x, x+y], as
+    read-only CSR arrays.
 
-    entries[i] holds the (prime, exponent) pairs of n = x_lo + 1 + i;
-    flags[i] is True iff that n is square-free.
+    Entry i is n = x_lo + 1 + i: its primes, ascending, are
+    primes[offsets[i]:offsets[i+1]] (int64) with their exponents (int8), and
+    flags[i] (bool) is True iff n is square-free.  segmented_factorize
+    refuses intervals with x+y > MAX_X_PLUS_Y or y > MAX_Y.
     """
 
     x_lo: int
     y_len: int
-    entries: tuple[tuple[tuple[int, int], ...], ...]
-    flags: tuple[bool, ...]
-    squarefree_count: int
+    offsets: np.ndarray
+    primes: np.ndarray
+    exponents: np.ndarray
+    flags: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.offsets, self.primes, self.exponents, self.flags):
+            a.flags.writeable = False
 
     @property
     def x_hi(self) -> int:
         return self.x_lo + self.y_len
 
-    def contains(self, n: int) -> bool:
-        return self.x_lo < n <= self.x_hi
+    @property
+    def squarefree_count(self) -> int:
+        return int(np.count_nonzero(self.flags))
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The (prime, exponent) pairs of every entry."""
+        pairs = list(zip(self.primes.tolist(), self.exponents.tolist()))
+        off = self.offsets.tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip(off, off[1:]))
 
     def _index(self, n: int) -> int:
-        if not self.contains(n):
-            raise ValueError(
-                f"n={n} outside table interval ({self.x_lo}, {self.x_hi}]"
-            )
+        if not self.x_lo < n <= self.x_hi:
+            raise ValueError(f"n={n} outside table interval ({self.x_lo}, {self.x_hi}]")
         return n - self.x_lo - 1
 
     def factors(self, n: int) -> tuple[tuple[int, int], ...]:
-        return self.entries[self._index(n)]
+        i = self._index(n)
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return tuple(zip(self.primes[a:b].tolist(), self.exponents[a:b].tolist()))
 
     def is_squarefree(self, n: int) -> bool:
-        return self.flags[self._index(n)]
+        return bool(self.flags[self._index(n)])
 
     def squarefree_values(self) -> list[int]:
-        lo = self.x_lo + 1
-        return [lo + i for i, f in enumerate(self.flags) if f]
+        return (np.flatnonzero(self.flags) + (self.x_lo + 1)).tolist()
 
     def squarefree_items(self) -> list[tuple[int, tuple[int, ...]]]:
         """(n, distinct primes of n) for every square-free n in the table."""
-        lo = self.x_lo + 1
-        return [
-            (lo + i, tuple(p for p, _ in self.entries[i]))
-            for i, f in enumerate(self.flags)
-            if f
-        ]
+        ps, off, lo = self.primes.tolist(), self.offsets.tolist(), self.x_lo + 1
+        return [(lo + i, tuple(ps[off[i] : off[i + 1]]))
+                for i in np.flatnonzero(self.flags).tolist()]
 
 
 def _factor_segment(lo: int, length: int) -> IntervalTable:
     """Factor every n in (lo, lo+length]; lo >= 0 allowed (n = 1 gets the
-    empty factorization and counts as square-free)."""
+    empty factorization and counts as square-free).  Every (index, sieve
+    prime) incidence is built at once and the primes are divided out of rem
+    one exponent round at a time; what is left above 1 is a prime > sqrt(hi)."""
     hi = lo + length
-    first = lo + 1
-    rem = list(range(first, hi + 1))
-    facs: list[list[tuple[int, int]]] = [[] for _ in range(length)]
-    for p in sieve_primes(math.isqrt(hi)):
-        start = ((lo // p) + 1) * p
-        for m in range(start, hi + 1, p):
-            i = m - first
-            e = 0
-            while rem[i] % p == 0:
-                rem[i] //= p
-                e += 1
-            facs[i].append((p, e))
-    flags = []
-    entries = []
-    count = 0
-    for i in range(length):
-        if rem[i] > 1:
-            # leftover cofactor is a single prime > sqrt(hi)
-            facs[i].append((rem[i], 1))
-        sf = all(e == 1 for _, e in facs[i])
-        flags.append(sf)
-        count += sf
-        entries.append(tuple(facs[i]))
-    return IntervalTable(lo, length, tuple(entries), tuple(flags), count)
+    sieve = np.array(sieve_primes(math.isqrt(hi)), dtype=np.int64)
+    first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
+    hits = (length - 1 - first) // sieve + 1
+    inc_p = np.repeat(sieve, hits)
+    inc_i = np.arange(inc_p.size) - np.repeat(np.cumsum(hits) - hits, hits)
+    inc_i *= inc_p
+    inc_i += np.repeat(first, hits)
+    rem = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    inc_e = np.ones(inc_p.size, dtype=np.int8)
+    # ufunc.at applies every division: an n hit by several primes in one
+    # round would keep only one of them under rem[inc_i] //= inc_p
+    np.floor_divide.at(rem, inc_i, inc_p)
+    live = np.flatnonzero(rem[inc_i] % inc_p == 0)
+    while live.size:
+        inc_e[live] += 1
+        np.floor_divide.at(rem, inc_i[live], inc_p[live])
+        live = live[rem[inc_i[live]] % inc_p[live] == 0]
+    flags = np.ones(length, dtype=bool)
+    flags[inc_i[inc_e > 1]] = False
+    cof = np.flatnonzero(rem > 1)
+    idx = np.concatenate([inc_i, cof])
+    order = np.argsort(idx, kind="stable")
+    offsets = np.zeros(length + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=length), out=offsets[1:])
+    return IntervalTable(
+        lo, length, offsets, np.concatenate([inc_p, rem[cof]])[order],
+        np.concatenate([inc_e, np.ones(cof.size, dtype=np.int8)])[order], flags,
+    )
 
 
 def segmented_factorize(x: int, y: int) -> IntervalTable:
     """Factor table for the interval (x, x+y].
 
     Sieves primes up to sqrt(x+y) once, divides them out of the segment and
-    recovers any remaining prime cofactor exceeding sqrt(x+y).
+    recovers any remaining prime cofactor exceeding sqrt(x+y).  Refuses
+    x+y > MAX_X_PLUS_Y or y > MAX_Y with ScaleError before allocating.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -152,6 +177,8 @@ def segmented_factorize(x: int, y: int) -> IntervalTable:
         raise ValueError(f"y must be >= 1, got {y}")
     if x + y >= _U64_LIMIT:
         raise ValueError(f"x+y={x + y} exceeds 64-bit unsigned range")
+    if x + y > MAX_X_PLUS_Y or y > MAX_Y:
+        raise ScaleError(f"interval ({x}, {x + y}] beyond x+y <= {MAX_X_PLUS_Y}, y <= {MAX_Y}")
     return _factor_segment(x, y)
 
 
@@ -216,10 +243,8 @@ def prime_split(delta: float, table: IntervalTable) -> PrimeSplit:
     large primes are the p > z dividing some entry of the table."""
     z = z_of_delta(delta)
     small = tuple(sieve_primes(math.floor(z)))
-    large = sorted(
-        {p for fac in table.entries for p, _ in fac if p > z}
-    )
-    return PrimeSplit(z, small, tuple(large))
+    large = np.unique(table.primes[table.primes > z])
+    return PrimeSplit(z, small, tuple(large.tolist()))
 
 
 def omega_L(n: int, z: float) -> int:

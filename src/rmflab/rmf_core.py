@@ -208,18 +208,17 @@ class IntervalSampler:
     """
 
     def __init__(self, table: IntervalTable, master_seed: int):
-        items = table.squarefree_items()
-        self.s_count = len(items)
+        sf = table.flags
+        sizes = np.diff(table.offsets)
+        omega = sizes[sf]
+        self.s_count = omega.size
         self.master_seed = master_seed & _M64
-        primes = sorted({p for _, ps in items for p in ps})
-        index = {p: j for j, p in enumerate(primes)}
-        by_omega: dict[int, list[list[int]]] = {}
-        for _, ps in items:
-            if ps:  # n = 1 has X(1) = +1 for every trial
-                by_omega.setdefault(len(ps), []).append([index[p] for p in ps])
+        primes, index = np.unique(table.primes[np.repeat(sf, sizes)], return_inverse=True)
+        starts = np.cumsum(omega) - omega
+        # n = 1 (omega 0) has X(1) = +1 for every trial
         self._buckets = [
-            np.array(rows, dtype=np.intp).T.copy()
-            for _, rows in sorted(by_omega.items())
+            index[starts[omega == k] + np.arange(k)[:, None]]
+            for k in np.unique(omega[omega > 0]).tolist()
         ]
         self._prime_half = _prime_halves(primes)
 

@@ -282,14 +282,12 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
 # Conditional-moment checks
 # ---------------------------------------------------------------------------
 
-def _split_entries(table: IntervalTable, z: float):
-    """Square-free entries as (n, small primes, large primes) triples."""
-    out = []
-    for n, primes in table.squarefree_items():
-        small = tuple(q for q in primes if q <= z)
-        large = tuple(q for q in primes if q > z)
-        out.append((n, small, large))
-    return out
+def _split_entries(table: IntervalTable, large: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(small primes, bitmask of the large primes over the ascending list
+    L = large) of every square-free entry."""
+    index = {q: j for j, q in enumerate(large)}
+    return [(tuple(q for q in ps if q not in index), sum(1 << index[q] for q in ps if q in index))
+            for _, ps in table.squarefree_items()]
 
 
 @dataclass(frozen=True)
@@ -316,16 +314,14 @@ def conditional_moments_check(table: IntervalTable, z: float,
     """For each fixed assignment of signs to the small primes (<= z), average
     the interval sum and its square over ALL 2^k sign vectors of L; the
     conditional mean must be exactly 0 and the second moment exactly S."""
-    entries = _split_entries(table, z)
     large = _large_prime_set(table, z)
     if len(large) > large_prime_budget:
         raise ScaleError(
             f"{len(large)} distinct large primes exceeds budget {large_prime_budget}"
         )
-    index = {q: j for j, q in enumerate(large)}
-    k = len(large)
-    masks = [sum(1 << index[q] for q in lg) for _, _, lg in entries]
-    small_present = sorted({q for _, sm, _ in entries for q in sm})
+    entries = _split_entries(table, large)
+    masks = [m for _, m in entries]
+    small_present = sorted({q for sm, _ in entries for q in sm})
     means = []
     seconds = []
     for assignment in small_sign_assignments:
@@ -334,11 +330,8 @@ def conditional_moments_check(table: IntervalTable, z: float,
             raise ValueError(f"assignment missing small primes {missing}")
         if any(v not in (-1, 1) for v in assignment.values()):
             raise ValueError("assignment values must be +1 or -1")
-        coeffs = [
-            math.prod(assignment[q] for q in sm) if sm else 1
-            for _, sm, _ in entries
-        ]
-        mean, second = sign_vector_moments(masks, coeffs, k)
+        coeffs = [math.prod(assignment[q] for q in sm) for sm, _ in entries]
+        mean, second = sign_vector_moments(masks, coeffs, len(large))
         means.append(mean)
         seconds.append(second)
     return ConditionalMomentsReport(
@@ -371,27 +364,15 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
     if l_size == 0:
         return Fraction(0), Fraction(0)
     index = {q: j for j, q in enumerate(large)}
-    entries = _split_entries(table, z)
-    coeffs = [
-        math.prod(signs.sign(q) for q in sm) if sm else 1 for _, sm, _ in entries
-    ]
-    masks = [sum(1 << index[q] for q in lg) for _, _, lg in entries]
+    entries = _split_entries(table, large)
+    coeffs = [math.prod(signs.sign(q) for q in sm) for sm, _ in entries]
+    masks = [m for _, m in entries]
     x_bits = sum(1 << j for j, q in enumerate(large) if signs.sign(q) < 0)
-
-    f_cache: dict[int, int] = {}
-
-    def f_of(bits: int) -> int:
-        val = f_cache.get(bits)
-        if val is None:
-            val = sum(
-                c if (m & bits).bit_count() % 2 == 0 else -c
-                for c, m in zip(coeffs, masks)
-            )
-            f_cache[bits] = val
-        return val
+    # f at every sign vector of L, indexed by its bits (1 = sign -1)
+    f_of = _all_sign_values(masks, coeffs, l_size).tolist()
 
     full = (1 << l_size) - 1
-    f_x = f_of(x_bits)
+    f_x = f_of[x_bits]
 
     nus = [subset_weight(l_size, a) for a in range(l_size)]
 
@@ -405,8 +386,8 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
             acc = 0
             v = scope
             while True:  # all resampled sign patterns on A union {p}
-                d1 = f_x - f_of((x_bits & ~bit_p) | (v & bit_p))
-                d2 = f_of((x_bits & ~a) | (v & a)) - f_of((x_bits & ~scope) | (v & scope))
+                d1 = f_x - f_of[(x_bits & ~bit_p) | (v & bit_p)]
+                d2 = f_of[(x_bits & ~a) | (v & a)] - f_of[(x_bits & ~scope) | (v & scope)]
                 acc += d1 * d2
                 if v == 0:
                     break

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -289,3 +290,12 @@ def test_cli_stein_identity_max_l_below_one_exits_2(capsys, value):
     # an identity check over no L at all would report ok
     assert main(["stein", "--x", "700", "--y", "9", "--identity-max-l", value]) == 2
     assert "identity_max_l" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("x, y", [(10**12, 10**9), (10**15, 10**3)])
+def test_cli_out_of_scale_interval_exits_3_at_once(capsys, x, y):
+    # y > 10^7 or x + y > 10^15: refused before the sieve allocates anything
+    t0 = time.perf_counter()
+    assert main(["bounds", "--x", str(x), "--y", str(y)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert _one_line_error(capsys).startswith("scale error:")

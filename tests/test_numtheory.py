@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab.errors import ContractViolation
+from rmflab.errors import ContractViolation, ScaleError
 from rmflab.numtheory import (
+    MAX_X_PLUS_Y,
+    MAX_Y,
     IntervalTable,
+    _factor_segment,
     is_squarefree,
     kernel_xor,
     omega_L,
@@ -56,6 +60,10 @@ def test_factorize_recovers_large_cofactor():
 def test_table_shape_and_range_errors():
     t = segmented_factorize(10, 10)
     assert t.y_len == len(t.entries) == len(t.flags) == 10
+    assert t.offsets.size == 11 and t.offsets[-1] == t.primes.size == t.exponents.size
+    for a in (t.offsets, t.primes, t.exponents, t.flags):
+        with pytest.raises(ValueError):  # read-only
+            a[0] = 0
     with pytest.raises(ValueError):
         t.factors(10)
     with pytest.raises(ValueError):
@@ -69,6 +77,11 @@ def test_factorize_preconditions():
         segmented_factorize(10, 0)
     with pytest.raises(ValueError):
         segmented_factorize(2**64 - 5, 10)
+    with pytest.raises(ScaleError):
+        segmented_factorize(MAX_X_PLUS_Y, 1)
+    with pytest.raises(ScaleError):
+        segmented_factorize(10**12, MAX_Y + 1)
+
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,11 +97,34 @@ def test_factorization_round_trip(x, y):
         assert t.flags[i] == all(e == 1 for _, e in fac)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=1, max_value=200))
+def test_table_at_paper_scale(x, y):
+    t = segmented_factorize(x, y)
+    for i, fac in enumerate(t.entries):
+        primes = [p for p, _ in fac]
+        assert math.prod(p**e for p, e in fac) == x + 1 + i
+        assert primes == sorted(set(primes))
+    assert [bool(f) for f in t.flags] == [bool(f) for f in squarefree_flags(x, y)]
+
+
+def test_table_golden_digest():
+    # taken from the nested-tuple table that the CSR arrays replaced
+    t = segmented_factorize(10**12, 10**4)
+    digest = hashlib.sha256(
+        repr((tuple(t.entries), tuple(map(bool, t.flags)))).encode()).hexdigest()
+    assert digest == "bee41f73e8fe5c0578e5d4ff6918f23a481e3c5e280ce72d29ab0cfd2f82207b"
+    assert t.squarefree_count == 6079
+
+
 def test_squarefree_count_examples():
     assert squarefree_count(segmented_factorize(10, 10)) == 6
     assert segmented_factorize(10, 10).squarefree_values() == [11, 13, 14, 15, 17, 19]
     assert squarefree_count(segmented_factorize(1, 1)) == 1  # n = 2
     assert squarefree_count(segmented_factorize(47, 1)) == 0  # 48 = 2^4 * 3
+    from_zero = _factor_segment(0, 6)  # n = 1 has the empty factorization
+    assert from_zero.factors(1) == ()
+    assert from_zero.squarefree_values() == [1, 2, 3, 5, 6]
 
 
 def test_squarefree_count_against_oracle():

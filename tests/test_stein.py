@@ -291,3 +291,12 @@ def test_stein_terms_golden_values():
     assert (terms.exact_primes, terms.bounded_primes) == (42, 0)
     assert sum(terms.delta2_by_p.values()) == 134
     assert sum(terms.delta4_by_p.values()) == 3656
+
+
+@pytest.mark.parametrize("x, y, seed, value", [(700, 9, 5, 6), (3000, 8, 11, 5)])
+def test_decomposition_sides_golden(x, y, seed, value):
+    # values taken from the per-sign-vector evaluation of f that the
+    # transform replaced
+    t = segmented_factorize(x, y)
+    direct, closed = decomposition_sides(t, 0.5 * math.log(x / y), SignSource(seed))
+    assert direct == closed == value
