@@ -218,13 +218,11 @@ def run_simulate(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     moments = _moment_block(w)
 
-    exact: dict = {}
     try:
         nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y)
-        exact["nondiagonal"] = nd
-        exact["fourth_moment"] = quad_mod.diagonal_count(s) + nd
-    except ScaleError:
-        pass
+        exact = {"nondiagonal": nd, "fourth_moment": quad_mod.diagonal_count(s) + nd}
+    except ScaleError as e:
+        exact = {"skipped": str(e)}
 
     sample = dist_mod.SampleSet.from_values(w)
     ks = dist_mod.kolmogorov_stat(sample)
@@ -246,12 +244,13 @@ def run_simulate(config: ExperimentConfig) -> ExperimentReport:
 
 def run_moments(config: ExperimentConfig,
                 budget: int = quad_mod.DEFAULT_BUDGET) -> dict:
-    """Exact fourth-moment fragment: counts, closed forms and bound ratios;
-    the non-diagonal enumeration is refused beyond `budget` steps."""
+    """Exact fourth-moment fragment: counts, closed forms and bound ratios.
+    The non-diagonal enumeration runs first and is refused beyond `budget`
+    candidate rows before the factor table is built."""
     cfg = config.resolved()
+    nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y, budget)
     table = segmented_factorize(cfg.x, cfg.y)
     s = table.squarefree_count
-    nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y, budget)
     diag = quad_mod.diagonal_count(s)
     out = {
         "s_count": s,
@@ -365,8 +364,11 @@ def emit(report: ExperimentReport, formats: tuple[str, ...], out_base: str,
             if w_values is None:
                 raise ValueError("csv format needs per-trial values")
             path = Path(str(base) + ".csv")
+            # W = raw/sqrt(S) takes at most S+1 values: one repr per value
+            values, which = np.unique(w_values, return_inverse=True)
+            text = [repr(float(v)) for v in values]
             lines = ["trial,w"]
-            lines += [f"{i},{float(v)!r}" for i, v in enumerate(w_values)]
+            lines += [f"{i},{text[j]}" for i, j in enumerate(which.tolist())]
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
         if "histogram" in formats:
@@ -407,6 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "simulation, exact counting and distance diagnostics.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    budget_help = ("most candidate rows the non-diagonal enumeration may build; "
+                   "a larger count is refused (exit 3) before the first row")
 
     p = sub.add_parser("simulate", help="run seeded Monte Carlo trials")
     _add_interval_args(p, trials=True)
@@ -418,11 +422,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="exact fourth moment of the interval sum")
     _add_interval_args(p)
-    p.add_argument("--budget", type=int, default=quad_mod.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=quad_mod.DEFAULT_BUDGET,
+                   help=budget_help)
 
     p = sub.add_parser("quadruples", help="square-quadruple counts and bound")
     _add_interval_args(p)
-    p.add_argument("--budget", type=int, default=quad_mod.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=quad_mod.DEFAULT_BUDGET,
+                   help=budget_help)
 
     p = sub.add_parser("stein", help="identity and conditional-moment checks")
     _add_interval_args(p)

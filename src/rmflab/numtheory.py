@@ -175,11 +175,17 @@ def segmented_factorize(x: int, y: int) -> IntervalTable:
         raise ValueError(f"x must be >= 1, got {x}")
     if y < 1:
         raise ValueError(f"y must be >= 1, got {y}")
+    check_scale(x, y)
+    return _factor_segment(x, y)
+
+
+def check_scale(x: int, y: int) -> None:
+    """Refuse an interval (x, x+y] that no exact computation here can hold:
+    ValueError past 64 bits, ScaleError for x+y > MAX_X_PLUS_Y or y > MAX_Y."""
     if x + y >= _U64_LIMIT:
         raise ValueError(f"x+y={x + y} exceeds 64-bit unsigned range")
     if x + y > MAX_X_PLUS_Y or y > MAX_Y:
         raise ScaleError(f"interval ({x}, {x + y}] beyond x+y <= {MAX_X_PLUS_Y}, y <= {MAX_Y}")
-    return _factor_segment(x, y)
 
 
 def squarefree_count(table: IntervalTable) -> int:

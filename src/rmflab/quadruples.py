@@ -9,6 +9,20 @@ parametrization (A, B, r, s, u, v) with
 All counts are of ORDERED quadruples, matching the expansion of the fourth
 moment of the interval sum.  Square tests always fold kernels, never form
 the raw four-fold product.
+
+The non-diagonal enumeration is a chain of numpy range expansions, one
+level per variable.  Each level turns every parent row into the integer
+range its variable may take, filters the new rows with np.gcd and the
+interval's square-free flags, and hands the survivors to the next level.
+Shapes (b)/(c) run A, then c1 with A*c1 square-free, then c2, then B.
+Shape (d) runs A, r, u (n1 = A*r*u in the interval), then B within the
+ratio bound A*lo/hi <= B <= A*hi/lo, then s (n4 in the interval) and v (n3
+in the interval), testing n2 = A*s*v last.
+Expansions are built in blocks of at most BLOCK rows, so memory does not
+grow with the interval.  The budget counts candidate rows: each level's
+rows before filtering, i.e. the sum of its range widths.  A level is
+charged in full before its first row is built, so an over-budget interval
+is refused after only its earlier levels have run.
 """
 
 from __future__ import annotations
@@ -16,16 +30,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContractViolation, ScaleError
 from .numtheory import (
     IntervalTable,
     _kernel_unchecked,
+    check_scale,
     is_squarefree,
     squarefree_flags,
 )
 
 ORACLE_MAX_S = 400
 DEFAULT_BUDGET = 10**9
+# Rows per block of a level's expansion: bounds the enumeration's memory.
+BLOCK = 1 << 14
 
 
 def diagonal_count(s: int) -> int:
@@ -134,6 +153,137 @@ class _Budget:
             raise ScaleError("enumeration budget exceeded")
 
 
+def _expand(width: np.ndarray):
+    """Yield (idx, off) blocks of the parent rows' ranges laid end to end:
+    child i is offset off[i] in the range of parent row idx[i].  Blocks hold
+    at most BLOCK children and may split a parent's range."""
+    ends = np.cumsum(width)
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, BLOCK):
+        stop = min(start + BLOCK, total)
+        i0 = int(np.searchsorted(ends, start, side="right"))
+        i1 = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+        begin = ends[i0:i1] - width[i0:i1]  # flat index of each row's first child
+        counts = np.minimum(ends[i0:i1], stop) - np.maximum(begin, start)
+        idx = np.repeat(np.arange(i0, i1), counts)
+        yield idx, np.arange(start, stop) - begin[idx - i0]
+
+
+def _widths(level, block) -> tuple[np.ndarray, np.ndarray]:
+    """First value and width of each parent row's range at `level`."""
+    first, last = level[1](block)
+    return first, np.maximum(last - first + 1, 0)
+
+
+def _stream(levels, block):
+    """Yield, in blocks, the rows below `block` that pass every level."""
+    if not levels:
+        yield block
+        return
+    name, _, keep = levels[0]
+    first, width = _widths(levels[0], block)
+    for idx, off in _expand(width):
+        rows = {k: col[idx] for k, col in block.items()}
+        rows[name] = first[idx] + off
+        if keep is not None:
+            mask = keep(rows)
+            rows = {k: col[mask] for k, col in rows.items()}
+        yield from _stream(levels[1:], rows)
+
+
+def _enumerate(levels, bud: _Budget):
+    """Yield, in blocks, the rows that pass every level.  A level is
+    (column, block -> (first, last) of each row's range, row filter or
+    None); the root is one row without columns.  Each level's candidate
+    rows, the sum of its range widths, are charged to `bud` before the
+    level's first row is built, so an over-budget level is never built."""
+    root: dict[str, np.ndarray] = {}
+    for k, level in enumerate(levels):
+        for block in _stream(levels[:k], root):
+            bud.spend(int(_widths(level, block)[1].sum()))
+    yield from _stream(levels, root)
+
+
+def _solution_blocks(x: int, y: int, budget: int):
+    """Yield ("bc", A, B, c1, c2) and ("d", A, B, r, s, u, v) blocks of
+    int64 columns, one row per solution; a "bc" row stands for one solution
+    of shape (b) and one of shape (c)."""
+    if x < 2 or y < 1:
+        raise ValueError(f"need x >= 2, y >= 1, got x={x}, y={y}")
+    if y > x:
+        # the ratio bounds that drive the case split need x/y >= 1
+        raise ValueError(f"enumeration needs y <= x, got x={x}, y={y}")
+    check_scale(x, y)
+    lo, hi = x + 1, x + y
+    m = x // y + 1  # unequal ratio pairs are both > x/y, hence >= m >= 2
+    if m * m > hi:
+        return  # (b)/(c) need A*c <= hi and (d) A*m*m <= hi with A, c >= m
+    sf = np.frombuffer(squarefree_flags(x, y), dtype=np.bool_)
+    bud = _Budget(budget)
+    one = np.ones(1, dtype=np.int64)
+
+    def isf(n):  # square-free, for n already known to lie in (x, x+y]
+        return sf[n - lo]
+
+    def ceil_lo(d):
+        return -(-lo // d)
+
+    def cofactors(d):  # the t >= m with d*t in the interval
+        return np.maximum(m, ceil_lo(d)), hi // d
+
+    # Shapes (b) and (c): one inner pair is (1, 1).  Both run over the same
+    # (A, c1, c2, B) rows and differ only in which of n3/n4 carries which c.
+    def B_range_bc(b):
+        c1, c2 = b["c1"], b["c2"]
+        return (np.maximum(m, np.maximum(ceil_lo(c1), ceil_lo(c2))),
+                np.minimum(hi // c1, hi // c2))
+
+    def c2_keep(b):
+        c1, c2 = b["c1"], b["c2"]
+        return (np.gcd(c1, c2) == 1) & isf(b["A"] * c2)  # gcd(c, c) = c >= 2
+
+    def B_keep_bc(b):
+        B = b["B"]
+        return (B != b["A"]) & isf(B * b["c1"]) & isf(B * b["c2"])
+
+    bc = (
+        ("A", lambda b: (m * one, hi // m * one), None),
+        ("c1", lambda b: cofactors(b["A"]), lambda b: isf(b["A"] * b["c1"])),
+        ("c2", lambda b: cofactors(b["A"]), c2_keep),
+        ("B", B_range_bc, B_keep_bc),
+    )
+    for b in _enumerate(bc, bud):
+        yield "bc", b["A"], b["B"], b["c1"], b["c2"]
+
+    # Shape (d): r, s, u, v >= m.  (A, r, u) puts n1 = A*r*u in the
+    # interval, and (A/B)^2 = n1*n2/(n3*n4) puts B within [A*lo/hi, A*hi/lo].
+    # Then s puts n4 = B*s*u and v puts n3 = B*r*v in the interval, and
+    # n2 = A*s*v is tested last: A*s <= hi^2/m^3 < 4*y^2 cannot overflow,
+    # and A*s*v is only used where A*s <= hi // v.
+    def s_keep(b):
+        return (np.gcd(b["r"], b["s"]) == 1) & isf(b["B"] * b["s"] * b["u"])
+
+    def v_keep(b):
+        v = b["v"]
+        a_s = b["A"] * b["s"]
+        n2 = a_s * v
+        ok = (np.gcd(b["u"], v) == 1) & isf(b["B"] * b["r"] * v)
+        ok &= (a_s <= hi // v) & (n2 >= lo)
+        ok[ok] = isf(n2[ok])
+        return ok
+
+    d = (
+        ("A", lambda b: (one, hi // (m * m) * one), None),
+        ("r", lambda b: (np.full_like(b["A"], m), hi // (b["A"] * m)), None),
+        ("u", lambda b: cofactors(b["A"] * b["r"]), lambda b: isf(b["A"] * b["r"] * b["u"])),
+        ("B", lambda b: (-(-b["A"] * lo // hi), b["A"] * hi // lo), None),
+        ("s", lambda b: cofactors(b["B"] * b["u"]), s_keep),
+        ("v", lambda b: cofactors(b["B"] * b["r"]), v_keep),
+    )
+    for b in _enumerate(d, bud):
+        yield "d", b["A"], b["B"], b["r"], b["s"], b["u"], b["v"]
+
+
 def nondiagonal_quadruples(x: int, y: int, budget: int = DEFAULT_BUDGET):
     """Yield (QuadrupleParam, (n1, n2, n3, n4)) for every ordered
     non-diagonal square quadruple in (x, x+y], each exactly once.
@@ -141,99 +291,31 @@ def nondiagonal_quadruples(x: int, y: int, budget: int = DEFAULT_BUDGET):
     A solution is diagonal iff its entries are equal in pairs, which in
     parameters means r=s=u=v=1, or A=B with u=v=1, or A=B with r=s=1.
     Unequal coprime pairs force both elements past x/y (the ratio bounds),
-    so the loops below cover the three non-diagonal shapes:
+    so three non-diagonal shapes remain:
 
       (b) u=v=1, r,s > x/y distinct, A,B > x/y distinct;
       (c) r=s=1, u,v > x/y distinct, A,B > x/y distinct;
       (d) r,s > x/y distinct and u,v > x/y distinct, A,B arbitrary.
     """
-    if x < 2 or y < 1:
-        raise ValueError(f"need x >= 2, y >= 1, got x={x}, y={y}")
-    if y > x:
-        # the ratio bounds that drive the case split need x/y >= 1
-        raise ValueError(f"enumeration needs y <= x, got x={x}, y={y}")
-    lo, hi = x + 1, x + y
-    if y == 1:
-        return  # one integer: every solution is the all-equal diagonal
-    flags = squarefree_flags(x, y)
-
-    def sf(n: int) -> bool:
-        return bool(flags[n - lo])
-
-    m = x // y + 1  # unequal ratio pairs are both > x/y, hence >= m >= 2
-    gcd = math.gcd
-    bud = _Budget(budget)
-
-    # shapes (b) and (c): one inner pair is (1,1).  Both shapes run over the
-    # same (A, B, c1, c2) loops and square-free conditions; they differ only
-    # in which of n3/n4 carries which cofactor, so each hit yields twice.
-    for A in range(m, hi // m + 1):
-        c_lo = max(m, -(-lo // A))  # ceil(lo/A)
-        c_hi = hi // A
-        bud.spend(max(0, c_hi - c_lo + 1))
-        for c1 in range(c_lo, c_hi + 1):
-            if not sf(A * c1):
-                continue
-            for c2 in range(c_lo, c_hi + 1):
-                bud.spend(1)
-                if c2 == c1 or gcd(c1, c2) != 1 or not sf(A * c2):
-                    continue
-                b_lo = max(m, -(-lo // c1), -(-lo // c2))
-                b_hi = min(hi // c1, hi // c2)
-                for B in range(b_lo, b_hi + 1):
-                    bud.spend(1)
-                    if B == A or not sf(B * c1) or not sf(B * c2):
-                        continue
-                    yield (
-                        QuadrupleParam(A, B, c1, c2, 1, 1),
-                        (A * c1, A * c2, B * c1, B * c2),
-                    )
-                    yield (
-                        QuadrupleParam(A, B, 1, 1, c1, c2),
-                        (A * c1, A * c2, B * c2, B * c1),
-                    )
-
-    # shape (d): both inner pairs distinct, so n1 = A*r*u >= A*m*m
-    for A in range(1, hi // (m * m) + 1):
-        for r in range(m, hi // (A * m) + 1):
-            u_lo = max(m, -(-lo // (A * r)))
-            u_hi = hi // (A * r)
-            bud.spend(max(0, u_hi - u_lo + 1))
-            for u in range(u_lo, u_hi + 1):
-                if not sf(A * r * u):
-                    continue
-                for s in range(m, hi // (A * m) + 1):
-                    bud.spend(1)
-                    if gcd(r, s) != 1:
-                        continue
-                    v_lo = max(m, -(-lo // (A * s)))
-                    v_hi = hi // (A * s)
-                    for v in range(v_lo, v_hi + 1):
-                        bud.spend(1)
-                        if gcd(u, v) != 1 or not sf(A * s * v):
-                            continue
-                        rv, su = r * v, s * u
-                        b_lo = max(1, -(-lo // rv), -(-lo // su))
-                        b_hi = min(hi // rv, hi // su)
-                        for B in range(b_lo, b_hi + 1):
-                            bud.spend(1)
-                            if sf(B * rv) and sf(B * su):
-                                yield (
-                                    QuadrupleParam(A, B, r, s, u, v),
-                                    (A * r * u, A * s * v, B * rv, B * su),
-                                )
+    for shape, *cols in _solution_blocks(x, y, budget):
+        for row in zip(*(c.tolist() for c in cols)):
+            if shape == "bc":
+                A, B, c1, c2 = row
+                yield (QuadrupleParam(A, B, c1, c2, 1, 1),
+                       (A * c1, A * c2, B * c1, B * c2))
+                yield (QuadrupleParam(A, B, 1, 1, c1, c2),
+                       (A * c1, A * c2, B * c2, B * c1))
+            else:
+                A, B, r, s, u, v = row
+                yield (QuadrupleParam(A, B, r, s, u, v),
+                       (A * r * u, A * s * v, B * r * v, B * s * u))
 
 
 def param_enumerate_nondiagonal(x: int, y: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact number of ordered non-diagonal square quadruples in (x, x+y]."""
-    seen: set[tuple[int, int, int, int]] = set()
-    count = 0
-    for _, quad in nondiagonal_quadruples(x, y, budget):
-        if quad in seen:
-            raise ContractViolation(f"parametrization visited {quad} twice")
-        seen.add(quad)
-        count += 1
-    return count
+    """Exact number of ordered non-diagonal square quadruples in (x, x+y].
+    Refused with ScaleError when the candidate rows exceed `budget`."""
+    return sum((2 if shape == "bc" else 1) * int(cols[0].size)
+               for shape, *cols in _solution_blocks(x, y, budget))
 
 
 def fourth_moment_exact(table: IntervalTable, budget: int = DEFAULT_BUDGET) -> int:

@@ -3,10 +3,13 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rmflab import quadruples as quad_mod
+from rmflab.errors import ScaleError
 from rmflab.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -106,7 +109,7 @@ def test_emit_files(tmp_path):
     lines = files[1].read_text().splitlines()
     assert lines[0] == "trial,w"
     assert len(lines) == 201
-    assert float(lines[1].split(",")[1]) == float(report.w_values[0])
+    assert lines[1:] == [f"{i},{float(v)!r}" for i, v in enumerate(report.w_values)]
 
     hist = json.loads(files[2].read_text())
     assert len(hist["edges"]) == 65
@@ -121,6 +124,16 @@ def test_emit_deterministic_bytes(tmp_path):
     f2 = emit(r2, ("json", "csv"), str(tmp_path / "b"))
     assert f1[0].read_bytes() == f2[0].read_bytes()
     assert f1[1].read_bytes() == f2[1].read_bytes()
+
+
+def test_simulate_reports_a_refused_enumeration(monkeypatch):
+    def refuse(x, y):
+        raise ScaleError("enumeration budget exceeded")
+
+    monkeypatch.setattr(quad_mod, "param_enumerate_nondiagonal", refuse)
+    report = run_simulate(small_config(trials=10))
+    assert report.exact == {"skipped": "enumeration budget exceeded"}
+    assert json.loads(report.dumps())["exact"] == report.exact
 
 
 def test_run_moments_fragment():
@@ -299,3 +312,23 @@ def test_cli_out_of_scale_interval_exits_3_at_once(capsys, x, y):
     assert main(["bounds", "--x", str(x), "--y", str(y)]) == 3
     assert time.perf_counter() - t0 < 1.0
     assert _one_line_error(capsys).startswith("scale error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--x", "10000000", "--y", "1000000"],
+    ["--x", "1000000", "--y", "100000", "--budget", "1000000"],
+])
+def test_cli_moments_over_budget_exits_3_at_once(capsys, argv):
+    # the enumeration sizes its levels and refuses before the factor table
+    # or the over-budget level is built
+    t0 = time.perf_counter()
+    assert main(["moments", *argv]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.splitlines()[-1].startswith("scale error:")
+    tracemalloc.start()
+    try:
+        assert main(["moments", *argv]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

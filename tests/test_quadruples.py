@@ -1,13 +1,18 @@
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
+from rmflab import quadruples
 from rmflab.errors import ContractViolation, ScaleError
 from rmflab.bounds import nondiagonal_bound
 from rmflab.numtheory import _kernel_unchecked, segmented_factorize
 from rmflab.quadruples import (
     QuadrupleParam,
+    _expand,
+    _oracle_count_members,
     diagonal_count,
     fourth_moment_exact,
     nondiagonal_quadruples,
@@ -96,6 +101,63 @@ def test_enumeration_examples():
     assert oracle_count_square_quadruples(t) == 1849
     assert param_enumerate_nondiagonal(100, 40) == 24
     assert 1849 == diagonal_count(25) + 24
+    # frozen from the scalar six-deep loops, which took 14 s here
+    assert param_enumerate_nondiagonal(10**5, 2000) == 6336
+
+
+# (count, sha256 of repr(sorted(quadruples))), frozen from the scalar
+# six-deep loops; (10^4, 990) took 4.8 s there
+GOLDEN_QUADRUPLES = {
+    (100029, 1000): (96, "1799060f9f94fb63e1da57a57decfdfd89d90f68c5cd6beefae6266f187dc381"),
+    (5000, 500): (1704, "ce87d9100b0288868bc6c2a2d7b782d64bc43658819dd7707c6d7bd51cd1e65c"),
+    (10**4, 990): (12360, "60bdc7d3bb6ef1fd7645a8a7358442a1f282e7787a479667b68fbb15e7db308d"),
+}
+
+
+@pytest.mark.parametrize("x, y", sorted(GOLDEN_QUADRUPLES))
+def test_enumeration_golden_sets(x, y):
+    pairs = list(nondiagonal_quadruples(x, y))
+    quads = [quad for _, quad in pairs]
+    count, digest = GOLDEN_QUADRUPLES[(x, y)]
+    assert len(quads) == count == param_enumerate_nondiagonal(x, y)
+    assert hashlib.sha256(repr(sorted(quads)).encode()).hexdigest() == digest
+    # no quadruple twice, and each maps back to the parameters it came with
+    assert len(set(quads)) == len(quads)
+    for param, quad in pairs:
+        assert param_of_quadruple(*quad) == param
+
+
+def test_enumeration_matches_oracle_at_benchmark_interval():
+    t = segmented_factorize(100029, 1000)
+    assert t.squarefree_count == 613
+    nd = param_enumerate_nondiagonal(100029, 1000)
+    assert diagonal_count(613) + nd == _oracle_count_members(t.squarefree_values()) == 1126177
+
+
+def test_expand_splits_ranges_into_blocks(monkeypatch):
+    monkeypatch.setattr(quadruples, "BLOCK", 4)
+    width = np.array([0, 3, 0, 0, 6, 1, 0, 4, 0], dtype=np.int64)
+    blocks = list(_expand(width))
+    assert [idx.size for idx, _ in blocks] == [4, 4, 4, 2]
+    got = [(int(i), int(o)) for idx, off in blocks for i, o in zip(idx, off)]
+    assert got == [(i, o) for i, w in enumerate(width) for o in range(w)]
+    assert list(_expand(np.zeros(3, dtype=np.int64))) == []
+
+
+def test_enumeration_independent_of_block_size(monkeypatch):
+    whole = sorted(nondiagonal_quadruples(5000, 500), key=lambda pq: pq[1])
+    monkeypatch.setattr(quadruples, "BLOCK", 97)
+    assert sorted(nondiagonal_quadruples(5000, 500), key=lambda pq: pq[1]) == whole
+
+
+def test_enumeration_skips_the_sieve_when_nothing_fits(monkeypatch):
+    # m = x//y + 1 with m^2 > x+y leaves every shape empty
+    def no_sieve(x, y):
+        raise AssertionError("square-free sieve built for an empty enumeration")
+
+    monkeypatch.setattr(quadruples, "squarefree_flags", no_sieve)
+    assert param_enumerate_nondiagonal(10**10, 10**4) == 0
+    assert param_enumerate_nondiagonal(100020, 300) == 0
 
 
 def test_enumeration_matches_oracle_on_random_intervals():
@@ -115,7 +177,9 @@ def test_enumeration_matches_oracle_on_random_intervals():
 
 def test_bijection_and_invariants_of_enumerated_quadruples():
     for x, y in [(52, 26), (65, 29), (40, 20), (500, 50)]:
-        for param, quad in nondiagonal_quadruples(x, y):
+        pairs = list(nondiagonal_quadruples(x, y))
+        assert len({quad for _, quad in pairs}) == len(pairs)
+        for param, quad in pairs:
             back = param_of_quadruple(*quad)
             assert back == param
             param.check(x, y)
@@ -124,6 +188,11 @@ def test_bijection_and_invariants_of_enumerated_quadruples():
 def test_enumeration_budget():
     with pytest.raises(ScaleError):
         param_enumerate_nondiagonal(5000, 500, budget=100)
+    # candidate rows are charged per level before the level is built
+    with pytest.raises(ScaleError):
+        param_enumerate_nondiagonal(10**6, 10**5, budget=10**6)
+    with pytest.raises(ScaleError):
+        param_enumerate_nondiagonal(10**7, 10**6)
 
 
 def test_enumeration_domain():
@@ -131,6 +200,8 @@ def test_enumeration_domain():
         param_enumerate_nondiagonal(10, 20)  # y > x unsupported
     with pytest.raises(ValueError):
         param_enumerate_nondiagonal(1, 1)
+    with pytest.raises(ScaleError):
+        param_enumerate_nondiagonal(10**12, 10**9)  # y > MAX_Y, before any sieve
 
 
 def test_oracle_order_invariance():
@@ -154,6 +225,13 @@ def test_nondiagonal_bound_holds():
         y = rnd.randint(10, max(10, x // 10))
         nd = param_enumerate_nondiagonal(x, y)
         assert nd <= nondiagonal_bound(x, y / x)
+
+
+@pytest.mark.parametrize("x", [10**4, 2 * 10**4, 3 * 10**4])
+@pytest.mark.parametrize("delta", [0.09, 0.099])
+def test_nondiagonal_bound_near_delta_one_tenth(x, delta):
+    y = round(delta * x)
+    assert param_enumerate_nondiagonal(x, y) <= nondiagonal_bound(x, y / x)
 
 
 def test_fourth_moment_exact():
