@@ -9,7 +9,6 @@ from the standard normal, with evaluators for every explicit bound.
 from .bounds import (
     BoundInputs,
     delta3_sum_bound,
-    density_admissible,
     exchange_variance_bound,
     kolmogorov_bound,
     nondiagonal_bound,
@@ -17,30 +16,22 @@ from .bounds import (
 )
 from .distances import (
     SampleSet,
-    kkw_check,
     kkw_from,
     kolmogorov_stat,
     normal_cdf,
     normal_pdf,
     normal_quantile,
-    smoothing_majorant,
     wasserstein1,
 )
-from .errors import ContractViolation, DegenerateIntervalError, ScaleError
+from .errors import ContractViolation, ScaleError
 from .harness import ExperimentConfig, ExperimentReport, emit, run_simulate
 from .numtheory import (
     IntervalTable,
-    PrimeSplit,
-    kernel_xor,
-    omega_L,
-    prime_split,
     segmented_factorize,
-    squarefree_count,
 )
 from .quadruples import (
     QuadrupleParam,
     diagonal_count,
-    fourth_moment_exact,
     oracle_count_square_quadruples,
     param_enumerate_nondiagonal,
     param_of_quadruple,
@@ -48,23 +39,13 @@ from .quadruples import (
 from .rmf_core import (
     IntervalSampler,
     SignSource,
-    WStatistic,
     interval_sum,
-    normalized_w,
-    partial_sum_m,
     rmf_value,
 )
 from .stein import (
-    IncrementSupport,
     SteinTerms,
     conditional_moments_check,
-    conditional_t_decomposition_check,
-    delta2_exact,
-    delta3_exact_tiny,
-    delta4_exact,
-    exchange_statistic,
     exchange_variance_monte_carlo,
-    increment_support,
     stein_terms,
     subset_weight,
     subset_weight_identity,

@@ -100,10 +100,3 @@ def exchange_variance_bound(x: int, delta: float, z: float) -> float:
     dlx = delta * math.log(x)
     return x * x * delta * delta * (1.0 + dlx) * (1.0 / z + dlx)
 
-
-def density_admissible(x: int, y: int, c: float) -> bool:
-    """True iff y >= C x^{1/5} ln x and y <= x: the range in which a short
-    interval is guaranteed a positive proportion of square-free integers."""
-    if c <= 0:
-        raise ValueError(f"C must be positive, got {c}")
-    return y <= x and y >= c * x ** 0.2 * math.log(x)

@@ -1,6 +1,6 @@
 """Distance of an empirical sample from the standard normal: exact
-Wasserstein-1 and Kolmogorov statistics, the one-sided smoothing function,
-and the K <= 2*sqrt(W) inequality check.
+Wasserstein-1 and Kolmogorov statistics and the K <= 2*sqrt(W) inequality
+check.
 
 Wasserstein-1 against the continuous reference is integrated EXACTLY in
 closed form plateau by plateau (antiderivative t*Phi(t) + phi(t)), with the
@@ -130,26 +130,9 @@ def wasserstein1(sample: SampleSet) -> float:
     return total
 
 
-def smoothing_majorant(xi: float, t: float, eps: float) -> float:
-    """One-sided Lipschitz majorant of eps * indicator(xi < t): equals eps
-    left of t, decays linearly to 0 on [t, t+eps], and is 0 beyond."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if xi < t:
-        return eps
-    if xi <= t + eps:
-        return t + eps - xi
-    return 0.0
-
-
 def kkw_from(k: float, w1: float) -> tuple[bool, float]:
     """Check K <= 2*sqrt(W) for a Kolmogorov distance k and a Wasserstein-1
     distance w1 already computed; returns (holds, K / (2*sqrt(W)))."""
     bound = 2.0 * math.sqrt(w1)
     return k <= bound, k / bound
 
-
-def kkw_check(sample: SampleSet) -> tuple[bool, float]:
-    """Check K <= 2*sqrt(W) for the sample against the standard normal;
-    returns (holds, K / (2*sqrt(W)))."""
-    return kkw_from(kolmogorov_stat(sample), wasserstein1(sample))

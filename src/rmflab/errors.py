@@ -11,9 +11,5 @@ class ScaleError(RuntimeError):
 
 class ContractViolation(ValueError):
     """An input breaks a documented precondition (e.g. a non-square-free
-    argument to a kernel operation)."""
+    entry of a square quadruple)."""
 
-
-class DegenerateIntervalError(ValueError):
-    """The interval contains no square-free integer (S = 0) where S >= 1
-    is required."""

@@ -33,6 +33,11 @@ from .rmf_core import IntervalSampler, SignSource
 
 SCHEMA_VERSION = 1
 CHUNK = 4096
+# Most trials a run may ask for (simulate --trials, stein --var-trials); a
+# larger count is refused before the factor table is built.  At the cap a
+# simulate of (10^6, 10^6+10^3] writing json, csv and histogram peaks at
+# about 210 MB RSS, and the trial sign matrix grows with it.
+MAX_TRIALS = 10**6
 HIST_BINS = 64
 HIST_RANGE = (-5.0, 5.0)
 
@@ -40,6 +45,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SCALE = 3
 EXIT_IO = 4
+
+
+def _check_trials(trials: int) -> None:
+    if trials > MAX_TRIALS:
+        raise ScaleError(f"{trials} trials exceeds MAX_TRIALS = {MAX_TRIALS}")
 
 
 @dataclass
@@ -61,6 +71,8 @@ class ExperimentConfig:
             raise ValueError(f"x must be >= 2, got {self.x}")
         if self.y is None and self.delta is None:
             raise ValueError("one of y and delta must be given")
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         y = self.y if self.y is not None else max(1, round(self.delta * self.x))
         if y < 1:
             raise ValueError(f"y must be >= 1, got {y}")
@@ -71,6 +83,7 @@ class ExperimentConfig:
             raise ValueError(f"inconsistent y={y} and delta={self.delta}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_trials(self.trials)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         bad = set(self.formats) - {"json", "csv", "histogram"}
@@ -188,6 +201,16 @@ def _moment_block(w: np.ndarray) -> dict:
     return moments
 
 
+def _distance_block(values) -> dict:
+    """KS and W1 distances of the sample from the standard normal and the
+    K <= 2 sqrt(W) check, each distance computed once."""
+    sample = dist_mod.SampleSet.from_values(values)
+    ks = dist_mod.kolmogorov_stat(sample)
+    w1 = dist_mod.wasserstein1(sample)
+    holds, ratio = dist_mod.kkw_from(ks, w1)
+    return {"ks": ks, "w1": w1, "kkw_ratio": ratio, "kkw_holds": holds}
+
+
 def _bound_block(cfg: ExperimentConfig, s_count: int) -> dict:
     b = bounds_mod.BoundInputs(cfg.x, cfg.y, s_count, cfg.delta, cfg.z)
     return {
@@ -224,16 +247,11 @@ def run_simulate(config: ExperimentConfig) -> ExperimentReport:
     except ScaleError as e:
         exact = {"skipped": str(e)}
 
-    sample = dist_mod.SampleSet.from_values(w)
-    ks = dist_mod.kolmogorov_stat(sample)
-    w1 = dist_mod.wasserstein1(sample)
-    holds, ratio = dist_mod.kkw_from(ks, w1)
-    distances = {"ks": ks, "w1": w1, "kkw_ratio": ratio, "kkw_holds": holds}
-
+    distances = _distance_block(w)
     bounds = _bound_block(cfg, s)
     ratios = {
-        "w1_over_bound": w1 / bounds["wasserstein"],
-        "ks_over_bound": ks / bounds["kolmogorov"],
+        "w1_over_bound": distances["w1"] / bounds["wasserstein"],
+        "ks_over_bound": distances["ks"] / bounds["kolmogorov"],
     }
     timing["analysis"] = (time.perf_counter() - t0) * 1000.0
 
@@ -272,6 +290,7 @@ def run_stein_checks(config: ExperimentConfig, identity_max_l: int = 30,
     own result or the scale refusal that stopped it."""
     if identity_max_l < 1:
         raise ValueError(f"identity_max_l must be >= 1, got {identity_max_l}")
+    _check_trials(var_trials)
     cfg = config.resolved()
     table = segmented_factorize(cfg.x, cfg.y)
     out: dict = {"s_count": table.squarefree_count}
@@ -526,17 +545,8 @@ def main(argv: list[str] | None = None) -> int:
             table = segmented_factorize(cfg.x, cfg.y)
             _emit_or_print(_bound_block(cfg, table.squarefree_count), args.out)
         elif args.command == "distances":
-            sample = dist_mod.SampleSet.from_values(_read_w_csv(args.infile))
-            ks = dist_mod.kolmogorov_stat(sample)
-            w1 = dist_mod.wasserstein1(sample)
-            holds, ratio = dist_mod.kkw_from(ks, w1)
-            _emit_or_print({
-                "n": sample.n,
-                "ks": ks,
-                "w1": w1,
-                "kkw_ratio": ratio,
-                "kkw_holds": holds,
-            }, args.out)
+            values = _read_w_csv(args.infile)
+            _emit_or_print({"n": len(values), **_distance_block(values)}, args.out)
     except ScaleError as e:
         print(f"scale error: {e}", file=sys.stderr)
         return EXIT_SCALE

@@ -1,5 +1,5 @@
-"""Sieving, interval factorization, square-free detection and prime-set
-utilities shared by every other module.
+"""Sieving, interval factorization, square-free detection and the
+small/large prime threshold, shared by every other module.
 
 The interval convention is half-open everywhere: (x, x+y] means the
 integers x+1, ..., x+y.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ScaleError
+from .errors import ScaleError
 
 _U64_LIMIT = 1 << 64
 # Largest interval segmented_factorize accepts: the sieve holds the primes
@@ -188,11 +188,6 @@ def check_scale(x: int, y: int) -> None:
         raise ScaleError(f"interval ({x}, {x + y}] beyond x+y <= {MAX_X_PLUS_Y}, y <= {MAX_Y}")
 
 
-def squarefree_count(table: IntervalTable) -> int:
-    """S(x, y): number of square-free integers in (x, x+y]."""
-    return table.squarefree_count
-
-
 def squarefree_flags(x: int, y: int) -> bytearray:
     """Square-free flags for (x, x+y] without full factorizations;
     index i corresponds to n = x + 1 + i."""
@@ -207,34 +202,11 @@ def squarefree_flags(x: int, y: int) -> bytearray:
     return flags
 
 
-def kernel_xor(a: int, b: int) -> int:
-    """Symmetric difference of prime sets of square-free a and b, as the
-    square-free integer a*b / gcd(a,b)^2.
-
-    A product of square-free numbers is a perfect square iff folding them
-    through kernel_xor yields 1.
-    """
-    if not is_squarefree(a):
-        raise ContractViolation(f"kernel_xor needs square-free inputs, got a={a}")
-    if not is_squarefree(b):
-        raise ContractViolation(f"kernel_xor needs square-free inputs, got b={b}")
-    g = math.gcd(a, b)
-    return (a // g) * (b // g)
-
-
 def _kernel_unchecked(a: int, b: int) -> int:
+    """Symmetric difference of the prime sets of square-free a and b, as the
+    square-free integer a*b / gcd(a,b)^2."""
     g = math.gcd(a, b)
     return (a // g) * (b // g)
-
-
-@dataclass(frozen=True)
-class PrimeSplit:
-    """Primes relevant to an interval, split at the threshold z into
-    small (<= z) and large (> z)."""
-
-    z: float
-    small_primes: tuple[int, ...]
-    large_primes: tuple[int, ...]
 
 
 def z_of_delta(delta: float) -> float:
@@ -242,17 +214,3 @@ def z_of_delta(delta: float) -> float:
     if not 0 < delta < 0.1:
         raise ValueError(f"delta must lie in (0, 1/10), got {delta}")
     return 0.5 * math.log(1.0 / delta)
-
-
-def prime_split(delta: float, table: IntervalTable) -> PrimeSplit:
-    """Split primes at z = (1/2) ln(1/delta): small primes are all p <= z,
-    large primes are the p > z dividing some entry of the table."""
-    z = z_of_delta(delta)
-    small = tuple(sieve_primes(math.floor(z)))
-    large = np.unique(table.primes[table.primes > z])
-    return PrimeSplit(z, small, tuple(large.tolist()))
-
-
-def omega_L(n: int, z: float) -> int:
-    """Number of distinct prime factors of n strictly greater than z."""
-    return sum(1 for p, _ in trial_factorize(n) if p > z) if n > 1 else 0

@@ -316,12 +316,3 @@ def param_enumerate_nondiagonal(x: int, y: int, budget: int = DEFAULT_BUDGET) ->
     Refused with ScaleError when the candidate rows exceed `budget`."""
     return sum((2 if shape == "bc" else 1) * int(cols[0].size)
                for shape, *cols in _solution_blocks(x, y, budget))
-
-
-def fourth_moment_exact(table: IntervalTable, budget: int = DEFAULT_BUDGET) -> int:
-    """E (sum of X over the interval)^4: the exact ordered count of square
-    quadruples, diagonal closed form plus parametrized non-diagonal count."""
-    s = table.squarefree_count
-    return diagonal_count(s) + param_enumerate_nondiagonal(
-        table.x_lo, table.y_len, budget
-    )

@@ -1,5 +1,5 @@
-"""Random multiplicative functions from seeded prime signs, interval sums
-and the normalized statistic W = (interval sum)/sqrt(S).
+"""Random multiplicative functions from seeded prime signs: X(n), the
+scalar interval sum and the batched trial sampler of interval sums.
 
 Signs are a pure function of (seed, prime) built from the splitmix64
 finalizer, so a sign source needs O(1) memory and replays bit-identically
@@ -9,13 +9,11 @@ from (master_seed, trial_index) through the same keyed construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateIntervalError
-from .numtheory import IntervalTable, _factor_segment
+from .numtheory import IntervalTable
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -70,40 +68,6 @@ def interval_sum(table: IntervalTable, signs: SignSource) -> int:
         for p in primes:
             v *= signs.sign(p)
         total += v
-    return total
-
-
-@dataclass(frozen=True)
-class WStatistic:
-    raw_sum: int
-    s_count: int
-    w: float
-
-
-def normalized_w(table: IntervalTable, signs: SignSource) -> WStatistic:
-    """W = (sum of X over the interval) / sqrt(S); requires S >= 1."""
-    s = table.squarefree_count
-    if s == 0:
-        raise DegenerateIntervalError(
-            f"interval ({table.x_lo}, {table.x_hi}] has no square-free integer"
-        )
-    raw = interval_sum(table, signs)
-    return WStatistic(raw, s, raw / math.sqrt(s))
-
-
-def partial_sum_m(x: int, signs: SignSource, block: int = 1 << 16) -> int:
-    """M(x) = sum of X(n) for n <= x, by blocked segment factorization.
-    Desk scale: x <= 10^8."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if x > 10**8:
-        raise ValueError(f"x={x} beyond desk scale 10^8")
-    total = 1  # X(1) = +1
-    lo = 1
-    while lo < x:
-        length = min(block, x - lo)
-        total += interval_sum(_factor_segment(lo, length), signs)
-        lo += length
     return total
 
 
@@ -245,8 +209,3 @@ class IntervalSampler:
                 n_neg += np.add.reduce(parity, axis=0, dtype=np.int64)
             out[off : off + t] = self.s_count - 2 * n_neg
         return out
-
-    def w_values(self, start: int, count: int, batch: int | None = None) -> np.ndarray:
-        if self.s_count == 0:
-            raise DegenerateIntervalError("no square-free integers in interval")
-        return self.raw_sums(start, count, batch) / math.sqrt(self.s_count)

@@ -10,7 +10,7 @@ small/large prime threshold z:
   L        the large primes (> z) dividing some square-free entry;
   Delta_p f  change in f when the sign of p is resampled;
   T_p      per-prime exchange statistic: the omega-weighted off-diagonal
-           quadratic form over N(p) defined in exchange_statistic;
+           quadratic form over N(p) evaluated by _t_p;
   W(A)     subset weight 1 / (C(|L|,|A|) (|L|-|A|)) over subsets A of L.
 
 Every N(p) comes from one support map (_supports), built in a single pass
@@ -42,15 +42,6 @@ from .rmf_core import SignSource, trial_signs
 _Member = tuple[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class IncrementSupport:
-    """Support of Delta_p f: square-free k coprime to p with k*p in the
-    interval (equivalently k*p a square-free interval entry)."""
-
-    p: int
-    members: tuple[int, ...]
-
-
 def _supports(table: IntervalTable) -> dict[int, list[_Member]]:
     """N(p) for every prime p dividing a square-free entry, members in
     ascending order."""
@@ -68,10 +59,6 @@ def _large_primes(supports: dict[int, list[_Member]], z: float) -> list[int]:
 def _large_prime_set(table: IntervalTable, z: float) -> list[int]:
     """L, ascending."""
     return _large_primes(_supports(table), z)
-
-
-def increment_support(p: int, table: IntervalTable) -> IncrementSupport:
-    return IncrementSupport(p, tuple(k for k, _ in _supports(table).get(p, ())))
 
 
 # ---------------------------------------------------------------------------
@@ -116,24 +103,17 @@ def sign_vector_moments(masks: list[int], coeffs: list[int], k: int
 # Exact Delta_p moments
 # ---------------------------------------------------------------------------
 
-def delta2_exact(p: int, table: IntervalTable) -> int:
-    """E|Delta_p f|^2 = 2 |N(p)|."""
-    return 2 * len(increment_support(p, table).members)
-
-
 def _delta4(members: list[_Member]) -> int:
+    """E|Delta_p f|^4 = 8 * (ordered square quadruples within N(p))."""
     return 8 * _oracle_count_members([k for k, _ in members])
 
 
-def delta4_exact(p: int, table: IntervalTable, max_members: int = 400) -> int:
-    """E|Delta_p f|^4 = 8 * (ordered square quadruples within N(p))."""
-    members = _supports(table).get(p, [])
-    if len(members) > max_members:
-        raise ScaleError(f"|N(p)| = {len(members)} exceeds {max_members}")
-    return _delta4(members)
-
-
 def _delta3(p: int, members: list[_Member], prime_budget: int) -> float:
+    """Exact E|Delta_p f|^3 = 4 * E|sum_{k in N(p)} X(k)|^3 by exhaustive
+    sign-vector enumeration.  The factor 4 is E|X(p) - X'(p)|^3: the
+    difference takes values -2, 0, 2 with probabilities 1/4, 1/2, 1/4.
+
+    The result is a dyadic rational represented exactly in a float."""
     primes = sorted({q for _, qs in members for q in qs})
     if len(primes) > prime_budget:
         raise ScaleError(
@@ -146,15 +126,6 @@ def _delta3(p: int, members: list[_Member], prime_budget: int) -> float:
     a = np.abs(v)
     third = int((a * a * a).sum())
     return 4 * third / float(1 << k)
-
-
-def delta3_exact_tiny(p: int, table: IntervalTable, prime_budget: int = 20) -> float:
-    """Exact E|Delta_p f|^3 = 4 * E|sum_{k in N(p)} X(k)|^3 by exhaustive
-    sign-vector enumeration.  The factor 4 is E|X(p) - X'(p)|^3: the
-    difference takes values -2, 0, 2 with probabilities 1/4, 1/2, 1/4.
-
-    The result is a dyadic rational represented exactly in a float."""
-    return _delta3(p, _supports(table).get(p, []), prime_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +169,9 @@ def _t_p(xs, omegas):
 
 
 def _exact_t_p(members: list[_Member], signs: SignSource, z: float) -> Fraction:
+    """T_p of a large prime p with support N(p) = members, exactly."""
     xs = [math.prod(signs.sign(q) for q in qs) for _, qs in members]
     return Fraction(_t_p(xs, [Fraction(_omega_l(qs, z)) for _, qs in members]))
-
-
-def exchange_statistic(p: int, table: IntervalTable, signs: SignSource,
-                       z: float) -> Fraction:
-    """T_p = sum over ordered pairs k != l in N(p) of X(k) X(l) / omega_L(l p),
-    exactly."""
-    if p <= z:
-        raise ValueError(f"T_p is defined for large primes only: p={p} <= z={z}")
-    return _exact_t_p(_supports(table).get(p, []), signs, z)
 
 
 def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
@@ -266,7 +229,7 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
         members = supports[p]
         if len(members) > member_budget:
             raise ScaleError(f"|N({p})| = {len(members)} exceeds {member_budget}")
-        d2[p] = 2 * len(members)
+        d2[p] = 2 * len(members)  # E|Delta_p f|^2 = 2 |N(p)|
         d4[p] = _delta4(members)
         try:
             total += _delta3(p, members, prime_budget)
@@ -416,10 +379,3 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
 
     return direct, closed
 
-
-def conditional_t_decomposition_check(table: IntervalTable, z: float,
-                                      signs: SignSource,
-                                      l_budget: int = 12) -> bool:
-    """Exact rational equality of the two sides in decomposition_sides."""
-    direct, closed = decomposition_sides(table, z, signs, l_budget)
-    return direct == closed

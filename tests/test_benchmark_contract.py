@@ -1,0 +1,50 @@
+"""The benchmark under perfbench/ reaches into rmflab by module path and
+attribute name; these tests read it, without changing it, so that a rename
+or deletion that would break its traced runs fails here first."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rmflab.numtheory import segmented_factorize
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load("spans")
+
+
+@pytest.mark.parametrize("module_name, attr", [t[:2] for t in spans.TARGETS])
+def test_span_targets_resolve(module_name, attr):
+    # the tracer wraps vars(owner)[leaf], so the leaf must be defined on its owner
+    owner = importlib.import_module(module_name)
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert leaf in vars(owner)
+
+
+def test_workloads_import():
+    workloads = _load("workloads")
+    assert callable(workloads.interval_sum) and callable(workloads.squarefree_flags)
+
+
+def test_incidence_counters_match_the_table():
+    table = segmented_factorize(10**6, 1000)
+    primes, nnz = spans._incidence(table)
+    sizes = np.diff(table.offsets)
+    squarefree = np.repeat(table.flags, sizes)
+    assert len(primes) == np.unique(table.primes[squarefree]).size
+    assert nnz == int(np.count_nonzero(squarefree))

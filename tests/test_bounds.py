@@ -7,7 +7,6 @@ from rmflab.bounds import (
     kolmogorov_bound,
     kolmogorov_bound_terms,
     delta3_sum_bound,
-    density_admissible,
     exchange_variance_bound,
     nondiagonal_bound,
     wasserstein_bound,
@@ -97,15 +96,6 @@ def test_exchange_variance_bound():
     # in the 1/z-dominant regime doubling z roughly halves the bound
     tiny = exchange_variance_bound(10**7, 1e-6, 2.0) / exchange_variance_bound(10**7, 1e-6, 4.0)
     assert tiny == pytest.approx(2.0, rel=0.05)
-
-
-def test_density_admissible():
-    assert density_admissible(10**10, 10**4, 1.0)
-    assert density_admissible(10**10, 5 * 10**9, 1.0)  # y = x/2
-    assert not density_admissible(10**10, 1, 1.0)
-    assert not density_admissible(10**4, 2 * 10**4, 1.0)  # y > x
-    with pytest.raises(ValueError):
-        density_admissible(10**4, 100, 0.0)
 
 
 def test_determinism():

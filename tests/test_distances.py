@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from rmflab.distances import (
     SampleSet,
-    kkw_check,
     kkw_from,
     kolmogorov_stat,
     normal_cdf,
     normal_quantile,
-    smoothing_majorant,
     wasserstein1,
 )
+from rmflab.harness import _distance_block
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
 
@@ -41,6 +40,10 @@ W1_QUANTILE_REFERENCE = {
     1000: 0.00191715461456,
     10000: 0.000218316746175,
 }
+
+
+def kkw(sample: SampleSet) -> tuple[bool, float]:
+    return kkw_from(kolmogorov_stat(sample), wasserstein1(sample))
 
 
 def quantile_sample(n: int) -> SampleSet:
@@ -124,48 +127,31 @@ def test_wasserstein_shift_lipschitz(values, h):
     assert abs(wasserstein1(shifted) - wasserstein1(base)) <= abs(h) + 1e-9
 
 
-def test_smoothing_majorant_cases():
-    t, eps = 0.7, 0.25
-    assert smoothing_majorant(t - 1.0, t, eps) == eps
-    assert smoothing_majorant(t + eps / 2, t, eps) == pytest.approx(eps / 2)
-    assert smoothing_majorant(t + 2 * eps, t, eps) == 0.0
-    assert smoothing_majorant(t, t, eps) == eps  # boundary: t + eps - t
-    with pytest.raises(ValueError):
-        smoothing_majorant(0.0, 0.0, 0.0)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.floats(-10, 10), st.floats(-10, 10), st.floats(-3, 3),
-    st.floats(0.01, 5),
-)
-def test_smoothing_majorant_lipschitz_and_minorant(a, b, t, eps):
-    assert abs(smoothing_majorant(a, t, eps) - smoothing_majorant(b, t, eps)) <= abs(a - b) + 1e-12
-    assert smoothing_majorant(a, t, eps) >= eps * (a < t)
-
-
 def test_kkw_point_mass():
-    holds, ratio = kkw_check(SampleSet((0.0,)))
+    holds, ratio = kkw(SampleSet((0.0,)))
     assert holds
     assert ratio == pytest.approx(0.5 / (2 * math.sqrt(SQRT_2_OVER_PI)), abs=1e-9)
     assert ratio == pytest.approx(0.279878783730, abs=1e-9)
 
 
 def test_kkw_quantile_sample_ratio_small():
-    holds, ratio = kkw_check(quantile_sample(1000))
+    holds, ratio = kkw(quantile_sample(1000))
     assert holds and ratio < 0.05
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-6, 6), min_size=1, max_size=60))
 def test_kkw_always_holds(values):
-    holds, ratio = kkw_check(SampleSet.from_values(values))
+    holds, ratio = kkw(SampleSet.from_values(values))
     assert holds and ratio <= 1.0
 
 
 def test_kkw_from_reuses_distances():
     sample = quantile_sample(200)
     k, w = kolmogorov_stat(sample), wasserstein1(sample)
-    assert kkw_from(k, w) == kkw_check(sample)
+    # the reports' one distance path computes each distance once
+    block = _distance_block(sample.values)
+    assert (block["ks"], block["w1"]) == (k, w)
+    assert kkw_from(k, w) == (block["kkw_holds"], block["kkw_ratio"])
     assert kkw_from(0.5, 0.25) == (True, 0.5)
     assert kkw_from(1.5, 0.25) == (False, 1.5)

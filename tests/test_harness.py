@@ -11,6 +11,7 @@ import pytest
 from rmflab import quadruples as quad_mod
 from rmflab.errors import ScaleError
 from rmflab.harness import (
+    MAX_TRIALS,
     ExperimentConfig,
     ExperimentReport,
     emit,
@@ -42,6 +43,9 @@ def test_config_resolution():
         ExperimentConfig(x=1000, y=10, trials=0).resolved()
     with pytest.raises(ValueError):
         ExperimentConfig(x=1000, y=10, formats=("yaml",)).resolved()
+    assert ExperimentConfig(x=1000, y=10, trials=MAX_TRIALS).resolved().trials == MAX_TRIALS
+    with pytest.raises(ScaleError):
+        ExperimentConfig(x=1000, y=10, trials=MAX_TRIALS + 1).resolved()
 
 
 def test_config_warns_outside_proven_range(capsys):
@@ -212,6 +216,12 @@ def test_cli_exit_codes(capsys):
     # scale error: oracle-sized check refused
     assert main(["quadruples", "--x", "5000", "--y", "400", "--budget", "10"]) == 3
     assert main(["moments", "--x", "5000", "--y", "400", "--budget", "10"]) == 3
+    # a non-finite or non-positive delta is a usage error, not y = 1
+    capsys.readouterr()
+    assert main(["simulate", "--x", "1000", "--delta", "inf"]) == 2
+    assert "delta" in _one_line_error(capsys)
+    assert main(["moments", "--x", "1000", "--delta", "-1"]) == 2
+    assert "delta" in _one_line_error(capsys)
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required --x
     assert exc.value.code == 2
@@ -328,6 +338,26 @@ def test_cli_moments_over_budget_exits_3_at_once(capsys, argv):
     tracemalloc.start()
     try:
         assert main(["moments", *argv]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x", "1000000", "--y", "1000", "--trials", str(MAX_TRIALS + 1)],
+    ["simulate", "--x", "1000000", "--y", "1000", "--trials", str(10**15)],
+    ["stein", "--x", "100000", "--y", "100", "--var-trials", str(MAX_TRIALS + 1)],
+])
+def test_cli_too_many_trials_exits_3_at_once(capsys, argv):
+    # refused before the factor table, the chunk list or the sign matrix
+    t0 = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert _one_line_error(capsys).startswith("scale error:")
+    tracemalloc.start()
+    try:
+        assert main(argv) == 3
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,23 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab.errors import ContractViolation, ScaleError
+from rmflab.errors import ScaleError
 from rmflab.numtheory import (
     MAX_X_PLUS_Y,
     MAX_Y,
     IntervalTable,
     _factor_segment,
+    _kernel_unchecked,
     is_squarefree,
-    kernel_xor,
-    omega_L,
-    prime_split,
     segmented_factorize,
     sieve_primes,
-    squarefree_count,
     squarefree_flags,
     trial_factorize,
     z_of_delta,
 )
+from rmflab.stein import _large_primes, _omega_l, _supports
 
 
 def naive_squarefree(n: int) -> bool:
@@ -118,10 +116,10 @@ def test_table_golden_digest():
 
 
 def test_squarefree_count_examples():
-    assert squarefree_count(segmented_factorize(10, 10)) == 6
+    assert segmented_factorize(10, 10).squarefree_count == 6
     assert segmented_factorize(10, 10).squarefree_values() == [11, 13, 14, 15, 17, 19]
-    assert squarefree_count(segmented_factorize(1, 1)) == 1  # n = 2
-    assert squarefree_count(segmented_factorize(47, 1)) == 0  # 48 = 2^4 * 3
+    assert segmented_factorize(1, 1).squarefree_count == 1  # n = 2
+    assert segmented_factorize(47, 1).squarefree_count == 0  # 48 = 2^4 * 3
     from_zero = _factor_segment(0, 6)  # n = 1 has the empty factorization
     assert from_zero.factors(1) == ()
     assert from_zero.squarefree_values() == [1, 2, 3, 5, 6]
@@ -147,30 +145,24 @@ def test_squarefree_density():
 
 
 def test_kernel_xor_examples():
-    assert kernel_xor(6, 10) == 15
-    assert kernel_xor(7, 7) == 1
-    assert kernel_xor(15, 14) == 210
-
-
-def test_kernel_xor_rejects_non_squarefree():
-    with pytest.raises(ContractViolation):
-        kernel_xor(12, 5)
-    with pytest.raises(ContractViolation):
-        kernel_xor(5, 18)
+    assert _kernel_unchecked(6, 10) == 15
+    assert _kernel_unchecked(7, 7) == 1
+    assert _kernel_unchecked(15, 14) == 210
 
 
 def test_kernel_xor_group_laws_exhaustive():
     sf = [n for n in range(1, 1001) if is_squarefree(n)]
     for a in sf[::7]:
-        assert kernel_xor(a, a) == 1
-        assert kernel_xor(a, 1) == a
+        assert _kernel_unchecked(a, a) == 1
+        assert _kernel_unchecked(a, 1) == a
     rnd = random.Random(5)
     for _ in range(2000):
         a, b = rnd.choice(sf), rnd.choice(sf)
-        assert kernel_xor(a, b) == kernel_xor(b, a)
+        assert _kernel_unchecked(a, b) == _kernel_unchecked(b, a)
     for _ in range(500):
         a, b, c = rnd.choice(sf), rnd.choice(sf), rnd.choice(sf)
-        assert kernel_xor(kernel_xor(a, b), c) == kernel_xor(a, kernel_xor(b, c))
+        assert (_kernel_unchecked(_kernel_unchecked(a, b), c)
+                == _kernel_unchecked(a, _kernel_unchecked(b, c)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,7 +172,7 @@ def test_kernel_xor_is_symmetric_difference(a, b):
         return
     pa = {p for p, _ in trial_factorize(a)}
     pb = {p for p, _ in trial_factorize(b)}
-    assert kernel_xor(a, b) == math.prod(pa ^ pb)  # empty product is 1
+    assert _kernel_unchecked(a, b) == math.prod(pa ^ pb)  # empty product is 1
 
 
 def test_prime_split_z_values():
@@ -194,16 +186,24 @@ def test_prime_split_z_values():
 
 def test_prime_split_partition():
     t = segmented_factorize(100, 20)
-    ps = prime_split(1e-5, t)  # z = 5.756: small primes 2, 3, 5
-    assert ps.small_primes == (2, 3, 5)
-    assert all(p > ps.z for p in ps.large_primes)
-    in_table = {p for fac in t.entries for p, _ in fac}
-    assert set(ps.large_primes) == {p for p in in_table if p > ps.z}
+    z = z_of_delta(1e-5)  # 5.756: small primes 2, 3, 5
+    assert sieve_primes(math.floor(z)) == [2, 3, 5]
+    large = _large_primes(_supports(t), z)
+    assert large == sorted(large) and all(p > z for p in large)
+    # L is the large primes of the square-free entries: 13 divides only
+    # 104 = 2^3 * 13 and 117 = 3^2 * 13 here, so it is not in L
+    expected = {p for n in range(101, 121) if is_squarefree(n)
+                for p, _ in trial_factorize(n) if p > z}
+    assert set(large) == expected and 13 not in expected
 
 
 def test_omega_l_examples():
     z = math.log(10)
-    assert omega_L(30, z) == 2  # 3 and 5
-    assert omega_L(7, z) == 1
-    assert omega_L(4, z) == 0
-    assert omega_L(1, z) == 0
+    assert _omega_l((2, 3), z) == 2  # 30 = 5 * 6: 3 and 5
+    assert _omega_l((), z) == 1  # 7 = 7 * 1
+    # omega_L(k p) of every member k of N(p), p > z, against trial division
+    t = segmented_factorize(1000, 60)
+    supports = _supports(t)
+    for p in _large_primes(supports, z):
+        for k, qs in supports[p]:
+            assert _omega_l(qs, z) == sum(q > z for q, _ in trial_factorize(k * p))

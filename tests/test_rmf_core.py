@@ -5,14 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rmflab.errors import DegenerateIntervalError
+from rmflab.harness import ExperimentConfig, run_simulate
 from rmflab.numtheory import _factor_segment, segmented_factorize
 from rmflab.rmf_core import (
     IntervalSampler,
     SignSource,
     interval_sum,
-    normalized_w,
-    partial_sum_m,
     rmf_value,
     trial_signs,
 )
@@ -73,31 +71,16 @@ def test_interval_sum_examples():
 
 
 def test_normalized_w():
-    t = segmented_factorize(10, 10)
-    stat = normalized_w(t, FixedSigns())
-    assert stat.raw_sum == 6 and stat.s_count == 6
-    assert stat.w == pytest.approx(math.sqrt(6))
-    assert abs(stat.raw_sum) <= stat.s_count
-    assert stat.w * math.sqrt(stat.s_count) == pytest.approx(stat.raw_sum)
-    assert normalized_w(t, FixedSigns(neg=[7, 5, 17, 19])).w == pytest.approx(
-        -2 / math.sqrt(6)
-    )
-    with pytest.raises(DegenerateIntervalError):
-        normalized_w(segmented_factorize(47, 1), FixedSigns())
-
-
-def test_partial_sum_examples():
-    assert partial_sum_m(1, FixedSigns()) == 1
-    assert partial_sum_m(4, FixedSigns(mapping={2: 1, 3: -1})) == 1
-    assert partial_sum_m(2, FixedSigns(neg=[2])) == 0
-    # blocked path agrees with one-shot enumeration
-    signs = SignSource(31)
-    t = _factor_segment(1, 499)
-    assert partial_sum_m(500, signs, block=64) == 1 + interval_sum(t, signs)
-    with pytest.raises(ValueError):
-        partial_sum_m(10**8 + 1, signs)
-    with pytest.raises(ValueError):
-        partial_sum_m(0, signs)
+    # the one W path, the harness's raw / sqrt(S), against the scalar sums
+    t = segmented_factorize(2000, 150)
+    s = t.squarefree_count
+    report = run_simulate(ExperimentConfig(x=2000, y=150, trials=40, master_seed=3))
+    raw = [interval_sum(t, SignSource(3).for_trial(i)) for i in range(40)]
+    assert all(abs(r) <= s for r in raw)
+    assert report.w_values.tolist() == [r / math.sqrt(s) for r in raw]
+    # S = 0 gives W = 0 for every trial rather than an error
+    empty = run_simulate(ExperimentConfig(x=47, y=1, trials=5, master_seed=1))
+    assert empty.s_count == 0 and empty.w_values.tolist() == [0.0] * 5
 
 
 def test_multiplicativity_on_coprime_squarefree_pairs():
@@ -147,11 +130,11 @@ def test_sampler_batch_boundaries():
 
 
 def test_sampler_w_values():
-    t = segmented_factorize(10, 10)
-    samp = IntervalSampler(t, 3)
-    w = samp.w_values(0, 5)
-    raw = samp.raw_sums(0, 5)
-    assert np.allclose(w, raw / math.sqrt(6))
+    # the harness's W is the sampler's raw sums over sqrt(S)
+    t = segmented_factorize(2000, 150)
+    raw = IntervalSampler(t, 3).raw_sums(0, 300)
+    report = run_simulate(ExperimentConfig(x=2000, y=150, trials=300, master_seed=3))
+    assert np.array_equal(report.w_values, raw / math.sqrt(t.squarefree_count))
 
 
 def test_sampler_matches_scalar_path_high_omega():

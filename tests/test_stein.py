@@ -7,18 +7,16 @@ from rmflab.errors import ScaleError
 from rmflab.numtheory import segmented_factorize, sieve_primes, z_of_delta
 from rmflab.rmf_core import SignSource
 from rmflab.stein import (
-    conditional_t_decomposition_check,
+    _delta3,
+    _delta4,
+    _exact_t_p,
+    _supports,
     decomposition_sides,
-    delta2_exact,
-    delta3_exact_tiny,
-    delta4_exact,
     conditional_moments_check,
-    increment_support,
     subset_weight,
     subset_weight_identity,
     sign_vector_moments,
     stein_terms,
-    exchange_statistic,
     exchange_variance_monte_carlo,
 )
 
@@ -31,19 +29,31 @@ class FixedSigns:
         return -1 if p in self.neg else 1
 
 
+def members(t, p):
+    """The support N(p), as its members k."""
+    return [k for k, _ in _supports(t).get(p, [])]
+
+
+def delta3(t, p, prime_budget=20):
+    return _delta3(p, _supports(t).get(p, []), prime_budget)
+
+
+def t_p(t, p, signs, z):
+    return _exact_t_p(_supports(t).get(p, []), signs, z)
+
+
 def test_increment_support_examples():
     t = segmented_factorize(10, 10)
-    assert increment_support(13, t).members == (1,)
-    assert increment_support(7, t).members == (2,)
-    assert increment_support(23, t).members == ()  # p > x + y
-    assert increment_support(2, t).members == (7,)  # 14 only; 12, 16, 18, 20 not square-free
+    assert members(t, 13) == [1]
+    assert members(t, 7) == [2]
+    assert members(t, 23) == []  # p > x + y
+    assert members(t, 2) == [7]  # 14 only; 12, 16, 18, 20 not square-free
 
 
 def test_increment_support_invariants():
     t = segmented_factorize(100, 50)
     for p in (2, 3, 7, 11, 13):
-        np_set = increment_support(p, t)
-        for k in np_set.members:
+        for k in members(t, p):
             assert 100 < k * p <= 150
             assert k % p != 0
             assert t.is_squarefree(k * p)
@@ -51,56 +61,60 @@ def test_increment_support_invariants():
 
 def test_delta2():
     t = segmented_factorize(10, 10)
-    assert delta2_exact(7, t) == 2
-    assert delta2_exact(23, t) == 0
+    # z = 1: every prime of the table is large
+    d2 = stein_terms(t, 1.0, var_trials=2).delta2_by_p
+    assert d2[7] == 2
+    assert d2.get(23, 0) == 0
     for p in (2, 3, 5, 7, 11):
-        assert delta2_exact(p, t) <= 2 * (1 + 10 / p)
+        assert d2[p] <= 2 * (1 + 10 / p)
 
 
 def test_delta4():
     t10 = segmented_factorize(10, 10)
-    assert delta4_exact(7, t10) == 8  # |N(7)| = 1
-    assert delta4_exact(23, t10) == 0
+    assert _delta4(_supports(t10)[7]) == 8  # |N(7)| = 1
+    assert _delta4(_supports(t10).get(23, [])) == 0
+    assert stein_terms(t10, 1.0, var_trials=2).delta4_by_p[7] == 8
     t = segmented_factorize(25, 20)  # N(7) = {5, 6}, no non-diagonal
-    assert increment_support(7, t).members == (5, 6)
-    assert delta4_exact(7, t) == 8 * (3 * 4 - 2 * 2)
+    assert members(t, 7) == [5, 6]
+    assert _delta4(_supports(t)[7]) == 8 * (3 * 4 - 2 * 2)
 
 
 def test_delta3_frozen_values():
     t10 = segmented_factorize(10, 10)
-    assert delta3_exact_tiny(7, t10) == 4.0  # single member
-    assert delta3_exact_tiny(23, t10) == 0.0
+    assert delta3(t10, 7) == 4.0  # single member
+    assert delta3(t10, 23) == 0.0
     # two coprime members: 4 * E|X1 + X2|^3 = 4 * identical-law average 4 = 16
     t = segmented_factorize(25, 20)
-    assert delta3_exact_tiny(7, t) == 16.0
+    assert delta3(t, 7) == 16.0
 
 
 def test_delta3_brute_force_cross_check():
     # independent enumeration over explicit sign vectors
     t = segmented_factorize(25, 20)
-    members = increment_support(7, t).members
-    primes = sorted({q for k in members for q, _ in t.factors(k * 7) if q != 7})
+    ks = members(t, 7)
+    primes = sorted({q for k in ks for q, _ in t.factors(k * 7) if q != 7})
     total = 0
     for bits in range(1 << len(primes)):
         sgn = {q: -1 if bits >> j & 1 else 1 for j, q in enumerate(primes)}
         g = 0
-        for k in members:
+        for k in ks:
             g += math.prod(sgn[q] for q, _ in t.factors(k * 7) if q != 7)
         total += abs(g) ** 3
-    assert delta3_exact_tiny(7, t) == 4 * total / (1 << len(primes))
+    assert delta3(t, 7) == 4 * total / (1 << len(primes))
 
 
 def test_cauchy_schwarz_chain():
     t = segmented_factorize(100, 60)
+    terms = stein_terms(t, 1.0, var_trials=2)
     for p in (2, 3, 5, 7, 11, 13, 17, 31, 101):
-        d3 = Fraction(delta3_exact_tiny(p, t))
-        assert d3 * d3 <= delta2_exact(p, t) * delta4_exact(p, t)
+        d3 = Fraction(delta3(t, p))
+        assert d3 * d3 <= terms.delta2_by_p[p] * terms.delta4_by_p[p]
 
 
 def test_delta3_budget():
     t = segmented_factorize(10**4, 200)
     with pytest.raises(ScaleError):
-        delta3_exact_tiny(2, t, prime_budget=5)
+        delta3(t, 2, prime_budget=5)
 
 
 def test_subset_weight():
@@ -130,33 +144,32 @@ def test_weight_identity_small():
 
 def test_exchange_statistic_examples():
     t = segmented_factorize(25, 20)  # N(7) = {5, 6}
-    assert exchange_statistic(7, t, FixedSigns(), 6.0) == Fraction(2)
+    assert t_p(t, 7, FixedSigns(), 6.0) == Fraction(2)
     # single member or empty: off-diagonal sum is empty
     t10 = segmented_factorize(10, 10)
-    assert exchange_statistic(7, t10, FixedSigns(), 5.0) == Fraction(0)
-    assert exchange_statistic(23, t10, FixedSigns(), 5.0) == Fraction(0)
-    with pytest.raises(ValueError):
-        exchange_statistic(3, t10, FixedSigns(), 5.0)  # p <= z
+    assert t_p(t10, 7, FixedSigns(), 5.0) == Fraction(0)
+    assert t_p(t10, 23, FixedSigns(), 5.0) == Fraction(0)
 
 
 def test_exchange_statistic_quadratic_form_parity():
     # negating every member value X(k) leaves the degree-2 form unchanged:
     # members of N(7) here are 5 and 6, flipped via primes 5 and 2
     t = segmented_factorize(25, 20)
-    base = exchange_statistic(7, t, FixedSigns(), 6.0)
-    flipped = exchange_statistic(7, t, FixedSigns(neg=[5, 2]), 6.0)
+    base = t_p(t, 7, FixedSigns(), 6.0)
+    flipped = t_p(t, 7, FixedSigns(neg=[5, 2]), 6.0)
     assert base == flipped == Fraction(2)
-    half = exchange_statistic(7, t, FixedSigns(neg=[5]), 6.0)
+    half = t_p(t, 7, FixedSigns(neg=[5]), 6.0)
     assert half == Fraction(-2)
 
 
 def test_exchange_statistic_zero_mean_over_seeds():
     # off-diagonal second-order chaos: E over sign draws of T_p is 0
     t = segmented_factorize(25, 20)  # N(7) = {5, 6}
+    support = _supports(t)[7]
     total = Fraction(0)
     n_seeds = 4000
     for seed in range(n_seeds):
-        total += exchange_statistic(7, t, SignSource(seed), 6.0)
+        total += _exact_t_p(support, SignSource(seed), 6.0)
     mean = total / n_seeds
     # T_7 = 2 X(5) X(6): sd of the mean is 2/sqrt(n_seeds)
     assert abs(mean) <= 4 * 2 / math.sqrt(n_seeds)
@@ -238,7 +251,8 @@ def test_decomposition_exact_equality():
     for x, y, z in cases:
         t = segmented_factorize(x, y)
         for seed in (1, 2):
-            assert conditional_t_decomposition_check(t, z, SignSource(seed))
+            direct, closed = decomposition_sides(t, z, SignSource(seed))
+            assert direct == closed
 
 
 def test_decomposition_value_is_s_plus_t_terms():
@@ -246,7 +260,7 @@ def test_decomposition_value_is_s_plus_t_terms():
     t = segmented_factorize(30, 14)
     signs = SignSource(1)
     direct, closed = decomposition_sides(t, 5.0, signs)
-    tp = exchange_statistic(7, t, signs, 5.0)
+    tp = t_p(t, 7, signs, 5.0)
     assert direct == closed == t.squarefree_count + tp
 
 
@@ -265,7 +279,7 @@ def test_stein_terms_aggregation():
     assert terms.exact_primes > 0
     # every per-prime pair obeys the moment inequality chain
     for p, d2 in terms.delta2_by_p.items():
-        assert Fraction(delta3_exact_tiny(p, t)) ** 2 <= d2 * terms.delta4_by_p[p]
+        assert Fraction(delta3(t, p)) ** 2 <= d2 * terms.delta4_by_p[p]
     # forcing the exact path off routes primes through the bound
     loose = stein_terms(t, 3.0, var_trials=50, master_seed=2, prime_budget=0)
     assert loose.bounded_primes > 0
@@ -280,8 +294,8 @@ def test_large_prime_third_moment_structure():
     big = sorted({p for _, ps in t.squarefree_items() for p in ps if p > y})
     assert len(big) <= y * math.log(x + y) / math.log(y)
     for p in big[::25]:
-        assert len(increment_support(p, t).members) == 1
-        assert delta3_exact_tiny(p, t) == 4.0
+        assert len(members(t, p)) == 1
+        assert delta3(t, p) == 4.0
 
 
 def test_stein_terms_golden_values():
