@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -64,42 +66,62 @@ def normal_quantile(q: float) -> float:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A sorted finite sample. values is ascending; ties allowed."""
+    """A finite sample as ascending values with their counts (default one
+    each); values may repeat.  from_values gives the distinct values."""
 
     values: tuple[float, ...]
+    counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if len(self.values) < 1:
+        if self.counts is None:
+            object.__setattr__(self, "counts", (1,) * len(self.values))
+        v = np.asarray(self.values, dtype=np.float64)
+        if v.size < 1:
             raise ValueError("sample must contain at least one value")
-        if any(not math.isfinite(v) for v in self.values):
+        if not np.isfinite(v).all():
             raise ValueError("sample values must be finite")
-        if any(self.values[i] > self.values[i + 1] for i in range(len(self.values) - 1)):
+        if (v[1:] < v[:-1]).any():
             raise ValueError("sample values must be sorted ascending")
+        if len(self.counts) != v.size or min(self.counts) < 1:
+            raise ValueError("sample needs one positive count per value")
 
     @classmethod
     def from_values(cls, values) -> "SampleSet":
-        return cls(tuple(sorted(float(v) for v in values)))
+        """The distinct values of an array or any iterable of numbers, with
+        their counts."""
+        if isinstance(values, np.ndarray):
+            v = values.astype(np.float64, copy=False)
+        else:
+            v = np.fromiter(values, dtype=np.float64)
+        distinct, counts = np.unique(v, return_counts=True)
+        return cls(tuple(distinct.tolist()), tuple(counts.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return sum(self.counts)
 
 
 def kolmogorov_stat(sample: SampleSet) -> float:
-    """sup_t |F_n(t) - Phi(t)|, from the order statistics: at x_(i) the
-    empirical CDF jumps from (i-1)/n to i/n."""
+    """sup_t |F_n(t) - Phi(t)|: at a value with a sample points below it and
+    b up to it the empirical CDF jumps from a/n to b/n.  The rounded
+    j/n - Phi is monotone in j, so |j/n - Phi| over a <= j <= b is largest
+    at j = a or j = b: the result is that of a pass over every order
+    statistic, bit for bit."""
     n = sample.n
     d = 0.0
-    for i, x in enumerate(sample.values, start=1):
+    below = 0
+    for x, k in zip(sample.values, sample.counts):
         c = normal_cdf(x)
-        d = max(d, abs(i / n - c), abs((i - 1) / n - c))
+        through = below + k
+        d = max(d, abs(through / n - c), abs(below / n - c))
+        below = through
     return d
 
 
 def wasserstein1(sample: SampleSet) -> float:
     """Integral of |F_n(t) - Phi(t)| dt, exactly.
 
-    On the plateau of F_n at level c between consecutive order statistics the
+    On the plateau of F_n at level c between consecutive distinct values the
     integrand is |c - Phi(t)|; it is split at the crossing Phi^{-1}(c) when
     interior and integrated in closed form with G(t) = t*Phi(t) + phi(t) - c*t.
     The level-0 and level-1 tails reduce to x1*Phi(x1) + phi(x1) and
@@ -115,8 +137,9 @@ def wasserstein1(sample: SampleSet) -> float:
     def g(t: float, c: float) -> float:
         return t * normal_cdf(t) + normal_pdf(t) - c * t
 
-    for j in range(1, n):
-        a, b = xs[j - 1], xs[j]
+    j = 0
+    for a, b, k in zip(xs, xs[1:], sample.counts):
+        j += k
         if a == b:
             continue
         c = j / n

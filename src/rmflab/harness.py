@@ -71,11 +71,12 @@ class ExperimentConfig:
             raise ValueError(f"x must be >= 2, got {self.x}")
         if self.y is None and self.delta is None:
             raise ValueError("one of y and delta must be given")
-        if self.delta is not None and not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        y = self.y if self.y is not None else max(1, round(self.delta * self.x))
+        if self.delta is not None and not 0 < self.delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        y = self.y if self.y is not None else round(self.delta * self.x)
         if y < 1:
-            raise ValueError(f"y must be >= 1, got {y}")
+            raise ValueError(f"y must be >= 1, got {y}" if self.y is not None else
+                             f"delta = {self.delta} gives y = round(delta * x) = 0 at x = {self.x}")
         if y >= self.x:
             raise ValueError(f"y must be < x, got y={y}, x={self.x}")
         delta = y / self.x

@@ -94,12 +94,12 @@ def _xorshift30(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(30))
 
 
-_S7 = np.uint8(7)
-# byte of a uint64 that holds bit 63
-_TOP_BYTE = 7 if np.little_endian else 0
-# words of uint64 hash scratch per block (1 MiB); a tile is at least
-# _MIN_TILE trials wide so that every gathered sign row is worth copying
+# words of uint64 hash scratch per block (1 MiB)
 _TILE_WORDS = 1 << 17
+# bytes of the (primes x trials) uint8 sign matrix of one default tile; a
+# tile is at least _MIN_TILE trials wide so that every gathered sign row is
+# worth copying
+_SIGN_BYTES = 1 << 21
 _MIN_TILE = 64
 
 
@@ -144,7 +144,8 @@ def _hash_sign_bits(prime_half: np.ndarray, trial_half: np.ndarray,
         np.right_shift(hb, _S27, out=ub)
         hb ^= ub
         hb *= _C2
-        np.right_shift(hb.view(np.uint8)[:, _TOP_BYTE::8], _S7, out=out[j : j + m])
+        # bit 63 set is a negative int64
+        np.less(hb.view(np.int64), 0, out=out[j : j + m].view(np.bool_))
 
 
 def trial_signs(primes: list[int], master_seed: int, start: int, count: int) -> np.ndarray:
@@ -168,7 +169,9 @@ class IntervalSampler:
     each bucket into the parity of X(n) = -1, and returns
     S - 2 * (number of entries with X(n) = -1).  Cost per trial is linear in
     P plus the number of (entry, prime) incidences.  The sign matrix is
-    that of trial_signs, hashed tile by tile.
+    that of trial_signs, hashed tile by tile.  A default tile is as many
+    trials as fit a 2 MiB (P x T) uint8 sign matrix, and at least 64: about
+    3300 trials at P = 636, about 300 at P = 7054.
     """
 
     def __init__(self, table: IntervalTable, master_seed: int):
@@ -188,10 +191,11 @@ class IntervalSampler:
 
     def raw_sums(self, start: int, count: int, batch: int | None = None) -> np.ndarray:
         """Interval sums for trials start, ..., start+count-1 (int64),
-        `batch` trials per tile (default from the number of primes)."""
+        `batch` trials per tile (default: as many as fit a _SIGN_BYTES sign
+        matrix, at least _MIN_TILE)."""
         n_primes = len(self._prime_half)
         if batch is None:
-            batch = max(_MIN_TILE, _TILE_WORDS // max(n_primes, 1))
+            batch = max(_MIN_TILE, _SIGN_BYTES // max(n_primes, 1))
         tile = max(1, min(batch, count))
         h, u = _hash_scratch(n_primes, tile)
         signs_buf = np.empty(n_primes * tile, dtype=np.uint8)

@@ -45,10 +45,12 @@ _Member = tuple[int, tuple[int, ...]]
 def _supports(table: IntervalTable) -> dict[int, list[_Member]]:
     """N(p) for every prime p dividing a square-free entry, members in
     ascending order."""
+    ps, off, lo = table.primes.tolist(), table.offsets.tolist(), table.x_lo + 1
     out: dict[int, list[_Member]] = {}
-    for n, primes in table.squarefree_items():
+    for i in np.flatnonzero(table.flags).tolist():
+        primes = ps[off[i] : off[i + 1]]
         for p in primes:
-            out.setdefault(p, []).append((n // p, tuple(q for q in primes if q != p)))
+            out.setdefault(p, []).append(((lo + i) // p, tuple(q for q in primes if q != p)))
     return out
 
 
@@ -249,8 +251,10 @@ def _split_entries(table: IntervalTable, large: list[int]) -> list[tuple[tuple[i
     """(small primes, bitmask of the large primes over the ascending list
     L = large) of every square-free entry."""
     index = {q: j for j, q in enumerate(large)}
-    return [(tuple(q for q in ps if q not in index), sum(1 << index[q] for q in ps if q in index))
-            for _, ps in table.squarefree_items()]
+    ps, off = table.primes.tolist(), table.offsets.tolist()
+    entries = [ps[off[i] : off[i + 1]] for i in np.flatnonzero(table.flags).tolist()]
+    return [(tuple(q for q in e if q not in index), sum(1 << index[q] for q in e if q in index))
+            for e in entries]
 
 
 @dataclass(frozen=True)

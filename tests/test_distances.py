@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +10,11 @@ from rmflab.distances import (
     kkw_from,
     kolmogorov_stat,
     normal_cdf,
+    normal_pdf,
     normal_quantile,
     wasserstein1,
 )
-from rmflab.harness import _distance_block
+from rmflab.harness import ExperimentConfig, _distance_block, run_simulate
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
 
@@ -81,6 +83,12 @@ def test_sample_set_validation():
         SampleSet((2.0, 1.0))
     with pytest.raises(ValueError):
         SampleSet((0.0, math.inf))
+    for values, counts in (((0.0, math.nan), None), ((1.0,), (0,)), ((1.0, 2.0), (1,))):
+        with pytest.raises(ValueError):
+            SampleSet(values, counts)
+    for bad in ([], iter(()), np.array([]), [1.0, math.nan], np.array([0.0, -math.inf])):
+        with pytest.raises(ValueError):
+            SampleSet.from_values(bad)
     s = SampleSet.from_values([3, 1, 2])
     assert s.values == (1.0, 2.0, 3.0) and s.n == 3
 
@@ -155,3 +163,87 @@ def test_kkw_from_reuses_distances():
     assert kkw_from(k, w) == (block["kkw_holds"], block["kkw_ratio"])
     assert kkw_from(0.5, 0.25) == (True, 0.5)
     assert kkw_from(1.5, 0.25) == (False, 1.5)
+
+
+# The per-order-statistic loops that the distinct-value kernels replaced,
+# kept as the oracle: the kernels must agree with them to the last bit.
+def reference_kolmogorov(values) -> float:
+    xs = sorted(float(v) for v in values)
+    n = len(xs)
+    d = 0.0
+    for i, x in enumerate(xs, start=1):
+        c = normal_cdf(x)
+        d = max(d, abs(i / n - c), abs((i - 1) / n - c))
+    return d
+
+
+def reference_wasserstein1(values) -> float:
+    xs = sorted(float(v) for v in values)
+    n = len(xs)
+    x1, xn = xs[0], xs[-1]
+    total = x1 * normal_cdf(x1) + normal_pdf(x1)
+    total += normal_pdf(xn) - xn * (1.0 - normal_cdf(xn))
+
+    def g(t, c):
+        return t * normal_cdf(t) + normal_pdf(t) - c * t
+
+    for j in range(1, n):
+        a, b = xs[j - 1], xs[j]
+        if a == b:
+            continue
+        c = j / n
+        t_star = normal_quantile(c)
+        if t_star <= a:
+            total += g(b, c) - g(a, c)
+        elif t_star >= b:
+            total += g(a, c) - g(b, c)
+        else:
+            total += (g(a, c) - g(t_star, c)) + (g(b, c) - g(t_star, c))
+    return total
+
+
+def assert_matches_reference(sample: SampleSet, values) -> None:
+    assert kolmogorov_stat(sample) == reference_kolmogorov(values)
+    assert wasserstein1(sample) == reference_wasserstein1(values)
+
+
+@pytest.fixture(scope="module")
+def lattice_w():
+    # W = raw / sqrt(S) with S = 606: 2000 trials on at most 607 values
+    return run_simulate(ExperimentConfig(x=10**6, y=10**3, trials=2000, master_seed=4)).w_values
+
+
+def test_distances_over_distinct_values_match_reference_on_lattice(lattice_w):
+    sample = SampleSet.from_values(lattice_w)
+    assert len(sample.values) < 200 and sample.n == 2000
+    assert list(sample.values) == sorted(set(lattice_w.tolist()))
+    assert_matches_reference(sample, lattice_w.tolist())
+
+
+def test_sample_from_list_generator_and_array_agree(lattice_w):
+    values = lattice_w.tolist()
+    samples = [SampleSet.from_values(values), SampleSet.from_values(v for v in values),
+               SampleSet.from_values(lattice_w), SampleSet.from_values(np.array(values))]
+    assert all(s == samples[0] for s in samples)
+    for s in samples:
+        assert_matches_reference(s, values)
+    ints = SampleSet.from_values([3, 1, 3, 2])
+    assert ints == SampleSet.from_values(np.array([3, 1, 3, 2]))
+    assert (ints.values, ints.counts) == ((1.0, 2.0, 3.0), (1, 1, 2))
+
+
+def test_direct_sample_with_repeated_values_matches_reference():
+    s = SampleSet((1.5, 1.5, 1.5))
+    assert s.counts == (1, 1, 1) and s.n == 3
+    assert s == SampleSet((1.5, 1.5, 1.5), (1, 1, 1))
+    assert_matches_reference(s, [1.5] * 3)
+    assert_matches_reference(SampleSet((-1.0, 0.5, 0.5, 2.0)), [-1.0, 0.5, 0.5, 2.0])
+    assert_matches_reference(SampleSet((-1.0, 0.5, 2.0), (2, 5, 1)),
+                             [-1.0] * 2 + [0.5] * 5 + [2.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=80), st.sampled_from((4, 7, 10)))
+def test_distances_match_reference_on_tied_samples(ks, scale):
+    values = [k / scale for k in ks]
+    assert_matches_reference(SampleSet.from_values(values), values)

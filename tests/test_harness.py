@@ -1,9 +1,11 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +191,19 @@ def test_cli_simulate_stdout(capsys):
     assert data["config"]["trials"] == 50
 
 
+def test_cli_runs_as_python_m_rmflab(tmp_path):
+    # `python -m rmflab` from a source checkout, without an install
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "rmflab", "simulate", "--x", "2000", "--y", "100",
+         "--trials", "20", "--seed", "9"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["config"]["trials"] == 20
+    assert "Warning" not in done.stderr
+
+
 def test_cli_simulate_files(tmp_path, capsys):
     base = tmp_path / "exp"
     rc = main(["simulate", "--x", "2000", "--y", "100", "--trials", "50",
@@ -221,6 +236,12 @@ def test_cli_exit_codes(capsys):
     assert main(["simulate", "--x", "1000", "--delta", "inf"]) == 2
     assert "delta" in _one_line_error(capsys)
     assert main(["moments", "--x", "1000", "--delta", "-1"]) == 2
+    assert "delta" in _one_line_error(capsys)
+    # a delta with round(delta * x) = 0 is refused, not run as y = 1
+    assert main(["moments", "--x", "1000", "--delta", "1e-9"]) == 2
+    assert "delta" in _one_line_error(capsys)
+    # delta * x past the float range is refused, not an OverflowError
+    assert main(["moments", "--x", "10000000000", "--delta", "1e308"]) == 2
     assert "delta" in _one_line_error(capsys)
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required --x

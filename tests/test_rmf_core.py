@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rmflab.harness import ExperimentConfig, run_simulate
-from rmflab.numtheory import _factor_segment, segmented_factorize
+from rmflab.numtheory import _factor_segment, segmented_factorize, sieve_primes
 from rmflab.rmf_core import (
     IntervalSampler,
     SignSource,
@@ -167,12 +167,38 @@ def test_sampler_empty_interval_gives_zeros():
     assert out.dtype == np.int64 and out.tolist() == [0] * 5
 
 
+# tile widths around the 64-trial minimum, 2^17 // 633, a whole harness
+# chunk, and the default from the sign-matrix byte budget
+TILE_BATCHES = (1, 63, 64, 65, 207, 4096, None)
+
+
 def test_sampler_golden_digest():
-    # raw sums of the bitmask sampler this kernel replaced, frozen byte for byte
+    # raw sums of the bitmask sampler this kernel replaced, frozen byte for
+    # byte, at every tile width; the default tile at P = 636 is 3297 trials,
+    # so 4096 trials take two
     samp = IntervalSampler(segmented_factorize(10**6, 10**3), 1)
-    raw = samp.raw_sums(0, 4096)
-    digest = hashlib.sha256(raw.astype("<i8").tobytes()).hexdigest()
-    assert digest == "9f5d89ab2b1d5dfd69025bc950df35dddbafe839c5a7d0d53b138efc4b051436"
+    for batch in TILE_BATCHES:
+        raw = samp.raw_sums(0, 4096, batch=batch)
+        digest = hashlib.sha256(raw.astype("<i8").tobytes()).hexdigest()
+        assert digest == "9f5d89ab2b1d5dfd69025bc950df35dddbafe839c5a7d0d53b138efc4b051436", batch
+
+
+@pytest.mark.parametrize("x,y,seed", [
+    (10**6, 10**3, 1),     # clt size, P = 636
+    (10**10, 10**4, 2),    # wide size, P = 7054: the default tile is 297 trials
+    (510000, 1000, 3),     # holds 510510 = 2*3*5*7*11*13*17
+])
+def test_sampler_tile_widths_match_scalar_path(x, y, seed):
+    t = segmented_factorize(x, y)
+    assert np.diff(t.offsets)[t.flags].max() >= 6
+    start, count = 61, 333
+    samp = IntervalSampler(t, seed)
+    runs = [samp.raw_sums(start, count, batch=b) for b in TILE_BATCHES]
+    for raw in runs[1:]:
+        assert np.array_equal(raw, runs[0])
+    root = SignSource(seed)
+    for i in (0, 62, 63, 64, 65, 206, 207, 296, 297, count - 1):
+        assert runs[0][i] == interval_sum(t, root.for_trial(start + i))
 
 
 def test_trial_signs_match_scalar_source():
@@ -185,3 +211,13 @@ def test_trial_signs_match_scalar_source():
             [root.for_trial(11 + t).sign(p) for t in range(40)] for p in primes
         ]
     assert trial_signs([], 0, 0, 3).shape == (0, 3)
+
+
+def test_trial_signs_match_scalar_source_across_hash_blocks():
+    # 303 primes by 1000 trials are hashed in three blocks of 131 prime rows
+    primes = sieve_primes(2000)
+    signs = trial_signs(primes, 5, 17, 1000)
+    assert signs.dtype == np.int8
+    root = SignSource(5)
+    for t in (0, 1, 500, 999):
+        assert signs[:, t].tolist() == [root.for_trial(17 + t).sign(p) for p in primes]
