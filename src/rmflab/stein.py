@@ -21,12 +21,16 @@ exchange variance over a whole matrix of trial signs at once.
 
 Identity checks run in exact rational arithmetic (fractions.Fraction);
 exhaustive sign-vector averages run as integer Walsh-Hadamard transforms,
-which evaluate f at ALL 2^k sign vectors in O(k 2^k) exactly.
+which evaluate f at ALL 2^k sign vectors in O(k 2^k) exactly.  Both sides of
+the conditional decomposition are integer subset-sum (zeta) transforms over
+the bits of L, summed by subset size, so only O(|L|) Fractions are formed;
+the subset-weight identity sums integers over one common denominator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -40,6 +44,11 @@ from .rmf_core import SignSource, trial_signs
 
 # a member k of N(p), with the distinct primes of k
 _Member = tuple[int, tuple[int, ...]]
+
+# exchange_variance_monte_carlo's trial tile: its int8 sign matrix plus one
+# prime's int64 member values take about this many bytes
+_VAR_TILE_BYTES = 1 << 23
+_MIN_VAR_TILE = 64
 
 
 def _supports(table: IntervalTable) -> dict[int, list[_Member]]:
@@ -78,6 +87,19 @@ def _walsh_inplace(v: np.ndarray) -> np.ndarray:
         v[:, :h] = left + right
         v[:, h:] = left - right
         v = v.reshape(n)
+        h *= 2
+    return v
+
+
+def _subset_sums(v: np.ndarray) -> np.ndarray:
+    """In-place subset-sum (zeta) transform along the last axis of a
+    C-contiguous int64 array, of length 2^k: v[..., a] becomes the sum of
+    v[..., d] over the submasks d of a."""
+    n = v.shape[-1]
+    h = 1
+    while h < n:
+        pairs = v.reshape(-1, n // (2 * h), 2, h)
+        pairs[:, :, 1] += pairs[:, :, 0]
         h *= 2
     return v
 
@@ -142,15 +164,15 @@ def subset_weight(l_size: int, a_size: int) -> Fraction:
 
 
 def subset_weight_identity(l_size: int, omega: int) -> Fraction:
-    """sum_{k=0}^{L-w} subset_weight(L, k) * C(L-w, k) in exact rationals;
-    the identity says this equals 1/w."""
+    """sum_{k=0}^{L-w} subset_weight(L, k) * C(L-w, k) in exact rationals,
+    summed as integers over the common denominator lcm_k L C(L-1, k); the
+    identity says this equals 1/w."""
     if not 1 <= omega <= l_size:
         raise ValueError(f"need 1 <= omega <= L, got omega={omega}, L={l_size}")
-    return sum(
-        (Fraction(1, l_size * comb(l_size - 1, k)) * comb(l_size - omega, k)
-         for k in range(l_size - omega + 1)),
-        Fraction(0),
-    )
+    dens = [l_size * comb(l_size - 1, k) for k in range(l_size - omega + 1)]
+    common = math.lcm(*dens)
+    return Fraction(sum(comb(l_size - omega, k) * (common // d) for k, d in enumerate(dens)),
+                    common)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +203,10 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
     """Sample variance (ddof=1) of sum_{p in L} T_p over seeded trials.
 
     T_p vanishes unless |N(p)| >= 2.  The signs of trial t are those of
-    SignSource(master_seed).for_trial(t); each T_p is evaluated for all
-    trials at once, and every trial's terms are added in ascending p as in
-    a per-trial evaluation."""
+    SignSource(master_seed).for_trial(t); each T_p is evaluated for a tile
+    of trials at once, sized so that the tile's sign matrix and one prime's
+    member values fit about _VAR_TILE_BYTES, and every trial's terms are
+    added in ascending p as in a per-trial evaluation."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     supports = _supports(table)
@@ -192,12 +215,19 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
         return 0.0
     pool = sorted({q for members in per_p for _, qs in members for q in qs})
     row = {q: j for j, q in enumerate(pool)}
-    signs = trial_signs(pool, master_seed, 0, trials)
-    values = np.zeros(trials)
-    for members in per_p:
-        xs = [np.prod(signs[[row[q] for q in qs]], axis=0, dtype=np.int64)
-              for _, qs in members]
-        values += _t_p(xs, [_omega_l(qs, z) for _, qs in members])
+    rows = [[[row[q] for q in qs] for _, qs in members] for members in per_p]
+    omegas = [[_omega_l(qs, z) for _, qs in members] for members in per_p]
+    per_trial = len(pool) + 8 * max(map(len, per_p))
+    tile = max(_MIN_VAR_TILE, _VAR_TILE_BYTES // per_trial)
+    values = np.empty(trials)
+    for start in range(0, trials, tile):
+        count = min(tile, trials - start)
+        signs = trial_signs(pool, master_seed, start, count)
+        acc = np.zeros(count)
+        for member_rows, member_omegas in zip(rows, omegas):
+            xs = [np.prod(signs[r], axis=0, dtype=np.int64) for r in member_rows]
+            acc += _t_p(xs, member_omegas)
+        values[start : start + count] = acc
     return float(values.var(ddof=1))
 
 
@@ -306,6 +336,16 @@ def conditional_moments_check(table: IntervalTable, z: float,
     )
 
 
+def _by_size(v: np.ndarray) -> np.ndarray:
+    """For v of shape (|L|, 2^|L|), indexed by (j, subset A of L): the
+    (|L| x |L|) int64 matrix whose [j, k] entry is the sum of v[j, A] over the
+    subsets A of L minus its j-th prime with |A| = k."""
+    l_size, n = v.shape
+    a = np.arange(n)
+    own = (a & (1 << np.arange(l_size))[:, None]) != 0
+    return np.where(own, 0, v) @ (np.bitwise_count(a)[:, None] == np.arange(l_size))
+
+
 def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
                         l_budget: int = 12) -> tuple[Fraction, Fraction]:
     """Both sides of the conditional decomposition of the exchange statistic,
@@ -313,11 +353,17 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
 
     Left: the subset-weighted sum (1/2) sum_{p} sum_{A not containing p}
     W(A) E(Delta_p f Delta_p f^A | X), where f^A has the signs on A
-    resampled and each conditional expectation is computed by literal
-    enumeration of the resampled signs on A union {p}.
+    resampled, computed from f alone.  The resampled sign of p must differ
+    from X(p) for Delta_p f to be nonzero, so with D_p(e) = f(e) - f(e with
+    the sign of p flipped) each (p, A) term is D_p(X) / 2^(|A|+2) times the
+    sum of D_p(X with the signs on d flipped) over the subsets d of A: one
+    subset-sum transform over the bits of L per p, read at every A and
+    summed by |A|.
 
     Right: the closed form sum_p sum_A W(A) |N^A(p)| + sum_p T_p, where
-    N^A(p) drops from N(p) the members divisible by any prime of A.
+    N^A(p) drops from N(p) the members divisible by any prime of A;
+    |N^A(p)| is the subset-sum transform of the histogram of the members'
+    large-prime bitmasks, read at the complement of A.
 
     The prime set L here is the effective one: large primes (> z) dividing
     some square-free entry; primes outside it have Delta_p f identically 0
@@ -330,56 +376,32 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
         raise ScaleError(f"|L| = {l_size} exceeds budget {l_budget}")
     if l_size == 0:
         return Fraction(0), Fraction(0)
-    index = {q: j for j, q in enumerate(large)}
     entries = _split_entries(table, large)
     coeffs = [math.prod(signs.sign(q) for q in sm) for sm, _ in entries]
-    masks = [m for _, m in entries]
+    masks = np.array([m for _, m in entries], dtype=np.int64)
     x_bits = sum(1 << j for j, q in enumerate(large) if signs.sign(q) < 0)
     # f at every sign vector of L, indexed by its bits (1 = sign -1)
-    f_of = _all_sign_values(masks, coeffs, l_size).tolist()
+    f_of = _all_sign_values(masks.tolist(), coeffs, l_size)
+    a = np.arange(1 << l_size)
+    bits = 1 << np.arange(l_size)
+    # f_at[d] = f(X with the signs on d flipped); diff[j, d] = D_{p_j} there
+    f_at = f_of[a ^ x_bits]
+    diff = f_at - f_at[a ^ bits[:, None]]
+    d_x = diff[:, 0].tolist()
+    direct_by_size = _by_size(_subset_sums(diff)).T.tolist()
 
-    full = (1 << l_size) - 1
-    f_x = f_of[x_bits]
+    # hist[j, m]: members of N(p_j) whose large primes have bitmask m
+    ent, j = np.nonzero(masks[:, None] & bits)
+    hist = np.zeros((l_size, 1 << l_size), dtype=np.int64)
+    np.add.at(hist, (j, masks[ent] ^ bits[j]), 1)
+    # |N^A(p_j)| = members with mask inside the complement of A
+    closed_by_size = _by_size(_subset_sums(hist)[:, ::-1]).sum(axis=0).tolist()
 
-    nus = [subset_weight(l_size, a) for a in range(l_size)]
-
-    direct = Fraction(0)
-    for j in range(l_size):
-        bit_p = 1 << j
-        rest = full & ~bit_p
-        a = rest
-        while True:  # all subsets A of L \ {p}, descending submask order
-            scope = a | bit_p
-            acc = 0
-            v = scope
-            while True:  # all resampled sign patterns on A union {p}
-                d1 = f_x - f_of[(x_bits & ~bit_p) | (v & bit_p)]
-                d2 = f_of[(x_bits & ~a) | (v & a)] - f_of[(x_bits & ~scope) | (v & scope)]
-                acc += d1 * d2
-                if v == 0:
-                    break
-                v = (v - 1) & scope
-            a_size = a.bit_count()
-            direct += nus[a_size] * Fraction(acc, 1 << (a_size + 1)) / 2
-            if a == 0:
-                break
-            a = (a - 1) & rest
-
-    closed = Fraction(0)
-    for j, p in enumerate(large):
-        members = supports[p]
-        mem_masks = [sum(1 << index[q] for q in qs if q > z) for _, qs in members]
-        # diagonal part: sum over A of W(A) |N^A(p)|
-        rest = full & ~(1 << j)
-        a = rest
-        while True:
-            n_a = sum(1 for m in mem_masks if m & a == 0)
-            closed += nus[a.bit_count()] * n_a
-            if a == 0:
-                break
-            a = (a - 1) & rest
-        # off-diagonal part: T_p
-        closed += _exact_t_p(members, signs, z)
-
+    direct = closed = Fraction(0)
+    for k, (row, n_a) in enumerate(zip(direct_by_size, closed_by_size)):
+        nu = subset_weight(l_size, k)
+        direct += nu * Fraction(sum(map(operator.mul, d_x, row)), 1 << (k + 2))
+        closed += nu * n_a
+    for p in large:
+        closed += _exact_t_p(supports[p], signs, z)
     return direct, closed
-

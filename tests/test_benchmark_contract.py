@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rmflab import harness, stein
 from rmflab.numtheory import segmented_factorize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -48,3 +49,22 @@ def test_incidence_counters_match_the_table():
     squarefree = np.repeat(table.flags, sizes)
     assert len(primes) == np.unique(table.primes[squarefree]).size
     assert nnz == int(np.count_nonzero(squarefree))
+
+
+def test_stein_checks_reach_the_traced_stein_layers(monkeypatch):
+    # the stein.weight_identity_s and stein.decomposition_s spans wrap these
+    # module attributes; a harness path that stopped calling them would leave
+    # those layer metrics at 0
+    calls = {"subset_weight_identity": 0, "decomposition_sides": 0}
+    for name in calls:
+        original = getattr(stein, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(stein, name, counted)
+    out = harness.run_stein_checks(harness.ExperimentConfig(x=700, y=9, master_seed=5))
+    assert out["weight_identity"]["ok"] and out["decomposition"]["equal"]
+    assert calls["subset_weight_identity"] == 30 * 31 // 2
+    assert calls["decomposition_sides"] == 1

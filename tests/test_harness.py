@@ -16,6 +16,7 @@ from rmflab.harness import (
     MAX_TRIALS,
     ExperimentConfig,
     ExperimentReport,
+    _read_w_csv,
     emit,
     main,
     run_moments,
@@ -302,6 +303,36 @@ def test_cli_distances_malformed_row_exits_2(tmp_path, capsys):
     path.write_text("trial,w\n0,0.5\n1\n2,0.25\n")
     assert main(["distances", "--infile", str(path)]) == 2
     assert "bad.csv:3" in _one_line_error(capsys)
+
+
+def _read_w_csv_rows(path) -> list[float]:
+    """The w column read one row at a time, as the reference for _read_w_csv."""
+    lines = Path(path).read_text().split("\n")[1:]
+    return [float(line.split(",")[1]) for line in lines if line.strip()]
+
+
+def test_read_w_csv_matches_row_by_row_parse(tmp_path):
+    base = tmp_path / "exp"
+    report = run_simulate(ExperimentConfig(x=2000, y=100, trials=500, master_seed=4))
+    emit(report, ("csv",), str(base))
+    values = _read_w_csv(str(base) + ".csv")
+    assert values == _read_w_csv_rows(str(base) + ".csv") == report.w_values.tolist()
+    # blank and whitespace-only rows are skipped
+    path = tmp_path / "blank.csv"
+    path.write_text("trial,w\n\n0,0.5\n   \n1, -0.25 \n\n")
+    assert _read_w_csv(str(path)) == [0.5, -0.25]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("trial,w\n0,0.5\n1,0.5,2\n2\n", 3),  # comma count still matches the rows
+    ("trial,w\n0,0.5\n\n1,oops\n", 4),
+    ("trial,w\n0,0.5\n1,\n", 3),
+])
+def test_read_w_csv_names_first_malformed_row(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.csv:{line}: malformed row"):
+        _read_w_csv(str(path))
 
 
 def test_cli_env_workers_invalid_exits_2(monkeypatch, capsys):

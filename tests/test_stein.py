@@ -1,15 +1,23 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rmflab.errors import ScaleError
 from rmflab.numtheory import segmented_factorize, sieve_primes, z_of_delta
 from rmflab.rmf_core import SignSource
+from rmflab import stein
 from rmflab.stein import (
+    _all_sign_values,
     _delta3,
     _delta4,
     _exact_t_p,
+    _large_primes,
+    _split_entries,
+    _subset_sums,
     _supports,
     decomposition_sides,
     conditional_moments_check,
@@ -314,3 +322,139 @@ def test_decomposition_sides_golden(x, y, seed, value):
     t = segmented_factorize(x, y)
     direct, closed = decomposition_sides(t, 0.5 * math.log(x / y), SignSource(seed))
     assert direct == closed == value
+
+
+def reference_decomposition_sides(table, z, signs, l_budget=12):
+    """decomposition_sides by literal enumeration: every subset A of L minus
+    p and every resampled sign pattern on A and p for the direct side, every
+    subset A and every member of N(p) for the closed side."""
+    supports = _supports(table)
+    large = _large_primes(supports, z)
+    l_size = len(large)
+    if l_size > l_budget:
+        raise ScaleError(f"|L| = {l_size} exceeds budget {l_budget}")
+    if l_size == 0:
+        return Fraction(0), Fraction(0)
+    index = {q: j for j, q in enumerate(large)}
+    entries = _split_entries(table, large)
+    coeffs = [math.prod(signs.sign(q) for q in sm) for sm, _ in entries]
+    masks = [m for _, m in entries]
+    x_bits = sum(1 << j for j, q in enumerate(large) if signs.sign(q) < 0)
+    f_of = _all_sign_values(masks, coeffs, l_size).tolist()
+
+    full = (1 << l_size) - 1
+    f_x = f_of[x_bits]
+
+    nus = [subset_weight(l_size, a) for a in range(l_size)]
+
+    direct = Fraction(0)
+    for j in range(l_size):
+        bit_p = 1 << j
+        rest = full & ~bit_p
+        a = rest
+        while True:  # all subsets A of L \ {p}, descending submask order
+            scope = a | bit_p
+            acc = 0
+            v = scope
+            while True:  # all resampled sign patterns on A union {p}
+                d1 = f_x - f_of[(x_bits & ~bit_p) | (v & bit_p)]
+                d2 = f_of[(x_bits & ~a) | (v & a)] - f_of[(x_bits & ~scope) | (v & scope)]
+                acc += d1 * d2
+                if v == 0:
+                    break
+                v = (v - 1) & scope
+            a_size = a.bit_count()
+            direct += nus[a_size] * Fraction(acc, 1 << (a_size + 1)) / 2
+            if a == 0:
+                break
+            a = (a - 1) & rest
+
+    closed = Fraction(0)
+    for j, p in enumerate(large):
+        members = supports[p]
+        mem_masks = [sum(1 << index[q] for q in qs if q > z) for _, qs in members]
+        rest = full & ~(1 << j)
+        a = rest
+        while True:
+            n_a = sum(1 for m in mem_masks if m & a == 0)
+            closed += nus[a.bit_count()] * n_a
+            if a == 0:
+                break
+            a = (a - 1) & rest
+        closed += _exact_t_p(members, signs, z)
+
+    return direct, closed
+
+
+@pytest.mark.parametrize("x", range(694, 707))
+def test_decomposition_sides_match_literal_enumeration(x):
+    # |L| runs from 8 to 11 across this window
+    t = segmented_factorize(x, 9)
+    z = 0.5 * math.log(x / 9)
+    for seed in (0, 5, 11):
+        signs = SignSource(seed)
+        assert decomposition_sides(t, z, signs) == reference_decomposition_sides(t, z, signs)
+
+
+@pytest.mark.parametrize("x, y, z, l_size", [
+    (3000, 8, 0.5 * math.log(3000 / 8), None),
+    (10, 10, 1e9, 0),   # no large prime
+    (10, 10, 17.0, 1),  # L = {19}
+    (10, 10, 13.0, 2),  # L = {17, 19}
+])
+def test_decomposition_sides_match_literal_enumeration_edges(x, y, z, l_size):
+    t = segmented_factorize(x, y)
+    if l_size is not None:
+        assert len(_large_primes(_supports(t), z)) == l_size
+    for seed in (0, 11):
+        signs = SignSource(seed)
+        assert decomposition_sides(t, z, signs) == reference_decomposition_sides(t, z, signs)
+
+
+def test_subset_sums_brute_force():
+    rng = random.Random(3)
+    for k in range(7):
+        n = 1 << k
+        v = np.array([[rng.randrange(-50, 50) for _ in range(n)] for _ in range(3)],
+                     dtype=np.int64)
+        expect = [[sum(int(row[d]) for d in range(n) if d & a == d) for a in range(n)]
+                  for row in v]
+        out = _subset_sums(v)
+        assert out is v  # in place
+        assert v.tolist() == expect
+
+
+def test_weight_identity_matches_per_term_sum():
+    for l in range(1, 41):
+        for w in range(1, l + 1):
+            per_term = sum(
+                (Fraction(1, l * math.comb(l - 1, k)) * math.comb(l - w, k)
+                 for k in range(l - w + 1)),
+                Fraction(0),
+            )
+            assert subset_weight_identity(l, w) == per_term == Fraction(1, w)
+
+
+def test_exchange_variance_memory_is_bounded_per_tile(monkeypatch):
+    # only the per-trial totals (8 bytes a trial) grow with the trial count;
+    # holding every trial's signs and member values at once peaks at about
+    # 73 MB here
+    t = segmented_factorize(200, 80)
+    trials = 500_000
+    tracemalloc.start()
+    try:
+        value = exchange_variance_monte_carlo(t, 3.0, trials, 99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * trials < 3 * stein._VAR_TILE_BYTES
+    monkeypatch.setattr(stein, "_VAR_TILE_BYTES", 1 << 40)  # one tile
+    assert value == exchange_variance_monte_carlo(t, 3.0, trials, 99)
+
+
+def test_exchange_variance_golden_values_in_small_tiles(monkeypatch):
+    monkeypatch.setattr(stein, "_VAR_TILE_BYTES", 1)  # 64-trial tiles
+    t = segmented_factorize(10**4, 400)
+    assert exchange_variance_monte_carlo(t, 0.5 * math.log(25), 2000, 5) == 4034.537993545384
+    t = segmented_factorize(200, 80)
+    assert exchange_variance_monte_carlo(t, 3.0, 200, 99) == 81.81304020100502
