@@ -19,18 +19,32 @@ _U64_LIMIT = 1 << 64
 # up to sqrt(x+y) in memory and the table holds about 4y int64 incidences.
 MAX_X_PLUS_Y = 10**15
 MAX_Y = 10**7
+# _factor_segment sorts each incidence as one int64 key
+# (index << P_BITS | prime) << E_BITS | exponent: a sieve prime is at most
+# isqrt(MAX_X_PLUS_Y) < P_MASK, an exponent at most log2(MAX_X_PLUS_Y)
+# < 2^E_BITS, and an index below MAX_Y <= 2^(63 - P_BITS - E_BITS).  A prime
+# cofactor is keyed with P_MASK, above every sieve prime, so it sorts last.
+P_BITS = 31
+E_BITS = 6
+P_MASK = (1 << P_BITS) - 1
 
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, by Eratosthenes."""
+    return _sieve(limit).tolist()
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """All primes <= limit as an ascending int64 array."""
     if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).tolist()
+        return np.zeros(0, dtype=np.int64)
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    is_prime[4::2] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if is_prime[p]:
+            is_prime[p * p :: 2 * p] = False
+    return np.flatnonzero(is_prime).astype(np.int64, copy=False)
 
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
@@ -128,47 +142,92 @@ class IntervalTable:
                 for i in np.flatnonzero(self.flags).tolist()]
 
 
+def _runs(first: np.ndarray, step: np.ndarray, count: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
+    """The arithmetic runs first[r] + j * step[r], 0 <= j < count[r], one
+    after another, written over out, which must hold np.repeat(step, count):
+    a running sum of the steps whose first term in each run jumps from the
+    previous run's last value."""
+    runs = np.flatnonzero(count)
+    ends = first[runs] + (count[runs] - 1) * step[runs]
+    out[(np.cumsum(count) - count)[runs]] = first[runs] - np.concatenate(([0], ends[:-1]))
+    return np.cumsum(out, out=out)
+
+
 def _factor_segment(lo: int, length: int) -> IntervalTable:
     """Factor every n in (lo, lo+length]; lo >= 0 allowed (n = 1 gets the
-    empty factorization and counts as square-free).  Every (index, sieve
-    prime) incidence is built at once and the primes are divided out of rem
-    one exponent round at a time; what is left above 1 is a prime > sqrt(hi)."""
+    empty factorization and counts as square-free).
+
+    No prime is divided out of the segment.  The incidences p | n of the
+    sieve primes are laid out prime-major, and round k >= 2 bumps the
+    exponent of each multiple of p^k, found in p's run by arithmetic; a
+    prime leaves once p^k has no multiple in the interval or p^(k+1) > hi.
+    n over the product of its sieve-prime powers is its cofactor, a prime
+    > sqrt(hi) where it exceeds 1.  Each incidence becomes one int64 key
+    (index, prime, exponent), built in place over the index buffer, and each
+    cofactor the key (index, P_MASK, 1); one in-place sort puts them in CSR
+    order."""
     hi = lo + length
-    sieve = np.array(sieve_primes(math.isqrt(hi)), dtype=np.int64)
+    sieve = _sieve(math.isqrt(hi))
     first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
     hits = (length - 1 - first) // sieve + 1
+    start = np.cumsum(hits) - hits  # where p's run begins
+    nnz = int(hits.sum())
     inc_p = np.repeat(sieve, hits)
-    inc_i = np.arange(inc_p.size) - np.repeat(np.cumsum(hits) - hits, hits)
-    inc_i *= inc_p
-    inc_i += np.repeat(first, hits)
-    rem = np.arange(lo + 1, hi + 1, dtype=np.int64)
-    inc_e = np.ones(inc_p.size, dtype=np.int8)
-    # ufunc.at applies every division: an n hit by several primes in one
-    # round would keep only one of them under rem[inc_i] //= inc_p
-    np.floor_divide.at(rem, inc_i, inc_p)
-    live = np.flatnonzero(rem[inc_i] % inc_p == 0)
-    while live.size:
-        inc_e[live] += 1
-        np.floor_divide.at(rem, inc_i[live], inc_p[live])
-        live = live[rem[inc_i[live]] % inc_p[live] == 0]
+    # the index buffer has room for one cofactor key per entry after it
+    keys = np.empty(nnz + length, dtype=np.int64)
+    inc_i = keys[:nnz]
+    inc_i[:] = inc_p
+    _runs(first, sieve, hits, inc_i)
+    inc_e = np.ones(nnz, dtype=np.int8)
+    prod = np.ones(length, dtype=np.int64)
+    np.multiply.at(prod, inc_i, inc_p)
     flags = np.ones(length, dtype=bool)
-    flags[inc_i[inc_e > 1]] = False
-    cof = np.flatnonzero(rem > 1)
-    idx = np.concatenate([inc_i, cof])
-    order = np.argsort(idx, kind="stable")
+    live = np.flatnonzero(hits)
+    p = sieve[live]
+    step, pk = p, p * p  # p^(k-1) is the gap in p's run between multiples of p^k
+    while live.size:
+        first_k = (lo // pk + 1) * pk - (lo + 1)
+        hits_k = (length - 1 - first_k) // pk + 1
+        at = _runs(start[live] + (first_k - first[live]) // p, step, hits_k,
+                   np.repeat(step, hits_k))
+        inc_e[at] += 1
+        np.multiply.at(prod, inc_i[at], inc_p[at])
+        flags[inc_i[at]] = False
+        keep = (hits_k > 0) & (pk <= hi // p)
+        live, p, step = live[keep], p[keep], pk[keep]
+        pk = step * p
+    rem = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    rem //= prod
+    del prod
+    has_cof = rem > 1
+    cof = np.flatnonzero(has_cof)
     offsets = np.zeros(length + 1, dtype=np.int64)
-    np.cumsum(np.bincount(idx, minlength=length), out=offsets[1:])
-    return IntervalTable(
-        lo, length, offsets, np.concatenate([inc_p, rem[cof]])[order],
-        np.concatenate([inc_e, np.ones(cof.size, dtype=np.int8)])[order], flags,
-    )
+    offsets[1:] = np.bincount(inc_i, minlength=length)
+    offsets[1:] += has_cof
+    np.cumsum(offsets, out=offsets)
+    inc_i <<= P_BITS
+    inc_i |= inc_p
+    inc_i <<= E_BITS
+    inc_i |= inc_e
+    del inc_p, inc_e
+    keys = keys[: nnz + cof.size]
+    keys[nnz:] = cof << P_BITS + E_BITS | P_MASK << E_BITS | 1
+    keys.sort()
+    exponents = keys.astype(np.int8)
+    exponents &= (1 << E_BITS) - 1
+    keys >>= E_BITS
+    keys &= P_MASK
+    keys[offsets[cof + 1] - 1] = rem[cof]  # a cofactor sorts last in its entry
+    return IntervalTable(lo, length, offsets, keys, exponents, flags)
 
 
 def segmented_factorize(x: int, y: int) -> IntervalTable:
     """Factor table for the interval (x, x+y].
 
-    Sieves primes up to sqrt(x+y) once, divides them out of the segment and
-    recovers any remaining prime cofactor exceeding sqrt(x+y).  Refuses
+    Sieves the primes up to sqrt(x+y) once, marks their multiples and
+    prime-power multiples in the segment, and takes what the sieve primes
+    leave of each n as its prime cofactor exceeding sqrt(x+y).  Refuses
     x+y > MAX_X_PLUS_Y or y > MAX_Y with ScaleError before allocating.
     """
     if x < 1:

@@ -68,3 +68,25 @@ def test_stein_checks_reach_the_traced_stein_layers(monkeypatch):
     assert out["weight_identity"]["ok"] and out["decomposition"]["equal"]
     assert calls["subset_weight_identity"] == 30 * 31 // 2
     assert calls["decomposition_sides"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--x", "10000", "--y", "100"],
+    ["simulate", "--x", "10000", "--y", "100", "--trials", "8"],
+    ["moments", "--x", "10000", "--y", "100"],
+    ["stein", "--x", "700", "--y", "9", "--var-trials", "8"],
+])
+def test_each_command_factors_its_interval_once(argv, monkeypatch, capsys):
+    # a traced pass is checked against the factor tables it saw (their S
+    # must be the sieve's), so each command the benchmark runs must factor
+    # its interval exactly once through harness.segmented_factorize
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return segmented_factorize(x, y)
+
+    monkeypatch.setattr(harness, "segmented_factorize", counted)
+    assert harness.main(argv) == 0
+    capsys.readouterr()
+    assert calls == [(int(argv[2]), int(argv[4]))]

@@ -1,15 +1,20 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmflab.errors import ScaleError
 from rmflab.numtheory import (
+    E_BITS,
     MAX_X_PLUS_Y,
     MAX_Y,
+    P_BITS,
+    P_MASK,
     IntervalTable,
     _factor_segment,
     _kernel_unchecked,
@@ -113,6 +118,113 @@ def test_table_golden_digest():
         repr((tuple(t.entries), tuple(map(bool, t.flags)))).encode()).hexdigest()
     assert digest == "bee41f73e8fe5c0578e5d4ff6918f23a481e3c5e280ce72d29ab0cfd2f82207b"
     assert t.squarefree_count == 6079
+
+
+def _reference_factor_segment(lo: int, length: int) -> IntervalTable:
+    """The argsort construction that the packed-key sort replaced, kept
+    verbatim as the oracle for _factor_segment."""
+    hi = lo + length
+    sieve = np.array(sieve_primes(math.isqrt(hi)), dtype=np.int64)
+    first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
+    hits = (length - 1 - first) // sieve + 1
+    inc_p = np.repeat(sieve, hits)
+    inc_i = np.arange(inc_p.size) - np.repeat(np.cumsum(hits) - hits, hits)
+    inc_i *= inc_p
+    inc_i += np.repeat(first, hits)
+    rem = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    inc_e = np.ones(inc_p.size, dtype=np.int8)
+    # ufunc.at applies every division: an n hit by several primes in one
+    # round would keep only one of them under rem[inc_i] //= inc_p
+    np.floor_divide.at(rem, inc_i, inc_p)
+    live = np.flatnonzero(rem[inc_i] % inc_p == 0)
+    while live.size:
+        inc_e[live] += 1
+        np.floor_divide.at(rem, inc_i[live], inc_p[live])
+        live = live[rem[inc_i[live]] % inc_p[live] == 0]
+    flags = np.ones(length, dtype=bool)
+    flags[inc_i[inc_e > 1]] = False
+    cof = np.flatnonzero(rem > 1)
+    idx = np.concatenate([inc_i, cof])
+    order = np.argsort(idx, kind="stable")
+    offsets = np.zeros(length + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=length), out=offsets[1:])
+    return IntervalTable(
+        lo, length, offsets, np.concatenate([inc_p, rem[cof]])[order],
+        np.concatenate([inc_e, np.ones(cof.size, dtype=np.int8)])[order], flags,
+    )
+
+
+def assert_same_arrays(got, want):
+    # (offsets, primes, exponents, flags), equal in value and in dtype
+    for name, a, b in zip(("offsets", "primes", "exponents", "flags"), got, want):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def table_arrays(t: IntervalTable):
+    return t.offsets, t.primes, t.exponents, t.flags
+
+
+def entry_slice(t: IntervalTable, a: int, b: int):
+    """The arrays of entries a..b-1 of t, as a table of just them would hold."""
+    lo, hi = t.offsets[a], t.offsets[b]
+    return t.offsets[a : b + 1] - lo, t.primes[lo:hi], t.exponents[lo:hi], t.flags[a:b]
+
+
+def test_sieve_primes_against_trial_division():
+    want = [n for n in range(2, 20_000) if trial_factorize(n) == [(n, 1)]]
+    assert sieve_primes(19_999) == want
+    assert sieve_primes(20_011)[-2:] == [19_997, 20_011]
+
+
+@pytest.mark.parametrize("lo, length", [
+    (0, 1), (0, 30), (3, 1), (700, 9),
+    (2**40 - 5000, 10_000),  # holds 2^40
+    (2**49 - 3000, 6000),    # exponent 49, the largest below 10^15
+    (10**10, 10**6),
+])
+def test_factor_segment_matches_reference(lo, length):
+    assert_same_arrays(table_arrays(_factor_segment(lo, length)),
+                       table_arrays(_reference_factor_segment(lo, length)))
+
+
+def test_factor_segment_matches_reference_at_the_scale_limit():
+    # cofactors reach 10^15 and the last indices fill the key's top bits;
+    # the reference runs on 5*10^4-entry slices, so it never holds 10^7
+    lo, length, width = 10**15 - 10**7, 10**7, 50_000
+    t = _factor_segment(lo, length)
+    assert t.primes.max() > 10**15 - 10**7
+    for a in (0, length // 2, length - width):
+        assert_same_arrays(entry_slice(t, a, a + width),
+                           table_arrays(_reference_factor_segment(lo + a, width)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**14), st.integers(min_value=1, max_value=2000))
+def test_factor_segment_matches_reference_sweep(lo, length):
+    assert_same_arrays(table_arrays(_factor_segment(lo, length)),
+                       table_arrays(_reference_factor_segment(lo, length)))
+
+
+def test_key_widths_cover_the_scale_limits():
+    # _factor_segment packs (index, prime, exponent) into one int64 key; a
+    # scale limit raised past these widths would corrupt tables silently.
+    # Sieve primes stay below P_MASK, the cofactor's sort key.
+    assert math.isqrt(MAX_X_PLUS_Y) < P_MASK < 2**P_BITS
+    assert MAX_Y <= 2 ** (63 - P_BITS - E_BITS)
+    assert math.log2(MAX_X_PLUS_Y) < 2**E_BITS
+
+
+def test_factor_segment_memory():
+    # the larger of the sweep benchmark's two intervals; the argsort
+    # construction peaked at 170 MiB here
+    tracemalloc.start()
+    try:
+        segmented_factorize(10**10, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 def test_squarefree_count_examples():
