@@ -3,10 +3,10 @@ Monte Carlo trials, aggregates moments and distances, evaluates every bound,
 and persists reports.
 
 Reproducibility contract: (config, master_seed) determines every byte of
-the emitted report files, independent of worker count.  Trials are split
-into fixed-size chunks regardless of workers and aggregated in trial-index
-order; wall-clock timings are printed to stderr and embedded in the JSON
-only on request (they are the one non-deterministic quantity).
+the emitted report files.  A trial's raw sum depends only on (master_seed,
+trial index), so no split of the trials among workers changes a byte.
+Wall-clock timings are printed to stderr and embedded in the JSON only on
+request (they are the one non-deterministic quantity).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .numtheory import IntervalTable, segmented_factorize, sieve_primes
 from .rmf_core import IntervalSampler, SignSource
 
 SCHEMA_VERSION = 1
-CHUNK = 4096
 # Most trials a run may ask for (simulate --trials, stein --var-trials); a
 # larger count is refused before the factor table is built.  At the cap a
 # simulate of (10^6, 10^6+10^3] writing json, csv and histogram peaks at
@@ -165,38 +164,38 @@ class ExperimentReport:
 _WORKER_STATE: dict = {}
 
 
-def _chunk_worker(args: tuple[int, int]) -> np.ndarray:
-    start, count = args
-    sampler: IntervalSampler = _WORKER_STATE["sampler"]
-    return sampler.raw_sums(start, count)
+def _range_worker(start: int, stop: int) -> np.ndarray:
+    return _WORKER_STATE["sampler"].raw_sums(start, stop - start)
 
 
 def _run_trials(table: IntervalTable, master_seed: int, trials: int,
                 workers: int) -> np.ndarray:
-    """Raw interval sums for trials 0..trials-1; identical output for any
-    worker count (fixed chunking, index-ordered concatenation)."""
+    """Raw interval sums for trials 0..trials-1, one sampler call per worker
+    over a contiguous range; a sum depends only on (seed, trial index)."""
     sampler = IntervalSampler(table, master_seed)
-    chunks = [(start, min(CHUNK, trials - start)) for start in range(0, trials, CHUNK)]
-    if workers == 1 or len(chunks) == 1:
-        parts = [sampler.raw_sums(s, c) for s, c in chunks]
-    else:
-        import multiprocessing
+    n = min(workers, trials)
+    if n == 1:
+        return sampler.raw_sums(0, trials)
+    import multiprocessing
 
-        _WORKER_STATE["sampler"] = sampler
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_chunk_worker, chunks)
-        _WORKER_STATE.clear()
+    cuts = [trials * i // n for i in range(n + 1)]
+    _WORKER_STATE["sampler"] = sampler
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(processes=n) as pool:
+        parts = pool.starmap(_range_worker, zip(cuts, cuts[1:]))
+    _WORKER_STATE.clear()
     return np.concatenate(parts)
 
 
-def _moment_block(w: np.ndarray) -> dict:
-    t = len(w)
-    powers = {k: w ** k for k in (1, 2, 3, 4)}
+def _moment_block(raw: np.ndarray, s: int) -> dict:
+    # each power of W's values (S - 2j) / sqrt(S) once, gathered by j: w ** k
+    lat = (s - 2 * np.arange(s + 1)) / math.sqrt(s) if s else np.zeros(1)
+    j = (s - raw) >> 1
+    powers = {k: (lat ** k)[j] for k in (1, 2, 3, 4)}
     moments = {f"m{k}": float(p.mean()) for k, p in powers.items()}
     # one trial has no standard error; null keeps the report strict JSON
     moments["se"] = {
-        f"m{k}": float(p.std(ddof=1) / math.sqrt(t)) if t > 1 else None
+        f"m{k}": float(p.std(ddof=1) / math.sqrt(len(raw))) if len(raw) > 1 else None
         for k, p in powers.items()
     }
     return moments
@@ -240,7 +239,7 @@ def run_simulate(config: ExperimentConfig) -> ExperimentReport:
     timing["trials"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    moments = _moment_block(w)
+    moments = _moment_block(raw, s)
 
     try:
         nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y)

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import ScaleError
 
 _U64_LIMIT = 1 << 64
-# Largest interval segmented_factorize accepts: the sieve holds the primes
-# up to sqrt(x+y) in memory and the table holds about 4y int64 incidences.
+# Largest interval segmented_factorize accepts.  At the limit, (10^15 - 10^7,
+# 10^7], building the table peaks at about 950 MiB (tracemalloc) and 3-4.5 s.
 MAX_X_PLUS_Y = 10**15
 MAX_Y = 10**7
 # _factor_segment sorts each incidence as one int64 key

@@ -94,8 +94,8 @@ def _xorshift30(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(30))
 
 
-# words of uint64 hash scratch per block (1 MiB)
-_TILE_WORDS = 1 << 17
+# words of uint64 hash scratch per block (512 KiB)
+_TILE_WORDS = 1 << 16
 # bytes of the (primes x trials) uint8 sign matrix of one default tile; a
 # tile is at least _MIN_TILE trials wide so that every gathered sign row is
 # worth copying
@@ -166,10 +166,10 @@ class IntervalSampler:
     bucket k is a (k, n_k) array of prime indices, one column per entry
     with k distinct prime factors.  For a tile of trials the sampler hashes
     a prime-major (P x T) matrix of sign bits, XORs the k gathered rows of
-    each bucket into the parity of X(n) = -1, and returns
-    S - 2 * (number of entries with X(n) = -1).  Cost per trial is linear in
-    P plus the number of (entry, prime) incidences.  The sign matrix is
-    that of trial_signs, hashed tile by tile.  A default tile is as many
+    each bucket into the parity of X(n) = -1, counts it in uint8 over blocks of
+    at most 255 rows and returns S - 2 * #{n : X(n) = -1}.  Cost per trial is
+    linear in P plus the number of (entry, prime) incidences.  The sign matrix
+    is that of trial_signs, hashed tile by tile.  A default tile is as many
     trials as fit a 2 MiB (P x T) uint8 sign matrix, and at least 64: about
     3300 trials at P = 636, about 300 at P = 7054.
     """
@@ -210,6 +210,7 @@ class IntervalSampler:
                 parity = signs[bucket[0]]
                 for row in bucket[1:]:
                     parity ^= signs[row]
-                n_neg += np.add.reduce(parity, axis=0, dtype=np.int64)
+                for b in range(0, len(parity), 255):
+                    n_neg += np.add.reduce(parity[b : b + 255], axis=0, dtype=np.uint8)
             out[off : off + t] = self.s_count - 2 * n_neg
         return out

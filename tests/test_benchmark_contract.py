@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmflab import harness, stein
+from rmflab import harness, rmf_core, stein
 from rmflab.numtheory import segmented_factorize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -90,3 +90,29 @@ def test_each_command_factors_its_interval_once(argv, monkeypatch, capsys):
     assert harness.main(argv) == 0
     capsys.readouterr()
     assert calls == [(int(argv[2]), int(argv[4]))]
+
+
+def test_one_raw_sums_call_per_run_at_one_worker(monkeypatch):
+    # spans._count_trials reads the trial count as args[2] of
+    # IntervalSampler.raw_sums, so the harness passes (start, count)
+    # positionally, once for all trials when it runs in one process
+    calls = []
+    original = rmf_core.IntervalSampler.raw_sums
+
+    def counted(*args, **kwargs):
+        calls.append((args[1:], kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rmf_core.IntervalSampler, "raw_sums", counted)
+    raw = harness._run_trials(segmented_factorize(2000, 150), 11, 10001, 1)
+    assert raw.shape == (10001,)
+    assert calls == [((0, 10001), {})]
+
+
+def test_traced_pass_counts_every_trial(capsys):
+    tracer = spans.Tracer()
+    with tracer.traced_pass():
+        assert harness.main(["simulate", "--x", "2000", "--y", "150",
+                             "--trials", "5000", "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert tracer.counts["rmf_core.trials"] == 5000

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab import quadruples as quad_mod
 from rmflab.errors import ScaleError
@@ -16,7 +18,9 @@ from rmflab.harness import (
     MAX_TRIALS,
     ExperimentConfig,
     ExperimentReport,
+    _moment_block,
     _read_w_csv,
+    _run_trials,
     emit,
     main,
     run_moments,
@@ -24,6 +28,7 @@ from rmflab.harness import (
     run_stein_checks,
 )
 from rmflab.numtheory import segmented_factorize
+from rmflab.rmf_core import IntervalSampler
 
 
 def small_config(trials=200, workers=1, **kw):
@@ -87,6 +92,56 @@ def test_simulate_deterministic_and_worker_independent():
     r4 = run_simulate(small_config(trials=500, workers=2))
     assert r1.dumps() == r2.dumps() == r4.dumps()
     assert np.array_equal(r1.w_values, r4.w_values)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 4097, 10001])
+def test_run_trials_same_for_any_worker_count(trials):
+    table = segmented_factorize(2000, 150)
+    one = _run_trials(table, 11, trials, 1)
+    assert one.dtype == np.int64
+    assert np.array_equal(one, IntervalSampler(table, 11).raw_sums(0, trials))
+    for workers in (2, 3):
+        assert np.array_equal(_run_trials(table, 11, trials, workers), one), workers
+
+
+def _reference_moment_block(w):
+    # the literal moments: one full-length w ** k pass per power
+    t = len(w)
+    powers = {k: w ** k for k in (1, 2, 3, 4)}
+    moments = {f"m{k}": float(p.mean()) for k, p in powers.items()}
+    moments["se"] = {
+        f"m{k}": float(p.std(ddof=1) / math.sqrt(t)) if t > 1 else None
+        for k, p in powers.items()
+    }
+    return moments
+
+
+def _moments_match_reference(x, y, trials, seed):
+    table = segmented_factorize(x, y)
+    s = table.squarefree_count
+    raw = IntervalSampler(table, seed).raw_sums(0, trials)
+    w = raw / math.sqrt(s) if s else raw.astype(float)
+    got = _moment_block(raw, s)
+    assert got == _reference_moment_block(w), (x, y, trials, seed)
+    return got
+
+
+@pytest.mark.parametrize("x,y,trials,seed", [
+    (47, 1, 5, 1),                # S = 0: W is all zeros
+    (2000, 150, 1, 3),            # one trial: every se is null
+    (10**6 + 123, 10**3, 10**5, 1),   # clt size
+    (10**10 + 1234, 10**4, 1000, 2),  # wide size
+])
+def test_moment_block_matches_w_powers(x, y, trials, seed):
+    got = _moments_match_reference(x, y, trials, seed)
+    assert (got["se"]["m1"] is None) == (trials == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.integers(1, 10**6), y=st.integers(1, 400), trials=st.integers(1, 300),
+       seed=st.integers(0, 2**64 - 1))
+def test_moment_block_matches_w_powers_sweep(x, y, trials, seed):
+    _moments_match_reference(x, y, trials, seed)
 
 
 def test_adding_trials_extends_stream():
@@ -402,7 +457,7 @@ def test_cli_moments_over_budget_exits_3_at_once(capsys, argv):
     ["stein", "--x", "100000", "--y", "100", "--var-trials", str(MAX_TRIALS + 1)],
 ])
 def test_cli_too_many_trials_exits_3_at_once(capsys, argv):
-    # refused before the factor table, the chunk list or the sign matrix
+    # refused before the factor table or the sign matrix
     t0 = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - t0 < 1.0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rmflab import rmf_core
 from rmflab.harness import ExperimentConfig, run_simulate
 from rmflab.numtheory import _factor_segment, segmented_factorize, sieve_primes
 from rmflab.rmf_core import (
@@ -167,9 +168,11 @@ def test_sampler_empty_interval_gives_zeros():
     assert out.dtype == np.int64 and out.tolist() == [0] * 5
 
 
-# tile widths around the 64-trial minimum, 2^17 // 633, a whole harness
-# chunk, and the default from the sign-matrix byte budget
-TILE_BATCHES = (1, 63, 64, 65, 207, 4096, None)
+# tile widths around the 64-trial minimum, 2^17 // 633 and 2^16 // 633 (the
+# widths at which one hash block holds 633 prime rows with the former 2^17-word
+# and the current 2^16-word scratch), 4096 (the former harness chunk), and the
+# default from the sign-matrix byte budget
+TILE_BATCHES = (1, 63, 64, 65, 207, 4096, None, 2**16 // 633)
 
 
 def test_sampler_golden_digest():
@@ -193,12 +196,29 @@ def test_sampler_tile_widths_match_scalar_path(x, y, seed):
     assert np.diff(t.offsets)[t.flags].max() >= 6
     start, count = 61, 333
     samp = IntervalSampler(t, seed)
+    if x == 10**10:
+        # parities are counted in uint8 over blocks of at most 255 rows; a
+        # bucket of more than 510 entries splits into at least three blocks
+        assert max(b.shape[1] for b in samp._buckets) > 510
     runs = [samp.raw_sums(start, count, batch=b) for b in TILE_BATCHES]
     for raw in runs[1:]:
         assert np.array_equal(raw, runs[0])
     root = SignSource(seed)
     for i in (0, 62, 63, 64, 65, 206, 207, 296, 297, count - 1):
         assert runs[0][i] == interval_sum(t, root.for_trial(start + i))
+
+
+def test_sampler_parity_counts_do_not_wrap(monkeypatch):
+    # with every sign -1, X(n) is the Moebius function and every entry of odd
+    # omega counts; at the wide size the omega = 3 bucket has 1930 entries,
+    # so a uint8 count over more than 255 rows would wrap
+    def all_minus(prime_half, trial_half, out, h, u):
+        out.fill(1)
+
+    monkeypatch.setattr(rmf_core, "_hash_sign_bits", all_minus)
+    t = segmented_factorize(10**10, 10**4)
+    mobius_sum = interval_sum(t, FixedSigns(neg=set(t.primes.tolist())))
+    assert IntervalSampler(t, 2).raw_sums(0, 5).tolist() == [mobius_sum] * 5
 
 
 def test_trial_signs_match_scalar_source():
@@ -214,7 +234,8 @@ def test_trial_signs_match_scalar_source():
 
 
 def test_trial_signs_match_scalar_source_across_hash_blocks():
-    # 303 primes by 1000 trials are hashed in three blocks of 131 prime rows
+    # 303 primes by 1000 trials are hashed in five blocks of 65 prime rows
+    # (2^16 words of scratch), the last one short
     primes = sieve_primes(2000)
     signs = trial_signs(primes, 5, 17, 1000)
     assert signs.dtype == np.int8
