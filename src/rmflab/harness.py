@@ -37,6 +37,10 @@ SCHEMA_VERSION = 1
 # simulate of (10^6, 10^6+10^3] writing json, csv and histogram peaks at
 # about 210 MB RSS, and the trial sign matrix grows with it.
 MAX_TRIALS = 10**6
+# Largest stein --identity-max-l; a larger value is refused before the factor
+# table is built.  The identity loop grows about as L^4.5: 0.005 s at the
+# default 30, 0.26 s at the cap and 5 s at 200.
+MAX_IDENTITY_L = 100
 HIST_BINS = 64
 HIST_RANGE = (-5.0, 5.0)
 
@@ -290,6 +294,9 @@ def run_stein_checks(config: ExperimentConfig, identity_max_l: int = 30,
     own result or the scale refusal that stopped it."""
     if identity_max_l < 1:
         raise ValueError(f"identity_max_l must be >= 1, got {identity_max_l}")
+    if identity_max_l > MAX_IDENTITY_L:
+        raise ScaleError(f"identity_max_l = {identity_max_l} exceeds "
+                         f"MAX_IDENTITY_L = {MAX_IDENTITY_L}")
     _check_trials(var_trials)
     cfg = config.resolved()
     table = segmented_factorize(cfg.x, cfg.y)

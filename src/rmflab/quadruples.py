@@ -42,6 +42,9 @@ from .numtheory import (
 )
 
 ORACLE_MAX_S = 400
+# Largest member whose square fits an int64: the numpy oracle's pair
+# kernels are at most the product of two members.
+ORACLE_INT64_MEMBER = math.isqrt((1 << 63) - 1)
 DEFAULT_BUDGET = 10**9
 # Rows per block of a level's expansion: bounds the enumeration's memory.
 BLOCK = 1 << 14
@@ -60,6 +63,10 @@ def oracle_count_square_quadruples(table: IntervalTable) -> int:
     interval by matching kernels of pairs: n1*n2*n3*n4 is a square iff
     kernel(n1, n2) == kernel(n3, n4).
 
+    The S x S pair kernels (a/g)(b/g), g = gcd(a, b), are built in int64 and
+    counted with np.unique while every member squared fits an int64
+    (x + y <= ORACLE_INT64_MEMBER); larger members take the scalar loop.
+
     Refuses S > ORACLE_MAX_S; exact counting at larger scale belongs to the
     parametrized enumeration.
     """
@@ -67,10 +74,23 @@ def oracle_count_square_quadruples(table: IntervalTable) -> int:
     s = len(members)
     if s > ORACLE_MAX_S:
         raise ScaleError(f"oracle limited to S <= {ORACLE_MAX_S}, got S = {s}")
-    return _oracle_count_members(members)
+    if members and members[-1] > ORACLE_INT64_MEMBER:
+        return _oracle_count_members(members)
+    return _oracle_count_array(members)
+
+
+def _oracle_count_array(members: list[int]) -> int:
+    """_oracle_count_members over int64 pair kernels, for members of at
+    most ORACLE_INT64_MEMBER."""
+    n = np.array(members, dtype=np.int64)
+    g = np.gcd.outer(n, n)
+    _, counts = np.unique((n[:, None] // g) * (n // g), return_counts=True)
+    return int((counts * counts).sum())
 
 
 def _oracle_count_members(members: list[int]) -> int:
+    """The pair-kernel count over any list of square-free members, one
+    Python-int kernel per ordered pair."""
     counts: dict[int, int] = {}
     for a in members:
         for b in members:

@@ -20,8 +20,11 @@ evaluated in one place (_t_p): exactly for a given sign source, and for the
 exchange variance over a whole matrix of trial signs at once.
 
 Identity checks run in exact rational arithmetic (fractions.Fraction);
-exhaustive sign-vector averages run as integer Walsh-Hadamard transforms,
-which evaluate f at ALL 2^k sign vectors in O(k 2^k) exactly.  Both sides of
+exhaustive sign-vector averages run as integer Walsh-Hadamard transforms.
+The conditional-moment check evaluates f at ALL 2^k sign vectors in
+O(k 2^k) exactly; E|Delta_p f|^3 depends on the signs only through the
+parities of the members of N(p), so its average runs over the 2^r points of
+their image, r the GF(2) rank of the members' prime masks.  Both sides of
 the conditional decomposition are integer subset-sum (zeta) transforms over
 the bits of L, summed by subset size, so only O(|L|) Fractions are formed;
 the subset-weight identity sums integers over one common denominator.
@@ -132,10 +135,39 @@ def _delta4(members: list[_Member]) -> int:
     return 8 * _oracle_count_members([k for k, _ in members])
 
 
+def _span_coordinates(masks: list[int]) -> tuple[list[int], int]:
+    """Coordinates of each mask over a GF(2) basis of their span (the first
+    masks that are independent of those before them), and the rank r."""
+    pivot: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, coordinates)
+    coords = []
+    for m in masks:
+        v, c = m, 0
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivot:
+                break
+            pv, pc = pivot[top]
+            v ^= pv
+            c ^= pc
+        if v:  # m is basis element len(pivot); v = m ^ (basis elements in c)
+            bit = 1 << len(pivot)
+            pivot[top] = (v, c ^ bit)
+            c = bit
+        coords.append(c)
+    return coords, len(pivot)
+
+
 def _delta3(p: int, members: list[_Member], prime_budget: int) -> float:
     """Exact E|Delta_p f|^3 = 4 * E|sum_{k in N(p)} X(k)|^3 by exhaustive
     sign-vector enumeration.  The factor 4 is E|X(p) - X'(p)|^3: the
     difference takes values -2, 0, 2 with probabilities 1/4, 1/2, 1/4.
+
+    The sum sees the signs of the k distinct primes of N(p) only through
+    the members' parities, r = rank of their prime masks independent linear
+    forms over GF(2).  Each point of their image is hit by 2^(k-r) sign
+    vectors, so the average runs over the 2^r values of the sum in the
+    members' coordinates on a basis of their span.  The budget still counts
+    the k distinct primes.
 
     The result is a dyadic rational represented exactly in a float."""
     primes = sorted({q for _, qs in members for q in qs})
@@ -145,11 +177,10 @@ def _delta3(p: int, members: list[_Member], prime_budget: int) -> float:
         )
     index = {q: j for j, q in enumerate(primes)}
     k = len(primes)
-    masks = [sum(1 << index[q] for q in qs) for _, qs in members]
-    v = _all_sign_values(masks, [1] * len(masks), k)
-    a = np.abs(v)
+    coords, r = _span_coordinates([sum(1 << index[q] for q in qs) for _, qs in members])
+    a = np.abs(_all_sign_values(coords, [1] * len(coords), r))
     third = int((a * a * a).sum())
-    return 4 * third / float(1 << k)
+    return 4 * (third << (k - r)) / float(1 << k)
 
 
 # ---------------------------------------------------------------------------

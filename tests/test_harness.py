@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from rmflab import quadruples as quad_mod
 from rmflab.errors import ScaleError
 from rmflab.harness import (
+    MAX_IDENTITY_L,
     MAX_TRIALS,
     ExperimentConfig,
     ExperimentReport,
@@ -469,3 +470,22 @@ def test_cli_too_many_trials_exits_3_at_once(capsys, argv):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_cli_identity_max_l_above_the_cap_exits_3_at_once(capsys, monkeypatch):
+    # refused before the factor table or the identity loop
+    def no_table(*_args):
+        raise AssertionError("factor table built")
+
+    monkeypatch.setattr("rmflab.harness.segmented_factorize", no_table)
+    t0 = time.perf_counter()
+    assert main(["stein", "--x", "100000", "--y", "100", "--identity-max-l", "1000000"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert _one_line_error(capsys).startswith("scale error:")
+    assert main(["stein", "--x", "700", "--y", "9",
+                 "--identity-max-l", str(MAX_IDENTITY_L + 1)]) == 3
+
+
+def test_identity_max_l_at_the_cap_runs():
+    out = run_stein_checks(ExperimentConfig(x=700, y=9), MAX_IDENTITY_L, var_trials=2)
+    assert out["weight_identity"] == {"max_l": MAX_IDENTITY_L, "ok": True}

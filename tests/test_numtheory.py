@@ -188,6 +188,7 @@ def test_factor_segment_matches_reference(lo, length):
                        table_arrays(_reference_factor_segment(lo, length)))
 
 
+@pytest.mark.slow
 def test_factor_segment_matches_reference_at_the_scale_limit():
     # cofactors reach 10^15 and the last indices fill the key's top bits;
     # the reference runs on 5*10^4-entry slices, so it never holds 10^7

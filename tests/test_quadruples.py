@@ -8,10 +8,13 @@ import pytest
 from rmflab import quadruples
 from rmflab.errors import ContractViolation, ScaleError
 from rmflab.bounds import nondiagonal_bound
-from rmflab.numtheory import _kernel_unchecked, segmented_factorize
+from rmflab.numtheory import _kernel_unchecked, segmented_factorize, squarefree_flags
 from rmflab.quadruples import (
+    ORACLE_INT64_MEMBER,
+    ORACLE_MAX_S,
     QuadrupleParam,
     _expand,
+    _oracle_count_array,
     _oracle_count_members,
     diagonal_count,
     nondiagonal_quadruples,
@@ -215,6 +218,7 @@ def test_oracle_order_invariance():
         shuffled = members[:]
         rnd.shuffle(shuffled)
         assert _oracle_count_members(shuffled) == base
+        assert _oracle_count_array(shuffled) == base
 
 
 def test_nondiagonal_bound_holds():
@@ -249,3 +253,48 @@ def test_quadruple_param_check_rejects_bad_params():
         QuadrupleParam(2, 2, 4, 2, 1, 1).check(10, 10)  # gcd(r, s) != 1
     with pytest.raises(ContractViolation):
         QuadrupleParam(11, 11, 1, 1, 1, 1).check(200, 20)  # 121 outside interval
+
+
+def took_scalar_loop(monkeypatch, table):
+    """Whether the oracle took the scalar loop; its count is checked against
+    the scalar loop either way."""
+    scalar = []
+
+    def spy(members):
+        scalar.append(len(members))
+        return _oracle_count_members(members)
+
+    monkeypatch.setattr(quadruples, "_oracle_count_members", spy)
+    got = oracle_count_square_quadruples(table)
+    monkeypatch.undo()
+    assert got == _oracle_count_members(table.squarefree_values())
+    return bool(scalar)
+
+
+def interval_with_s(x, s):
+    """(x, x + y] with y the offset of the s-th square-free entry past x."""
+    flags = np.frombuffer(squarefree_flags(x, 4 * s), dtype=np.bool_)
+    return segmented_factorize(x, int(np.flatnonzero(flags)[s - 1]) + 1)
+
+
+def test_numpy_oracle_matches_scalar_loop_up_to_max_s(monkeypatch):
+    for t in (segmented_factorize(47, 1), segmented_factorize(12, 1),
+              interval_with_s(10**5, ORACLE_MAX_S), interval_with_s(10**9, ORACLE_MAX_S)):
+        assert t.squarefree_count in (0, 1, ORACLE_MAX_S)
+        assert not took_scalar_loop(monkeypatch, t)
+
+
+def test_oracle_int64_guard(monkeypatch):
+    assert ORACLE_INT64_MEMBER ** 2 < 2**63 <= (ORACLE_INT64_MEMBER + 1) ** 2
+    # x + y just below and just above the guard
+    below = segmented_factorize(ORACLE_INT64_MEMBER - 300, 300)
+    above = segmented_factorize(ORACLE_INT64_MEMBER - 150, 300)
+    assert below.squarefree_values()[-1] <= ORACLE_INT64_MEMBER < above.squarefree_values()[-1]
+    assert not took_scalar_loop(monkeypatch, below)
+    assert took_scalar_loop(monkeypatch, above)
+
+
+def test_oracle_at_a_trillion_takes_the_scalar_loop(monkeypatch):
+    t = segmented_factorize(10**12, 600)
+    assert 0 < t.squarefree_count <= ORACLE_MAX_S
+    assert took_scalar_loop(monkeypatch, t)

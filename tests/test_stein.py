@@ -1,10 +1,13 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab.errors import ScaleError
 from rmflab.numtheory import segmented_factorize, sieve_primes, z_of_delta
@@ -16,6 +19,7 @@ from rmflab.stein import (
     _delta4,
     _exact_t_p,
     _large_primes,
+    _span_coordinates,
     _split_entries,
     _subset_sums,
     _supports,
@@ -458,3 +462,95 @@ def test_exchange_variance_golden_values_in_small_tiles(monkeypatch):
     assert exchange_variance_monte_carlo(t, 0.5 * math.log(25), 2000, 5) == 4034.537993545384
     t = segmented_factorize(200, 80)
     assert exchange_variance_monte_carlo(t, 3.0, 200, 99) == 81.81304020100502
+
+
+def _reference_delta3(p, members, prime_budget):
+    """_delta3 as a Walsh-Hadamard transform over all 2^k sign vectors of
+    the k distinct primes of N(p)."""
+    primes = sorted({q for _, qs in members for q in qs})
+    if len(primes) > prime_budget:
+        raise ScaleError(
+            f"{len(primes)} distinct primes in N({p}) exceeds budget {prime_budget}"
+        )
+    index = {q: j for j, q in enumerate(primes)}
+    k = len(primes)
+    masks = [sum(1 << index[q] for q in qs) for _, qs in members]
+    v = _all_sign_values(masks, [1] * len(masks), k)
+    a = np.abs(v)
+    third = int((a * a * a).sum())
+    return 4 * third / float(1 << k)
+
+
+def assert_delta3_matches_reference(p, ms, prime_budget=20):
+    try:
+        want = _reference_delta3(p, ms, prime_budget)
+    except ScaleError as e:
+        with pytest.raises(ScaleError, match=re.escape(str(e))):
+            _delta3(p, ms, prime_budget)
+        return False
+    assert _delta3(p, ms, prime_budget).hex() == want.hex(), p
+    return True
+
+
+def delta3_within_budget(x, y):
+    """Checks every large prime at the z a stein run uses; whether each was
+    within the budget."""
+    supports = _supports(segmented_factorize(x, y))
+    return [assert_delta3_matches_reference(p, supports[p])
+            for p in _large_primes(supports, z_of_delta(y / x))]
+
+
+@pytest.mark.parametrize("x", range(10**5 + 15, 10**5 + 30))
+def test_delta3_matches_full_transform_on_benchmark_window(x):
+    assert all(delta3_within_budget(x, 100))
+
+
+@pytest.mark.parametrize("x, y, refusals", [(10**5, 100, False), (10**6, 300, True),
+                                            (700, 9, False), (3000, 8, False),
+                                            (100020, 100, False)])
+def test_delta3_matches_full_transform(x, y, refusals):
+    within = delta3_within_budget(x, y)
+    assert any(within)
+    assert (not all(within)) == refusals
+
+
+_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from(_POOL)), max_size=14, unique=True),
+       st.sampled_from((0, 3, 6, 20)))
+def test_delta3_matches_full_transform_on_random_supports(prime_sets, budget):
+    ms = [(math.prod(qs), tuple(sorted(qs))) for qs in prime_sets]
+    assert_delta3_matches_reference(31, ms, budget)
+
+
+def test_delta3_degenerate_supports():
+    assert _delta3(7, [], 20) == _reference_delta3(7, [], 20) == 0.0
+    one = [(1, ())]  # k = 1: mask 0, rank 0
+    assert _span_coordinates([0]) == ([0], 0)
+    assert _delta3(7, one, 20).hex() == _reference_delta3(7, one, 20).hex() == (4.0).hex()
+    for ms in ([(1, ()), (2, (2,))],
+               [(6, (2, 3)), (15, (3, 5)), (10, (2, 5))],  # 6 * 15 * 10 is a square
+               [(1, ()), (6, (2, 3)), (35, (5, 7)), (210, (2, 3, 5, 7)), (3, (3,))]):
+        masks = [sum(1 << j for j, q in enumerate(_POOL) if q in qs) for _, qs in ms]
+        assert _span_coordinates(masks)[1] < len(ms)
+        assert _delta3(7, ms, 20).hex() == _reference_delta3(7, ms, 20).hex()
+
+
+def test_span_coordinates_reconstruct_the_masks():
+    rng = random.Random(4)
+    for _ in range(200):
+        masks = [rng.randrange(1 << 8) for _ in range(rng.randrange(12))]
+        coords, rank = _span_coordinates(masks)
+        basis = []
+        for m, c in zip(masks, coords):
+            if c == 1 << len(basis):
+                basis.append(m)
+        assert len(basis) == rank
+        for m, c in zip(masks, coords):
+            acc = 0
+            for j, b in enumerate(basis):
+                if c >> j & 1:
+                    acc ^= b
+            assert acc == m
