@@ -16,17 +16,24 @@ from .errors import ScaleError
 
 _U64_LIMIT = 1 << 64
 # Largest interval segmented_factorize accepts.  At the limit, (10^15 - 10^7,
-# 10^7], building the table peaks at about 950 MiB (tracemalloc) and 3-4.5 s.
+# 10^7], the table is built in six blocks and peaks at about 650 MiB
+# (tracemalloc) and 2-4 s.
 MAX_X_PLUS_Y = 10**15
 MAX_Y = 10**7
 # _factor_segment sorts each incidence as one int64 key
 # (index << P_BITS | prime) << E_BITS | exponent: a sieve prime is at most
 # isqrt(MAX_X_PLUS_Y) < P_MASK, an exponent at most log2(MAX_X_PLUS_Y)
-# < 2^E_BITS, and an index below MAX_Y <= 2^(63 - P_BITS - E_BITS).  A prime
-# cofactor is keyed with P_MASK, above every sieve prime, so it sorts last.
+# < 2^E_BITS, and an index within its block below MAX_Y <= 2^(63 - P_BITS -
+# E_BITS).  A prime cofactor is keyed with P_MASK, above every sieve prime, so
+# it sorts last.
 P_BITS = 31
 E_BITS = 6
 P_MASK = (1 << P_BITS) - 1
+# Fewest entries per block of _factor_segment.  A block is also at least as
+# long as the sieve, since each block touches every sieve prime: at the limit,
+# 2^17-entry blocks took 4.6 s of CPU against 2.2 s for blocks of 1,951,957
+# entries, one per sieve prime (2 shared vCPUs).
+MIN_BLOCK = 1 << 17
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -158,54 +165,104 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     """Factor every n in (lo, lo+length]; lo >= 0 allowed (n = 1 gets the
     empty factorization and counts as square-free).
 
-    No prime is divided out of the segment.  The incidences p | n of the
-    sieve primes are laid out prime-major, and round k >= 2 bumps the
-    exponent of each multiple of p^k, found in p's run by arithmetic; a
-    prime leaves once p^k has no multiple in the interval or p^(k+1) > hi.
-    n over the product of its sieve-prime powers is its cofactor, a prime
-    > sqrt(hi) where it exceeds 1.  Each incidence becomes one int64 key
-    (index, prime, exponent), built in place over the index buffer, and each
-    cofactor the key (index, P_MASK, 1); one in-place sort puts them in CSR
-    order."""
+    The primes up to sqrt(hi) are sieved once, and their hit counts size the
+    output: primes and exponents get room for every incidence plus one
+    cofactor per entry.  _factor_block then factors blocks of
+    max(MIN_BLOCK, number of sieve primes) entries, each into its slice of
+    the output, so the temporaries grow with the block and not with the
+    interval; an interval of one block runs the loop once.  A block touches
+    every sieve prime, but without a division: from one block to the next,
+    each prime's first multiple and hit count move by its quotient and
+    remainder of the block length.  The prime powers p^k <= hi, k >= 2, that
+    raise exponents are listed once, for the primes whose square has a
+    multiple in the interval.  The returned primes and exponents are views
+    of the output buffers, whose unused cofactor room is never written."""
     hi = lo + length
     sieve = _sieve(math.isqrt(hi))
     first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
-    hits = (length - 1 - first) // sieve + 1
+    left = (length - 1 - first) // sieve + 1  # multiples not yet placed
+    # each power p^k <= hi, k >= 2, of a prime whose square has a multiple in
+    # the interval, with the index of p
+    j = np.flatnonzero(hi // sieve**2 > lo // sieve**2)
+    pk = sieve[j] ** 2
+    power_j, power = [j], [pk]
+    while j.size:
+        more = pk <= hi // sieve[j]
+        j = j[more]
+        pk = pk[more] * sieve[j]
+        power_j.append(j)
+        power.append(pk)
+    power_j, power = np.concatenate(power_j), np.concatenate(power)
+    primes = np.empty(int(left.sum()) + length, dtype=np.int64)
+    exponents = np.empty(primes.size, dtype=np.int8)
+    offsets = np.zeros(length + 1, dtype=np.int64)
+    flags = np.ones(length, dtype=bool)
+    block = max(MIN_BLOCK, sieve.size)
+    quot, rest = np.divmod(block, sieve)
+    pos = 0
+    for a in range(0, length, block):
+        b = min(a + block, length)
+        wrap = first < rest  # a full block holds quot + 1 multiples of p
+        hits = np.minimum(quot + wrap, left)
+        left -= hits
+        ends = offsets[a + 1 : b + 1]
+        _factor_block(lo + a, b - a, sieve, first, hits, power_j, power,
+                      primes[pos:], exponents[pos:], ends, flags[a:b])
+        ends += pos
+        pos = int(ends[-1])
+        first -= rest
+        first[wrap] += sieve[wrap]
+    return IntervalTable(lo, length, offsets, primes[:pos], exponents[:pos], flags)
+
+
+def _factor_block(lo: int, length: int, sieve: np.ndarray, first: np.ndarray,
+                  hits: np.ndarray, power_j: np.ndarray, power: np.ndarray,
+                  keys: np.ndarray, exponents: np.ndarray, ends: np.ndarray,
+                  flags: np.ndarray) -> None:
+    """Factor every n in (lo, lo+length] into the fronts of keys (primes)
+    and exponents.  ends gets each entry's end offset there, and flags (True
+    on entry) is cleared where n is not square-free.  first[j] is the index
+    of the first multiple of sieve[j] in the block, hits[j] their number,
+    and power holds every prime power p^k, k >= 2, that may divide some n,
+    with power_j the index of p.
+
+    No prime is divided out of the block.  The incidences p | n of the
+    sieve primes are laid out prime-major, and each multiple of a power p^k
+    adds one to the exponent of its incidence of p, found in p's run by
+    arithmetic, for all the powers at once.  n over the product of its
+    sieve-prime powers is its cofactor, a prime > sqrt(hi) where it exceeds
+    1.  Each incidence becomes one int64 key (index, prime, exponent), built
+    in place over the index buffer at the front of keys, and each cofactor
+    the key (index, P_MASK, 1); one in-place sort puts them in CSR order."""
+    hi = lo + length
     start = np.cumsum(hits) - hits  # where p's run begins
     nnz = int(hits.sum())
     inc_p = np.repeat(sieve, hits)
-    # the index buffer has room for one cofactor key per entry after it
-    keys = np.empty(nnz + length, dtype=np.int64)
     inc_i = keys[:nnz]
     inc_i[:] = inc_p
     _runs(first, sieve, hits, inc_i)
     inc_e = np.ones(nnz, dtype=np.int8)
     prod = np.ones(length, dtype=np.int64)
     np.multiply.at(prod, inc_i, inc_p)
-    flags = np.ones(length, dtype=bool)
-    live = np.flatnonzero(hits)
-    p = sieve[live]
-    step, pk = p, p * p  # p^(k-1) is the gap in p's run between multiples of p^k
-    while live.size:
-        first_k = (lo // pk + 1) * pk - (lo + 1)
-        hits_k = (length - 1 - first_k) // pk + 1
-        at = _runs(start[live] + (first_k - first[live]) // p, step, hits_k,
-                   np.repeat(step, hits_k))
-        inc_e[at] += 1
-        np.multiply.at(prod, inc_i[at], inc_p[at])
-        flags[inc_i[at]] = False
-        keep = (hits_k > 0) & (pk <= hi // p)
-        live, p, step = live[keep], p[keep], pk[keep]
-        pk = step * p
+    p = sieve[power_j]
+    first_k = (lo // power + 1) * power - (lo + 1)
+    hits_k = (length - 1 - first_k) // power + 1
+    step = power // p  # p^(k-1) is the gap in p's run between multiples of p^k
+    at = _runs(start[power_j] + (first_k - first[power_j]) // p, step, hits_k,
+               np.repeat(step, hits_k))
+    # at repeats an incidence once per power dividing it; an int8 one keeps
+    # np.add.at on its fast path
+    np.add.at(inc_e, at, np.int8(1))
+    np.multiply.at(prod, inc_i[at], inc_p[at])
+    flags[inc_i[at]] = False
     rem = np.arange(lo + 1, hi + 1, dtype=np.int64)
     rem //= prod
     del prod
     has_cof = rem > 1
     cof = np.flatnonzero(has_cof)
-    offsets = np.zeros(length + 1, dtype=np.int64)
-    offsets[1:] = np.bincount(inc_i, minlength=length)
-    offsets[1:] += has_cof
-    np.cumsum(offsets, out=offsets)
+    ends[:] = np.bincount(inc_i, minlength=length)
+    ends += has_cof
+    np.cumsum(ends, out=ends)
     inc_i <<= P_BITS
     inc_i |= inc_p
     inc_i <<= E_BITS
@@ -214,21 +271,24 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     keys = keys[: nnz + cof.size]
     keys[nnz:] = cof << P_BITS + E_BITS | P_MASK << E_BITS | 1
     keys.sort()
-    exponents = keys.astype(np.int8)
+    exponents = exponents[: keys.size]
+    exponents[:] = keys
     exponents &= (1 << E_BITS) - 1
     keys >>= E_BITS
     keys &= P_MASK
-    keys[offsets[cof + 1] - 1] = rem[cof]  # a cofactor sorts last in its entry
-    return IntervalTable(lo, length, offsets, keys, exponents, flags)
+    keys[ends[cof] - 1] = rem[cof]  # a cofactor sorts last in its entry
 
 
 def segmented_factorize(x: int, y: int) -> IntervalTable:
     """Factor table for the interval (x, x+y].
 
-    Sieves the primes up to sqrt(x+y) once, marks their multiples and
-    prime-power multiples in the segment, and takes what the sieve primes
-    leave of each n as its prime cofactor exceeding sqrt(x+y).  Refuses
-    x+y > MAX_X_PLUS_Y or y > MAX_Y with ScaleError before allocating.
+    Sieves the primes up to sqrt(x+y) once, then, block by block, marks
+    their multiples and prime-power multiples and takes what the sieve
+    primes leave of each n as its prime cofactor exceeding sqrt(x+y); each
+    block writes its slice of the table's arrays, and temporaries are sized
+    by the block (at least 2^17 entries and one per sieve prime), not by y.
+    Refuses x+y > MAX_X_PLUS_Y or y > MAX_Y with ScaleError before
+    allocating.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -248,17 +308,20 @@ def check_scale(x: int, y: int) -> None:
 
 
 def squarefree_flags(x: int, y: int) -> bytearray:
-    """Square-free flags for (x, x+y] without full factorizations;
-    index i corresponds to n = x + 1 + i."""
-    hi = x + y
-    first = x + 1
-    flags = bytearray([1]) * y
-    for p in sieve_primes(math.isqrt(hi)):
-        sq = p * p
-        start = ((x // sq) + 1) * sq
-        for m in range(start, hi + 1, sq):
-            flags[m - first] = 0
-    return flags
+    """Square-free flags for (x, x+y] from a sieve of prime squares, without
+    factorizations; index i corresponds to n = x + 1 + i.  A square of at
+    most y clears its multiples by a strided slice; a larger one has at most
+    one multiple in the interval, and those are cleared by one index.
+    Refuses what check_scale refuses."""
+    check_scale(x, y)
+    flags = np.ones(y, dtype=np.uint8)
+    squares = _sieve(math.isqrt(x + y)) ** 2
+    few = int(np.searchsorted(squares, y, side="right"))
+    for sq in squares[:few].tolist():
+        flags[-(x + 1) % sq :: sq] = 0
+    at = (x // squares[few:] + 1) * squares[few:] - (x + 1)
+    flags[at[at < y]] = 0
+    return bytearray(flags)
 
 
 def _kernel_unchecked(a: int, b: int) -> int:

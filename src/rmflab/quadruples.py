@@ -42,9 +42,10 @@ from .numtheory import (
 )
 
 ORACLE_MAX_S = 400
-# Largest member whose square fits an int64: the numpy oracle's pair
-# kernels are at most the product of two members.
-ORACLE_INT64_MEMBER = math.isqrt((1 << 63) - 1)
+# The numpy oracle splits each pair kernel's factors a/g, b/g < 2^(2*LIMB)
+# (members are at most MAX_X_PLUS_Y < 2^50) into LIMB-bit limbs, so that
+# every partial product fits an int64.
+LIMB = 25
 DEFAULT_BUDGET = 10**9
 # Rows per block of a level's expansion: bounds the enumeration's memory.
 BLOCK = 1 << 14
@@ -63,9 +64,9 @@ def oracle_count_square_quadruples(table: IntervalTable) -> int:
     interval by matching kernels of pairs: n1*n2*n3*n4 is a square iff
     kernel(n1, n2) == kernel(n3, n4).
 
-    The S x S pair kernels (a/g)(b/g), g = gcd(a, b), are built in int64 and
-    counted with np.unique while every member squared fits an int64
-    (x + y <= ORACLE_INT64_MEMBER); larger members take the scalar loop.
+    The S x S pair kernels (a/g)(b/g), g = gcd(a, b), exceed an int64 once
+    members pass 2^31.5, so each is built exactly as two int64 words and the
+    equal ones are counted by sorting on both.
 
     Refuses S > ORACLE_MAX_S; exact counting at larger scale belongs to the
     parametrized enumeration.
@@ -74,18 +75,33 @@ def oracle_count_square_quadruples(table: IntervalTable) -> int:
     s = len(members)
     if s > ORACLE_MAX_S:
         raise ScaleError(f"oracle limited to S <= {ORACLE_MAX_S}, got S = {s}")
-    if members and members[-1] > ORACLE_INT64_MEMBER:
-        return _oracle_count_members(members)
     return _oracle_count_array(members)
 
 
 def _oracle_count_array(members: list[int]) -> int:
-    """_oracle_count_members over int64 pair kernels, for members of at
-    most ORACLE_INT64_MEMBER."""
+    """_oracle_count_members over numpy pair kernels, for distinct members
+    below 2^(2*LIMB).  Only the pairs a < b are built: (a, b) and (b, a) share a
+    kernel, and kernel 1 belongs to the S pairs (a, a) alone, so the count
+    is S^2 plus 4 d^2 for each kernel of d pairs a < b.  A kernel is held as
+    high * 2^(2*LIMB) + low, 0 <= low < 2^(2*LIMB), from the LIMB-bit limbs
+    of u = a/g and v = b/g."""
     n = np.array(members, dtype=np.int64)
-    g = np.gcd.outer(n, n)
-    _, counts = np.unique((n[:, None] // g) * (n // g), return_counts=True)
-    return int((counts * counts).sum())
+    i, j = np.triu_indices(n.size, 1)
+    a, b = n[i], n[j]
+    g = np.gcd(a, b)
+    u, v = a // g, b // g
+    mask = (1 << LIMB) - 1
+    u1, u0, v1, v0 = u >> LIMB, u & mask, v >> LIMB, v & mask
+    mid = u1 * v0 + u0 * v1
+    low = u0 * v0 + ((mid & mask) << LIMB)
+    high = u1 * v1 + (mid >> LIMB) + (low >> 2 * LIMB)
+    low &= (1 << 2 * LIMB) - 1
+    order = np.argsort(low)
+    order = order[np.argsort(high[order], kind="stable")]
+    high, low = high[order], low[order]
+    cuts = np.flatnonzero((high[1:] != high[:-1]) | (low[1:] != low[:-1])) + 1
+    d = np.diff(cuts, prepend=0, append=high.size)
+    return n.size**2 + 4 * int((d * d).sum())
 
 
 def _oracle_count_members(members: list[int]) -> int:
@@ -162,15 +178,17 @@ def param_of_quadruple(n1: int, n2: int, n3: int, n4: int) -> QuadrupleParam:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("budget", "charged")
 
     def __init__(self, budget: int):
-        self.left = budget
+        self.budget = budget
+        self.charged = 0
 
     def spend(self, amount: int) -> None:
-        self.left -= amount
-        if self.left < 0:
-            raise ScaleError("enumeration budget exceeded")
+        self.charged += amount
+        if self.charged > self.budget:
+            raise ScaleError(f"enumeration budget of {self.budget} candidate rows exceeded: "
+                             f"{self.charged} charged")
 
 
 def _expand(width: np.ndarray):

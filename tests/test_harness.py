@@ -199,6 +199,17 @@ def test_simulate_reports_a_refused_enumeration(monkeypatch):
     assert json.loads(report.dumps())["exact"] == report.exact
 
 
+def test_simulate_reports_the_budget_and_the_rows_charged(monkeypatch):
+    # (2000, 2150]: m = 14 and m^2 <= 2150, so the enumeration runs; its
+    # first level, A in [14, 2150 // 14], charges 140 candidate rows
+    enumerate_ = quad_mod.param_enumerate_nondiagonal
+    monkeypatch.setattr(quad_mod, "param_enumerate_nondiagonal",
+                        lambda x, y: enumerate_(x, y, budget=10))
+    report = run_simulate(small_config(trials=10))
+    assert report.exact == {
+        "skipped": "enumeration budget of 10 candidate rows exceeded: 140 charged"}
+
+
 def test_run_moments_fragment():
     frag = run_moments(ExperimentConfig(x=100, y=40))
     assert frag["oracle"] == frag["diagonal"] + frag["nondiagonal"] == frag["fourth_moment"]
@@ -346,6 +357,14 @@ def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1, err
     return err[0]
+
+
+def test_cli_moments_budget_refusal_names_budget_and_rows(capsys):
+    # (5000, 5400]: m = 13 and m^2 <= 5400, so the enumeration runs; its
+    # first level, A in [13, 5400 // 13], charges 403 candidate rows
+    assert main(["moments", "--x", "5000", "--y", "400", "--budget", "10"]) == 3
+    assert _one_line_error(capsys) == (
+        "scale error: enumeration budget of 10 candidate rows exceeded: 403 charged")
 
 
 def test_cli_bounds_y_one_exits_2(capsys):

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmflab import numtheory
 from rmflab.errors import ScaleError
 from rmflab.numtheory import (
     E_BITS,
     MAX_X_PLUS_Y,
     MAX_Y,
+    MIN_BLOCK,
     P_BITS,
     P_MASK,
     IntervalTable,
@@ -190,8 +192,10 @@ def test_factor_segment_matches_reference(lo, length):
 
 @pytest.mark.slow
 def test_factor_segment_matches_reference_at_the_scale_limit():
-    # cofactors reach 10^15 and the last indices fill the key's top bits;
-    # the reference runs on 5*10^4-entry slices, so it never holds 10^7
+    """The largest table segmented_factorize accepts: cofactors reach 10^15,
+    and the 1,951,957 sieve primes set the block length, so the 10^7
+    entries are built in six blocks.  The reference runs on 5*10^4-entry
+    slices (start, middle, end), so it never holds 10^7 entries."""
     lo, length, width = 10**15 - 10**7, 10**7, 50_000
     t = _factor_segment(lo, length)
     assert t.primes.max() > 10**15 - 10**7
@@ -207,6 +211,72 @@ def test_factor_segment_matches_reference_sweep(lo, length):
                        table_arrays(_reference_factor_segment(lo, length)))
 
 
+def blocks_of(mp):
+    """The lengths of the blocks _factor_segment factors, in order, while
+    mp is active."""
+    lengths = []
+    factor_block = numtheory._factor_block
+
+    def spy(lo, length, *rest):
+        lengths.append(length)
+        return factor_block(lo, length, *rest)
+
+    mp.setattr(numtheory, "_factor_block", spy)
+    return lengths
+
+
+def assert_matches_reference_in_small_blocks(lo, length):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtheory, "MIN_BLOCK", 64)
+        blocks = blocks_of(mp)
+        t = _factor_segment(lo, length)
+    assert len(blocks) > 1 and sum(blocks) == length
+    assert_same_arrays(table_arrays(t), table_arrays(_reference_factor_segment(lo, length)))
+    return t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**4), st.integers(min_value=65, max_value=3000))
+def test_factor_segment_small_blocks_match_reference_sweep(lo, length):
+    # hi <= 13,000 has at most 30 sieve primes, so blocks hold 64 entries
+    assert_matches_reference_in_small_blocks(lo, length)
+
+
+def test_factor_segment_small_blocks_from_zero():
+    t = assert_matches_reference_in_small_blocks(0, 200)
+    assert t.factors(1) == () and t.flags[0]
+
+
+@pytest.mark.parametrize("lo, n, slot", [
+    (665, 729, 63),   # 3^6 in the last slot of the first block
+    (959, 1024, 64),  # 2^10 in the first slot of the second block
+])
+def test_factor_segment_small_blocks_prime_power_at_an_edge(lo, n, slot):
+    # 9, 27, 81 and 11^2 = 121 have multiples on both sides of the edge too
+    t = assert_matches_reference_in_small_blocks(lo, 300)
+    assert n - lo - 1 == slot
+    assert len(t.factors(n)) == 1 and t.factors(n)[0][1] >= 6
+
+
+@pytest.mark.parametrize("lo, n", [
+    (9943, 10_007),  # a prime above sqrt(hi) in the last slot of the first block
+    (9878, 10_006),  # 2 * 5003 in the last slot of the second block
+])
+def test_factor_segment_small_blocks_cofactor_at_an_edge(lo, n):
+    t = assert_matches_reference_in_small_blocks(lo, 200)
+    assert (n - lo) % 64 == 0
+    cofactor = t.factors(n)[-1][0]
+    assert cofactor**2 > lo + 200
+
+
+def test_factor_segment_default_blocks_match_reference(monkeypatch):
+    lo, length = 10**10 + 777, 10**6
+    blocks = blocks_of(monkeypatch)
+    t = _factor_segment(lo, length)
+    assert blocks == [MIN_BLOCK] * 7 + [length - 7 * MIN_BLOCK]
+    assert_same_arrays(table_arrays(t), table_arrays(_reference_factor_segment(lo, length)))
+
+
 def test_key_widths_cover_the_scale_limits():
     # _factor_segment packs (index, prime, exponent) into one int64 key; a
     # scale limit raised past these widths would corrupt tables silently.
@@ -218,14 +288,15 @@ def test_key_widths_cover_the_scale_limits():
 
 def test_factor_segment_memory():
     # the larger of the sweep benchmark's two intervals; the argsort
-    # construction peaked at 170 MiB here
+    # construction peaked at 170 MiB here, one whole-interval packed-key
+    # sort at 82 MiB, and the table itself holds about 42 MB
     tracemalloc.start()
     try:
         segmented_factorize(10**10, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2**20
+    assert peak < 64 * 2**20
 
 
 def test_squarefree_count_examples():

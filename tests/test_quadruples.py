@@ -4,13 +4,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab import quadruples
 from rmflab.errors import ContractViolation, ScaleError
 from rmflab.bounds import nondiagonal_bound
-from rmflab.numtheory import _kernel_unchecked, segmented_factorize, squarefree_flags
+from rmflab.numtheory import (
+    MAX_X_PLUS_Y,
+    _kernel_unchecked,
+    segmented_factorize,
+    squarefree_flags,
+)
 from rmflab.quadruples import (
-    ORACLE_INT64_MEMBER,
+    LIMB,
     ORACLE_MAX_S,
     QuadrupleParam,
     _expand,
@@ -284,17 +291,39 @@ def test_numpy_oracle_matches_scalar_loop_up_to_max_s(monkeypatch):
         assert not took_scalar_loop(monkeypatch, t)
 
 
-def test_oracle_int64_guard(monkeypatch):
-    assert ORACLE_INT64_MEMBER ** 2 < 2**63 <= (ORACLE_INT64_MEMBER + 1) ** 2
-    # x + y just below and just above the guard
-    below = segmented_factorize(ORACLE_INT64_MEMBER - 300, 300)
-    above = segmented_factorize(ORACLE_INT64_MEMBER - 150, 300)
-    assert below.squarefree_values()[-1] <= ORACLE_INT64_MEMBER < above.squarefree_values()[-1]
+# the largest member whose square fits an int64
+INT64_MEMBER = math.isqrt((1 << 63) - 1)
+
+
+def test_oracle_limbs_cover_the_scale_limit():
+    # a/g and b/g split into two LIMB-bit limbs, and the middle partial
+    # product, below 2^(2*LIMB + 1), fits an int64
+    assert MAX_X_PLUS_Y < 2 ** (2 * LIMB)
+    assert 2 * LIMB + 1 < 63
+
+
+def test_oracle_matches_scalar_loop_across_int64_squares(monkeypatch):
+    # x + y just below and just above the largest member whose pair
+    # kernels all fit one int64
+    assert INT64_MEMBER ** 2 < 2**63 <= (INT64_MEMBER + 1) ** 2
+    below = segmented_factorize(INT64_MEMBER - 300, 300)
+    above = segmented_factorize(INT64_MEMBER - 150, 300)
+    assert below.squarefree_values()[-1] <= INT64_MEMBER < above.squarefree_values()[-1]
     assert not took_scalar_loop(monkeypatch, below)
-    assert took_scalar_loop(monkeypatch, above)
+    assert not took_scalar_loop(monkeypatch, above)
 
 
-def test_oracle_at_a_trillion_takes_the_scalar_loop(monkeypatch):
-    t = segmented_factorize(10**12, 600)
+@pytest.mark.parametrize("x, y", [(10**12, 600), (10**15 - 10**4, 300)])
+def test_oracle_above_int64_squares_matches_scalar_loop(monkeypatch, x, y):
+    t = segmented_factorize(x, y)
     assert 0 < t.squarefree_count <= ORACLE_MAX_S
-    assert took_scalar_loop(monkeypatch, t)
+    assert t.squarefree_values()[-1] > INT64_MEMBER
+    assert not took_scalar_loop(monkeypatch, t)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=INT64_MEMBER, max_value=10**13),
+       st.integers(min_value=1, max_value=400))
+def test_oracle_above_int64_squares_sweep(x, y):
+    t = segmented_factorize(x, y)
+    assert oracle_count_square_quadruples(t) == _oracle_count_members(t.squarefree_values())
