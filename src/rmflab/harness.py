@@ -85,6 +85,8 @@ class ExperimentConfig:
         delta = y / self.x
         if self.y is not None and self.delta is not None and self.delta != delta:
             raise ValueError(f"inconsistent y={y} and delta={self.delta}")
+        if self.z_override is not None and not 0 < self.z_override < math.inf:
+            raise ValueError(f"z must be finite and > 0, got {self.z_override}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_trials(self.trials)
@@ -297,6 +299,8 @@ def run_stein_checks(config: ExperimentConfig, identity_max_l: int = 30,
     if identity_max_l > MAX_IDENTITY_L:
         raise ScaleError(f"identity_max_l = {identity_max_l} exceeds "
                          f"MAX_IDENTITY_L = {MAX_IDENTITY_L}")
+    if var_trials < 2:
+        raise ValueError(f"var_trials must be >= 2, got {var_trials}")
     _check_trials(var_trials)
     cfg = config.resolved()
     table = segmented_factorize(cfg.x, cfg.y)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,7 +99,8 @@ class IntervalTable:
     Entry i is n = x_lo + 1 + i: its primes, ascending, are
     primes[offsets[i]:offsets[i+1]] (int64) with their exponents (int8), and
     flags[i] (bool) is True iff n is square-free.  segmented_factorize
-    refuses intervals with x+y > MAX_X_PLUS_Y or y > MAX_Y.
+    refuses intervals with x+y > MAX_X_PLUS_Y or y > MAX_Y.  Every grouping
+    of the square-free incidences by prime reads prime_major.
     """
 
     x_lo: int
@@ -110,6 +113,11 @@ class IntervalTable:
     def __post_init__(self):
         for a in (self.offsets, self.primes, self.exponents, self.flags):
             a.flags.writeable = False
+
+    @cached_property
+    def prime_major(self) -> "PrimeMajor":
+        """Built on first use and kept; segmented_factorize never builds it."""
+        return _prime_major(self)
 
     @property
     def x_hi(self) -> int:
@@ -147,6 +155,34 @@ class IntervalTable:
         ps, off, lo = self.primes.tolist(), self.offsets.tolist(), self.x_lo + 1
         return [(lo + i, tuple(ps[off[i] : off[i + 1]]))
                 for i in np.flatnonzero(self.flags).tolist()]
+
+
+class PrimeMajor(NamedTuple):
+    """The incidences p | n of the square-free entries of an IntervalTable,
+    grouped by prime, as read-only arrays: the distinct primes ascending;
+    index[r], the position in primes of the r-th square-free incidence in
+    table order; and the ascending table indices of the entries that
+    primes[j] divides, entries[offsets[j]:offsets[j+1]]."""
+
+    primes: np.ndarray
+    index: np.ndarray
+    offsets: np.ndarray
+    entries: np.ndarray
+
+
+def _prime_major(table: IntervalTable) -> PrimeMajor:
+    """One np.unique of the square-free incidences' primes gives primes and
+    index, and one sort of the keys index * y + entry lays out entries."""
+    sizes = np.diff(table.offsets)
+    primes, index = np.unique(table.primes[np.repeat(table.flags, sizes)],
+                              return_inverse=True)
+    keys = index * table.y_len + np.repeat(np.flatnonzero(table.flags), sizes[table.flags])
+    keys.sort()
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(index, minlength=primes.size))))
+    view = PrimeMajor(primes, index, offsets, keys % table.y_len)
+    for a in view:
+        a.flags.writeable = False
+    return view
 
 
 def _runs(first: np.ndarray, step: np.ndarray, count: np.ndarray,

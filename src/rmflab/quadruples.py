@@ -251,6 +251,8 @@ def _solution_blocks(x: int, y: int, budget: int):
     if y > x:
         # the ratio bounds that drive the case split need x/y >= 1
         raise ValueError(f"enumeration needs y <= x, got x={x}, y={y}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     check_scale(x, y)
     lo, hi = x + 1, x + y
     m = x // y + 1  # unequal ratio pairs are both > x/y, hence >= m >= 2

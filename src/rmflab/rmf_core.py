@@ -162,12 +162,14 @@ class IntervalSampler:
     """Batched sampler of interval sums over derived per-trial sign sources.
 
     Produces exactly the values the scalar path (SignSource.for_trial +
-    interval_sum) would.  The square-free entries are grouped by omega(n):
-    bucket k is a (k, n_k) array of prime indices, one column per entry
-    with k distinct prime factors.  For a tile of trials the sampler hashes
-    a prime-major (P x T) matrix of sign bits, XORs the k gathered rows of
-    each bucket into the parity of X(n) = -1, counts it in uint8 over blocks of
-    at most 255 rows and returns S - 2 * #{n : X(n) = -1}.  Cost per trial is
+    interval_sum) would.  Its primes and prime indices are the table's
+    prime_major view, which the constructor builds.  The square-free entries
+    are grouped by omega(n): bucket k is a (k, n_k) array of prime indices,
+    one column per entry with k distinct prime factors.  For a tile of
+    trials the sampler hashes a prime-major (P x T) matrix of sign bits, XORs
+    the k gathered rows of each bucket into the parity of X(n) = -1, counts
+    it in uint8 over blocks of at most 255 rows and returns
+    S - 2 * #{n : X(n) = -1}.  Cost per trial is
     linear in P plus the number of (entry, prime) incidences.  The sign matrix
     is that of trial_signs, hashed tile by tile.  A default tile is as many
     trials as fit a 2 MiB (P x T) uint8 sign matrix, and at least 64: about
@@ -175,19 +177,17 @@ class IntervalSampler:
     """
 
     def __init__(self, table: IntervalTable, master_seed: int):
-        sf = table.flags
-        sizes = np.diff(table.offsets)
-        omega = sizes[sf]
+        view = table.prime_major
+        omega = np.diff(table.offsets)[table.flags]
         self.s_count = omega.size
         self.master_seed = master_seed & _M64
-        primes, index = np.unique(table.primes[np.repeat(sf, sizes)], return_inverse=True)
         starts = np.cumsum(omega) - omega
         # n = 1 (omega 0) has X(1) = +1 for every trial
         self._buckets = [
-            index[starts[omega == k] + np.arange(k)[:, None]]
+            view.index[starts[omega == k] + np.arange(k)[:, None]]
             for k in np.unique(omega[omega > 0]).tolist()
         ]
-        self._prime_half = _prime_halves(primes)
+        self._prime_half = _prime_halves(view.primes)
 
     def raw_sums(self, start: int, count: int, batch: int | None = None) -> np.ndarray:
         """Interval sums for trials start, ..., start+count-1 (int64),

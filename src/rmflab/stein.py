@@ -13,9 +13,11 @@ small/large prime threshold z:
            quadratic form over N(p) evaluated by _t_p;
   W(A)     subset weight 1 / (C(|L|,|A|) (|L|-|A|)) over subsets A of L.
 
-Every N(p) comes from one support map (_supports), built in a single pass
-over the square-free entries; each member k of N(p) carries the distinct
-primes of k, so omega_L(k p) and X(k) need no table lookup.  T_p is
+Every grouping of the square-free incidences by prime reads the table's
+one transpose, IntervalTable.prime_major: L is its primes above z, N(p) its
+entries of p (k = n // p), and the entries' large-prime masks and
+small-sign products are reductions over it.  Member lists (each k with the
+distinct primes of k) are built only for the prime being evaluated.  T_p is
 evaluated in one place (_t_p): exactly for a given sign source, and for the
 exchange variance over a whole matrix of trial signs at once.
 
@@ -41,38 +43,45 @@ from math import comb
 import numpy as np
 
 from .errors import ScaleError
-from .numtheory import IntervalTable
+from .numtheory import IntervalTable, PrimeMajor
 from .quadruples import _oracle_count_members
 from .rmf_core import SignSource, trial_signs
 
 # a member k of N(p), with the distinct primes of k
 _Member = tuple[int, tuple[int, ...]]
 
-# exchange_variance_monte_carlo's trial tile: its int8 sign matrix plus one
-# prime's int64 member values take about this many bytes
+# exchange_variance_monte_carlo's trial tile: its int8 sign matrices and one
+# prime's int64 member values with their temporaries take about this many bytes
 _VAR_TILE_BYTES = 1 << 23
 _MIN_VAR_TILE = 64
 
 
-def _supports(table: IntervalTable) -> dict[int, list[_Member]]:
-    """N(p) for every prime p dividing a square-free entry, members in
-    ascending order."""
-    ps, off, lo = table.primes.tolist(), table.offsets.tolist(), table.x_lo + 1
-    out: dict[int, list[_Member]] = {}
-    for i in np.flatnonzero(table.flags).tolist():
-        primes = ps[off[i] : off[i + 1]]
-        for p in primes:
-            out.setdefault(p, []).append(((lo + i) // p, tuple(q for q in primes if q != p)))
+def _view(table: IntervalTable, z: float) -> tuple[PrimeMajor, int]:
+    """The table's prime-major view, and where L, its primes above z, starts."""
+    view = table.prime_major
+    return view, int(np.searchsorted(view.primes, z, side="right"))
+
+
+def _members(table: IntervalTable, j: int) -> list[_Member]:
+    """N(p) of p = view.primes[j], ascending: k = n // p for the square-free
+    entries n that p divides, each with the other distinct primes of n."""
+    view, off = table.prime_major, table.offsets
+    p, e = int(view.primes[j]), view.entries[view.offsets[j] : view.offsets[j + 1]]
+    return [((table.x_lo + 1 + i) // p, tuple(q for q in table.primes[a:b].tolist() if q != p))
+            for i, a, b in zip(e.tolist(), off[e].tolist(), off[e + 1].tolist())]
+
+
+def _over_entries(table: IntervalTable, ufunc: np.ufunc, rows: np.ndarray,
+                  first: int = 0) -> np.ndarray:
+    """For each table entry, ufunc over rows[j - first] for its primes
+    view.primes[j], first <= j < first + len(rows); the ufunc's identity if
+    there are none, as for every entry that is not square-free."""
+    view = table.prime_major
+    out = np.full((table.y_len, *rows.shape[1:]), ufunc.identity, dtype=rows.dtype)
+    for j, row in enumerate(rows, first):  # a prime's entries are distinct
+        e = view.entries[view.offsets[j] : view.offsets[j + 1]]
+        out[e] = ufunc(out[e], row)
     return out
-
-
-def _large_primes(supports: dict[int, list[_Member]], z: float) -> list[int]:
-    return sorted(p for p in supports if p > z)
-
-
-def _large_prime_set(table: IntervalTable, z: float) -> list[int]:
-    """L, ascending."""
-    return _large_primes(_supports(table), z)
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +224,24 @@ def _omega_l(qs: tuple[int, ...], z: float) -> int:
     return 1 + sum(q > z for q in qs)
 
 
-def _t_p(xs, omegas):
-    """sum_k (g - x_k) x_k / omega_k with g = sum_k x_k: the sum over ordered
-    pairs k != l of x_k x_l / omega_l.  Exact for int xs and Fraction omegas;
-    per trial for xs that are int arrays over trials."""
-    g = sum(xs)
-    return sum((g - x) * x / w for x, w in zip(xs, omegas))
+def _t_p(xs: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """sum_k (g - x_k) x_k / omega_k with g = sum_k x_k, the sum over ordered
+    pairs k != l of x_k x_l / omega_l, for each column of the int64 (members
+    x trials) xs: per trial for a column of int64 omegas, exact for one of
+    Fractions.  The terms are added in member order: numpy adds rows one by
+    one, but sums a lone float column pairwise, so that one is accumulated."""
+    terms = (xs.sum(axis=0) - xs) * xs / omegas
+    if terms.shape[1] > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _exact_t_p(members: list[_Member], signs: SignSource, z: float) -> Fraction:
     """T_p of a large prime p with support N(p) = members, exactly."""
-    xs = [math.prod(signs.sign(q) for q in qs) for _, qs in members]
-    return Fraction(_t_p(xs, [Fraction(_omega_l(qs, z)) for _, qs in members]))
+    if not members:
+        return Fraction(0)
+    xs = np.array([[math.prod(signs.sign(q) for q in qs)] for _, qs in members])
+    return _t_p(xs, np.array([[Fraction(_omega_l(qs, z))] for _, qs in members]))[0]
 
 
 def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
@@ -234,30 +249,30 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
     """Sample variance (ddof=1) of sum_{p in L} T_p over seeded trials.
 
     T_p vanishes unless |N(p)| >= 2.  The signs of trial t are those of
-    SignSource(master_seed).for_trial(t); each T_p is evaluated for a tile
-    of trials at once, sized so that the tile's sign matrix and one prime's
-    member values fit about _VAR_TILE_BYTES, and every trial's terms are
-    added in ascending p as in a per-trial evaluation."""
+    SignSource(master_seed).for_trial(t).  For a tile of trials X(n) is the
+    product of the sign rows of n's primes, and a member k of N(p) has
+    X(k) = X(n) X(p).  A tile's sign matrices and one prime's member values
+    fit about _VAR_TILE_BYTES, and every trial's terms are added in
+    ascending p as in a per-trial evaluation."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    supports = _supports(table)
-    per_p = [supports[p] for p in _large_primes(supports, z) if len(supports[p]) >= 2]
-    if not per_p:
+    view, first = _view(table, z)
+    counts = np.diff(view.offsets)
+    used = first + np.flatnonzero(counts[first:] >= 2)
+    if not used.size:
         return 0.0
-    pool = sorted({q for members in per_p for _, qs in members for q in qs})
-    row = {q: j for j, q in enumerate(pool)}
-    rows = [[[row[q] for q in qs] for _, qs in members] for members in per_p]
-    omegas = [[_omega_l(qs, z) for _, qs in members] for members in per_p]
-    per_trial = len(pool) + 8 * max(map(len, per_p))
+    omega_l = np.bincount(view.entries[view.offsets[first] :], minlength=table.y_len)
+    per_p = [(j, view.entries[view.offsets[j] : view.offsets[j + 1]]) for j in used.tolist()]
+    per_trial = 2 * view.primes.size + table.y_len + 40 * int(counts[used].max())
     tile = max(_MIN_VAR_TILE, _VAR_TILE_BYTES // per_trial)
     values = np.empty(trials)
     for start in range(0, trials, tile):
         count = min(tile, trials - start)
-        signs = trial_signs(pool, master_seed, start, count)
+        signs = trial_signs(view.primes, master_seed, start, count)
+        x_n = _over_entries(table, np.multiply, signs)
         acc = np.zeros(count)
-        for member_rows, member_omegas in zip(rows, omegas):
-            xs = [np.prod(signs[r], axis=0, dtype=np.int64) for r in member_rows]
-            acc += _t_p(xs, member_omegas)
+        for j, e in per_p:
+            acc += _t_p((x_n[e] * signs[j]).astype(np.int64), omega_l[e][:, None])
         values[start : start + count] = acc
     return float(values.var(ddof=1))
 
@@ -282,16 +297,19 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
     """Sum E|Delta_p f|^3 over large primes with nonempty N(p): exactly where
     the support involves at most prime_budget distinct primes, otherwise by
     the Cauchy-Schwarz bound sqrt(E|Delta_p f|^2 E|Delta_p f|^4); plus the
-    sampled Var(sum_p T_p)."""
-    supports = _supports(table)
+    sampled Var(sum_p T_p).  Refused, before any member is built, when some
+    |N(p)| exceeds member_budget; the refusal names the least such p."""
+    view, first = _view(table, z)
+    counts = np.diff(view.offsets)
+    over = first + np.flatnonzero(counts[first:] > member_budget)
+    if over.size:
+        raise ScaleError(f"|N({view.primes[over[0]]})| = {counts[over[0]]} exceeds {member_budget}")
     total = 0.0
     d2: dict[int, int] = {}
     d4: dict[int, int] = {}
     exact_primes = bounded_primes = 0
-    for p in _large_primes(supports, z):
-        members = supports[p]
-        if len(members) > member_budget:
-            raise ScaleError(f"|N({p})| = {len(members)} exceeds {member_budget}")
+    for j, p in enumerate(view.primes[first:].tolist(), first):
+        members = _members(table, j)
         d2[p] = 2 * len(members)  # E|Delta_p f|^2 = 2 |N(p)|
         d4[p] = _delta4(members)
         try:
@@ -307,16 +325,6 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
 # ---------------------------------------------------------------------------
 # Conditional-moment checks
 # ---------------------------------------------------------------------------
-
-def _split_entries(table: IntervalTable, large: list[int]) -> list[tuple[tuple[int, ...], int]]:
-    """(small primes, bitmask of the large primes over the ascending list
-    L = large) of every square-free entry."""
-    index = {q: j for j, q in enumerate(large)}
-    ps, off = table.primes.tolist(), table.offsets.tolist()
-    entries = [ps[off[i] : off[i + 1]] for i in np.flatnonzero(table.flags).tolist()]
-    return [(tuple(q for q in e if q not in index), sum(1 << index[q] for q in e if q in index))
-            for e in entries]
-
 
 @dataclass(frozen=True)
 class ConditionalMomentsReport:
@@ -342,14 +350,14 @@ def conditional_moments_check(table: IntervalTable, z: float,
     """For each fixed assignment of signs to the small primes (<= z), average
     the interval sum and its square over ALL 2^k sign vectors of L; the
     conditional mean must be exactly 0 and the second moment exactly S."""
-    large = _large_prime_set(table, z)
+    view, first = _view(table, z)
+    large = view.primes[first:].tolist()
     if len(large) > large_prime_budget:
         raise ScaleError(
             f"{len(large)} distinct large primes exceeds budget {large_prime_budget}"
         )
-    entries = _split_entries(table, large)
-    masks = [m for _, m in entries]
-    small_present = sorted({q for sm, _ in entries for q in sm})
+    small_present = view.primes[:first].tolist()
+    masks = _over_entries(table, np.add, 1 << np.arange(len(large)), first)[table.flags]
     means = []
     seconds = []
     for assignment in small_sign_assignments:
@@ -358,7 +366,8 @@ def conditional_moments_check(table: IntervalTable, z: float,
             raise ValueError(f"assignment missing small primes {missing}")
         if any(v not in (-1, 1) for v in assignment.values()):
             raise ValueError("assignment values must be +1 or -1")
-        coeffs = [math.prod(assignment[q] for q in sm) for sm, _ in entries]
+        small = np.array([assignment[q] for q in small_present], dtype=np.int64)
+        coeffs = _over_entries(table, np.multiply, small)[table.flags]
         mean, second = sign_vector_moments(masks, coeffs, len(large))
         means.append(mean)
         seconds.append(second)
@@ -400,21 +409,21 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
     some square-free entry; primes outside it have Delta_p f identically 0
     and identical nu-weighted contributions on both sides.
     """
-    supports = _supports(table)
-    large = _large_primes(supports, z)
+    view, first = _view(table, z)
+    large = view.primes[first:].tolist()
     l_size = len(large)
     if l_size > l_budget:
         raise ScaleError(f"|L| = {l_size} exceeds budget {l_budget}")
     if l_size == 0:
         return Fraction(0), Fraction(0)
-    entries = _split_entries(table, large)
-    coeffs = [math.prod(signs.sign(q) for q in sm) for sm, _ in entries]
-    masks = np.array([m for _, m in entries], dtype=np.int64)
+    bits = 1 << np.arange(l_size)
+    masks = _over_entries(table, np.add, bits, first)
+    small = [signs.sign(q) for q in view.primes[:first].tolist()]
+    coeffs = _over_entries(table, np.multiply, np.array(small, dtype=np.int64))
     x_bits = sum(1 << j for j, q in enumerate(large) if signs.sign(q) < 0)
     # f at every sign vector of L, indexed by its bits (1 = sign -1)
-    f_of = _all_sign_values(masks.tolist(), coeffs, l_size)
+    f_of = _all_sign_values(masks[table.flags], coeffs[table.flags], l_size)
     a = np.arange(1 << l_size)
-    bits = 1 << np.arange(l_size)
     # f_at[d] = f(X with the signs on d flipped); diff[j, d] = D_{p_j} there
     f_at = f_of[a ^ x_bits]
     diff = f_at - f_at[a ^ bits[:, None]]
@@ -422,9 +431,9 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
     direct_by_size = _by_size(_subset_sums(diff)).T.tolist()
 
     # hist[j, m]: members of N(p_j) whose large primes have bitmask m
-    ent, j = np.nonzero(masks[:, None] & bits)
+    j = np.repeat(np.arange(l_size), np.diff(view.offsets[first:]))
     hist = np.zeros((l_size, 1 << l_size), dtype=np.int64)
-    np.add.at(hist, (j, masks[ent] ^ bits[j]), 1)
+    np.add.at(hist, (j, masks[view.entries[view.offsets[first] :]] ^ bits[j]), 1)
     # |N^A(p_j)| = members with mask inside the complement of A
     closed_by_size = _by_size(_subset_sums(hist)[:, ::-1]).sum(axis=0).tolist()
 
@@ -433,6 +442,6 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
         nu = subset_weight(l_size, k)
         direct += nu * Fraction(sum(map(operator.mul, d_x, row)), 1 << (k + 2))
         closed += nu * n_a
-    for p in large:
-        closed += _exact_t_p(supports[p], signs, z)
+    for j in range(first, view.primes.size):
+        closed += _exact_t_p(_members(table, j), signs, z)
     return direct, closed

@@ -37,7 +37,7 @@ from rmflab.stein import (
     conditional_moments_check,
     decomposition_sides,
     subset_weight_identity,
-    _large_prime_set,
+    _view,
 )
 
 SUITE_T0 = time.perf_counter()
@@ -138,7 +138,8 @@ def test_criterion_05_conditional_decomposition():
     checked = 0
     for x, y, z in DECOMP_INSTANCES:
         table = segmented_factorize(x, y)
-        l_size = len(_large_prime_set(table, z))
+        view, first = _view(table, z)
+        l_size = view.primes.size - first
         assert l_size <= 12
         for seed in (1, 2):
             direct, closed = decomposition_sides(table, z, SignSource(seed))

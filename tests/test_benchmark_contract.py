@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmflab import harness, rmf_core, stein
+from rmflab import harness, numtheory, rmf_core, stein
 from rmflab.numtheory import segmented_factorize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -116,3 +116,54 @@ def test_traced_pass_counts_every_trial(capsys):
                              "--trials", "5000", "--workers", "1"]) == 0
     capsys.readouterr()
     assert tracer.counts["rmf_core.trials"] == 5000
+
+
+def _count_views(monkeypatch) -> list[bool]:
+    """Record each build of a table's prime-major view, with whether it ran
+    inside IntervalSampler.__init__."""
+    builds: list[bool] = []
+    in_sampler = [False]
+    build, init = numtheory._prime_major, rmf_core.IntervalSampler.__init__
+
+    def counted_build(table):
+        builds.append(in_sampler[0])
+        return build(table)
+
+    def traced_init(self, *args, **kwargs):
+        in_sampler[0] = True
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            in_sampler[0] = False
+
+    monkeypatch.setattr(numtheory, "_prime_major", counted_build)
+    monkeypatch.setattr(rmf_core.IntervalSampler, "__init__", traced_init)
+    return builds
+
+
+@pytest.mark.parametrize("x, y", [(100020, 100), (700, 9), (100000000, 10000)])
+def test_stein_builds_the_prime_major_view_once(x, y, monkeypatch, capsys):
+    # conditional moments, the decomposition, stein_terms and the exchange
+    # variance all read the one view of the command's table
+    builds = _count_views(monkeypatch)
+    assert harness.main(["stein", "--x", str(x), "--y", str(y), "--var-trials", "50"]) == 0
+    capsys.readouterr()
+    assert builds == [False]
+
+
+def test_bounds_never_builds_the_prime_major_view(monkeypatch, capsys):
+    # the sweep workload is bounds alone: factorization and nothing more
+    builds = _count_views(monkeypatch)
+    assert harness.main(["bounds", "--x", "10000000000", "--y", "10000"]) == 0
+    capsys.readouterr()
+    assert builds == []
+
+
+def test_simulate_builds_the_view_inside_the_sampler(monkeypatch, capsys):
+    # a traced simulate charges the view to rmf_core.sampler_build_s, the
+    # span around IntervalSampler.__init__
+    builds = _count_views(monkeypatch)
+    assert harness.main(["simulate", "--x", "10000", "--y", "100", "--trials", "20",
+                         "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert builds == [True]

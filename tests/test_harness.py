@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmflab import harness
 from rmflab import quadruples as quad_mod
 from rmflab.errors import ScaleError
 from rmflab.harness import (
@@ -311,6 +312,20 @@ def test_cli_exit_codes(capsys):
     # delta * x past the float range is refused, not an OverflowError
     assert main(["moments", "--x", "10000000000", "--delta", "1e308"]) == 2
     assert "delta" in _one_line_error(capsys)
+    # a --z override that is not finite and > 0 is refused before the table
+    # is built or any trial runs
+    for argv in (["stein", "--x", "700", "--y", "9", "--z", "inf"],
+                 ["simulate", "--x", "1000", "--y", "50", "--trials", "200000", "--z", "0"],
+                 ["simulate", "--x", "1000", "--y", "50", "--z", "nan"],
+                 ["simulate", "--x", "1000", "--y", "50", "--z", "inf"],
+                 ["bounds", "--x", "1000", "--y", "50", "--z", "-1"]):
+        assert main(argv) == 2, argv
+        assert "z must be finite and > 0" in _one_line_error(capsys)
+    # a negative enumeration budget is a usage error; a budget of 0 is valid
+    assert main(["moments", "--x", "1000", "--y", "50", "--budget", "-1"]) == 2
+    assert "budget must be >= 0, got -1" in _one_line_error(capsys)
+    assert main(["moments", "--x", "1000", "--y", "50", "--budget", "0"]) == 3
+    assert "budget of 0 candidate rows exceeded" in _one_line_error(capsys)
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required --x
     assert exc.value.code == 2
@@ -351,6 +366,18 @@ def test_cli_simulate_trials_one_is_strict_json(capsys):
     assert rc == 0
     data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert data["moments"]["se"] == {"m1": None, "m2": None, "m3": None, "m4": None}
+
+
+def test_stein_refuses_one_var_trial_before_any_work(monkeypatch, capsys):
+    # refused before the table is built, also at (10^8, 10^4], where
+    # stein_terms refuses |N(5)| before it reaches the exchange variance
+    def no_table(x, y):
+        raise AssertionError("factor table built")
+
+    monkeypatch.setattr(harness, "segmented_factorize", no_table)
+    for x, y in ((100000000, 10000), (700, 9)):
+        assert main(["stein", "--x", str(x), "--y", str(y), "--var-trials", "1"]) == 2
+        assert "var_trials must be >= 2, got 1" in _one_line_error(capsys)
 
 
 def _one_line_error(capsys) -> str:

@@ -27,7 +27,7 @@ from rmflab.numtheory import (
     trial_factorize,
     z_of_delta,
 )
-from rmflab.stein import _large_primes, _omega_l, _supports
+from rmflab.stein import _members, _omega_l, _view
 
 
 def naive_squarefree(n: int) -> bool:
@@ -372,7 +372,8 @@ def test_prime_split_partition():
     t = segmented_factorize(100, 20)
     z = z_of_delta(1e-5)  # 5.756: small primes 2, 3, 5
     assert sieve_primes(math.floor(z)) == [2, 3, 5]
-    large = _large_primes(_supports(t), z)
+    view, first = _view(t, z)
+    large = view.primes[first:].tolist()
     assert large == sorted(large) and all(p > z for p in large)
     # L is the large primes of the square-free entries: 13 divides only
     # 104 = 2^3 * 13 and 117 = 3^2 * 13 here, so it is not in L
@@ -387,7 +388,7 @@ def test_omega_l_examples():
     assert _omega_l((), z) == 1  # 7 = 7 * 1
     # omega_L(k p) of every member k of N(p), p > z, against trial division
     t = segmented_factorize(1000, 60)
-    supports = _supports(t)
-    for p in _large_primes(supports, z):
-        for k, qs in supports[p]:
+    view, first = _view(t, z)
+    for j, p in enumerate(view.primes[first:].tolist(), first):
+        for k, qs in _members(t, j):
             assert _omega_l(qs, z) == sum(q > z for q, _ in trial_factorize(k * p))

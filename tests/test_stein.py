@@ -6,23 +6,31 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmflab.errors import ScaleError
-from rmflab.numtheory import segmented_factorize, sieve_primes, z_of_delta
+from rmflab.numtheory import (
+    IntervalTable,
+    _factor_segment,
+    segmented_factorize,
+    sieve_primes,
+    z_of_delta,
+)
 from rmflab.rmf_core import SignSource
 from rmflab import stein
 from rmflab.stein import (
+    _Member,
     _all_sign_values,
     _delta3,
     _delta4,
     _exact_t_p,
-    _large_primes,
+    _members,
+    _over_entries,
     _span_coordinates,
-    _split_entries,
     _subset_sums,
-    _supports,
+    _t_p,
+    _view,
     decomposition_sides,
     conditional_moments_check,
     subset_weight,
@@ -41,17 +49,57 @@ class FixedSigns:
         return -1 if p in self.neg else 1
 
 
+def _supports(table: IntervalTable) -> dict[int, list[_Member]]:
+    """N(p) for every prime p dividing a square-free entry, members in
+    ascending order."""
+    ps, off, lo = table.primes.tolist(), table.offsets.tolist(), table.x_lo + 1
+    out: dict[int, list[_Member]] = {}
+    for i in np.flatnonzero(table.flags).tolist():
+        primes = ps[off[i] : off[i + 1]]
+        for p in primes:
+            out.setdefault(p, []).append(((lo + i) // p, tuple(q for q in primes if q != p)))
+    return out
+
+
+def _large_primes(supports: dict[int, list[_Member]], z: float) -> list[int]:
+    return sorted(p for p in supports if p > z)
+
+
+def _split_entries(table: IntervalTable, large: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(small primes, bitmask of the large primes over the ascending list
+    L = large) of every square-free entry."""
+    index = {q: j for j, q in enumerate(large)}
+    ps, off = table.primes.tolist(), table.offsets.tolist()
+    entries = [ps[off[i] : off[i + 1]] for i in np.flatnonzero(table.flags).tolist()]
+    return [(tuple(q for q in e if q not in index), sum(1 << index[q] for q in e if q in index))
+            for e in entries]
+
+
+def large_primes(t, z):
+    """L, ascending, from the prime-major view."""
+    view, first = _view(t, z)
+    return view.primes[first:].tolist()
+
+
+def support_of(t, p):
+    """N(p) from the prime-major view; empty where p divides no square-free
+    entry."""
+    view = t.prime_major
+    j = int(np.searchsorted(view.primes, p))
+    return _members(t, j) if j < view.primes.size and view.primes[j] == p else []
+
+
 def members(t, p):
     """The support N(p), as its members k."""
-    return [k for k, _ in _supports(t).get(p, [])]
+    return [k for k, _ in support_of(t, p)]
 
 
 def delta3(t, p, prime_budget=20):
-    return _delta3(p, _supports(t).get(p, []), prime_budget)
+    return _delta3(p, support_of(t, p), prime_budget)
 
 
 def t_p(t, p, signs, z):
-    return _exact_t_p(_supports(t).get(p, []), signs, z)
+    return _exact_t_p(support_of(t, p), signs, z)
 
 
 def test_increment_support_examples():
@@ -83,12 +131,12 @@ def test_delta2():
 
 def test_delta4():
     t10 = segmented_factorize(10, 10)
-    assert _delta4(_supports(t10)[7]) == 8  # |N(7)| = 1
-    assert _delta4(_supports(t10).get(23, [])) == 0
+    assert _delta4(support_of(t10, 7)) == 8  # |N(7)| = 1
+    assert _delta4(support_of(t10, 23)) == 0
     assert stein_terms(t10, 1.0, var_trials=2).delta4_by_p[7] == 8
     t = segmented_factorize(25, 20)  # N(7) = {5, 6}, no non-diagonal
     assert members(t, 7) == [5, 6]
-    assert _delta4(_supports(t)[7]) == 8 * (3 * 4 - 2 * 2)
+    assert _delta4(support_of(t, 7)) == 8 * (3 * 4 - 2 * 2)
 
 
 def test_delta3_frozen_values():
@@ -177,7 +225,7 @@ def test_exchange_statistic_quadratic_form_parity():
 def test_exchange_statistic_zero_mean_over_seeds():
     # off-diagonal second-order chaos: E over sign draws of T_p is 0
     t = segmented_factorize(25, 20)  # N(7) = {5, 6}
-    support = _supports(t)[7]
+    support = support_of(t, 7)
     total = Fraction(0)
     n_seeds = 4000
     for seed in range(n_seeds):
@@ -390,6 +438,48 @@ def reference_decomposition_sides(table, z, signs, l_budget=12):
     return direct, closed
 
 
+def assert_view_matches_references(t, z, seed=0):
+    """The prime-major view against the per-incidence loops it replaced:
+    its primes and incidence indices, L, every N(p) with each member's other
+    primes, and the entries' large-prime masks and small-sign products.  The
+    masks are compared at z, or, where L has more than 40 primes, over the
+    40 largest primes, so that each fits an int64."""
+    view = t.prime_major
+    supports = _supports(t)
+    assert view.primes.tolist() == sorted(supports)
+    at = {p: j for j, p in enumerate(sorted(supports))}
+    assert view.index.tolist() == [at[p] for _, qs in t.squarefree_items() for p in qs]
+    for j, p in enumerate(view.primes.tolist()):
+        assert _members(t, j) == supports[p]
+    assert large_primes(t, z) == _large_primes(supports, z)
+    if len(supports) > 40 and len(_large_primes(supports, z)) > 40:
+        z = sorted(supports)[-41]
+    large = _large_primes(supports, z)
+    first = _view(t, z)[1]
+    entries = _split_entries(t, large)
+    signs = SignSource(seed)
+    masks = _over_entries(t, np.add, 1 << np.arange(len(large)), first)
+    small = np.array([signs.sign(q) for q in view.primes[:first].tolist()], dtype=np.int64)
+    coeffs = _over_entries(t, np.multiply, small)
+    assert masks[t.flags].tolist() == [m for _, m in entries]
+    assert coeffs[t.flags].tolist() == [math.prod(signs.sign(q) for q in sm) for sm, _ in entries]
+
+
+@pytest.mark.parametrize("x, y", [(x, 9) for x in range(694, 707)]
+                         + [(x, 100) for x in range(10**5 + 15, 10**5 + 30)]
+                         + [(10**8, 10**4)])
+def test_prime_major_view_matches_references(x, y):
+    assert_view_matches_references(segmented_factorize(x, y), z_of_delta(y / x))
+
+
+@settings(max_examples=60, deadline=None)
+@example(lo=0, length=1, z=1.0)   # n = 1 alone: omega 0, no incidence
+@example(lo=0, length=40, z=3.0)
+@given(st.integers(0, 5000), st.integers(1, 300), st.floats(0.5, 60.0))
+def test_prime_major_view_matches_references_on_small_intervals(lo, length, z):
+    assert_view_matches_references(_factor_segment(lo, length), z, seed=lo)
+
+
 @pytest.mark.parametrize("x", range(694, 707))
 def test_decomposition_sides_match_literal_enumeration(x):
     # |L| runs from 8 to 11 across this window
@@ -409,7 +499,7 @@ def test_decomposition_sides_match_literal_enumeration(x):
 def test_decomposition_sides_match_literal_enumeration_edges(x, y, z, l_size):
     t = segmented_factorize(x, y)
     if l_size is not None:
-        assert len(_large_primes(_supports(t), z)) == l_size
+        assert len(large_primes(t, z)) == l_size
     for seed in (0, 11):
         signs = SignSource(seed)
         assert decomposition_sides(t, z, signs) == reference_decomposition_sides(t, z, signs)
@@ -464,6 +554,39 @@ def test_exchange_variance_golden_values_in_small_tiles(monkeypatch):
     assert exchange_variance_monte_carlo(t, 3.0, 200, 99) == 81.81304020100502
 
 
+def test_t_p_adds_members_in_order_for_any_number_of_trials():
+    # a lone trial column must not be summed pairwise: the exchange
+    # variance's last tile may hold a single trial
+    rng = np.random.default_rng(7)
+    xs = rng.choice([-1, 1], size=(40, 5)).astype(np.int64)
+    omegas = rng.integers(1, 6, size=(40, 1))
+    whole = _t_p(xs, omegas)
+    for c in range(5):
+        g, want = int(xs[:, c].sum()), 0.0
+        for x, w in zip(xs[:, c].tolist(), omegas[:, 0].tolist()):
+            want += (g - x) * x / w
+        assert _t_p(xs[:, c : c + 1], omegas)[0] == whole[c] == want
+
+
+def test_stein_terms_refuses_before_building_any_member(monkeypatch):
+    # the refusal names the least p with |N(p)| > member_budget, checked
+    # from the view's offsets; a budget of exactly max |N(p)| is accepted
+    t = segmented_factorize(200, 80)
+    sizes = {p: len(ms) for p, ms in _supports(t).items() if p > 3.0}
+    top = max(sizes.values())
+    first = min(p for p, n in sizes.items() if n > top - 1)
+    assert stein_terms(t, 3.0, var_trials=2, member_budget=top).exact_primes == len(sizes)
+
+    def no_members(*args):
+        raise AssertionError("member list built")
+
+    monkeypatch.setattr(stein, "_members", no_members)
+    with pytest.raises(ScaleError, match=re.escape(f"|N({first})| = {top} exceeds {top - 1}")):
+        stein_terms(t, 3.0, var_trials=2, member_budget=top - 1)
+    with pytest.raises(ScaleError, match=re.escape("|N(5)| = 1019 exceeds 400")):
+        stein_terms(segmented_factorize(10**8, 10**4), z_of_delta(10**4 / 10**8))
+
+
 def _reference_delta3(p, members, prime_budget):
     """_delta3 as a Walsh-Hadamard transform over all 2^k sign vectors of
     the k distinct primes of N(p)."""
@@ -495,9 +618,9 @@ def assert_delta3_matches_reference(p, ms, prime_budget=20):
 def delta3_within_budget(x, y):
     """Checks every large prime at the z a stein run uses; whether each was
     within the budget."""
-    supports = _supports(segmented_factorize(x, y))
-    return [assert_delta3_matches_reference(p, supports[p])
-            for p in _large_primes(supports, z_of_delta(y / x))]
+    t = segmented_factorize(x, y)
+    return [assert_delta3_matches_reference(p, support_of(t, p))
+            for p in large_primes(t, z_of_delta(y / x))]
 
 
 @pytest.mark.parametrize("x", range(10**5 + 15, 10**5 + 30))
