@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from . import distances as dist_mod
 from . import quadruples as quad_mod
 from . import stein as stein_mod
 from .errors import ScaleError
-from .numtheory import IntervalTable, segmented_factorize, sieve_primes
+from .numtheory import IntervalTable, segmented_factorize
 from .rmf_core import IntervalSampler, SignSource
 
 SCHEMA_VERSION = 1
@@ -38,8 +37,8 @@ SCHEMA_VERSION = 1
 # about 210 MB RSS, and the trial sign matrix grows with it.
 MAX_TRIALS = 10**6
 # Largest stein --identity-max-l; a larger value is refused before the factor
-# table is built.  The identity loop grows about as L^4.5: 0.005 s at the
-# default 30, 0.26 s at the cap and 5 s at 200.
+# table is built.  The identity loop grows about as L^3: 0.0006 s at the
+# default 30, 0.014 s at the cap and 0.14 s at 200 (2 shared vCPUs).
 MAX_IDENTITY_L = 100
 HIST_BINS = 64
 HIST_RANGE = (-5.0, 5.0)
@@ -307,18 +306,20 @@ def run_stein_checks(config: ExperimentConfig, identity_max_l: int = 30,
     out: dict = {"s_count": table.squarefree_count}
 
     identity_ok = all(
-        stein_mod.subset_weight_identity(l, w) == Fraction(1, w)
-        for l in range(1, identity_max_l + 1)
-        for w in range(1, l + 1)
+        num * w == common
+        for nums, common in map(stein_mod.subset_weight_identity, range(1, identity_max_l + 1))
+        for w, num in enumerate(nums, 1)
     )
     out["weight_identity"] = {"max_l": identity_max_l, "ok": identity_ok}
 
     signs = SignSource(cfg.master_seed)
     try:
-        small = sieve_primes(math.floor(cfg.z))
-        assignments = [
-            {p: signs.for_trial(i).sign(p) for p in small} for i in range(5)
-        ]
+        # the small primes <= z that divide a square-free entry: the only
+        # ones the check reads
+        primes = table.prime_major.primes
+        small = primes[: np.searchsorted(primes, cfg.z, side="right")].tolist()
+        assignments = [{p: trial.sign(p) for p in small}
+                       for trial in map(signs.for_trial, range(5))]
         rep = stein_mod.conditional_moments_check(table, cfg.z, assignments)
         out["conditional_moments"] = {
             "large_primes": len(rep.large_primes),

@@ -49,6 +49,8 @@ LIMB = 25
 DEFAULT_BUDGET = 10**9
 # Rows per block of a level's expansion: bounds the enumeration's memory.
 BLOCK = 1 << 14
+# Pairs per run of groups in the grouped oracle: bounds its memory.
+PAIR_BLOCK = 1 << 18
 
 
 def diagonal_count(s: int) -> int:
@@ -75,19 +77,13 @@ def oracle_count_square_quadruples(table: IntervalTable) -> int:
     s = len(members)
     if s > ORACLE_MAX_S:
         raise ScaleError(f"oracle limited to S <= {ORACLE_MAX_S}, got S = {s}")
-    return _oracle_count_array(members)
+    return int(_oracle_count_array(members)[0])
 
 
-def _oracle_count_array(members: list[int]) -> int:
-    """_oracle_count_members over numpy pair kernels, for distinct members
-    below 2^(2*LIMB).  Only the pairs a < b are built: (a, b) and (b, a) share a
-    kernel, and kernel 1 belongs to the S pairs (a, a) alone, so the count
-    is S^2 plus 4 d^2 for each kernel of d pairs a < b.  A kernel is held as
-    high * 2^(2*LIMB) + low, 0 <= low < 2^(2*LIMB), from the LIMB-bit limbs
-    of u = a/g and v = b/g."""
-    n = np.array(members, dtype=np.int64)
-    i, j = np.triu_indices(n.size, 1)
-    a, b = n[i], n[j]
+def _pair_kernels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernels (a/g)(b/g), g = gcd(a, b), of int64 members below
+    2^(2*LIMB), as (high, low) with kernel = high * 2^(2*LIMB) + low and
+    0 <= low < 2^(2*LIMB), from the LIMB-bit limbs of u = a/g and v = b/g."""
     g = np.gcd(a, b)
     u, v = a // g, b // g
     mask = (1 << LIMB) - 1
@@ -96,12 +92,60 @@ def _oracle_count_array(members: list[int]) -> int:
     low = u0 * v0 + ((mid & mask) << LIMB)
     high = u1 * v1 + (mid >> LIMB) + (low >> 2 * LIMB)
     low &= (1 << 2 * LIMB) - 1
-    order = np.argsort(low)
-    order = order[np.argsort(high[order], kind="stable")]
-    high, low = high[order], low[order]
-    cuts = np.flatnonzero((high[1:] != high[:-1]) | (low[1:] != low[:-1])) + 1
-    d = np.diff(cuts, prepend=0, append=high.size)
-    return n.size**2 + 4 * int((d * d).sum())
+    return high, low
+
+
+def _oracle_count_array(members, sizes=None) -> np.ndarray:
+    """_oracle_count_members of each group of members, for distinct members
+    below 2^(2*LIMB) within a group: group g is the next sizes[g] members
+    (one group of all of them when sizes is None); int64 counts, one a group.
+
+    Only the pairs a < b within a group are built: (a, b) and (b, a) share a
+    kernel, and kernel 1 belongs to the c pairs (a, a) alone, so a group of
+    c members counts c^2 plus 4 d^2 for each kernel of d of its pairs a < b.
+    Equal (group, kernel) pairs are counted after one sort, on a single
+    int64 key where the group and both kernel words fit one, else on the
+    three as keys.  Groups are taken in runs of about PAIR_BLOCK pairs (a
+    larger group alone), so memory does not grow with the number of groups."""
+    n = np.asarray(members, dtype=np.int64)
+    sizes = np.array([n.size] if sizes is None else sizes, dtype=np.int64)
+    out = sizes * sizes
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    before = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))  # pairs before g
+    g0 = 0
+    while g0 < sizes.size:
+        g1 = max(g0 + 1, int(np.searchsorted(before, before[g0] + PAIR_BLOCK, "right")) - 1)
+        _count_groups(n[starts[g0] : starts[g1]], sizes[g0:g1], out[g0:g1])
+        g0 = g1
+    return out
+
+
+def _count_groups(n: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> None:
+    """Add 4 d^2 into out[g] for each kernel of d pairs a < b of group g."""
+    # member r pairs with the later members of its group, r + 1 .. end - 1
+    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(n.size) - 1
+    i = np.repeat(np.arange(n.size), later)
+    if not i.size:
+        return
+    j = np.arange(1, i.size + 1) - np.repeat(np.cumsum(later) - later - np.arange(n.size), later)
+    group = np.repeat(np.arange(sizes.size), sizes)[i]
+    high, low = _pair_kernels(n[i], n[j])
+    lb = int(low.max()).bit_length()
+    gb = lb + int(high.max()).bit_length()
+    if gb + (sizes.size - 1).bit_length() <= 63:
+        key = (group << gb) | (high << lb) | low
+        key.sort()
+        keys = (key,)
+    else:
+        order = np.lexsort((low, high, group))
+        keys, gb = (group[order], high[order], low[order]), 0
+    new = np.ones(i.size, dtype=bool)
+    new[1:] = keys[0][1:] != keys[0][:-1]
+    for k in keys[1:]:
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    d = np.diff(starts, append=i.size)
+    np.add.at(out, keys[0][starts] >> gb, 4 * d * d)
 
 
 def _oracle_count_members(members: list[int]) -> int:

@@ -17,7 +17,8 @@ Every grouping of the square-free incidences by prime reads the table's
 one transpose, IntervalTable.prime_major: L is its primes above z, N(p) its
 entries of p (k = n // p), and the entries' large-prime masks and
 small-sign products are reductions over it.  Member lists (each k with the
-distinct primes of k) are built only for the prime being evaluated.  T_p is
+distinct primes of k) are built one prime at a time, and only for primes
+with |N(p)| >= 2: a prime with a lone member is closed form.  T_p is
 evaluated in one place (_t_p): exactly for a given sign source, and for the
 exchange variance over a whole matrix of trial signs at once.
 
@@ -29,7 +30,8 @@ parities of the members of N(p), so its average runs over the 2^r points of
 their image, r the GF(2) rank of the members' prime masks.  Both sides of
 the conditional decomposition are integer subset-sum (zeta) transforms over
 the bits of L, summed by subset size, so only O(|L|) Fractions are formed;
-the subset-weight identity sums integers over one common denominator.
+the subset-weight identity gives, for each |L|, the integer numerators of
+every w over one common denominator.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from .errors import ScaleError
 from .numtheory import IntervalTable, PrimeMajor
-from .quadruples import _oracle_count_members
+from .quadruples import _oracle_count_array
 from .rmf_core import SignSource, trial_signs
 
 # a member k of N(p), with the distinct primes of k
@@ -139,11 +141,6 @@ def sign_vector_moments(masks: list[int], coeffs: list[int], k: int
 # Exact Delta_p moments
 # ---------------------------------------------------------------------------
 
-def _delta4(members: list[_Member]) -> int:
-    """E|Delta_p f|^4 = 8 * (ordered square quadruples within N(p))."""
-    return 8 * _oracle_count_members([k for k, _ in members])
-
-
 def _span_coordinates(masks: list[int]) -> tuple[list[int], int]:
     """Coordinates of each mask over a GF(2) basis of their span (the first
     masks that are independent of those before them), and the rank r."""
@@ -203,16 +200,26 @@ def subset_weight(l_size: int, a_size: int) -> Fraction:
     return Fraction(1, comb(l_size, a_size) * (l_size - a_size))
 
 
-def subset_weight_identity(l_size: int, omega: int) -> Fraction:
-    """sum_{k=0}^{L-w} subset_weight(L, k) * C(L-w, k) in exact rationals,
-    summed as integers over the common denominator lcm_k L C(L-1, k); the
-    identity says this equals 1/w."""
-    if not 1 <= omega <= l_size:
-        raise ValueError(f"need 1 <= omega <= L, got omega={omega}, L={l_size}")
-    dens = [l_size * comb(l_size - 1, k) for k in range(l_size - omega + 1)]
+def subset_weight_identity(l_size: int) -> tuple[list[int], int]:
+    """For w = 1, ..., L, the identity sum sum_{k=0}^{L-w} subset_weight(L, k)
+    * C(L-w, k) as an integer numerator over one common denominator, the
+    lcm of the L C(L-1, k): (nums, common) with nums[w - 1] the numerator for
+    w.  The identity says each sum is 1/w, i.e. nums[w - 1] * w == common.
+
+    With q_k = common / (L C(L-1, k)), the numerator for w is
+    sum_k C(m, k) q_k at m = L - w, the binomial transform of q, built for
+    every m at once by adding neighbours: row m + 1 is row m plus row m
+    shifted by one, and each row's first term is the sum for its m."""
+    if l_size < 1:
+        raise ValueError(f"need L >= 1, got L={l_size}")
+    dens = [l_size * comb(l_size - 1, k) for k in range(l_size)]
     common = math.lcm(*dens)
-    return Fraction(sum(comb(l_size - omega, k) * (common // d) for k, d in enumerate(dens)),
-                    common)
+    row = [common // d for d in dens]
+    sums = []
+    for _ in range(l_size):
+        sums.append(row[0])
+        row = list(map(operator.add, row, row[1:]))
+    return sums[::-1], common
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +255,10 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
                                   master_seed: int) -> float:
     """Sample variance (ddof=1) of sum_{p in L} T_p over seeded trials.
 
-    T_p vanishes unless |N(p)| >= 2.  The signs of trial t are those of
-    SignSource(master_seed).for_trial(t).  For a tile of trials X(n) is the
-    product of the sign rows of n's primes, and a member k of N(p) has
+    T_p vanishes unless |N(p)| >= 2, so only the entries n of those N(p)
+    and the primes of those entries are read.  The signs of trial t are
+    those of SignSource(master_seed).for_trial(t).  For a tile of trials X(n)
+    is the product of the sign rows of n's primes, and a member k of N(p) has
     X(k) = X(n) X(p).  A tile's sign matrices and one prime's member values
     fit about _VAR_TILE_BYTES, and every trial's terms are added in
     ascending p as in a per-trial evaluation."""
@@ -262,17 +270,31 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
     if not used.size:
         return 0.0
     omega_l = np.bincount(view.entries[view.offsets[first] :], minlength=table.y_len)
-    per_p = [(j, view.entries[view.offsets[j] : view.offsets[j + 1]]) for j in used.tolist()]
-    per_trial = 2 * view.primes.size + table.y_len + 40 * int(counts[used].max())
+    per_p = [(int(view.primes[j]), view.entries[view.offsets[j] : view.offsets[j + 1]])
+             for j in used.tolist()]
+    ents = np.unique(np.concatenate([e for _, e in per_p]))
+    # the distinct primes of those entries, and column t: the entries with
+    # more than t primes, with the index of the t-th one among those primes
+    sizes = np.diff(table.offsets)[ents]
+    runs = np.cumsum(sizes) - sizes
+    at = np.arange(sizes.sum()) + np.repeat(table.offsets[ents] - runs, sizes)
+    primes, local = np.unique(table.primes[at], return_inverse=True)
+    columns = [(more, local[runs[more] + t]) for t in range(int(sizes.max()))
+               for more in [np.flatnonzero(sizes > t)]]
+    rows = [(int(np.searchsorted(primes, p)), np.searchsorted(ents, e), omega_l[e][:, None])
+            for p, e in per_p]
+    per_trial = 2 * primes.size + 3 * ents.size + 40 * int(counts[used].max())
     tile = max(_MIN_VAR_TILE, _VAR_TILE_BYTES // per_trial)
     values = np.empty(trials)
     for start in range(0, trials, tile):
         count = min(tile, trials - start)
-        signs = trial_signs(view.primes, master_seed, start, count)
-        x_n = _over_entries(table, np.multiply, signs)
+        signs = trial_signs(primes, master_seed, start, count)
+        x_n = np.ones((ents.size, count), dtype=np.int8)
+        for more, row in columns:
+            x_n[more] *= signs[row]
         acc = np.zeros(count)
-        for j, e in per_p:
-            acc += _t_p((x_n[e] * signs[j]).astype(np.int64), omega_l[e][:, None])
+        for row, pos, omegas in rows:
+            acc += _t_p((x_n[pos] * signs[row]).astype(np.int64), omegas)
         values[start : start + count] = acc
     return float(values.var(ddof=1))
 
@@ -298,28 +320,45 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
     the support involves at most prime_budget distinct primes, otherwise by
     the Cauchy-Schwarz bound sqrt(E|Delta_p f|^2 E|Delta_p f|^4); plus the
     sampled Var(sum_p T_p).  Refused, before any member is built, when some
-    |N(p)| exceeds member_budget; the refusal names the least such p."""
+    |N(p)| exceeds member_budget; the refusal names the least such p.
+
+    E|Delta_p f|^2 = 2 |N(p)| and E|Delta_p f|^4 = 8 * (ordered square
+    quadruples within N(p)).  A prime with |N(p)| = 1, most of L, is closed
+    form: E|Delta_p f|^2 = 2, E|Delta_p f|^4 = 8 and E|Delta_p f|^3 = 4, which
+    is also its bound.  The fourth moments of the others come from one
+    grouped pair-kernel count over their members k = n // p, and their third
+    moments from _delta3 over member lists built for them alone.  The third
+    moments are added in ascending p."""
     view, first = _view(table, z)
-    counts = np.diff(view.offsets)
-    over = first + np.flatnonzero(counts[first:] > member_budget)
+    counts = np.diff(view.offsets)[first:]
+    over = np.flatnonzero(counts > member_budget)
     if over.size:
-        raise ScaleError(f"|N({view.primes[over[0]]})| = {counts[over[0]]} exceeds {member_budget}")
-    total = 0.0
-    d2: dict[int, int] = {}
-    d4: dict[int, int] = {}
-    exact_primes = bounded_primes = 0
-    for j, p in enumerate(view.primes[first:].tolist(), first):
-        members = _members(table, j)
-        d2[p] = 2 * len(members)  # E|Delta_p f|^2 = 2 |N(p)|
-        d4[p] = _delta4(members)
+        raise ScaleError(f"|N({view.primes[first + over[0]]})| = {counts[over[0]]} "
+                         f"exceeds {member_budget}")
+    large = view.primes[first:]
+    entries = view.entries[view.offsets[first] :]
+    shared = counts >= 2
+    d2 = 2 * counts
+    d4 = np.full(counts.size, 8, dtype=np.int64)
+    in_shared = np.repeat(shared, counts)
+    d4[shared] = 8 * _oracle_count_array(
+        (table.x_lo + 1 + entries[in_shared]) // np.repeat(large, counts)[in_shared],
+        counts[shared])
+    d3 = np.full(counts.size, 4.0)
+    # a lone member k = n // p has omega(n) - 1 distinct primes
+    alone = entries[np.repeat(~shared, counts)]
+    bounded_primes = int(np.count_nonzero(np.diff(table.offsets)[alone] - 1 > prime_budget))
+    for m in np.flatnonzero(shared).tolist():
         try:
-            total += _delta3(p, members, prime_budget)
-            exact_primes += 1
+            d3[m] = _delta3(int(large[m]), _members(table, first + m), prime_budget)
         except ScaleError:
-            total += math.sqrt(d2[p] * d4[p])
+            d3[m] = math.sqrt(int(d2[m]) * int(d4[m]))
             bounded_primes += 1
+    total = float(np.add.accumulate(d3)[-1]) if d3.size else 0.0
     var_t = exchange_variance_monte_carlo(table, z, var_trials, master_seed)
-    return SteinTerms(total, var_t, d2, d4, exact_primes, bounded_primes)
+    ps = large.tolist()
+    return SteinTerms(total, var_t, dict(zip(ps, d2.tolist())), dict(zip(ps, d4.tolist())),
+                      counts.size - bounded_primes, bounded_primes)
 
 
 # ---------------------------------------------------------------------------

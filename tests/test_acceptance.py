@@ -127,8 +127,10 @@ def test_criterion_03_conditional_moments_exhaustive():
 
 def test_criterion_04_combinatorial_identity():
     for l_size in range(1, 31):
+        nums, common = subset_weight_identity(l_size)
+        assert len(nums) == l_size
         for omega in range(1, l_size + 1):
-            got = subset_weight_identity(l_size, omega)
+            got = Fraction(nums[omega - 1], common)
             assert got == Fraction(1, omega), (l_size, omega, got)
     print("CRITERION 4: PASS - identity sum equals 1/omega exactly for all "
           "1 <= omega <= L <= 30")

@@ -66,8 +66,29 @@ def test_stein_checks_reach_the_traced_stein_layers(monkeypatch):
         monkeypatch.setattr(stein, name, counted)
     out = harness.run_stein_checks(harness.ExperimentConfig(x=700, y=9, master_seed=5))
     assert out["weight_identity"]["ok"] and out["decomposition"]["equal"]
-    assert calls["subset_weight_identity"] == 30 * 31 // 2
+    assert calls["subset_weight_identity"] == 30  # one call per L <= --identity-max-l
     assert calls["decomposition_sides"] == 1
+
+
+def test_stein_terms_builds_member_lists_only_for_shared_primes(monkeypatch):
+    # a prime with |N(p)| = 1 is closed form: at (100020, 100] member lists
+    # are built for the 10 primes of L with |N(p)| >= 2, not for all 84
+    built = []
+    original = stein._members
+
+    def counted(table, j):
+        built.append(j)
+        return original(table, j)
+
+    monkeypatch.setattr(stein, "_members", counted)
+    out = harness.run_stein_checks(harness.ExperimentConfig(x=100020, y=100), var_trials=20)
+    assert "skipped" in out["decomposition"] and "skipped" not in out["exchange_variance"]
+    table = segmented_factorize(100020, 100)
+    view, first = stein._view(table, harness.ExperimentConfig(x=100020, y=100).resolved().z)
+    counts = np.diff(view.offsets)
+    assert view.primes.size - first == 84
+    assert built == (first + np.flatnonzero(counts[first:] >= 2)).tolist()
+    assert len(built) == 10
 
 
 @pytest.mark.parametrize("argv", [

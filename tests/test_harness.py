@@ -29,8 +29,10 @@ from rmflab.harness import (
     run_simulate,
     run_stein_checks,
 )
+from rmflab import numtheory
 from rmflab.numtheory import segmented_factorize
-from rmflab.rmf_core import IntervalSampler
+from rmflab.rmf_core import IntervalSampler, SignSource
+from rmflab.stein import conditional_moments_check
 
 
 def small_config(trials=200, workers=1, **kw):
@@ -454,6 +456,36 @@ def test_cli_stein_splits_primes_at_given_z(capsys):
     # with z given, delta >= 1/10 only warns, as in simulate
     assert main(["stein", "--x", "700", "--y", "80", "--z", "3",
                  "--var-trials", "20", "--identity-max-l", "3"]) == 0
+
+
+def test_stein_at_a_large_z_never_sieves_to_z(monkeypatch):
+    # the five small-sign assignments cover the view's primes <= z, not
+    # every prime <= z: no sieve past isqrt(x + y), and the same conditional
+    # moments as assignments over every prime <= z where L is as empty
+    limits = []
+    sieve = numtheory._sieve
+
+    def spy(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(numtheory, "_sieve", spy)
+    out = run_stein_checks(ExperimentConfig(x=700, y=9, master_seed=4, z_override=1e7),
+                           identity_max_l=3, var_trials=2)
+    assert limits and max(limits) <= math.isqrt(709)
+    monkeypatch.undo()
+
+    table = segmented_factorize(700, 9)
+    signs = SignSource(4)
+    full = [{p: signs.for_trial(i).sign(p) for p in numtheory.sieve_primes(709)}
+            for i in range(5)]
+    rep = conditional_moments_check(table, 709.0, full)
+    assert rep.large_primes == ()
+    assert out["conditional_moments"] == {"large_primes": 0, "ok": rep.ok}
+    small_z = run_stein_checks(ExperimentConfig(x=700, y=9, master_seed=4, z_override=709.0),
+                               identity_max_l=3, var_trials=2)
+    for key in ("conditional_moments", "decomposition", "s_count", "weight_identity"):
+        assert out[key] == small_z[key]
 
 
 def test_cli_stein_negative_seed(capsys):

@@ -327,3 +327,50 @@ def test_oracle_above_int64_squares_matches_scalar_loop(monkeypatch, x, y):
 def test_oracle_above_int64_squares_sweep(x, y):
     t = segmented_factorize(x, y)
     assert oracle_count_square_quadruples(t) == _oracle_count_members(t.squarefree_values())
+
+
+def grouped_reference(members, sizes):
+    """_oracle_count_members of each group, the groups laid end to end."""
+    ends = np.cumsum(sizes).tolist()
+    return [_oracle_count_members(members[e - c : e]) for c, e in zip(sizes, ends)]
+
+
+def test_grouped_oracle_edge_groups():
+    # empty and one-member groups, a group of members above 2^31.5 (kernels
+    # of two int64 words) beside small ones, and no group at all
+    big = segmented_factorize(INT64_MEMBER, 60).squarefree_values()
+    small = segmented_factorize(100, 40).squarefree_values()
+    assert big[0] > INT64_MEMBER
+    members = [7] + small[:9] + big + small[9:20] + [13]
+    sizes = [0, 1, 9, 0, len(big), 0, 11, 1, 0]
+    assert sum(sizes) == len(members)
+    assert _oracle_count_array(members, sizes).tolist() == grouped_reference(members, sizes)
+    assert _oracle_count_array([], []).tolist() == []
+    assert _oracle_count_array([], [0, 0]).tolist() == [0, 0]
+    assert _oracle_count_array([5]).tolist() == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.sampled_from((1, 2**20, 2**33, 2**48))),
+                max_size=10),
+       st.integers(0, 10**6))
+def test_grouped_oracle_matches_scalar_loop(groups, seed):
+    rnd = random.Random(seed)
+    members, sizes = [], []
+    for c, scale in groups:
+        members += sorted(rnd.sample(range(scale, scale + 4 * c + 8), c))
+        sizes.append(c)
+    assert _oracle_count_array(members, sizes).tolist() == grouped_reference(members, sizes)
+
+
+def test_grouped_oracle_independent_of_pair_block(monkeypatch):
+    t = segmented_factorize(10**4, 400)
+    members, sizes = [], []
+    for p in (7, 11, 13, 17, 19, 23):
+        ks = [n // p for n in t.squarefree_values() if n % p == 0]
+        members += ks
+        sizes.append(len(ks))
+    want = grouped_reference(members, sizes)
+    for block in (1, 3, 40, 1 << 30):
+        monkeypatch.setattr(quadruples, "PAIR_BLOCK", block)
+        assert _oracle_count_array(members, sizes).tolist() == want

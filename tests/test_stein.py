@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmflab.errors import ScaleError
+from rmflab.harness import MAX_IDENTITY_L
 from rmflab.numtheory import (
     IntervalTable,
     _factor_segment,
@@ -17,13 +18,13 @@ from rmflab.numtheory import (
     sieve_primes,
     z_of_delta,
 )
-from rmflab.rmf_core import SignSource
+from rmflab.quadruples import _oracle_count_array, _oracle_count_members
+from rmflab.rmf_core import SignSource, trial_signs
 from rmflab import stein
 from rmflab.stein import (
     _Member,
     _all_sign_values,
     _delta3,
-    _delta4,
     _exact_t_p,
     _members,
     _over_entries,
@@ -38,6 +39,7 @@ from rmflab.stein import (
     sign_vector_moments,
     stein_terms,
     exchange_variance_monte_carlo,
+    SteinTerms,
 )
 
 
@@ -131,12 +133,11 @@ def test_delta2():
 
 def test_delta4():
     t10 = segmented_factorize(10, 10)
-    assert _delta4(support_of(t10, 7)) == 8  # |N(7)| = 1
-    assert _delta4(support_of(t10, 23)) == 0
-    assert stein_terms(t10, 1.0, var_trials=2).delta4_by_p[7] == 8
+    assert stein_terms(t10, 1.0, var_trials=2).delta4_by_p[7] == 8  # |N(7)| = 1
+    assert members(t10, 23) == [] and _oracle_count_array([], [0]).tolist() == [0]
     t = segmented_factorize(25, 20)  # N(7) = {5, 6}, no non-diagonal
     assert members(t, 7) == [5, 6]
-    assert _delta4(support_of(t, 7)) == 8 * (3 * 4 - 2 * 2)
+    assert stein_terms(t, 1.0, var_trials=2).delta4_by_p[7] == 8 * (3 * 4 - 2 * 2)
 
 
 def test_delta3_frozen_values():
@@ -189,17 +190,24 @@ def test_subset_weight():
         subset_weight(3, -1)
 
 
+def identity_sum(l, w):
+    """The identity sum for (L, w), from subset_weight_identity(L)."""
+    nums, common = subset_weight_identity(l)
+    assert len(nums) == l
+    return Fraction(nums[w - 1], common)
+
+
 def test_weight_identity_small():
-    assert subset_weight_identity(2, 1) == Fraction(1)
-    assert subset_weight_identity(3, 2) == Fraction(1, 2)
-    assert subset_weight_identity(30, 7) == Fraction(1, 7)
+    assert identity_sum(2, 1) == Fraction(1)
+    assert identity_sum(3, 2) == Fraction(1, 2)
+    assert identity_sum(30, 7) == Fraction(1, 7)
     for l in range(1, 13):
         for w in range(1, l + 1):
-            assert subset_weight_identity(l, w) == Fraction(1, w)
+            assert identity_sum(l, w) == Fraction(1, w)
     with pytest.raises(ValueError):
-        subset_weight_identity(5, 6)
+        subset_weight_identity(0)
     with pytest.raises(ValueError):
-        subset_weight_identity(5, 0)
+        subset_weight_identity(-1)
 
 
 def test_exchange_statistic_examples():
@@ -526,7 +534,7 @@ def test_weight_identity_matches_per_term_sum():
                  for k in range(l - w + 1)),
                 Fraction(0),
             )
-            assert subset_weight_identity(l, w) == per_term == Fraction(1, w)
+            assert identity_sum(l, w) == per_term == Fraction(1, w)
 
 
 def test_exchange_variance_memory_is_bounded_per_tile(monkeypatch):
@@ -677,3 +685,159 @@ def test_span_coordinates_reconstruct_the_masks():
                 if c >> j & 1:
                     acc ^= b
             assert acc == m
+
+
+# ---------------------------------------------------------------------------
+# The per-prime Delta loop and the per-(L, w) identity sums that stein_terms
+# and subset_weight_identity replaced, kept as references
+# ---------------------------------------------------------------------------
+
+def _reference_exchange_variance(table, z, trials, master_seed):
+    """exchange_variance_monte_carlo hashing every prime of the view and
+    forming X(n) for every entry."""
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+    view, first = _view(table, z)
+    counts = np.diff(view.offsets)
+    used = first + np.flatnonzero(counts[first:] >= 2)
+    if not used.size:
+        return 0.0
+    omega_l = np.bincount(view.entries[view.offsets[first] :], minlength=table.y_len)
+    per_p = [(j, view.entries[view.offsets[j] : view.offsets[j + 1]]) for j in used.tolist()]
+    per_trial = 2 * view.primes.size + table.y_len + 40 * int(counts[used].max())
+    tile = max(stein._MIN_VAR_TILE, stein._VAR_TILE_BYTES // per_trial)
+    values = np.empty(trials)
+    for start in range(0, trials, tile):
+        count = min(tile, trials - start)
+        signs = trial_signs(view.primes, master_seed, start, count)
+        x_n = _over_entries(table, np.multiply, signs)
+        acc = np.zeros(count)
+        for j, e in per_p:
+            acc += _t_p((x_n[e] * signs[j]).astype(np.int64), omega_l[e][:, None])
+        values[start : start + count] = acc
+    return float(values.var(ddof=1))
+
+
+def _reference_stein_terms(table, z, var_trials=2000, master_seed=0, prime_budget=20,
+                           member_budget=400):
+    """stein_terms with one member list, one scalar pair-kernel count and one
+    _delta3 call for every prime of L."""
+    view, first = _view(table, z)
+    counts = np.diff(view.offsets)
+    over = first + np.flatnonzero(counts[first:] > member_budget)
+    if over.size:
+        raise ScaleError(f"|N({view.primes[over[0]]})| = {counts[over[0]]} exceeds {member_budget}")
+    total = 0.0
+    d2: dict[int, int] = {}
+    d4: dict[int, int] = {}
+    exact_primes = bounded_primes = 0
+    for j, p in enumerate(view.primes[first:].tolist(), first):
+        members = _members(table, j)
+        d2[p] = 2 * len(members)  # E|Delta_p f|^2 = 2 |N(p)|
+        d4[p] = 8 * _oracle_count_members([k for k, _ in members])
+        try:
+            total += _delta3(p, members, prime_budget)
+            exact_primes += 1
+        except ScaleError:
+            total += math.sqrt(d2[p] * d4[p])
+            bounded_primes += 1
+    var_t = _reference_exchange_variance(table, z, var_trials, master_seed)
+    return SteinTerms(total, var_t, d2, d4, exact_primes, bounded_primes)
+
+
+def _reference_weight_identity(l_size, omega):
+    """The identity sum for one (L, w) in exact rationals, over the common
+    denominator of its own terms."""
+    if not 1 <= omega <= l_size:
+        raise ValueError(f"need 1 <= omega <= L, got omega={omega}, L={l_size}")
+    dens = [l_size * math.comb(l_size - 1, k) for k in range(l_size - omega + 1)]
+    common = math.lcm(*dens)
+    return Fraction(sum(math.comb(l_size - omega, k) * (common // d) for k, d in enumerate(dens)),
+                    common)
+
+
+def assert_stein_terms_match_reference(t, z, **kwargs):
+    got = stein_terms(t, z, **kwargs)
+    want = _reference_stein_terms(t, z, **kwargs)
+    assert got == want
+    assert got.sum_delta3.hex() == want.sum_delta3.hex()
+    assert got.exchange_variance.hex() == want.exchange_variance.hex()
+    assert list(got.delta2_by_p) == list(want.delta2_by_p)  # ascending p
+    assert list(got.delta4_by_p) == list(want.delta4_by_p)
+    return got
+
+
+@pytest.mark.parametrize("x, y", [(x, 9) for x in range(694, 707)]
+                         + [(x, 100) for x in range(10**5 + 15, 10**5 + 30)]
+                         + [(10**6, 300)])
+def test_stein_terms_match_the_per_prime_loop(x, y):
+    t = segmented_factorize(x, y)
+    terms = assert_stein_terms_match_reference(t, z_of_delta(y / x), var_trials=200,
+                                               master_seed=x)
+    assert terms.exact_primes + terms.bounded_primes == len(large_primes(t, z_of_delta(y / x)))
+
+
+@settings(max_examples=40, deadline=None)
+@example(lo=0, length=1, z=1.0, budget=20, seed=0)     # n = 1 alone: L empty
+@example(lo=9, length=12, z=1.0, budget=0, seed=1)     # every prime bounded
+@example(lo=699, length=10, z=1e9, budget=20, seed=2)  # z above every prime
+@given(st.integers(0, 5000), st.integers(1, 300), st.floats(0.5, 60.0),
+       st.sampled_from((0, 1, 2, 20)), st.integers(0, 50))
+def test_stein_terms_match_the_per_prime_loop_on_small_intervals(lo, length, z, budget, seed):
+    assert_stein_terms_match_reference(_factor_segment(lo, length), z, var_trials=70,
+                                       master_seed=seed, prime_budget=budget)
+
+
+@pytest.mark.slow
+def test_stein_terms_match_the_per_prime_loop_at_scale():
+    # (10^8, 10^4]: 5,836 large primes, 5,217 of them with |N(p)| = 1, the
+    # largest |N(p)| = 1019
+    t = segmented_factorize(10**8, 10**4)
+    terms = assert_stein_terms_match_reference(t, z_of_delta(10**-4), var_trials=300,
+                                               member_budget=10**7)
+    assert (terms.exact_primes, terms.bounded_primes) == (5724, 112)
+
+
+def test_exchange_variance_matches_the_all_primes_pass(monkeypatch):
+    # also across tiles of 64 trials, the last one a single trial
+    for x, y, z in ((10**4, 400, 0.5 * math.log(25)), (200, 80, 3.0), (700, 9, 2.0)):
+        t = segmented_factorize(x, y)
+        for trials in (2, 129):
+            want = _reference_exchange_variance(t, z, trials, 3)
+            assert exchange_variance_monte_carlo(t, z, trials, 3).hex() == want.hex()
+    monkeypatch.setattr(stein, "_VAR_TILE_BYTES", 1)
+    t = segmented_factorize(10**4, 400)
+    assert (exchange_variance_monte_carlo(t, 1.6, 129, 3)
+            == _reference_exchange_variance(t, 1.6, 129, 3))
+
+
+def test_exchange_variance_hashes_only_the_primes_it_reads(monkeypatch):
+    # at (100020, 100] 10 primes of L have |N(p)| >= 2; only the 46 primes
+    # of their entries are hashed, not all 86 of the view
+    t = segmented_factorize(100020, 100)
+    z = z_of_delta(100 / 100020)
+    view, first = _view(t, z)
+    counts = np.diff(view.offsets)
+    shared = first + np.flatnonzero(counts[first:] >= 2)
+    ents = np.concatenate([view.entries[view.offsets[j] : view.offsets[j + 1]] for j in shared])
+    read = sorted({q for i in ents.tolist()
+                   for q in t.primes[t.offsets[i] : t.offsets[i + 1]].tolist()})
+    assert (view.primes.size, shared.size, len(read)) == (86, 10, 46)
+    hashed = []
+
+    def spy(primes, *args):
+        hashed.append(np.asarray(primes).tolist())
+        return trial_signs(primes, *args)
+
+    monkeypatch.setattr(stein, "trial_signs", spy)
+    exchange_variance_monte_carlo(t, z, 50, 0)
+    assert hashed == [read]
+
+
+def test_weight_identity_matches_the_per_w_sums():
+    for l in range(1, MAX_IDENTITY_L + 1):
+        nums, common = subset_weight_identity(l)
+        assert len(nums) == l
+        for w, num in enumerate(nums, 1):
+            assert Fraction(num, common) == _reference_weight_identity(l, w) == Fraction(1, w)
+            assert num * w == common
