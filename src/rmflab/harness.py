@@ -316,8 +316,8 @@ def run_stein_checks(config: ExperimentConfig, identity_max_l: int = 30,
     try:
         # the small primes <= z that divide a square-free entry: the only
         # ones the check reads
-        primes = table.prime_major.primes
-        small = primes[: np.searchsorted(primes, cfg.z, side="right")].tolist()
+        view, first = stein_mod._view(table, cfg.z)
+        small = view.primes[:first].tolist()
         assignments = [{p: trial.sign(p) for p in small}
                        for trial in map(signs.for_trial, range(5))]
         rep = stein_mod.conditional_moments_check(table, cfg.z, assignments)
