@@ -314,10 +314,7 @@ def run_stein_checks(config: ExperimentConfig, identity_max_l: int = 30,
 
     signs = SignSource(cfg.master_seed)
     try:
-        # the small primes <= z that divide a square-free entry: the only
-        # ones the check reads
-        view, first = stein_mod._view(table, cfg.z)
-        small = view.primes[:first].tolist()
+        small = stein_mod.small_primes(table, cfg.z)
         assignments = [{p: trial.sign(p) for p in small}
                        for trial in map(signs.for_trial, range(5))]
         rep = stein_mod.conditional_moments_check(table, cfg.z, assignments)

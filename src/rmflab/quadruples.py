@@ -103,10 +103,10 @@ def _oracle_count_array(members, sizes=None) -> np.ndarray:
     Only the pairs a < b within a group are built: (a, b) and (b, a) share a
     kernel, and kernel 1 belongs to the c pairs (a, a) alone, so a group of
     c members counts c^2 plus 4 d^2 for each kernel of d of its pairs a < b.
-    Equal (group, kernel) pairs are counted after one sort, on a single
-    int64 key where the group and both kernel words fit one, else on the
-    three as keys.  Groups are taken in runs of about PAIR_BLOCK pairs (a
-    larger group alone), so memory does not grow with the number of groups."""
+    Equal (group, kernel) pairs are counted after sorting on the low kernel
+    word, then stably on the high word and on the group.  Groups are taken
+    in runs of about PAIR_BLOCK pairs (a larger group alone), so memory does
+    not grow with the number of groups."""
     n = np.asarray(members, dtype=np.int64)
     sizes = np.array([n.size] if sizes is None else sizes, dtype=np.int64)
     out = sizes * sizes
@@ -130,22 +130,15 @@ def _count_groups(n: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> None:
     j = np.arange(1, i.size + 1) - np.repeat(np.cumsum(later) - later - np.arange(n.size), later)
     group = np.repeat(np.arange(sizes.size), sizes)[i]
     high, low = _pair_kernels(n[i], n[j])
-    lb = int(low.max()).bit_length()
-    gb = lb + int(high.max()).bit_length()
-    if gb + (sizes.size - 1).bit_length() <= 63:
-        key = (group << gb) | (high << lb) | low
-        key.sort()
-        keys = (key,)
-    else:
-        order = np.lexsort((low, high, group))
-        keys, gb = (group[order], high[order], low[order]), 0
+    order = np.argsort(low)
+    for key in (high, group):
+        order = order[np.argsort(key[order], kind="stable")]
+    keys = [key[order] for key in (group, high, low)]
     new = np.ones(i.size, dtype=bool)
-    new[1:] = keys[0][1:] != keys[0][:-1]
-    for k in keys[1:]:
-        new[1:] |= k[1:] != k[:-1]
+    new[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
     starts = np.flatnonzero(new)
     d = np.diff(starts, append=i.size)
-    np.add.at(out, keys[0][starts] >> gb, 4 * d * d)
+    np.add.at(out, keys[0][starts], 4 * d * d)
 
 
 def _oracle_count_members(members: list[int]) -> int:

@@ -383,19 +383,27 @@ class ConditionalMomentsReport:
         )
 
 
+def small_primes(table: IntervalTable, z: float) -> list[int]:
+    """The primes <= z that divide a square-free entry, ascending: the small
+    primes whose signs conditional_moments_check reads."""
+    view, first = _view(table, z)
+    return view.primes[:first].tolist()
+
+
 def conditional_moments_check(table: IntervalTable, z: float,
                   small_sign_assignments: list[dict[int, int]],
                   large_prime_budget: int = 22) -> ConditionalMomentsReport:
     """For each fixed assignment of signs to the small primes (<= z), average
     the interval sum and its square over ALL 2^k sign vectors of L; the
-    conditional mean must be exactly 0 and the second moment exactly S."""
+    conditional mean must be exactly 0 and the second moment exactly S.
+    Each assignment must cover small_primes(table, z)."""
     view, first = _view(table, z)
     large = view.primes[first:].tolist()
     if len(large) > large_prime_budget:
         raise ScaleError(
             f"{len(large)} distinct large primes exceeds budget {large_prime_budget}"
         )
-    small_present = view.primes[:first].tolist()
+    small_present = small_primes(table, z)
     masks = _over_entries(table, np.add, 1 << np.arange(len(large)), first)[table.flags]
     means = []
     seconds = []

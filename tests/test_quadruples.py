@@ -350,6 +350,17 @@ def test_grouped_oracle_edge_groups():
     assert _oracle_count_array([5]).tolist() == [1]
 
 
+def test_grouped_oracle_kernels_sharing_the_low_word():
+    # 21 = 3 * 7 = (14 * 6) / 2^2 and 21 + 2^50 = 5 r = (2r * 10) / 2^2 share
+    # the low kernel word; with the pairs of the two kernels interleaved, a
+    # sort that skips the high word splits each kernel's run of two
+    r = (21 + (1 << 50)) // 5
+    group = [3, 5, 7, r, 14, 6, 2 * r, 10]
+    members, sizes = group * 4, [len(group)] * 4
+    counts = _oracle_count_array(members, sizes).tolist()
+    assert counts == grouped_reference(members, sizes) == [_oracle_count_members(group)] * 4
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 12), st.sampled_from((1, 2**20, 2**33, 2**48))),
                 max_size=10),

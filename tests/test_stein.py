@@ -37,6 +37,7 @@ from rmflab.stein import (
     subset_weight,
     subset_weight_identity,
     sign_vector_moments,
+    small_primes,
     stein_terms,
     exchange_variance_monte_carlo,
     SteinTerms,
@@ -292,6 +293,13 @@ def test_conditional_moments_s_zero_interval():
     t = segmented_factorize(47, 1)  # 48 = 2^4 * 3
     rep = conditional_moments_check(t, z_of_delta(1 / 47), [{}])
     assert rep.ok and rep.s_count == 0
+
+
+def test_small_primes_are_the_primes_up_to_z_of_the_squarefree_entries():
+    for x, y, z in [(700, 9, z_of_delta(9 / 700)), (10**4, 300, 50.0), (700, 9, 1e300)]:
+        t = segmented_factorize(x, y)
+        want = sorted({p for _, primes in t.squarefree_items() for p in primes if p <= z})
+        assert small_primes(t, z) == want
 
 
 def test_conditional_moments_budget_and_validation():
