@@ -130,15 +130,19 @@ def _count_groups(n: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> None:
     j = np.arange(1, i.size + 1) - np.repeat(np.cumsum(later) - later - np.arange(n.size), later)
     group = np.repeat(np.arange(sizes.size), sizes)[i]
     high, low = _pair_kernels(n[i], n[j])
+    # sorted on (group, high, low); the pairs of one group need no group sort
     order = np.argsort(low)
-    for key in (high, group):
+    for key in (high, group)[: 1 + (sizes.size > 1)]:
         order = order[np.argsort(key[order], kind="stable")]
     keys = [key[order] for key in (group, high, low)]
     new = np.ones(i.size, dtype=bool)
     new[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
     starts = np.flatnonzero(new)
     d = np.diff(starts, append=i.size)
-    np.add.at(out, keys[0][starts], 4 * d * d)
+    # the runs of a group are adjacent: one sum per group that has pairs
+    g = keys[0][starts]
+    firsts = np.flatnonzero(np.diff(g, prepend=-1))
+    out[g[firsts]] += np.add.reduceat(4 * d * d, firsts)
 
 
 def _oracle_count_members(members: list[int]) -> int:

@@ -351,14 +351,19 @@ def test_grouped_oracle_edge_groups():
 
 
 def test_grouped_oracle_kernels_sharing_the_low_word():
-    # 21 = 3 * 7 = (14 * 6) / 2^2 and 21 + 2^50 = 5 r = (2r * 10) / 2^2 share
-    # the low kernel word; with the pairs of the two kernels interleaved, a
-    # sort that skips the high word splits each kernel's run of two
+    # square-free members: 21 = 3 * 7 = (14 * 6) / 2^2 and 21 + 2^50 = 5 r
+    # = (2r * 10) / 2^2 share the low kernel word; with the pairs of the two
+    # kernels interleaved, a sort that skips the high word splits each
+    # kernel's run of two
     r = (21 + (1 << 50)) // 5
     group = [3, 5, 7, r, 14, 6, 2 * r, 10]
     members, sizes = group * 4, [len(group)] * 4
     counts = _oracle_count_array(members, sizes).tolist()
     assert counts == grouped_reference(members, sizes) == [_oracle_count_members(group)] * 4
+    # 2 * 3 = 6 and 2 c = 6 + 2^50 for c = 3 + 2^49 sort next to each other
+    # (3 c has the high word 1 and a larger low word): two runs, not one
+    trio = [2, 3, 3 + (1 << 49)]
+    assert _oracle_count_array(trio).tolist() == [_oracle_count_members(trio)] == [9 + 3 * 4]
 
 
 @settings(max_examples=40, deadline=None)
