@@ -12,6 +12,7 @@ request (they are the one non-deterministic quantity).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -430,7 +431,10 @@ def _add_interval_args(p: argparse.ArgumentParser, trials: bool = False) -> None
     p.add_argument("--out", default=None, help="output path base (default stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by later ones: a
+    parse reads it and leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="rmflab",
         description="Random multiplicative functions in short intervals: "
@@ -438,7 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     budget_help = ("most candidate rows the non-diagonal enumeration may build; "
-                   "a larger count is refused (exit 3) before the first row")
+                   "a larger count is refused (exit 3) before any row past the "
+                   "budget is built")
 
     p = sub.add_parser("simulate", help="run seeded Monte Carlo trials")
     _add_interval_args(p, trials=True)
@@ -543,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
-            cfg = _config_from_args(args).resolved()
+            cfg = _config_from_args(args)  # run_simulate resolves it, once
             t0 = time.perf_counter()
             report = run_simulate(cfg)
             wall = (time.perf_counter() - t0) * 1000.0

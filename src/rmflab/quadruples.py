@@ -19,10 +19,21 @@ Shape (d) runs A, r, u (n1 = A*r*u in the interval), then B within the
 ratio bound A*lo/hi <= B <= A*hi/lo, then s (n4 in the interval) and v (n3
 in the interval), testing n2 = A*s*v last.
 Expansions are built in blocks of at most BLOCK rows, so memory does not
-grow with the interval.  The budget counts candidate rows: each level's
-rows before filtering, i.e. the sum of its range widths.  A level is
-charged in full before its first row is built, so an over-budget interval
-is refused after only its earlier levels have run.
+grow with the interval.  A filter gathers only the parent columns it reads
+(the levels carry the products A*r, B*u, B*r, A*s that later filters read),
+runs np.gcd only on the rows that pass its cheaper tests, and the parent
+columns are gathered for the surviving rows alone.
+
+The budget counts candidate rows: each level's rows before filtering, i.e.
+the sum of its range widths.  Each shape's levels are streamed once.  The
+outer levels (A, c1, c2 of (b)/(c); A, r, u of (d)) are charged in full
+before that stream starts, each by a cheap stream of the outer levels
+before it; the deep levels (B of (b)/(c); B, s, v of (d)) are charged
+block by block inside the stream, before the block's rows are built.
+Every charge is >= 0, so an interval is refused iff its total charge
+exceeds the budget, and no row is built before it is charged.  A refusal
+at an outer level comes after only the earlier outer levels have run; one
+at a deep level, after at most `budget` candidate rows.
 """
 
 from __future__ import annotations
@@ -128,17 +139,22 @@ def _count_groups(n: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> None:
     if not i.size:
         return
     j = np.arange(1, i.size + 1) - np.repeat(np.cumsum(later) - later - np.arange(n.size), later)
-    group = np.repeat(np.arange(sizes.size), sizes)[i]
     high, low = _pair_kernels(n[i], n[j])
-    # sorted on (group, high, low); the pairs of one group need no group sort
+    # sorted on (group, high, low); one group needs no group key at all
+    keys = [high, low]
+    if sizes.size > 1:
+        keys.insert(0, np.repeat(np.arange(sizes.size), sizes)[i])
     order = np.argsort(low)
-    for key in (high, group)[: 1 + (sizes.size > 1)]:
+    for key in keys[-2::-1]:
         order = order[np.argsort(key[order], kind="stable")]
-    keys = [key[order] for key in (group, high, low)]
+    keys = [key[order] for key in keys]
     new = np.ones(i.size, dtype=bool)
     new[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
     starts = np.flatnonzero(new)
     d = np.diff(starts, append=i.size)
+    if sizes.size == 1:
+        out[0] += 4 * int(d @ d)
+        return
     # the runs of a group are adjacent: one sum per group that has pairs
     g = keys[0][starts]
     firsts = np.flatnonzero(np.diff(g, prepend=-1))
@@ -254,33 +270,61 @@ def _widths(level, block) -> tuple[np.ndarray, np.ndarray]:
     return first, np.maximum(last - first + 1, 0)
 
 
-def _stream(levels, block):
-    """Yield, in blocks, the rows below `block` that pass every level."""
+class _Rows(dict):
+    """A block of one level's candidate rows: the level's new column, with
+    each parent column gathered on first read."""
+
+    __slots__ = ("parent", "idx")
+
+    def __init__(self, parent: dict, idx: np.ndarray):
+        super().__init__()
+        self.parent, self.idx = parent, idx
+
+    def __missing__(self, key):
+        col = self[key] = self.parent[key][self.idx]
+        return col
+
+
+def _stream(levels, block, bud: _Budget | None = None):
+    """Yield, in blocks, the rows below `block` that pass every level.  With
+    `bud`, each block's candidate rows at a level are charged to it before
+    they are built.  A filter reads only the parent columns it needs; the
+    rows that pass carry every parent column, gathered for them alone."""
     if not levels:
         yield block
         return
     name, _, keep = levels[0]
     first, width = _widths(levels[0], block)
+    if bud is not None:
+        bud.spend(int(width.sum()))
     for idx, off in _expand(width):
-        rows = {k: col[idx] for k, col in block.items()}
+        rows = _Rows(block, idx)
         rows[name] = first[idx] + off
-        if keep is not None:
-            mask = keep(rows)
-            rows = {k: col[mask] for k, col in rows.items()}
-        yield from _stream(levels[1:], rows)
+        at = slice(None) if keep is None else keep(rows)
+        kept = idx[at]
+        child = {k: col[kept] for k, col in block.items()}
+        child[name] = rows[name][at]
+        yield from _stream(levels[1:], child, bud)
 
 
-def _enumerate(levels, bud: _Budget):
-    """Yield, in blocks, the rows that pass every level.  A level is
-    (column, block -> (first, last) of each row's range, row filter or
-    None); the root is one row without columns.  Each level's candidate
-    rows, the sum of its range widths, are charged to `bud` before the
-    level's first row is built, so an over-budget level is never built."""
+def _enumerate(outer, deep, bud: _Budget):
+    """Yield, in blocks, the rows that pass every level of `outer + deep`,
+    streaming each level once.  A level is (column, block -> (first, last)
+    of each row's range, rows -> indices of the rows that pass, or None);
+    the root is one row without columns, and a range function may add to
+    its block the products that later levels read.  Each outer level's
+    candidate rows, the sum of its range widths, are charged to `bud` in
+    full before the stream starts, by streaming the outer levels before it;
+    each deep level is charged block by block inside the stream, before
+    that block's rows are built.  Every charge is >= 0, so an interval is
+    refused iff its total charge exceeds the budget, and no row is built
+    before it is charged."""
     root: dict[str, np.ndarray] = {}
-    for k, level in enumerate(levels):
-        for block in _stream(levels[:k], root):
+    for k, level in enumerate(outer):
+        for block in _stream(outer[:k], root):
             bud.spend(int(_widths(level, block)[1].sum()))
-    yield from _stream(levels, root)
+    for block in _stream(outer, root):
+        yield from _stream(deep, block, bud)
 
 
 def _solution_blocks(x: int, y: int, budget: int):
@@ -314,54 +358,81 @@ def _solution_blocks(x: int, y: int, budget: int):
 
     # Shapes (b) and (c): one inner pair is (1, 1).  Both run over the same
     # (A, c1, c2, B) rows and differ only in which of n3/n4 carries which c.
+    # A filter returns the indices of the rows that pass; each runs np.gcd,
+    # its costliest test, only on the rows that pass its other tests.
     def B_range_bc(b):
         c1, c2 = b["c1"], b["c2"]
         return (np.maximum(m, np.maximum(ceil_lo(c1), ceil_lo(c2))),
                 np.minimum(hi // c1, hi // c2))
 
+    def c1_keep(b):
+        return np.flatnonzero(isf(b["A"] * b["c1"]))
+
     def c2_keep(b):
-        c1, c2 = b["c1"], b["c2"]
-        return (np.gcd(c1, c2) == 1) & isf(b["A"] * c2)  # gcd(c, c) = c >= 2
+        c2 = b["c2"]
+        at = np.flatnonzero(isf(b["A"] * c2))
+        return at[np.gcd(b["c1"][at], c2[at]) == 1]  # gcd(c, c) = c >= 2
 
     def B_keep_bc(b):
         B = b["B"]
-        return (B != b["A"]) & isf(B * b["c1"]) & isf(B * b["c2"])
+        return np.flatnonzero((B != b["A"]) & isf(B * b["c1"]) & isf(B * b["c2"]))
 
-    bc = (
+    bc_outer = (
         ("A", lambda b: (m * one, hi // m * one), None),
-        ("c1", lambda b: cofactors(b["A"]), lambda b: isf(b["A"] * b["c1"])),
+        ("c1", lambda b: cofactors(b["A"]), c1_keep),
         ("c2", lambda b: cofactors(b["A"]), c2_keep),
-        ("B", B_range_bc, B_keep_bc),
     )
-    for b in _enumerate(bc, bud):
+    bc_deep = (("B", B_range_bc, B_keep_bc),)
+    for b in _enumerate(bc_outer, bc_deep, bud):
         yield "bc", b["A"], b["B"], b["c1"], b["c2"]
 
     # Shape (d): r, s, u, v >= m.  (A, r, u) puts n1 = A*r*u in the
     # interval, and (A/B)^2 = n1*n2/(n3*n4) puts B within [A*lo/hi, A*hi/lo].
     # Then s puts n4 = B*s*u and v puts n3 = B*r*v in the interval, and
-    # n2 = A*s*v is tested last: A*s <= hi^2/m^3 < 4*y^2 cannot overflow,
-    # and A*s*v is only used where A*s <= hi // v.
+    # n2 = A*s*v is tested last, as ceil(lo/(A*s)) <= v <= hi // (A*s):
+    # A*s <= hi^2/m^3 < 4*y^2 cannot overflow, and A*s*v is only formed
+    # where it lies in the interval.  The range functions add the products
+    # the later levels read (A*r, B*u, B*r, A*s) to their blocks.
+    def u_range(b):
+        ar = b["Ar"] = b["A"] * b["r"]
+        return cofactors(ar)
+
+    def s_range(b):
+        b["Br"] = b["B"] * b["r"]
+        bu = b["Bu"] = b["B"] * b["u"]
+        return cofactors(bu)
+
+    def u_keep(b):
+        return np.flatnonzero(isf(b["Ar"] * b["u"]))
+
     def s_keep(b):
-        return (np.gcd(b["r"], b["s"]) == 1) & isf(b["B"] * b["s"] * b["u"])
+        s = b["s"]
+        at = np.flatnonzero(isf(b["Bu"] * s))
+        return at[np.gcd(b["r"][at], s[at]) == 1]
+
+    def v_range(b):
+        a_s = b["As"] = b["A"] * b["s"]
+        b["v_lo"], b["v_hi"] = ceil_lo(a_s), hi // a_s  # n2 = A*s*v in the interval
+        return cofactors(b["Br"])
 
     def v_keep(b):
         v = b["v"]
-        a_s = b["A"] * b["s"]
-        n2 = a_s * v
-        ok = (np.gcd(b["u"], v) == 1) & isf(b["B"] * b["r"] * v)
-        ok &= (a_s <= hi // v) & (n2 >= lo)
-        ok[ok] = isf(n2[ok])
-        return ok
+        at = np.flatnonzero((v >= b["v_lo"]) & (v <= b["v_hi"]))
+        v_at = v[at]
+        at = at[isf(b["Br"][at] * v_at) & isf(b["As"][at] * v_at)]
+        return at[np.gcd(b["u"][at], v[at]) == 1]
 
-    d = (
+    d_outer = (
         ("A", lambda b: (one, hi // (m * m) * one), None),
         ("r", lambda b: (np.full_like(b["A"], m), hi // (b["A"] * m)), None),
-        ("u", lambda b: cofactors(b["A"] * b["r"]), lambda b: isf(b["A"] * b["r"] * b["u"])),
-        ("B", lambda b: (-(-b["A"] * lo // hi), b["A"] * hi // lo), None),
-        ("s", lambda b: cofactors(b["B"] * b["u"]), s_keep),
-        ("v", lambda b: cofactors(b["B"] * b["r"]), v_keep),
+        ("u", u_range, u_keep),
     )
-    for b in _enumerate(d, bud):
+    d_deep = (
+        ("B", lambda b: (-(-b["A"] * lo // hi), b["A"] * hi // lo), None),
+        ("s", s_range, s_keep),
+        ("v", v_range, v_keep),
+    )
+    for b in _enumerate(d_outer, d_deep, bud):
         yield "d", b["A"], b["B"], b["r"], b["s"], b["u"], b["v"]
 
 

@@ -20,6 +20,7 @@ from rmflab.harness import (
     MAX_TRIALS,
     ExperimentConfig,
     ExperimentReport,
+    _build_parser,
     _moment_block,
     _read_w_csv,
     _run_trials,
@@ -567,3 +568,27 @@ def test_cli_identity_max_l_above_the_cap_exits_3_at_once(capsys, monkeypatch):
 def test_identity_max_l_at_the_cap_runs():
     out = run_stein_checks(ExperimentConfig(x=700, y=9), MAX_IDENTITY_L, var_trials=2)
     assert out["weight_identity"] == {"max_l": MAX_IDENTITY_L, "ok": True}
+
+
+def test_cli_parser_is_built_once_and_parses_each_command_afresh():
+    assert _build_parser() is _build_parser()
+    parse = _build_parser().parse_args
+    first = parse(["moments", "--x", "100", "--y", "40", "--budget", "5"])
+    second = parse(["simulate", "--x", "2000", "--delta", "0.05"])
+    third = parse(["moments", "--x", "300", "--y", "30"])
+    assert (first.command, first.x, first.y, first.budget) == ("moments", 100, 40, 5)
+    assert (second.command, second.x, second.y, second.delta) == ("simulate", 2000, None, 0.05)
+    assert (second.trials, second.format, second.timed_json) == (1000, "json", False)
+    assert not hasattr(second, "budget")
+    assert (third.command, third.x, third.y, third.budget) == (
+        "moments", 300, 30, quad_mod.DEFAULT_BUDGET)
+    assert not hasattr(third, "trials")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--trials", "10"], ["moments"], ["stein", "--var-trials", "2"], ["bounds"]])
+def test_cli_warns_once_about_delta(capsys, command):
+    assert main([command[0], "--x", "100", "--y", "20", *command[1:]]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("warning:")] == [
+        "warning: delta = 0.2 is outside the proven range (< 1/10)"]

@@ -20,9 +20,11 @@ from rmflab.quadruples import (
     LIMB,
     ORACLE_MAX_S,
     QuadrupleParam,
+    _Budget,
     _expand,
     _oracle_count_array,
     _oracle_count_members,
+    _widths,
     diagonal_count,
     nondiagonal_quadruples,
     oracle_count_square_quadruples,
@@ -390,3 +392,187 @@ def test_grouped_oracle_independent_of_pair_block(monkeypatch):
     for block in (1, 3, 40, 1 << 30):
         monkeypatch.setattr(quadruples, "PAIR_BLOCK", block)
         assert _oracle_count_array(members, sizes).tolist() == want
+
+
+# The enumeration before it streamed each level once, kept verbatim as the
+# reference: every level is charged in full, by re-streaming the levels
+# before it, and then all the levels are streamed once more.
+def _reference_stream(levels, block):
+    """Yield, in blocks, the rows below `block` that pass every level."""
+    if not levels:
+        yield block
+        return
+    name, _, keep = levels[0]
+    first, width = _widths(levels[0], block)
+    for idx, off in _expand(width):
+        rows = {k: col[idx] for k, col in block.items()}
+        rows[name] = first[idx] + off
+        if keep is not None:
+            mask = keep(rows)
+            rows = {k: col[mask] for k, col in rows.items()}
+        yield from _reference_stream(levels[1:], rows)
+
+
+def _reference_enumerate(levels, bud: _Budget):
+    """Yield, in blocks, the rows that pass every level.  A level is
+    (column, block -> (first, last) of each row's range, row filter or
+    None); the root is one row without columns.  Each level's candidate
+    rows, the sum of its range widths, are charged to `bud` before the
+    level's first row is built, so an over-budget level is never built."""
+    root: dict[str, np.ndarray] = {}
+    for k, level in enumerate(levels):
+        for block in _reference_stream(levels[:k], root):
+            bud.spend(int(_widths(level, block)[1].sum()))
+    yield from _reference_stream(levels, root)
+
+
+def solution_rows(blocks):
+    """Each shape's solution rows as one lexicographically sorted array."""
+    parts = {}
+    for shape, *cols in blocks:
+        parts.setdefault(shape, []).append(np.column_stack(cols))
+    rows = {shape: np.concatenate(p) for shape, p in parts.items()}
+    return {shape: r[np.lexsort(r.T[::-1])] for shape, r in rows.items() if r.size}
+
+
+def assert_same_rows(got, want):
+    assert got.keys() == want.keys()
+    for shape in want:
+        assert np.array_equal(got[shape], want[shape]), shape
+
+
+def reference_run(monkeypatch, x, y, budget=10**15):
+    """The solution rows and the total charge of the reference enumeration;
+    ScaleError when it refuses `budget`."""
+    buds = []
+
+    def run(outer, deep, bud):
+        buds.append(bud)
+        return _reference_enumerate(outer + deep, bud)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(quadruples, "_enumerate", run)
+        rows = solution_rows(quadruples._solution_blocks(x, y, budget))
+    return rows, buds[-1].charged if buds else 0
+
+
+def one_pass_rows(x, y, budget=10**15):
+    return solution_rows(quadruples._solution_blocks(x, y, budget))
+
+
+def assert_one_pass_matches_reference(monkeypatch, x, y):
+    """Equal solution rows; accepted at the reference's total charge T and
+    refused at T - 1."""
+    want, total = reference_run(monkeypatch, x, y)
+    assert_same_rows(one_pass_rows(x, y, total), want)
+    if total:
+        with pytest.raises(ScaleError, match=f"budget of {total - 1} candidate rows"):
+            one_pass_rows(x, y, total - 1)
+    return want, total
+
+
+@pytest.mark.parametrize("x, y", [(10, 10), (52, 26), (100, 40), (500, 50), (5000, 500),
+                                  (10**4, 990), (100024, 1000), (100029, 1000),
+                                  (3 * 10**4, 3000), (10**5, 2000), (10**5, 3000)])
+def test_one_pass_enumeration_matches_the_reference(monkeypatch, x, y):
+    assert_one_pass_matches_reference(monkeypatch, x, y)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("x, y", [(5000, 500), (100029, 1000)])
+def test_one_pass_charges_deep_levels_block_by_block(monkeypatch, x, y, block):
+    # with small blocks every deep level is charged in many pieces between
+    # the rows of the levels above it; the total charge does not move
+    monkeypatch.setattr(quadruples, "BLOCK", block)
+    _, total = assert_one_pass_matches_reference(monkeypatch, x, y)
+    monkeypatch.undo()
+    assert reference_run(monkeypatch, x, y)[1] == total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=10**5).flatmap(lambda x: st.tuples(
+    st.just(x), st.integers(min_value=max(1, min(math.isqrt(x), x // 3)), max_value=max(1, x // 3)))))
+def test_one_pass_enumeration_sweep(xy):
+    x, y = xy
+    # y >= sqrt(x) mostly, where the shapes are not empty; at most 2 * 10^5
+    # candidate rows a run: the reference's refusal and the one pass's must
+    # agree, and an accepted interval must be accepted at its total charge T
+    # and refused at T - 1
+    budget = 2 * 10**5
+    mp = pytest.MonkeyPatch()
+    try:
+        try:
+            want, total = reference_run(mp, x, y, budget)
+        except ScaleError:
+            with pytest.raises(ScaleError):
+                one_pass_rows(x, y, budget)
+            return
+        assert_same_rows(one_pass_rows(x, y, budget), want)
+        assert_one_pass_matches_reference(mp, x, y)
+    finally:
+        mp.undo()
+
+
+def candidate_rows(levels):
+    """Each level's candidate rows, from one stream of the reference, in
+    which every level's range function runs once per parent block."""
+    counts = [0] * len(levels)
+
+    def counting(k, level):
+        name, span, keep = level
+
+        def spanned(block):
+            first, last = span(block)
+            counts[k] += int(np.maximum(last - first + 1, 0).sum())
+            return first, last
+
+        return name, spanned, keep
+
+    for _ in _reference_stream([counting(k, lv) for k, lv in enumerate(levels)], {}):
+        pass
+    return counts
+
+
+@pytest.mark.parametrize("x, y", [(5000, 500), (100029, 1000)])
+def test_each_filter_sees_its_candidate_rows_once(monkeypatch, x, y):
+    seen, want = {}, {}
+    one_pass = quadruples._enumerate
+
+    def spying(outer, deep, bud):
+        shape = "bc" if outer[1][0] == "c1" else "d"
+        levels = outer + deep
+        for name, count in zip([lv[0] for lv in levels], candidate_rows(levels)):
+            want[shape, name] = count
+
+        def spy(shape, level):
+            name, span, keep = level
+            if keep is None:
+                return level
+
+            def keep_spied(rows):
+                seen[shape, name] = seen.get((shape, name), 0) + rows[name].size
+                return keep(rows)
+
+            return name, span, keep_spied
+
+        return one_pass(tuple(spy(shape, lv) for lv in outer),
+                        tuple(spy(shape, lv) for lv in deep), bud)
+
+    monkeypatch.setattr(quadruples, "_enumerate", spying)
+    assert param_enumerate_nondiagonal(x, y) == GOLDEN_QUADRUPLES[(x, y)][0]
+    # every deep level has candidate rows in both shapes
+    assert all(want[level] > 0 for level in (("bc", "B"), ("d", "B"), ("d", "s"), ("d", "v")))
+    # the deep levels and the last outer level are built once; c1, an outer
+    # level with an outer level after it, is built once more by the stream
+    # that charges c2
+    once = [("bc", "c2"), ("bc", "B"), ("d", "u"), ("d", "s"), ("d", "v")]
+    assert sorted(seen) == sorted(once + [("bc", "c1")])
+    for level in once:
+        assert seen[level] == want[level], level
+    assert seen["bc", "c1"] == 2 * want["bc", "c1"]
+
+
+@pytest.mark.slow
+def test_one_pass_enumeration_at_scale():
+    # (10^8, 10^8 + 10^5]: about 6.4 * 10^6 candidate rows in (b)/(c) and 10^7 in (d)
+    assert param_enumerate_nondiagonal(10**8, 10**5) == 1520616
