@@ -365,9 +365,6 @@ def _solution_blocks(x: int, y: int, budget: int):
         return (np.maximum(m, np.maximum(ceil_lo(c1), ceil_lo(c2))),
                 np.minimum(hi // c1, hi // c2))
 
-    def c1_keep(b):
-        return np.flatnonzero(isf(b["A"] * b["c1"]))
-
     def c2_keep(b):
         c2 = b["c2"]
         at = np.flatnonzero(isf(b["A"] * c2))
@@ -379,7 +376,7 @@ def _solution_blocks(x: int, y: int, budget: int):
 
     bc_outer = (
         ("A", lambda b: (m * one, hi // m * one), None),
-        ("c1", lambda b: cofactors(b["A"]), c1_keep),
+        ("c1", lambda b: cofactors(b["A"]), lambda b: np.flatnonzero(isf(b["A"] * b["c1"]))),
         ("c2", lambda b: cofactors(b["A"]), c2_keep),
     )
     bc_deep = (("B", B_range_bc, B_keep_bc),)
@@ -402,9 +399,6 @@ def _solution_blocks(x: int, y: int, budget: int):
         bu = b["Bu"] = b["B"] * b["u"]
         return cofactors(bu)
 
-    def u_keep(b):
-        return np.flatnonzero(isf(b["Ar"] * b["u"]))
-
     def s_keep(b):
         s = b["s"]
         at = np.flatnonzero(isf(b["Bu"] * s))
@@ -425,7 +419,7 @@ def _solution_blocks(x: int, y: int, budget: int):
     d_outer = (
         ("A", lambda b: (one, hi // (m * m) * one), None),
         ("r", lambda b: (np.full_like(b["A"], m), hi // (b["A"] * m)), None),
-        ("u", u_range, u_keep),
+        ("u", u_range, lambda b: np.flatnonzero(isf(b["Ar"] * b["u"]))),
     )
     d_deep = (
         ("B", lambda b: (-(-b["A"] * lo // hi), b["A"] * hi // lo), None),
