@@ -34,6 +34,11 @@ Every charge is >= 0, so an interval is refused iff its total charge
 exceeds the budget, and no row is built before it is charged.  A refusal
 at an outer level comes after only the earlier outer levels have run; one
 at a deep level, after at most `budget` candidate rows.
+
+The same enumeration counts the quadruples within each N(p) of `stein`
+over N(p)'s flags on (x // p, (x+y) // p].  The pair-kernel oracle is the
+test reference, and `stein`'s count where a table with y > x breaks the
+enumeration's ratio bounds.
 """
 
 from __future__ import annotations
@@ -60,8 +65,6 @@ LIMB = 25
 DEFAULT_BUDGET = 10**9
 # Rows per block of a level's expansion: bounds the enumeration's memory.
 BLOCK = 1 << 14
-# Pairs per run of groups in the grouped oracle: bounds its memory.
-PAIR_BLOCK = 1 << 18
 
 
 def diagonal_count(s: int) -> int:
@@ -88,7 +91,7 @@ def oracle_count_square_quadruples(table: IntervalTable) -> int:
     s = len(members)
     if s > ORACLE_MAX_S:
         raise ScaleError(f"oracle limited to S <= {ORACLE_MAX_S}, got S = {s}")
-    return int(_oracle_count_array(members)[0])
+    return _oracle_count_array(members)
 
 
 def _pair_kernels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,59 +109,24 @@ def _pair_kernels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return high, low
 
 
-def _oracle_count_array(members, sizes=None) -> np.ndarray:
-    """_oracle_count_members of each group of members, for distinct members
-    below 2^(2*LIMB) within a group: group g is the next sizes[g] members
-    (one group of all of them when sizes is None); int64 counts, one a group.
+def _oracle_count_array(members) -> int:
+    """_oracle_count_members of distinct members below 2^(2*LIMB), in numpy.
 
-    Only the pairs a < b within a group are built: (a, b) and (b, a) share a
-    kernel, and kernel 1 belongs to the c pairs (a, a) alone, so a group of
-    c members counts c^2 plus 4 d^2 for each kernel of d of its pairs a < b.
-    Equal (group, kernel) pairs are counted after sorting on the low kernel
-    word, then stably on the high word and on the group.  Groups are taken
-    in runs of about PAIR_BLOCK pairs (a larger group alone), so memory does
-    not grow with the number of groups."""
+    Only the pairs a < b are built: (a, b) and (b, a) share a kernel, and
+    kernel 1 belongs to the c pairs (a, a) alone, so c members count c^2
+    plus 4 d^2 for each kernel of d of the pairs a < b.  Equal kernels are
+    counted after sorting on the low kernel word, then stably on the high
+    word."""
     n = np.asarray(members, dtype=np.int64)
-    sizes = np.array([n.size] if sizes is None else sizes, dtype=np.int64)
-    out = sizes * sizes
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    before = np.concatenate(([0], np.cumsum(sizes * (sizes - 1) // 2)))  # pairs before g
-    g0 = 0
-    while g0 < sizes.size:
-        g1 = max(g0 + 1, int(np.searchsorted(before, before[g0] + PAIR_BLOCK, "right")) - 1)
-        _count_groups(n[starts[g0] : starts[g1]], sizes[g0:g1], out[g0:g1])
-        g0 = g1
-    return out
-
-
-def _count_groups(n: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> None:
-    """Add 4 d^2 into out[g] for each kernel of d pairs a < b of group g."""
-    # member r pairs with the later members of its group, r + 1 .. end - 1
-    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(n.size) - 1
-    i = np.repeat(np.arange(n.size), later)
-    if not i.size:
-        return
-    j = np.arange(1, i.size + 1) - np.repeat(np.cumsum(later) - later - np.arange(n.size), later)
+    i, j = np.triu_indices(n.size, 1)
     high, low = _pair_kernels(n[i], n[j])
-    # sorted on (group, high, low); one group needs no group key at all
-    keys = [high, low]
-    if sizes.size > 1:
-        keys.insert(0, np.repeat(np.arange(sizes.size), sizes)[i])
     order = np.argsort(low)
-    for key in keys[-2::-1]:
-        order = order[np.argsort(key[order], kind="stable")]
-    keys = [key[order] for key in keys]
+    order = order[np.argsort(high[order], kind="stable")]
+    high, low = high[order], low[order]
     new = np.ones(i.size, dtype=bool)
-    new[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
-    starts = np.flatnonzero(new)
-    d = np.diff(starts, append=i.size)
-    if sizes.size == 1:
-        out[0] += 4 * int(d @ d)
-        return
-    # the runs of a group are adjacent: one sum per group that has pairs
-    g = keys[0][starts]
-    firsts = np.flatnonzero(np.diff(g, prepend=-1))
-    out[g[firsts]] += np.add.reduceat(4 * d * d, firsts)
+    new[1:] = (high[1:] != high[:-1]) | (low[1:] != low[:-1])
+    d = np.diff(np.flatnonzero(new), append=i.size)
+    return n.size * n.size + 4 * int(d @ d)
 
 
 def _oracle_count_members(members: list[int]) -> int:
@@ -327,23 +295,26 @@ def _enumerate(outer, deep, bud: _Budget):
         yield from _stream(deep, block, bud)
 
 
-def _solution_blocks(x: int, y: int, budget: int):
+def _solution_blocks(x: int, y: int, budget: int, flags: np.ndarray | None = None):
     """Yield ("bc", A, B, c1, c2) and ("d", A, B, r, s, u, v) blocks of
     int64 columns, one row per solution; a "bc" row stands for one solution
-    of shape (b) and one of shape (c)."""
+    of shape (b) and one of shape (c).  With `flags`, the members are the
+    square-free n with flags[n - x - 1] set, and y may be x + 1."""
     if x < 2 or y < 1:
         raise ValueError(f"need x >= 2, y >= 1, got x={x}, y={y}")
-    if y > x:
-        # the ratio bounds that drive the case split need x/y >= 1
+    if y > x + (flags is not None):
+        # the ratio bounds that drive the case split need hi/lo < 2
         raise ValueError(f"enumeration needs y <= x, got x={x}, y={y}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     check_scale(x, y)
     lo, hi = x + 1, x + y
-    m = x // y + 1  # unequal ratio pairs are both > x/y, hence >= m >= 2
+    # both members of an unequal ratio pair are > x/y, hence >= x // y + 1,
+    # and neither is 1, as hi/lo < 2 also at y = x + 1
+    m = max(2, x // y + 1)
     if m * m > hi:
         return  # (b)/(c) need A*c <= hi and (d) A*m*m <= hi with A, c >= m
-    sf = np.frombuffer(squarefree_flags(x, y), dtype=np.bool_)
+    sf = np.frombuffer(squarefree_flags(x, y), dtype=np.bool_) if flags is None else flags
     bud = _Budget(budget)
     one = np.ones(1, dtype=np.int64)
 
@@ -460,5 +431,9 @@ def nondiagonal_quadruples(x: int, y: int, budget: int = DEFAULT_BUDGET):
 def param_enumerate_nondiagonal(x: int, y: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of ordered non-diagonal square quadruples in (x, x+y].
     Refused with ScaleError when the candidate rows exceed `budget`."""
-    return sum((2 if shape == "bc" else 1) * int(cols[0].size)
-               for shape, *cols in _solution_blocks(x, y, budget))
+    return _count_solutions(_solution_blocks(x, y, budget))
+
+
+def _count_solutions(blocks) -> int:
+    """The solutions in _solution_blocks' blocks."""
+    return sum((2 if shape == "bc" else 1) * int(cols[0].size) for shape, *cols in blocks)

@@ -18,7 +18,9 @@ one transpose, IntervalTable.prime_major: L is its primes above z, N(p) its
 entries of p (k = n // p), and the entries' large-prime masks and
 small-sign products are reductions over it.  Member lists (each k with the
 distinct primes of k) are built one prime at a time, and only for primes
-with |N(p)| >= 2: a prime with a lone member is closed form.  T_p is
+with |N(p)| >= 2: a prime with a lone member is closed form.  N(p) is
+counted for E|Delta_p f|^4 as a short interval of its own (_quadruple_counts),
+so no pair of N(p) is formed where y <= x.  T_p is
 evaluated in one place (_t_p): exactly for a given sign source, and for the
 exchange variance over a whole matrix of trial signs at once.
 
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import ScaleError
 from .numtheory import IntervalTable, PrimeMajor
-from .quadruples import _oracle_count_array
+from .quadruples import DEFAULT_BUDGET, _count_solutions, _oracle_count_array, _solution_blocks
 from .rmf_core import SignSource, trial_signs
 
 # a member k of N(p), with the distinct primes of k
@@ -299,6 +301,34 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
     return float(values.var(ddof=1))
 
 
+def _quadruple_counts(table: IntervalTable, first: int) -> np.ndarray:
+    """The ordered square quadruples within N(p), for p = view.primes[j],
+    j >= first: with n = |N(p)|, the diagonal 3n^2 - 2n plus the non-diagonal
+    count of (x', hi'] = (x // p, (x+y) // p] over N(p).  That count is 0
+    where m'^2 > hi', m' = max(2, x' // (hi' - x') + 1), as in
+    quadruples._solution_blocks, and elsewhere enumerated, each prime
+    charged against quadruples.DEFAULT_BUDGET.  The enumeration needs
+    hi' - x' <= x' + 1, true for every prime where y <= x; a prime of a
+    table with y > x that breaks it goes to the pair-kernel oracle."""
+    view = table.prime_major
+    large = view.primes[first:]
+    n = np.diff(view.offsets)[first:]
+    lo, hi = table.x_lo // large, table.x_hi // large
+    m = np.maximum(2, lo // (hi - lo) + 1)
+    wide = hi - lo > lo + 1
+    out = 3 * n * n - 2 * n
+    for j in np.flatnonzero(wide | (m <= hi // m)).tolist():
+        e = view.entries[view.offsets[first + j] : view.offsets[first + j + 1]]
+        k = (table.x_lo + 1 + e) // large[j]
+        if wide[j]:
+            out[j] = _oracle_count_array(k)
+            continue
+        flags = np.zeros(hi[j] - lo[j], dtype=np.bool_)
+        flags[k - lo[j] - 1] = True
+        out[j] += _count_solutions(_solution_blocks(int(lo[j]), flags.size, DEFAULT_BUDGET, flags))
+    return out
+
+
 @dataclass(frozen=True)
 class SteinTerms:
     """Aggregated ingredients of the normal-approximation bound for one
@@ -322,13 +352,11 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
     sampled Var(sum_p T_p).  Refused, before any member is built, when some
     |N(p)| exceeds member_budget; the refusal names the least such p.
 
-    E|Delta_p f|^2 = 2 |N(p)| and E|Delta_p f|^4 = 8 * (ordered square
-    quadruples within N(p)).  A prime with |N(p)| = 1, most of L, is closed
-    form: E|Delta_p f|^2 = 2, E|Delta_p f|^4 = 8 and E|Delta_p f|^3 = 4, which
-    is also its bound.  The fourth moments of the others come from one
-    grouped pair-kernel count over their members k = n // p, and their third
-    moments from _delta3 over member lists built for them alone.  The third
-    moments are added in ascending p."""
+    E|Delta_p f|^2 = 2 |N(p)| and E|Delta_p f|^4 = 8 * _quadruple_counts, a
+    ScaleError if one of its enumerations exceeds quadruples.DEFAULT_BUDGET.
+    A prime with |N(p)| = 1, most of L, has E|Delta_p f|^3 = 4 in closed form,
+    which is also its bound; those of the others come from _delta3 over
+    member lists built for them alone.  They are summed in ascending p."""
     view, first = _view(table, z)
     counts = np.diff(view.offsets)[first:]
     over = np.flatnonzero(counts > member_budget)
@@ -336,17 +364,12 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
         raise ScaleError(f"|N({view.primes[first + over[0]]})| = {counts[over[0]]} "
                          f"exceeds {member_budget}")
     large = view.primes[first:]
-    entries = view.entries[view.offsets[first] :]
     shared = counts >= 2
     d2 = 2 * counts
-    d4 = np.full(counts.size, 8, dtype=np.int64)
-    in_shared = np.repeat(shared, counts)
-    d4[shared] = 8 * _oracle_count_array(
-        (table.x_lo + 1 + entries[in_shared]) // np.repeat(large, counts)[in_shared],
-        counts[shared])
+    d4 = 8 * _quadruple_counts(table, first)
     d3 = np.full(counts.size, 4.0)
     # a lone member k = n // p has omega(n) - 1 distinct primes
-    alone = entries[np.repeat(~shared, counts)]
+    alone = view.entries[view.offsets[first] :][np.repeat(~shared, counts)]
     bounded_primes = int(np.count_nonzero(np.diff(table.offsets)[alone] - 1 > prime_budget))
     for m in np.flatnonzero(shared).tolist():
         try:

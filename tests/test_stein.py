@@ -28,6 +28,7 @@ from rmflab.stein import (
     _exact_t_p,
     _members,
     _over_entries,
+    _quadruple_counts,
     _span_coordinates,
     _subset_sums,
     _t_p,
@@ -135,7 +136,7 @@ def test_delta2():
 def test_delta4():
     t10 = segmented_factorize(10, 10)
     assert stein_terms(t10, 1.0, var_trials=2).delta4_by_p[7] == 8  # |N(7)| = 1
-    assert members(t10, 23) == [] and _oracle_count_array([], [0]).tolist() == [0]
+    assert members(t10, 23) == [] and _oracle_count_array([]) == 0
     t = segmented_factorize(25, 20)  # N(7) = {5, 6}, no non-diagonal
     assert members(t, 7) == [5, 6]
     assert stein_terms(t, 1.0, var_trials=2).delta4_by_p[7] == 8 * (3 * 4 - 2 * 2)
@@ -804,6 +805,71 @@ def test_stein_terms_match_the_per_prime_loop_at_scale():
     terms = assert_stein_terms_match_reference(t, z_of_delta(10**-4), var_trials=300,
                                                member_budget=10**7)
     assert (terms.exact_primes, terms.bounded_primes) == (5724, 112)
+
+
+def oracle_counts(t, first):
+    """The pair-kernel oracle's count of each N(p), p = view.primes[j], j >= first."""
+    view = t.prime_major
+    return [_oracle_count_array((t.x_lo + 1 + view.entries[view.offsets[j] : view.offsets[j + 1]])
+                                // p) for j, p in enumerate(view.primes[first:].tolist(), first)]
+
+
+def spy_on(monkeypatch, name):
+    """Replace stein.<name> by a wrapper; the list it returns gets each result."""
+    results, real = [], getattr(stein, name)
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(stein, name, spy)
+    return results
+
+
+@pytest.mark.parametrize("x, y, z, enumerated, nondiagonal", [
+    (5000, 500, 1.0, 15, 0),
+    (20000, 600, 1.0, 7, 0),
+    (1000, 999, 1.0, 95, 16440),  # 41 of the 95 with y' = x' + 1
+    pytest.param(10**6, 10**4, z_of_delta(10**-2), 25, 3288, marks=pytest.mark.slow),
+    # y > x: (4, 10] for p = 2 and (1, 4] for p = 5 take the oracle, (3, 7]
+    # for p = 3 the enumeration
+    (9, 12, 1.0, 1, 0),
+])
+def test_quadruple_counts_match_the_oracle_prime_by_prime(monkeypatch, x, y, z, enumerated,
+                                                          nondiagonal):
+    t = _factor_segment(x, y)
+    found = spy_on(monkeypatch, "_count_solutions")
+    view, first = _view(t, z)
+    n = np.diff(view.offsets)[first:]
+    got = _quadruple_counts(t, first)
+    assert got.tolist() == oracle_counts(t, first)
+    assert (len(found), sum(found)) == (enumerated, nondiagonal)
+    assert int((got - (3 * n * n - 2 * n)).sum()) == nondiagonal
+
+
+def test_stein_terms_pairs_no_members_when_y_is_at_most_x(monkeypatch):
+    counted = spy_on(monkeypatch, "_oracle_count_array")
+    for x, y in ((5000, 500), (20000, 600), (1000, 999), (10**6, 10**4)):
+        stein_terms(segmented_factorize(x, y), 1.0, var_trials=2, member_budget=10**7)
+    assert counted == []
+    stein_terms(_factor_segment(9, 12), 1.0, var_trials=2)
+    assert counted == [8, 8]  # N(2) = {5, 7} and N(5) = {2, 3}
+
+
+@pytest.mark.slow
+def test_quadruple_counts_pinned_at_scale():
+    # (10^8, 10^5], z = ln(1000)/2, as counted by the grouped pair-kernel pass
+    # before the sub-interval enumeration replaced it: 42,548 primes of L,
+    # 4,684 with |N(p)| >= 2, and a non-diagonal count of 10,200 from 3 primes
+    t = segmented_factorize(10**8, 10**5)
+    view, first = _view(t, z_of_delta(10**-3))
+    n = np.diff(view.offsets)[first:]
+    got = _quadruple_counts(t, first)
+    nondiagonal = got - (3 * n * n - 2 * n)
+    assert (n.size, int(np.count_nonzero(n >= 2))) == (42548, 4684)
+    assert int(8 * got.sum()) == 6282373304
+    assert dict(zip(view.primes[first:][nondiagonal != 0].tolist(),
+                    nondiagonal[nondiagonal != 0].tolist())) == {5: 7248, 7: 2688, 11: 264}
 
 
 def test_exchange_variance_matches_the_all_primes_pass(monkeypatch):
