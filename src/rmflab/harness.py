@@ -35,7 +35,9 @@ SCHEMA_VERSION = 1
 # Most trials a run may ask for (simulate --trials, stein --var-trials); a
 # larger count is refused before the factor table is built.  At the cap a
 # simulate of (10^6, 10^6+10^3] writing json, csv and histogram peaks at
-# about 210 MB RSS, and the trial sign matrix grows with it.
+# about 205 MB RSS (2 s on 2 vCPUs).  The sampler's sign matrix is bounded
+# per tile, so what grows with the trial count is the per-trial values and
+# the report text.
 MAX_TRIALS = 10**6
 # Largest stein --identity-max-l; a larger value is refused before the factor
 # table is built.  The identity loop grows about as L^3: 0.0006 s at the
@@ -544,9 +546,22 @@ def _emit_or_print(payload: dict, out: str | None) -> None:
         path.write_text(text + "\n")
 
 
+def _check_output_args(args: argparse.Namespace) -> None:
+    """Refuse, before any work, an --out that names no file (it would write
+    `.json` or `..csv` into a directory) and a --format that writes files
+    without --out (it would print the JSON and drop them)."""
+    out = getattr(args, "out", None)
+    if out is not None and os.path.basename(out) in ("", ".", ".."):
+        raise ValueError(f"--out must end in a file name, got {out!r}")
+    files = [f for f in getattr(args, "format", "json").split(",") if f in ("csv", "histogram")]
+    if out is None and files:
+        raise ValueError(f"--format {','.join(files)} writes files: give --out")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_output_args(args)
         if args.command == "simulate":
             cfg = _config_from_args(args)  # run_simulate resolves it, once
             t0 = time.perf_counter()

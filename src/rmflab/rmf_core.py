@@ -96,11 +96,18 @@ def _xorshift30(z: np.ndarray) -> np.ndarray:
 
 # words of uint64 hash scratch per block (512 KiB)
 _TILE_WORDS = 1 << 16
-# bytes of the (primes x trials) uint8 sign matrix of one default tile; a
-# tile is at least _MIN_TILE trials wide so that every gathered sign row is
-# worth copying
+# bytes of the uint8 sign rows of one default tile: the shared primes' sign
+# matrix plus two parity blocks of _MIN_BLOCK entries.  A tile is at least
+# _MIN_TILE trials wide, as narrow rows cost more per trial to gather, hash
+# and XOR: at (10^12, 10^12 + 10^6], 38,278 shared primes, 1024 trials took
+# 2.1 s in tiles of 64, 1.5 s in tiles of 256 and 1.3 s in tiles of 512 (2
+# shared vCPUs)
 _SIGN_BYTES = 1 << 21
-_MIN_TILE = 64
+_MIN_TILE = 512
+# a parity block is about _BLOCK_SIGNS (entry, trial) bytes, and at least
+# _MIN_BLOCK entries
+_BLOCK_SIGNS = 1 << 16
+_MIN_BLOCK = 128
 
 
 # The sign of (prime p, trial t) is the top bit of
@@ -130,9 +137,11 @@ def _hash_scratch(n_primes: int, tile: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hash_sign_bits(prime_half: np.ndarray, trial_half: np.ndarray,
-                    out: np.ndarray, h: np.ndarray, u: np.ndarray) -> None:
+                    out: np.ndarray, h: np.ndarray, u: np.ndarray,
+                    xor: bool = False) -> None:
     """out[j, t] = 1 if prime j has sign -1 in trial t, else 0 (uint8,
-    primes x trials), hashed in blocks of primes in the scratch h and u."""
+    primes x trials), hashed in blocks of primes in the scratch h and u;
+    with xor, the sign bits are XORed into out instead."""
     n_primes, t = out.shape
     rows = h.size // t
     for j in range(0, n_primes, rows):
@@ -145,7 +154,24 @@ def _hash_sign_bits(prime_half: np.ndarray, trial_half: np.ndarray,
         hb ^= ub
         hb *= _C2
         # bit 63 set is a negative int64
-        np.less(hb.view(np.int64), 0, out=out[j : j + m].view(np.bool_))
+        dst = out[j : j + m].view(np.bool_)
+        if xor:
+            bits = u.view(np.bool_)[: m * t].reshape(m, t)
+            np.less(hb.view(np.int64), 0, out=bits)
+            dst ^= bits
+        else:
+            np.less(hb.view(np.int64), 0, out=dst)
+
+
+def _unbuffered_size(t: int) -> int:
+    """A ufunc buffer size for hashing t-trial rows, to be set inside
+    `with np.errstate()`, which restores the caller's size on exit.  numpy
+    buffers a broadcast loop whose rows are at most a third of its buffer;
+    below 3t elements (a multiple of 16) the hash's broadcast XOR runs
+    unbuffered, at about a third of the buffered cost per element when t is
+    a few hundred.  Never larger than the caller's size, so a no-op for
+    t >= 2731 at numpy's default of 8192."""
+    return min(np.getbufsize(), max(16, (3 * t - 1) & ~15))
 
 
 def trial_signs(primes: list[int], master_seed: int, start: int, count: int) -> np.ndarray:
@@ -153,8 +179,10 @@ def trial_signs(primes: list[int], master_seed: int, start: int, count: int) -> 
     SignSource(master_seed).for_trial(start + t).sign(primes[j])."""
     bits = np.empty((len(primes), count), dtype=np.uint8)
     if bits.size:
-        _hash_sign_bits(_prime_halves(primes), _trial_halves(master_seed, start, count),
-                        bits, *_hash_scratch(len(primes), count))
+        with np.errstate():
+            np.setbufsize(_unbuffered_size(count))
+            _hash_sign_bits(_prime_halves(primes), _trial_halves(master_seed, start, count),
+                            bits, *_hash_scratch(len(primes), count))
     return 1 - 2 * bits.view(np.int8)
 
 
@@ -163,17 +191,29 @@ class IntervalSampler:
 
     Produces exactly the values the scalar path (SignSource.for_trial +
     interval_sum) would.  Its primes and prime indices are the table's
-    prime_major view, which the constructor builds.  The square-free entries
-    are grouped by omega(n): bucket k is a (k, n_k) array of prime indices,
-    one column per entry with k distinct prime factors.  For a tile of
-    trials the sampler hashes a prime-major (P x T) matrix of sign bits, XORs
-    the k gathered rows of each bucket into the parity of X(n) = -1, counts
-    it in uint8 over blocks of at most 255 rows and returns
-    S - 2 * #{n : X(n) = -1}.  Cost per trial is
-    linear in P plus the number of (entry, prime) incidences.  The sign matrix
-    is that of trial_signs, hashed tile by tile.  A default tile is as many
-    trials as fit a 2 MiB (P x T) uint8 sign matrix, and at least 64: about
-    3300 trials at P = 636, about 300 at P = 7054.
+    prime_major view, which the constructor builds.  A prime is private if
+    it divides exactly one square-free entry and shared otherwise: more than
+    nine in ten primes are private at (10^10, 10^10 + 10^4] and at
+    (10^12, 10^12 + 10^6].  The square-free entries are grouped by omega(n):
+    bucket k has k levels, level i holding the i-th prime of each entry.
+    Each entry lists its private primes first and a bucket lists its entries
+    by falling private count, so each level's private primes are a prefix.
+
+    For a tile of T trials the sampler hashes the (shared primes x T) uint8
+    matrix of sign bits that trial_signs would give.  Then, for each block
+    of a bucket's entries, it builds the (entries x T) parity of X(n) = -1
+    level by level: a private prime is hashed straight into its entry's
+    parity row, and a shared prime's row is gathered from the sign matrix.
+    The parities are counted in uint8 over at most 255 rows at a time, and a
+    raw sum is S - 2 * #{n : X(n) = -1}.  A block is at least 128 entries
+    and about 2^16 (entry, trial) bytes.  A default tile is the 2 MiB sign
+    budget over (shared primes + two 128-entry blocks) rows, at least 512
+    trials: 1,000 trials are one tile at P = 7054 (613 shared), a tile is
+    about 6,000 trials at P = 636 (91 shared) and 512 at P = 526,390 (38,278
+    shared).  Each tile runs with numpy's ufunc buffer below 3T elements, so
+    that the hash's broadcast XOR is unbuffered.  Cost per trial: one hash
+    per prime, one row gather per shared incidence, and one parity row per
+    entry and level.
     """
 
     def __init__(self, table: IntervalTable, master_seed: int):
@@ -181,36 +221,91 @@ class IntervalSampler:
         omega = np.diff(table.offsets)[table.flags]
         self.s_count = omega.size
         self.master_seed = master_seed & _M64
+        private = np.diff(view.offsets) == 1
+        half = _prime_halves(view.primes)
+        self._shared_half = half[~private]
+        # a private prime's hash half, or a shared prime's sign-matrix row
+        code = np.where(private, half, np.cumsum(~private, dtype=np.uint64) - np.uint64(1))
         starts = np.cumsum(omega) - omega
-        # n = 1 (omega 0) has X(1) = +1 for every trial
-        self._buckets = [
-            view.index[starts[omega == k] + np.arange(k)[:, None]]
-            for k in np.unique(omega[omega > 0]).tolist()
-        ]
-        self._prime_half = _prime_halves(view.primes)
+        # the entries of each omega in table order (a radix sort, omega < 256)
+        by_omega = np.argsort(omega.astype(np.uint8), kind="stable")
+        sizes = np.bincount(omega)
+        firsts = np.cumsum(sizes) - sizes
+        # bucket k: (entries, [(private prefix m, its hash halves, the
+        # shared rows of the other entries) per level]); n = 1 (omega 0) has
+        # X(1) = +1 for every trial
+        self._buckets = []
+        for k in (np.flatnonzero(sizes[1:]) + 1).tolist():
+            n = int(sizes[k])
+            first = starts[by_omega[firsts[k] : firsts[k] + n]]
+            # primes descending: a prime above y divides one entry of the
+            # interval, so nearly every entry lists its private primes first
+            idx = np.empty((k, n), dtype=view.index.dtype)
+            for i in range(k):
+                np.take(view.index[k - 1 - i :], first, out=idx[i])
+            priv = private[idx]
+            late = np.flatnonzero((priv[1:] > priv[:-1]).any(axis=0))
+            if late.size:
+                order = np.argsort(~priv[:, late], axis=0, kind="stable")
+                idx[:, late] = np.take_along_axis(idx[:, late], order, 0)
+            n_priv = np.count_nonzero(priv, axis=0)
+            # entries by falling private count: each level's private primes
+            # are then a prefix
+            cols = np.argsort((k - n_priv).astype(np.uint8), kind="stable")
+            vals = np.empty((k, n), dtype=np.uint64)
+            for row, out in zip(idx, vals):
+                np.take(code, row.take(cols), out=out)
+            prefix = n - np.cumsum(np.bincount(n_priv, minlength=k))
+            self._buckets.append((n, [
+                (m, row[:m], row[m:].view(np.int64)) for m, row in zip(prefix.tolist(), vals)
+            ]))
 
     def raw_sums(self, start: int, count: int, batch: int | None = None) -> np.ndarray:
         """Interval sums for trials start, ..., start+count-1 (int64),
-        `batch` trials per tile (default: as many as fit a _SIGN_BYTES sign
-        matrix, at least _MIN_TILE)."""
-        n_primes = len(self._prime_half)
+        `batch` trials per tile (default: _SIGN_BYTES over the shared primes
+        plus two _MIN_BLOCK blocks, at least _MIN_TILE)."""
+        n_shared = len(self._shared_half)
         if batch is None:
-            batch = max(_MIN_TILE, _SIGN_BYTES // max(n_primes, 1))
+            batch = max(_MIN_TILE, _SIGN_BYTES // (n_shared + 2 * _MIN_BLOCK))
         tile = max(1, min(batch, count))
-        h, u = _hash_scratch(n_primes, tile)
-        signs_buf = np.empty(n_primes * tile, dtype=np.uint8)
+        width = max(_MIN_BLOCK, _BLOCK_SIGNS // tile)
+        h, u = _hash_scratch(max(n_shared, width), tile)
+        signs_buf = np.empty(n_shared * tile, dtype=np.uint8)
+        parity_buf = np.empty(width * tile, dtype=np.uint8)
         trial_half = _trial_halves(self.master_seed, start, count)
         out = np.empty(count, dtype=np.int64)
         for off in range(0, count, tile):
             t = min(tile, count - off)
-            signs = signs_buf[: n_primes * t].reshape(n_primes, t)
-            _hash_sign_bits(self._prime_half, trial_half[off : off + t], signs, h, u)
-            n_neg = np.zeros(t, dtype=np.int64)
-            for bucket in self._buckets:
-                parity = signs[bucket[0]]
-                for row in bucket[1:]:
-                    parity ^= signs[row]
-                for b in range(0, len(parity), 255):
-                    n_neg += np.add.reduce(parity[b : b + 255], axis=0, dtype=np.uint8)
-            out[off : off + t] = self.s_count - 2 * n_neg
+            with np.errstate():
+                np.setbufsize(_unbuffered_size(t))
+                out[off : off + t] = self._tile_sums(trial_half[off : off + t], width,
+                                                     h, u, signs_buf, parity_buf)
         return out
+
+    def _tile_sums(self, half: np.ndarray, width: int, h: np.ndarray, u: np.ndarray,
+                   signs_buf: np.ndarray, parity_buf: np.ndarray) -> np.ndarray:
+        """Raw sums of the trials whose halves are `half`, over blocks of
+        `width` entries."""
+        t = len(half)
+        n_shared = len(self._shared_half)
+        signs = signs_buf[: n_shared * t].reshape(n_shared, t)
+        _hash_sign_bits(self._shared_half, half, signs, h, u)
+        n_neg = np.zeros(t, dtype=np.int64)
+        for size, levels in self._buckets:
+            for c0 in range(0, size, width):
+                c1 = min(c0 + width, size)
+                parity = parity_buf[: (c1 - c0) * t].reshape(c1 - c0, t)
+                for i, (m, priv, rows) in enumerate(levels):
+                    # columns c0..c0+a-1 of this level are private
+                    a = min(max(m - c0, 0), c1 - c0)
+                    if a:
+                        _hash_sign_bits(priv[c0 : c0 + a], half, parity[:a], h, u, xor=i > 0)
+                    if c0 + a < c1:
+                        shared = rows[c0 + a - m : c1 - m]
+                        if i:
+                            parity[a:] ^= signs[shared]
+                        else:
+                            np.take(signs, shared, axis=0, out=parity[a:])
+                for b in range(0, c1 - c0, 255):
+                    n_neg += np.add.reduce(parity[b : b + 255], axis=0, dtype=np.uint8)
+        return self.s_count - 2 * n_neg

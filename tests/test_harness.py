@@ -334,6 +334,43 @@ def test_cli_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+def _refuse_tables(monkeypatch):
+    def no_table(x, y):
+        raise AssertionError("factor table built")
+
+    monkeypatch.setattr(harness, "segmented_factorize", no_table)
+
+
+@pytest.mark.parametrize("formats", ["csv", "histogram", "json,csv,histogram"])
+def test_cli_file_formats_without_out_are_usage_errors(formats, monkeypatch, capsys):
+    # these formats write files only: without --out the run used to print
+    # the JSON, write nothing else and exit 0
+    _refuse_tables(monkeypatch)
+    argv = ["simulate", "--x", "2000", "--y", "100", "--trials", "5", "--format", formats]
+    assert main(argv) == 2
+    assert "give --out" in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("out", ["", ".", "..", "runs/"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x", "2000", "--y", "100", "--trials", "5", "--format", "json,csv"],
+    ["bounds", "--x", "2000", "--y", "100"],
+    ["moments", "--x", "2000", "--y", "100"],
+    ["stein", "--x", "700", "--y", "9"],
+    ["distances", "--infile", "w.csv"],
+])
+def test_cli_out_without_file_name_is_a_usage_error(argv, out, tmp_path, monkeypatch, capsys):
+    # --out "" used to write .json (or ..json and ..csv) into the working
+    # directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs").mkdir()
+    _refuse_tables(monkeypatch)
+    assert main(argv + ["--out", out]) == 2
+    assert "--out must end in a file name" in _one_line_error(capsys)
+    assert [p.name for p in tmp_path.rglob("*")] == ["runs"]
+
+
 def test_cli_env_workers(monkeypatch, capsys):
     monkeypatch.setenv("RMF_LAB_WORKERS", "2")
     rc = main(["simulate", "--x", "2000", "--y", "100", "--trials", "40"])

@@ -168,7 +168,7 @@ def test_sampler_empty_interval_gives_zeros():
     assert out.dtype == np.int64 and out.tolist() == [0] * 5
 
 
-# tile widths around the 64-trial minimum, 2^17 // 633 and 2^16 // 633 (the
+# tile widths around the former 64-trial minimum, 2^17 // 633 and 2^16 // 633 (the
 # widths at which one hash block holds 633 prime rows with the former 2^17-word
 # and the current 2^16-word scratch), 4096 (the former harness chunk), and the
 # default from the sign-matrix byte budget
@@ -197,9 +197,11 @@ def test_sampler_tile_widths_match_scalar_path(x, y, seed):
     start, count = 61, 333
     samp = IntervalSampler(t, seed)
     if x == 10**10:
-        # parities are counted in uint8 over blocks of at most 255 rows; a
-        # bucket of more than 510 entries splits into at least three blocks
-        assert max(b.shape[1] for b in samp._buckets) > 510
+        # parities are counted in uint8 over at most 255 rows at a time; a
+        # bucket of more than 510 entries, in one parity block of more than
+        # 510 entries at the tile widths up to 65, takes at least three counts
+        assert max(size for size, _ in samp._buckets) > 510
+        assert rmf_core._BLOCK_SIGNS // 65 > 510
     runs = [samp.raw_sums(start, count, batch=b) for b in TILE_BATCHES]
     for raw in runs[1:]:
         assert np.array_equal(raw, runs[0])
@@ -211,14 +213,102 @@ def test_sampler_tile_widths_match_scalar_path(x, y, seed):
 def test_sampler_parity_counts_do_not_wrap(monkeypatch):
     # with every sign -1, X(n) is the Moebius function and every entry of odd
     # omega counts; at the wide size the omega = 3 bucket has 1930 entries,
-    # so a uint8 count over more than 255 rows would wrap
-    def all_minus(prime_half, trial_half, out, h, u):
-        out.fill(1)
+    # so a uint8 count over more than 255 rows would wrap.  Private primes
+    # are hashed into (level 0) or XORed into (later levels) parity rows, and
+    # a private prime's -1 must reach its entry on both paths
+    calls = {False: 0, True: 0}
+
+    def all_minus(prime_half, trial_half, out, h, u, xor=False):
+        calls[xor] += 1
+        if xor:
+            out ^= 1
+        else:
+            out.fill(1)
 
     monkeypatch.setattr(rmf_core, "_hash_sign_bits", all_minus)
     t = segmented_factorize(10**10, 10**4)
     mobius_sum = interval_sum(t, FixedSigns(neg=set(t.primes.tolist())))
-    assert IntervalSampler(t, 2).raw_sums(0, 5).tolist() == [mobius_sum] * 5
+    samp = IntervalSampler(t, 2)
+    for batch in (5, 64, None):
+        assert samp.raw_sums(0, 5, batch=batch).tolist() == [mobius_sum] * 5
+    assert calls[False] > 1 and calls[True] > 0
+
+
+def test_sampler_minimum_tile_matches_scalar_path():
+    # at (10^10, 10^10 + 10^5] the 2 MiB rule over 4752 shared primes gives
+    # fewer than _MIN_TILE trials, so 600 trials take a full tile and a
+    # short one
+    t = segmented_factorize(10**10, 10**5)
+    samp = IntervalSampler(t, 4)
+    n_rows = len(samp._shared_half) + 2 * rmf_core._MIN_BLOCK
+    assert rmf_core._SIGN_BYTES // n_rows < rmf_core._MIN_TILE < 600
+    raw = samp.raw_sums(0, 600)
+    assert np.array_equal(raw, samp.raw_sums(0, 600, batch=600))
+    root = SignSource(4)
+    for i in (rmf_core._MIN_TILE - 1, rmf_core._MIN_TILE):
+        assert raw[i] == interval_sum(t, root.for_trial(i))
+
+
+@pytest.fixture(scope="module")
+def wide_scalar_sums():
+    t = segmented_factorize(10**10, 10**4)
+    root = SignSource(5)
+    return t, [interval_sum(t, root.for_trial(3 + i)) for i in range(10)]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64, 300, None])
+def test_sampler_private_primes_match_scalar_path(wide_scalar_sums, batch):
+    # a private prime divides one square-free entry and is hashed straight
+    # into that entry's parity row; a shared one is gathered from the sign
+    # matrix
+    t, scalar = wide_scalar_sums
+    view = t.prime_major
+    private = set(view.primes[np.diff(view.offsets) == 1].tolist())
+    shared = set(view.primes.tolist()) - private
+    lists = [ps for _, ps in t.squarefree_items()]
+    n_private = [sum(p in private for p in ps) for ps in lists]
+    assert {0, 1, 2} <= set(n_private)
+    # n = p * q with p, q > y: both primes private
+    assert any(len(ps) == 2 and min(ps) > 10**4 for ps in lists)
+    # the omega = 1 bucket (primes of the interval) has no shared prime
+    assert all(ps[0] in private for ps in lists if len(ps) == 1)
+    # entries with a private prime below a shared one, which the sampler
+    # reorders to list private primes first
+    assert any(p in private and q in shared for ps in lists for p in ps for q in ps if p < q)
+    samp = IntervalSampler(t, 5)
+    assert samp.raw_sums(3, 10, batch=batch).tolist() == scalar
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_scoped_ufunc_buffer_is_restored(monkeypatch, fail):
+    # the hash runs with numpy's ufunc buffer below 3 rows of trials; the
+    # caller's size comes back after raw_sums and trial_signs, also when
+    # the hash raises inside that scope
+    t = segmented_factorize(10**6, 10**3)
+    samp = IntervalSampler(t, 1)
+    seen = []
+    if fail:
+        def failing(prime_half, trial_half, out, h, u, xor=False):
+            seen.append(np.getbufsize())
+            raise RuntimeError("hash failed")
+
+        monkeypatch.setattr(rmf_core, "_hash_sign_bits", failing)
+    before = np.getbufsize()
+    for call in (lambda: samp.raw_sums(0, 300), lambda: trial_signs([2, 3, 5], 1, 0, 300)):
+        if fail:
+            with pytest.raises(RuntimeError):
+                call()
+        else:
+            call()
+        assert np.getbufsize() == before
+    # 896: the largest multiple of 16 below 3 * 300
+    assert seen == ([896, 896] if fail else [])
+    if not fail:
+        # a caller's smaller buffer is kept
+        with np.errstate():
+            np.setbufsize(128)
+            samp.raw_sums(0, 300)
+            assert np.getbufsize() == 128
 
 
 def test_trial_signs_match_scalar_source():
