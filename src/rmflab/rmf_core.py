@@ -240,9 +240,7 @@ class IntervalSampler:
             first = starts[by_omega[firsts[k] : firsts[k] + n]]
             # primes descending: a prime above y divides one entry of the
             # interval, so nearly every entry lists its private primes first
-            idx = np.empty((k, n), dtype=view.index.dtype)
-            for i in range(k):
-                np.take(view.index[k - 1 - i :], first, out=idx[i])
+            idx = view.index[first + np.arange(k - 1, -1, -1)[:, None]]
             priv = private[idx]
             late = np.flatnonzero((priv[1:] > priv[:-1]).any(axis=0))
             if late.size:
@@ -252,9 +250,7 @@ class IntervalSampler:
             # entries by falling private count: each level's private primes
             # are then a prefix
             cols = np.argsort((k - n_priv).astype(np.uint8), kind="stable")
-            vals = np.empty((k, n), dtype=np.uint64)
-            for row, out in zip(idx, vals):
-                np.take(code, row.take(cols), out=out)
+            vals = code[idx[:, cols]]
             prefix = n - np.cumsum(np.bincount(n_priv, minlength=k))
             self._buckets.append((n, [
                 (m, row[:m], row[m:].view(np.int64)) for m, row in zip(prefix.tolist(), vals)
