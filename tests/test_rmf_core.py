@@ -168,10 +168,10 @@ def test_sampler_empty_interval_gives_zeros():
     assert out.dtype == np.int64 and out.tolist() == [0] * 5
 
 
-# tile widths around the former 64-trial minimum, 2^17 // 633 and 2^16 // 633 (the
-# widths at which one hash block holds 633 prime rows with the former 2^17-word
-# and the current 2^16-word scratch), 4096 (the former harness chunk), and the
-# default from the sign-matrix byte budget
+# tile widths around the former 64-trial minimum, 2^17 // 633 and
+# 2^16 // 633 (the widths at which one hash block holds 633 prime rows with
+# the former 2^17-word and the current 2^16-word scratch), 4096 (the former
+# harness chunk), and the default from the sign-matrix byte budget
 TILE_BATCHES = (1, 63, 64, 65, 207, 4096, None, 2**16 // 633)
 
 
