@@ -1,0 +1,38 @@
+"""Report files frozen byte for byte: the sha256 of every file each command
+writes.  A change that moves any of these digests changes report bytes and
+must be declared."""
+
+import hashlib
+
+import pytest
+
+from rmflab.harness import main
+
+GOLDEN = [
+    (["simulate", "--x", "2000", "--y", "150", "--trials", "777", "--seed", "3",
+      "--format", "json,csv,histogram"], {
+        "r.csv": "258e4eb21346bea589d7410d7faa5111e5c2f56196eb2ffb6960f3ed11f6a862",
+        "r.hist.json": "75d7a004fab567871ef9c7711d6e2ea6b9164f0d31641741af72e9bf09654755",
+        "r.json": "62bb61224b0aa24f15fee386500341f70a083586f8f1a9226484bf42a28f9f03",
+    }),
+    # the README reference point
+    (["stein", "--x", "100000", "--y", "100", "--seed", "0"], {
+        "r.json": "63d7bc39d3e3f7447205be117294b76cb5336ddaf915df99619c4be72ba49e17",
+    }),
+    (["stein", "--x", "700", "--y", "9", "--seed", "5"], {
+        "r.json": "904f12fbee99592455967bc8a3a3e45b0e92415534e172fad461a86f625bdfa2",
+    }),
+    (["moments", "--x", "100020", "--y", "300"], {
+        "r.json": "af6aa20019622daf929c738b41d7dff4ca7cfdbee16c61dcf59179bb1aec781a",
+    }),
+    (["bounds", "--x", "1000000", "--y", "1000"], {
+        "r.json": "b9b3225dde6ea5a46b28d8ff00464102746e94a629686fbbc3b86a8d6a221795",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, digests", GOLDEN, ids=[argv[0] + "-" + argv[2] for argv, _ in GOLDEN])
+def test_report_bytes_match_golden_digests(argv, digests, tmp_path):
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())} == digests
