@@ -174,18 +174,6 @@ def _unbuffered_size(t: int) -> int:
     return min(np.getbufsize(), max(16, (3 * t - 1) & ~15))
 
 
-def trial_signs(primes: list[int], master_seed: int, start: int, count: int) -> np.ndarray:
-    """(len(primes) x count) int8 matrix whose [j, t] entry is
-    SignSource(master_seed).for_trial(start + t).sign(primes[j])."""
-    bits = np.empty((len(primes), count), dtype=np.uint8)
-    if bits.size:
-        with np.errstate():
-            np.setbufsize(_unbuffered_size(count))
-            _hash_sign_bits(_prime_halves(primes), _trial_halves(master_seed, start, count),
-                            bits, *_hash_scratch(len(primes), count))
-    return 1 - 2 * bits.view(np.int8)
-
-
 class IntervalSampler:
     """Batched sampler of interval sums over derived per-trial sign sources.
 
@@ -200,13 +188,14 @@ class IntervalSampler:
     by falling private count, so each level's private primes are a prefix.
 
     For a tile of T trials the sampler hashes the (shared primes x T) uint8
-    matrix of sign bits that trial_signs would give.  Then, for each block
-    of a bucket's entries, it builds the (entries x T) parity of X(n) = -1
-    level by level: a private prime is hashed straight into its entry's
-    parity row, and a shared prime's row is gathered from the sign matrix.
-    The parities are counted in uint8 over at most 255 rows at a time, and a
-    raw sum is S - 2 * #{n : X(n) = -1}.  A block is at least 128 entries
-    and about 2^16 (entry, trial) bytes.  A default tile is the 2 MiB sign
+    matrix of their sign bits.  Then, for each block of a bucket's entries,
+    it builds the (entries x T) parity of X(n) = -1 level by level: a
+    private prime is hashed straight into its entry's parity row, and a
+    shared prime's row is gathered from the sign matrix.  raw_sums counts
+    the parities in uint8 over at most 255 rows at a time, a raw sum being
+    S - 2 * #{n : X(n) = -1}; entry_values writes each block's X(n) = 1 - 2
+    * parity into its entries' rows.  A block is at least 128 entries and
+    about 2^16 (entry, trial) bytes.  A default tile is the 2 MiB sign
     budget over (shared primes + two 128-entry blocks) rows, at least 512
     trials: 1,000 trials are one tile at P = 7054 (613 shared), a tile is
     about 6,000 trials at P = 636 (91 shared) and 512 at P = 526,390 (38,278
@@ -219,8 +208,12 @@ class IntervalSampler:
     def __init__(self, table: IntervalTable, master_seed: int):
         view = table.prime_major
         omega = np.diff(table.offsets)[table.flags]
+        squarefree = np.flatnonzero(table.flags)
         self.s_count = omega.size
         self.master_seed = master_seed & _M64
+        self._y_len = table.y_len
+        # n = 1 (omega 0) has X(1) = +1 for every trial
+        self._units = squarefree[omega == 0]
         private = np.diff(view.offsets) == 1
         half = _prime_halves(view.primes)
         self._shared_half = half[~private]
@@ -231,16 +224,15 @@ class IntervalSampler:
         by_omega = np.argsort(omega.astype(np.uint8), kind="stable")
         sizes = np.bincount(omega)
         firsts = np.cumsum(sizes) - sizes
-        # bucket k: (entries, [(private prefix m, its hash halves, the
-        # shared rows of the other entries) per level]); n = 1 (omega 0) has
-        # X(1) = +1 for every trial
+        # bucket k: (its entries' table indices, [(private prefix m, its hash
+        # halves, the shared rows of the other entries) per level])
         self._buckets = []
         for k in (np.flatnonzero(sizes[1:]) + 1).tolist():
             n = int(sizes[k])
-            first = starts[by_omega[firsts[k] : firsts[k] + n]]
+            members = by_omega[firsts[k] : firsts[k] + n]
             # primes descending: a prime above y divides one entry of the
             # interval, so nearly every entry lists its private primes first
-            idx = view.index[first + np.arange(k - 1, -1, -1)[:, None]]
+            idx = view.index[starts[members] + np.arange(k - 1, -1, -1)[:, None]]
             priv = private[idx]
             late = np.flatnonzero((priv[1:] > priv[:-1]).any(axis=0))
             if late.size:
@@ -252,7 +244,7 @@ class IntervalSampler:
             cols = np.argsort((k - n_priv).astype(np.uint8), kind="stable")
             vals = code[idx[:, cols]]
             prefix = n - np.cumsum(np.bincount(n_priv, minlength=k))
-            self._buckets.append((n, [
+            self._buckets.append((squarefree[members[cols]], [
                 (m, row[:m], row[m:].view(np.int64)) for m, row in zip(prefix.tolist(), vals)
             ]))
 
@@ -260,6 +252,37 @@ class IntervalSampler:
         """Interval sums for trials start, ..., start+count-1 (int64),
         `batch` trials per tile (default: _SIGN_BYTES over the shared primes
         plus two _MIN_BLOCK blocks, at least _MIN_TILE)."""
+        n_neg = np.zeros(count, dtype=np.int64)
+
+        def count_block(trials: slice, entries: np.ndarray, parity: np.ndarray) -> None:
+            for b in range(0, len(parity), 255):
+                n_neg[trials] += np.add.reduce(parity[b : b + 255], axis=0, dtype=np.uint8)
+
+        self._parity_blocks(start, count, batch, count_block)
+        return self.s_count - 2 * n_neg
+
+    def entry_values(self, start: int, count: int, batch: int | None = None) -> np.ndarray:
+        """(y x count) int8 matrix whose [i, t] entry is X(x + 1 + i) in
+        trial start + t, 0 where x + 1 + i is not square-free; `batch` as
+        for raw_sums."""
+        out = np.zeros((self._y_len, count), dtype=np.int8)
+        out[self._units] = 1
+
+        def write_block(trials: slice, entries: np.ndarray, parity: np.ndarray) -> None:
+            x = parity.view(np.int8)
+            x *= -2
+            x += 1
+            out[entries, trials] = x
+
+        self._parity_blocks(start, count, batch, write_block)
+        return out
+
+    def _parity_blocks(self, start: int, count: int, batch: int | None, visit) -> None:
+        """visit(trials, entries, parity) for every block of every tile of
+        trials start, ..., start+count-1: the tile's slice of 0..count-1,
+        the block's table entry indices, and their (entries x trials) uint8
+        parity of X(n) = -1, which visit may overwrite.  Each tile runs in
+        its own ufunc buffer scope."""
         n_shared = len(self._shared_half)
         if batch is None:
             batch = max(_MIN_TILE, _SIGN_BYTES // (n_shared + 2 * _MIN_BLOCK))
@@ -269,27 +292,25 @@ class IntervalSampler:
         signs_buf = np.empty(n_shared * tile, dtype=np.uint8)
         parity_buf = np.empty(width * tile, dtype=np.uint8)
         trial_half = _trial_halves(self.master_seed, start, count)
-        out = np.empty(count, dtype=np.int64)
         for off in range(0, count, tile):
             t = min(tile, count - off)
             with np.errstate():
                 np.setbufsize(_unbuffered_size(t))
-                out[off : off + t] = self._tile_sums(trial_half[off : off + t], width,
-                                                     h, u, signs_buf, parity_buf)
-        return out
+                for entries, parity in self._tile_parities(trial_half[off : off + t], width, h, u,
+                                                           signs_buf, parity_buf):
+                    visit(slice(off, off + t), entries, parity)
 
-    def _tile_sums(self, half: np.ndarray, width: int, h: np.ndarray, u: np.ndarray,
-                   signs_buf: np.ndarray, parity_buf: np.ndarray) -> np.ndarray:
-        """Raw sums of the trials whose halves are `half`, over blocks of
-        `width` entries."""
+    def _tile_parities(self, half: np.ndarray, width: int, h: np.ndarray, u: np.ndarray,
+                       signs_buf: np.ndarray, parity_buf: np.ndarray):
+        """(entries, parity) of each block of `width` entries for the trials
+        whose halves are `half`; each parity reuses parity_buf."""
         t = len(half)
         n_shared = len(self._shared_half)
         signs = signs_buf[: n_shared * t].reshape(n_shared, t)
         _hash_sign_bits(self._shared_half, half, signs, h, u)
-        n_neg = np.zeros(t, dtype=np.int64)
-        for size, levels in self._buckets:
-            for c0 in range(0, size, width):
-                c1 = min(c0 + width, size)
+        for entries, levels in self._buckets:
+            for c0 in range(0, len(entries), width):
+                c1 = min(c0 + width, len(entries))
                 parity = parity_buf[: (c1 - c0) * t].reshape(c1 - c0, t)
                 for i, (m, priv, rows) in enumerate(levels):
                     # columns c0..c0+a-1 of this level are private
@@ -302,6 +323,4 @@ class IntervalSampler:
                             parity[a:] ^= signs[shared]
                         else:
                             np.take(signs, shared, axis=0, out=parity[a:])
-                for b in range(0, c1 - c0, 255):
-                    n_neg += np.add.reduce(parity[b : b + 255], axis=0, dtype=np.uint8)
-        return self.s_count - 2 * n_neg
+                yield entries[c0:c1], parity

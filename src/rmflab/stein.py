@@ -49,13 +49,14 @@ import numpy as np
 from .errors import ScaleError
 from .numtheory import IntervalTable, PrimeMajor
 from .quadruples import DEFAULT_BUDGET, _count_solutions, _oracle_count_array, _solution_blocks
-from .rmf_core import SignSource, trial_signs
+from .rmf_core import IntervalSampler, SignSource
 
 # a member k of N(p), with the distinct primes of k
 _Member = tuple[int, tuple[int, ...]]
 
-# exchange_variance_monte_carlo's trial tile: its int8 sign matrices and one
-# prime's int64 member values with their temporaries take about this many bytes
+# exchange_variance_monte_carlo's trial tile: its int8 X(n) matrix, the
+# sampler's shared-prime sign matrix and one prime's int64 member values with
+# their temporaries take about this many bytes
 _VAR_TILE_BYTES = 1 << 23
 _MIN_VAR_TILE = 64
 
@@ -257,13 +258,15 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
                                   master_seed: int) -> float:
     """Sample variance (ddof=1) of sum_{p in L} T_p over seeded trials.
 
-    T_p vanishes unless |N(p)| >= 2, so only the entries n of those N(p)
-    and the primes of those entries are read.  The signs of trial t are
-    those of SignSource(master_seed).for_trial(t).  For a tile of trials X(n)
-    is the product of the sign rows of n's primes, and a member k of N(p) has
-    X(k) = X(n) X(p).  A tile's sign matrices and one prime's member values
-    fit about _VAR_TILE_BYTES, and every trial's terms are added in
-    ascending p as in a per-trial evaluation."""
+    The signs of trial t are those of SignSource(master_seed).for_trial(t),
+    and X(n) for a tile of trials comes from IntervalSampler.entry_values.
+    T_p vanishes unless |N(p)| >= 2, so only those p are summed.  A member
+    k of N(p) has X(k) = X(n) X(p) with n = k p, and each term (g - x_k) x_k
+    of T_p is unchanged when every x_k is multiplied by the same sign, so
+    T_p reads X(n) for the entries of N(p) directly.  A tile's X(n) matrix,
+    the shared primes' sign matrix and one prime's member values fit about
+    _VAR_TILE_BYTES, and every trial's terms are added in ascending p as in
+    a per-trial evaluation."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     view, first = _view(table, z)
@@ -272,31 +275,18 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
     if not used.size:
         return 0.0
     omega_l = np.bincount(view.entries[view.offsets[first] :], minlength=table.y_len)
-    per_p = [(int(view.primes[j]), view.entries[view.offsets[j] : view.offsets[j + 1]])
-             for j in used.tolist()]
-    ents = np.unique(np.concatenate([e for _, e in per_p]))
-    # the distinct primes of those entries, and column t: the entries with
-    # more than t primes, with the index of the t-th one among those primes
-    sizes = np.diff(table.offsets)[ents]
-    runs = np.cumsum(sizes) - sizes
-    at = np.arange(sizes.sum()) + np.repeat(table.offsets[ents] - runs, sizes)
-    primes, local = np.unique(table.primes[at], return_inverse=True)
-    columns = [(more, local[runs[more] + t]) for t in range(int(sizes.max()))
-               for more in [np.flatnonzero(sizes > t)]]
-    rows = [(int(np.searchsorted(primes, p)), np.searchsorted(ents, e), omega_l[e][:, None])
-            for p, e in per_p]
-    per_trial = 2 * primes.size + 3 * ents.size + 40 * int(counts[used].max())
+    per_p = [(e, omega_l[e][:, None])
+             for e in (view.entries[view.offsets[j] : view.offsets[j + 1]] for j in used.tolist())]
+    per_trial = table.y_len + int(np.count_nonzero(counts >= 2)) + 40 * int(counts[used].max())
     tile = max(_MIN_VAR_TILE, _VAR_TILE_BYTES // per_trial)
+    sampler = IntervalSampler(table, master_seed)
     values = np.empty(trials)
     for start in range(0, trials, tile):
         count = min(tile, trials - start)
-        signs = trial_signs(primes, master_seed, start, count)
-        x_n = np.ones((ents.size, count), dtype=np.int8)
-        for more, row in columns:
-            x_n[more] *= signs[row]
+        x_n = sampler.entry_values(start, count)
         acc = np.zeros(count)
-        for row, pos, omegas in rows:
-            acc += _t_p((x_n[pos] * signs[row]).astype(np.int64), omegas)
+        for e, omegas in per_p:
+            acc += _t_p(x_n[e].astype(np.int64), omegas)
         values[start : start + count] = acc
     return float(values.var(ddof=1))
 

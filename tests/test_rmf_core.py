@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -13,7 +14,6 @@ from rmflab.rmf_core import (
     SignSource,
     interval_sum,
     rmf_value,
-    trial_signs,
 )
 from rmflab.stein import sign_vector_moments
 
@@ -200,7 +200,7 @@ def test_sampler_tile_widths_match_scalar_path(x, y, seed):
         # parities are counted in uint8 over at most 255 rows at a time; a
         # bucket of more than 510 entries, in one parity block of more than
         # 510 entries at the tile widths up to 65, takes at least three counts
-        assert max(size for size, _ in samp._buckets) > 510
+        assert max(len(entries) for entries, _ in samp._buckets) > 510
         assert rmf_core._BLOCK_SIGNS // 65 > 510
     runs = [samp.raw_sums(start, count, batch=b) for b in TILE_BATCHES]
     for raw in runs[1:]:
@@ -282,7 +282,7 @@ def test_sampler_private_primes_match_scalar_path(wide_scalar_sums, batch):
 @pytest.mark.parametrize("fail", [False, True])
 def test_scoped_ufunc_buffer_is_restored(monkeypatch, fail):
     # the hash runs with numpy's ufunc buffer below 3 rows of trials; the
-    # caller's size comes back after raw_sums and trial_signs, also when
+    # caller's size comes back after raw_sums and entry_values, also when
     # the hash raises inside that scope
     t = segmented_factorize(10**6, 10**3)
     samp = IntervalSampler(t, 1)
@@ -294,12 +294,12 @@ def test_scoped_ufunc_buffer_is_restored(monkeypatch, fail):
 
         monkeypatch.setattr(rmf_core, "_hash_sign_bits", failing)
     before = np.getbufsize()
-    for call in (lambda: samp.raw_sums(0, 300), lambda: trial_signs([2, 3, 5], 1, 0, 300)):
+    for call in (samp.raw_sums, samp.entry_values):
         if fail:
             with pytest.raises(RuntimeError):
-                call()
+                call(0, 300)
         else:
-            call()
+            call(0, 300)
         assert np.getbufsize() == before
     # 896: the largest multiple of 16 below 3 * 300
     assert seen == ([896, 896] if fail else [])
@@ -308,27 +308,60 @@ def test_scoped_ufunc_buffer_is_restored(monkeypatch, fail):
         with np.errstate():
             np.setbufsize(128)
             samp.raw_sums(0, 300)
+            samp.entry_values(0, 300)
             assert np.getbufsize() == 128
 
 
-def test_trial_signs_match_scalar_source():
-    primes = [2, 3, 5, 7, 101, 65537, 10**9 + 7]
-    for seed in (0, 5, -1, 2**64 + 3):
-        root = SignSource(seed)
-        signs = trial_signs(primes, seed, 11, 40)
-        assert signs.shape == (len(primes), 40)
-        assert signs.tolist() == [
-            [root.for_trial(11 + t).sign(p) for t in range(40)] for p in primes
-        ]
-    assert trial_signs([], 0, 0, 3).shape == (0, 3)
+@functools.cache
+def scalar_entry_values(x, y, seed, start, columns):
+    """X(n) of every entry n of (x, x+y] in the trials start + c, c in
+    columns, from the scalar sign source."""
+    t = _factor_segment(x, y)
+    sources = [SignSource(seed).for_trial(start + c) for c in columns]
+    return np.array([[rmf_value(n, t, s) for s in sources] for n in range(x + 1, x + y + 1)])
 
 
-def test_trial_signs_match_scalar_source_across_hash_blocks():
-    # 303 primes by 1000 trials are hashed in five blocks of 65 prime rows
-    # (2^16 words of scratch), the last one short
-    primes = sieve_primes(2000)
-    signs = trial_signs(primes, 5, 17, 1000)
-    assert signs.dtype == np.int8
-    root = SignSource(5)
-    for t in (0, 1, 500, 999):
-        assert signs[:, t].tolist() == [root.for_trial(17 + t).sign(p) for p in primes]
+# the first and last trials of the tiles of 1, 7, 64 and 300 trials
+TILE_EDGES = (0, 1, 6, 7, 63, 64, 299, 300, 332)
+
+
+@pytest.mark.parametrize("x, y, seed, columns", [
+    (2000, 150, 3, tuple(range(333))),  # every trial
+    (10**10, 10**4, 2, TILE_EDGES),     # wide size
+    (510000, 1000, 3, TILE_EDGES),      # holds 510510 = 2*3*5*7*11*13*17
+])
+@pytest.mark.parametrize("batch", [1, 7, 64, 300, None])
+def test_entry_values_match_scalar_path(x, y, seed, columns, batch):
+    t = segmented_factorize(x, y)
+    samp = IntervalSampler(t, seed)
+    values = samp.entry_values(61, 333, batch=batch)
+    assert values.dtype == np.int8 and values.shape == (y, 333)
+    assert np.array_equal(values[:, columns], scalar_entry_values(x, y, seed, 61, columns))
+    assert np.array_equal(values.sum(axis=0), samp.raw_sums(61, 333, batch=batch))
+
+
+def test_entry_values_match_scalar_source():
+    # every seed form the sign source accepts; n = 1 (no prime) is +1 and
+    # the zero entries are the ones that are not square-free
+    for x, y in ((0, 40), (10**9 + 6, 1)):
+        t = _factor_segment(x, y)
+        for seed in (0, 5, -1, 2**64 + 3):
+            values = IntervalSampler(t, seed).entry_values(11, 40)
+            assert values.shape == (y, 40)
+            assert values.tolist() == scalar_entry_values(x, y, seed, 11, tuple(range(40))).tolist()
+    t = _factor_segment(0, 40)
+    assert IntervalSampler(t, 0).entry_values(0, 3)[0].tolist() == [1, 1, 1]
+    assert IntervalSampler(t, 0).entry_values(0, 0).shape == (40, 0)
+
+
+def test_entry_values_match_scalar_source_across_hash_blocks():
+    # 91 shared primes by 1000 trials are hashed in two blocks of 65 prime
+    # rows (2^16 words of scratch), the last one short, and each parity
+    # block of 128 entries hashes up to 128 private primes the same way
+    t = segmented_factorize(10**6, 10**3)
+    samp = IntervalSampler(t, 5)
+    assert len(samp._shared_half) == 91
+    assert rmf_core._TILE_WORDS // 1000 == 65
+    values = samp.entry_values(17, 1000)
+    columns = (0, 1, 500, 999)
+    assert np.array_equal(values[:, columns], scalar_entry_values(10**6, 10**3, 5, 17, columns))

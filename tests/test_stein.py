@@ -19,7 +19,7 @@ from rmflab.numtheory import (
     z_of_delta,
 )
 from rmflab.quadruples import _oracle_count_array, _oracle_count_members
-from rmflab.rmf_core import SignSource, trial_signs
+from rmflab.rmf_core import SignSource
 from rmflab import stein
 from rmflab.stein import (
     _Member,
@@ -702,29 +702,25 @@ def test_span_coordinates_reconstruct_the_masks():
 # ---------------------------------------------------------------------------
 
 def _reference_exchange_variance(table, z, trials, master_seed):
-    """exchange_variance_monte_carlo hashing every prime of the view and
-    forming X(n) for every entry."""
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    view, first = _view(table, z)
-    counts = np.diff(view.offsets)
-    used = first + np.flatnonzero(counts[first:] >= 2)
-    if not used.size:
-        return 0.0
-    omega_l = np.bincount(view.entries[view.offsets[first] :], minlength=table.y_len)
-    per_p = [(j, view.entries[view.offsets[j] : view.offsets[j + 1]]) for j in used.tolist()]
-    per_trial = 2 * view.primes.size + table.y_len + 40 * int(counts[used].max())
-    tile = max(stein._MIN_VAR_TILE, stein._VAR_TILE_BYTES // per_trial)
-    values = np.empty(trials)
-    for start in range(0, trials, tile):
-        count = min(tile, trials - start)
-        signs = trial_signs(view.primes, master_seed, start, count)
-        x_n = _over_entries(table, np.multiply, signs)
-        acc = np.zeros(count)
-        for j, e in per_p:
-            acc += _t_p((x_n[e] * signs[j]).astype(np.int64), omega_l[e][:, None])
-        values[start : start + count] = acc
-    return float(values.var(ddof=1))
+    """Var(sum_{p in L} T_p), ddof=1, from the scalar sign source: in trial
+    t, X(k) of a member k of N(p) is the product of the signs of its primes
+    in SignSource(master_seed).for_trial(t), T_p adds (g - X(k)) X(k) /
+    omega_L(k p) in member order (0 for a lone member), and the T_p are
+    added in ascending p; numpy only carries every trial at once."""
+    supports = [ms for p, ms in sorted(_supports(table).items()) if p > z and len(ms) >= 2]
+    sources = [SignSource(master_seed).for_trial(t) for t in range(trials)]
+    sign = {q: np.array([s.sign(q) for s in sources])
+            for q in {q for ms in supports for _, qs in ms for q in qs}}
+    total = np.zeros(trials)
+    for ms in supports:
+        xs = [math.prod((sign[q] for q in qs), start=np.ones(trials, dtype=np.int64))
+              for _, qs in ms]
+        g = sum(xs)
+        t_p = np.zeros(trials)
+        for x, (_, qs) in zip(xs, ms):
+            t_p += (g - x) * x / (1 + sum(q > z for q in qs))
+        total += t_p
+    return float(total.var(ddof=1))
 
 
 def _reference_stein_terms(table, z, var_trials=2000, master_seed=0, prime_budget=20,
@@ -873,7 +869,8 @@ def test_quadruple_counts_pinned_at_scale():
 
 
 def test_exchange_variance_matches_the_all_primes_pass(monkeypatch):
-    # also across tiles of 64 trials, the last one a single trial
+    # the scalar per-trial pass over every prime of L, also across tiles of
+    # 64 trials, the last one a single trial
     for x, y, z in ((10**4, 400, 0.5 * math.log(25)), (200, 80, 3.0), (700, 9, 2.0)):
         t = segmented_factorize(x, y)
         for trials in (2, 129):
@@ -883,29 +880,6 @@ def test_exchange_variance_matches_the_all_primes_pass(monkeypatch):
     t = segmented_factorize(10**4, 400)
     assert (exchange_variance_monte_carlo(t, 1.6, 129, 3)
             == _reference_exchange_variance(t, 1.6, 129, 3))
-
-
-def test_exchange_variance_hashes_only_the_primes_it_reads(monkeypatch):
-    # at (100020, 100] 10 primes of L have |N(p)| >= 2; only the 46 primes
-    # of their entries are hashed, not all 86 of the view
-    t = segmented_factorize(100020, 100)
-    z = z_of_delta(100 / 100020)
-    view, first = _view(t, z)
-    counts = np.diff(view.offsets)
-    shared = first + np.flatnonzero(counts[first:] >= 2)
-    ents = np.concatenate([view.entries[view.offsets[j] : view.offsets[j + 1]] for j in shared])
-    read = sorted({q for i in ents.tolist()
-                   for q in t.primes[t.offsets[i] : t.offsets[i + 1]].tolist()})
-    assert (view.primes.size, shared.size, len(read)) == (86, 10, 46)
-    hashed = []
-
-    def spy(primes, *args):
-        hashed.append(np.asarray(primes).tolist())
-        return trial_signs(primes, *args)
-
-    monkeypatch.setattr(stein, "trial_signs", spy)
-    exchange_variance_monte_carlo(t, z, 50, 0)
-    assert hashed == [read]
 
 
 def test_weight_identity_matches_the_per_w_sums():
