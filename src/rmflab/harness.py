@@ -71,7 +71,18 @@ class ExperimentConfig:
 
     def resolved(self) -> "ExperimentConfig":
         """Validate and fill the y/delta pair: one of the two determines the
-        other. Idempotent: a consistent fully-specified config passes."""
+        other. Idempotent: a consistent fully-specified config passes. Warns
+        on stderr when delta is outside the proven range."""
+        cfg = self._validated()
+        if cfg.delta >= 0.1:
+            print(
+                f"warning: delta = {cfg.delta:.4g} is outside the proven range (< 1/10)",
+                file=sys.stderr,
+            )
+        return cfg
+
+    def _validated(self) -> "ExperimentConfig":
+        """resolved() without the warning."""
         if self.x < 2:
             raise ValueError(f"x must be >= 2, got {self.x}")
         if self.y is None and self.delta is None:
@@ -97,11 +108,6 @@ class ExperimentConfig:
         bad = set(self.formats) - {"json", "csv", "histogram"}
         if bad:
             raise ValueError(f"unknown formats: {sorted(bad)}")
-        if delta >= 0.1:
-            print(
-                f"warning: delta = {delta:.4g} is outside the proven range (< 1/10)",
-                file=sys.stderr,
-            )
         return ExperimentConfig(
             self.x, y, delta, self.trials, self.master_seed,
             self.z_override, self.workers, self.output_path, tuple(self.formats),
@@ -376,43 +382,47 @@ def _histogram_block(w: np.ndarray) -> dict:
     }
 
 
+def _write_files(files: list[tuple[Path, str]]) -> list[Path]:
+    """Write each (path, text) in order, creating the parent directory; on
+    an I/O failure every file of the call written so far, the one being
+    written included, is removed and the error re-raised."""
+    started: list[Path] = []
+    try:
+        for path, text in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            started.append(path)
+            path.write_text(text)
+    except OSError:
+        for path in started:
+            path.unlink(missing_ok=True)
+        raise
+    return started
+
+
 def emit(report: ExperimentReport, formats: tuple[str, ...], out_base: str,
          include_timing: bool = False) -> list[Path]:
     """Write report files <out_base>.json / <out_base>.csv /
     <out_base>.hist.json; on any I/O failure partial files are removed and
     the error re-raised."""
-    base = Path(out_base)
-    if str(base.parent) not in ("", "."):
-        base.parent.mkdir(parents=True, exist_ok=True)
     w_values = report.w_values
-    written: list[Path] = []
-    try:
-        if "json" in formats:
-            path = Path(str(base) + ".json")
-            path.write_text(report.dumps(include_timing) + "\n")
-            written.append(path)
-        if "csv" in formats:
-            if w_values is None:
-                raise ValueError("csv format needs per-trial values")
-            path = Path(str(base) + ".csv")
-            # W = raw/sqrt(S) takes at most S+1 values: one repr per value
-            values, which = np.unique(w_values, return_inverse=True)
-            text = [repr(float(v)) for v in values]
-            lines = ["trial,w"]
-            lines += [f"{i},{text[j]}" for i, j in enumerate(which.tolist())]
-            path.write_text("\n".join(lines) + "\n")
-            written.append(path)
-        if "histogram" in formats:
-            if w_values is None:
-                raise ValueError("histogram format needs per-trial values")
-            path = Path(str(base) + ".hist.json")
-            path.write_text(json.dumps(_histogram_block(w_values), indent=2) + "\n")
-            written.append(path)
-    except OSError:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise
-    return written
+    files: list[tuple[Path, str]] = []
+    if "json" in formats:
+        files.append((Path(out_base + ".json"), report.dumps(include_timing) + "\n"))
+    if "csv" in formats:
+        if w_values is None:
+            raise ValueError("csv format needs per-trial values")
+        # W = raw/sqrt(S) takes at most S+1 values: one repr per value
+        values, which = np.unique(w_values, return_inverse=True)
+        text = [repr(float(v)) for v in values]
+        lines = ["trial,w"]
+        lines += [f"{i},{text[j]}" for i, j in enumerate(which.tolist())]
+        files.append((Path(out_base + ".csv"), "\n".join(lines) + "\n"))
+    if "histogram" in formats:
+        if w_values is None:
+            raise ValueError("histogram format needs per-trial values")
+        files.append((Path(out_base + ".hist.json"),
+                      json.dumps(_histogram_block(w_values), indent=2) + "\n"))
+    return _write_files(files)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +438,8 @@ def _add_interval_args(p: argparse.ArgumentParser, trials: bool = False) -> None
                    help="override the small/large prime threshold")
     if trials:
         p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--workers", type=int, default=None,
-                       help="trial worker processes (default: $RMF_LAB_WORKERS or 1)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="trial worker processes (default 1)")
     p.add_argument("--out", default=None, help="output path base (default stdout)")
 
 
@@ -480,16 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _env_workers() -> int:
-    raw = os.environ.get("RMF_LAB_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"RMF_LAB_WORKERS must be an integer, got {raw!r}") from None
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    workers = getattr(args, "workers", 1)
     return ExperimentConfig(
         x=args.x,
         y=args.y,
@@ -497,7 +498,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         trials=getattr(args, "trials", 1),
         master_seed=args.seed,
         z_override=args.z,
-        workers=_env_workers() if workers is None else workers,
+        workers=getattr(args, "workers", 1),
         output_path=args.out,
         formats=tuple(getattr(args, "format", "json").split(",")),
     )
@@ -540,10 +541,7 @@ def _emit_or_print(payload: dict, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        path = Path(out + ".json")
-        if str(path.parent) not in ("", "."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
+        _write_files([(Path(out + ".json"), text + "\n")])
 
 
 def _check_output_args(args: argparse.Namespace) -> None:
@@ -558,10 +556,20 @@ def _check_output_args(args: argparse.Namespace) -> None:
         raise ValueError(f"--format {','.join(files)} writes files: give --out")
 
 
+def _check_distance_interval(args: argparse.Namespace) -> None:
+    """Refuse, before any work, a simulate or bounds interval with y < 2:
+    the distance bounds both commands report divide by ln y."""
+    if args.command in ("simulate", "bounds"):
+        y = _config_from_args(args)._validated().y
+        if y < 2:
+            raise ValueError(f"the distance bounds divide by ln y and need y >= 2, got y={y}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_output_args(args)
+        _check_distance_interval(args)
         if args.command == "simulate":
             cfg = _config_from_args(args)  # run_simulate resolves it, once
             t0 = time.perf_counter()

@@ -371,12 +371,6 @@ def test_cli_out_without_file_name_is_a_usage_error(argv, out, tmp_path, monkeyp
     assert [p.name for p in tmp_path.rglob("*")] == ["runs"]
 
 
-def test_cli_env_workers(monkeypatch, capsys):
-    monkeypatch.setenv("RMF_LAB_WORKERS", "2")
-    rc = main(["simulate", "--x", "2000", "--y", "100", "--trials", "40"])
-    assert rc == 0
-
-
 def test_cli_moments_subcommand(capsys):
     rc = main(["moments", "--x", "100", "--y", "40"])
     assert rc == 0
@@ -440,6 +434,65 @@ def test_cli_bounds_y_one_exits_2(capsys):
     assert "y >= 2" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x", "2", "--y", "1", "--trials", "5"],
+    # S = 0 at (3, 4]: this one used to exit 0
+    ["simulate", "--x", "3", "--y", "1", "--trials", "5"],
+    ["simulate", "--x", "20", "--delta", "0.05", "--trials", "5"],  # y = 1
+    ["bounds", "--x", "2", "--y", "1"],
+    ["bounds", "--x", "3", "--y", "1"],
+])
+def test_cli_distance_commands_refuse_y_one_before_any_work(argv, monkeypatch, capsys):
+    # simulate ran every trial before its bounds divided by ln y = 0, and
+    # bounds built the table first
+    _refuse_tables(monkeypatch)
+    assert main(argv) == 2
+    assert _one_line_error(capsys) == (
+        "error: the distance bounds divide by ln y and need y >= 2, got y=1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--x", "100", "--y", "1"],
+    ["stein", "--x", "100", "--y", "1", "--var-trials", "2"],
+])
+def test_cli_stein_and_moments_accept_y_one(argv, capsys):
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["s_count"] == 1
+
+
+SIMULATE_FILES = ["simulate", "--x", "2000", "--y", "100", "--trials", "10",
+                  "--format", "json,csv,histogram"]
+
+
+@pytest.mark.parametrize("argv, fail_at", [
+    (["bounds", "--x", "2000", "--y", "100"], 0),
+    (["moments", "--x", "2000", "--y", "100"], 0),
+    (SIMULATE_FILES, 0),
+    (SIMULATE_FILES, 1),
+    (SIMULATE_FILES, 2),
+])
+def test_failed_write_removes_every_file_of_the_call(argv, fail_at, tmp_path, monkeypatch,
+                                                     capsys):
+    # the write that fails has written half its text: that file is removed
+    # with every complete one before it
+    write_text = Path.write_text
+    written = []
+
+    def half_then_fail(path, data, *args, **kwargs):
+        written.append(path.name)
+        if len(written) > fail_at:
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    assert main(argv + ["--out", str(tmp_path / "d" / "r")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "i/o error: [Errno 28] No space left on device"
+    assert written == ["r.json", "r.csv", "r.hist.json"][: fail_at + 1]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
 def test_cli_distances_malformed_row_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("trial,w\n0,0.5\n1\n2,0.25\n")
@@ -475,12 +528,6 @@ def test_read_w_csv_names_first_malformed_row(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"bad.csv:{line}: malformed row"):
         _read_w_csv(str(path))
-
-
-def test_cli_env_workers_invalid_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("RMF_LAB_WORKERS", "two")
-    assert main(["simulate", "--x", "2000", "--y", "100", "--trials", "4"]) == 2
-    assert "RMF_LAB_WORKERS" in _one_line_error(capsys)
 
 
 def test_cli_stein_splits_primes_at_given_z(capsys):
