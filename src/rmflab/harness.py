@@ -544,21 +544,17 @@ def _emit_or_print(payload: dict, out: str | None) -> None:
         _write_files([(Path(out + ".json"), text + "\n")])
 
 
-def _check_output_args(args: argparse.Namespace) -> None:
+def _check_args(args: argparse.Namespace) -> None:
     """Refuse, before any work, an --out that names no file (it would write
-    `.json` or `..csv` into a directory) and a --format that writes files
-    without --out (it would print the JSON and drop them)."""
+    `.json` or `..csv` into a directory), a --format that writes files
+    without --out (it would print the JSON and drop them), and a simulate or
+    bounds interval with y < 2 (its distance bounds divide by ln y)."""
     out = getattr(args, "out", None)
     if out is not None and os.path.basename(out) in ("", ".", ".."):
         raise ValueError(f"--out must end in a file name, got {out!r}")
     files = [f for f in getattr(args, "format", "json").split(",") if f in ("csv", "histogram")]
     if out is None and files:
         raise ValueError(f"--format {','.join(files)} writes files: give --out")
-
-
-def _check_distance_interval(args: argparse.Namespace) -> None:
-    """Refuse, before any work, a simulate or bounds interval with y < 2:
-    the distance bounds both commands report divide by ln y."""
     if args.command in ("simulate", "bounds"):
         y = _config_from_args(args)._validated().y
         if y < 2:
@@ -568,8 +564,7 @@ def _check_distance_interval(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_output_args(args)
-        _check_distance_interval(args)
+        _check_args(args)
         if args.command == "simulate":
             cfg = _config_from_args(args)  # run_simulate resolves it, once
             t0 = time.perf_counter()

@@ -130,12 +130,6 @@ def _trial_halves(master_seed: int, start: int, count: int) -> np.ndarray:
     return _xorshift30(_mix64_np(seeds ^ np.uint64(_SIGN_TAG)))
 
 
-def _hash_scratch(n_primes: int, tile: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two uint64 buffers of whole tile-wide rows, about _TILE_WORDS words."""
-    h = np.empty(max(1, min(n_primes, _TILE_WORDS // tile)) * tile, dtype=np.uint64)
-    return h, np.empty_like(h)
-
-
 def _hash_sign_bits(prime_half: np.ndarray, trial_half: np.ndarray,
                     out: np.ndarray, h: np.ndarray, u: np.ndarray,
                     xor: bool = False) -> None:
@@ -278,49 +272,42 @@ class IntervalSampler:
         return out
 
     def _parity_blocks(self, start: int, count: int, batch: int | None, visit) -> None:
-        """visit(trials, entries, parity) for every block of every tile of
-        trials start, ..., start+count-1: the tile's slice of 0..count-1,
-        the block's table entry indices, and their (entries x trials) uint8
-        parity of X(n) = -1, which visit may overwrite.  Each tile runs in
-        its own ufunc buffer scope."""
+        """visit(trials, entries, parity) for each block of each bucket in
+        each tile of trials start, ..., start+count-1: the tile's slice of
+        0..count-1, the block's table entry indices and their (entries x
+        trials) uint8 parity of X(n) = -1, which visit may overwrite.  Each
+        tile runs in its own ufunc buffer scope."""
         n_shared = len(self._shared_half)
         if batch is None:
             batch = max(_MIN_TILE, _SIGN_BYTES // (n_shared + 2 * _MIN_BLOCK))
         tile = max(1, min(batch, count))
         width = max(_MIN_BLOCK, _BLOCK_SIGNS // tile)
-        h, u = _hash_scratch(max(n_shared, width), tile)
+        blocks = [(entries[c0 : c0 + width], c0, levels)
+                  for entries, levels in self._buckets for c0 in range(0, entries.size, width)]
+        # hash scratch of whole tile-wide rows, about _TILE_WORDS words
+        h = np.empty(max(1, min(max(n_shared, width), _TILE_WORDS // tile)) * tile, np.uint64)
+        u = np.empty_like(h)
         signs_buf = np.empty(n_shared * tile, dtype=np.uint8)
         parity_buf = np.empty(width * tile, dtype=np.uint8)
         trial_half = _trial_halves(self.master_seed, start, count)
         for off in range(0, count, tile):
-            t = min(tile, count - off)
+            half = trial_half[off : off + tile]
+            t = half.size
+            signs = signs_buf[: n_shared * t].reshape(n_shared, t)
             with np.errstate():
                 np.setbufsize(_unbuffered_size(t))
-                for entries, parity in self._tile_parities(trial_half[off : off + t], width, h, u,
-                                                           signs_buf, parity_buf):
+                _hash_sign_bits(self._shared_half, half, signs, h, u)
+                for entries, c0, levels in blocks:
+                    parity = parity_buf[: entries.size * t].reshape(entries.size, t)
+                    for i, (m, priv, rows) in enumerate(levels):
+                        # the block's first a rows are private at this level
+                        a = min(max(m - c0, 0), entries.size)
+                        if a:
+                            _hash_sign_bits(priv[c0 : c0 + a], half, parity[:a], h, u, xor=i > 0)
+                        if a < entries.size:
+                            shared = rows[c0 + a - m : c0 + entries.size - m]
+                            if i:
+                                parity[a:] ^= signs[shared]
+                            else:
+                                np.take(signs, shared, axis=0, out=parity[a:])
                     visit(slice(off, off + t), entries, parity)
-
-    def _tile_parities(self, half: np.ndarray, width: int, h: np.ndarray, u: np.ndarray,
-                       signs_buf: np.ndarray, parity_buf: np.ndarray):
-        """(entries, parity) of each block of `width` entries for the trials
-        whose halves are `half`; each parity reuses parity_buf."""
-        t = len(half)
-        n_shared = len(self._shared_half)
-        signs = signs_buf[: n_shared * t].reshape(n_shared, t)
-        _hash_sign_bits(self._shared_half, half, signs, h, u)
-        for entries, levels in self._buckets:
-            for c0 in range(0, len(entries), width):
-                c1 = min(c0 + width, len(entries))
-                parity = parity_buf[: (c1 - c0) * t].reshape(c1 - c0, t)
-                for i, (m, priv, rows) in enumerate(levels):
-                    # columns c0..c0+a-1 of this level are private
-                    a = min(max(m - c0, 0), c1 - c0)
-                    if a:
-                        _hash_sign_bits(priv[c0 : c0 + a], half, parity[:a], h, u, xor=i > 0)
-                    if c0 + a < c1:
-                        shared = rows[c0 + a - m : c1 - m]
-                        if i:
-                            parity[a:] ^= signs[shared]
-                        else:
-                            np.take(signs, shared, axis=0, out=parity[a:])
-                yield entries[c0:c1], parity
