@@ -263,10 +263,7 @@ class IntervalSampler:
         out[self._units] = 1
 
         def write_block(trials: slice, entries: np.ndarray, parity: np.ndarray) -> None:
-            x = parity.view(np.int8)
-            x *= -2
-            x += 1
-            out[entries, trials] = x
+            out[entries, trials] = 1 - 2 * parity.view(np.int8)
 
         self._parity_blocks(start, count, batch, write_block)
         return out
@@ -275,7 +272,7 @@ class IntervalSampler:
         """visit(trials, entries, parity) for each block of each bucket in
         each tile of trials start, ..., start+count-1: the tile's slice of
         0..count-1, the block's table entry indices and their (entries x
-        trials) uint8 parity of X(n) = -1, which visit may overwrite.  Each
+        trials) uint8 parity of X(n) = -1, valid until visit returns.  Each
         tile runs in its own ufunc buffer scope."""
         n_shared = len(self._shared_half)
         if batch is None:

@@ -441,7 +441,7 @@ def test_cli_bounds_y_one_exits_2(capsys):
     ["simulate", "--x", "20", "--delta", "0.05", "--trials", "5"],  # y = 1
     ["bounds", "--x", "2", "--y", "1"],
     ["bounds", "--x", "3", "--y", "1"],
-])
+], ids=["simulate-2-1", "simulate-3-1", "simulate-delta", "bounds-2-1", "bounds-3-1"])
 def test_cli_distance_commands_refuse_y_one_before_any_work(argv, monkeypatch, capsys):
     # simulate ran every trial before its bounds divided by ln y = 0, and
     # bounds built the table first
@@ -454,7 +454,7 @@ def test_cli_distance_commands_refuse_y_one_before_any_work(argv, monkeypatch, c
 @pytest.mark.parametrize("argv", [
     ["moments", "--x", "100", "--y", "1"],
     ["stein", "--x", "100", "--y", "1", "--var-trials", "2"],
-])
+], ids=["moments", "stein"])
 def test_cli_stein_and_moments_accept_y_one(argv, capsys):
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["s_count"] == 1
@@ -470,7 +470,7 @@ SIMULATE_FILES = ["simulate", "--x", "2000", "--y", "100", "--trials", "10",
     (SIMULATE_FILES, 0),
     (SIMULATE_FILES, 1),
     (SIMULATE_FILES, 2),
-])
+], ids=["bounds", "moments", "simulate-json", "simulate-csv", "simulate-histogram"])
 def test_failed_write_removes_every_file_of_the_call(argv, fail_at, tmp_path, monkeypatch,
                                                      capsys):
     # the write that fails has written half its text: that file is removed

@@ -8,7 +8,7 @@ import pytest
 
 from rmflab import rmf_core
 from rmflab.harness import ExperimentConfig, run_simulate
-from rmflab.numtheory import _factor_segment, segmented_factorize, sieve_primes
+from rmflab.numtheory import _factor_segment, segmented_factorize
 from rmflab.rmf_core import (
     IntervalSampler,
     SignSource,
@@ -329,7 +329,7 @@ TILE_EDGES = (0, 1, 6, 7, 63, 64, 299, 300, 332)
     (2000, 150, 3, tuple(range(333))),  # every trial
     (10**10, 10**4, 2, TILE_EDGES),     # wide size
     (510000, 1000, 3, TILE_EDGES),      # holds 510510 = 2*3*5*7*11*13*17
-])
+], ids=["2000-150", "wide", "510510"])
 @pytest.mark.parametrize("batch", [1, 7, 64, 300, None])
 def test_entry_values_match_scalar_path(x, y, seed, columns, batch):
     t = segmented_factorize(x, y)
