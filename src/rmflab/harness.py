@@ -66,8 +66,6 @@ class ExperimentConfig:
     master_seed: int = 0
     z_override: float | None = None
     workers: int = 1
-    output_path: str | None = None
-    formats: tuple[str, ...] = ("json",)
 
     def resolved(self) -> "ExperimentConfig":
         """Validate and fill the y/delta pair: one of the two determines the
@@ -98,19 +96,25 @@ class ExperimentConfig:
         delta = y / self.x
         if self.y is not None and self.delta is not None and self.delta != delta:
             raise ValueError(f"inconsistent y={y} and delta={self.delta}")
-        if self.z_override is not None and not 0 < self.z_override < math.inf:
-            raise ValueError(f"z must be finite and > 0, got {self.z_override}")
+        if self.z_override is not None:
+            z = self.z_override
+            if not 0 < z < math.inf:
+                raise ValueError(f"z must be finite and > 0, got {z}")
+            # the exchange-variance comparator divides by z
+            try:
+                finite = math.isfinite(bounds_mod.exchange_variance_bound(self.x, delta, z))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"the exchange-variance comparator overflows at z = {z} "
+                                 f"(x = {self.x}, y = {y})")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_trials(self.trials)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        bad = set(self.formats) - {"json", "csv", "histogram"}
-        if bad:
-            raise ValueError(f"unknown formats: {sorted(bad)}")
         return ExperimentConfig(
-            self.x, y, delta, self.trials, self.master_seed,
-            self.z_override, self.workers, self.output_path, tuple(self.formats),
+            self.x, y, delta, self.trials, self.master_seed, self.z_override, self.workers,
         )
 
     @property
@@ -160,15 +164,6 @@ class ExperimentReport:
     def dumps(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True,
                           allow_nan=False)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {d.get('schema_version')}")
-        return cls(
-            d["config"], d["s_count"], d["moments"], d["exact"],
-            d["distances"], d["bounds"], d["ratios"], d.get("timing_ms"),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +494,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         master_seed=args.seed,
         z_override=args.z,
         workers=getattr(args, "workers", 1),
-        output_path=args.out,
-        formats=tuple(getattr(args, "format", "json").split(",")),
     )
 
 
@@ -546,13 +539,18 @@ def _emit_or_print(payload: dict, out: str | None) -> None:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Refuse, before any work, an --out that names no file (it would write
-    `.json` or `..csv` into a directory), a --format that writes files
-    without --out (it would print the JSON and drop them), and a simulate or
-    bounds interval with y < 2 (its distance bounds divide by ln y)."""
+    `.json` or `..csv` into a directory), an unknown --format, a --format
+    that writes files without --out (it would print the JSON and drop them),
+    and a simulate or bounds interval with y < 2 (its distance bounds divide
+    by ln y)."""
     out = getattr(args, "out", None)
     if out is not None and os.path.basename(out) in ("", ".", ".."):
         raise ValueError(f"--out must end in a file name, got {out!r}")
-    files = [f for f in getattr(args, "format", "json").split(",") if f in ("csv", "histogram")]
+    formats = getattr(args, "format", "json").split(",")
+    bad = set(formats) - {"json", "csv", "histogram"}
+    if bad:
+        raise ValueError(f"unknown formats: {sorted(bad)}")
+    files = [f for f in formats if f in ("csv", "histogram")]
     if out is None and files:
         raise ValueError(f"--format {','.join(files)} writes files: give --out")
     if args.command in ("simulate", "bounds"):
@@ -571,10 +569,10 @@ def main(argv: list[str] | None = None) -> int:
             report = run_simulate(cfg)
             wall = (time.perf_counter() - t0) * 1000.0
             print(f"simulate: {cfg.trials} trials in {wall:.1f} ms", file=sys.stderr)
-            if cfg.output_path is None:
+            if args.out is None:
                 print(report.dumps(args.timed_json))
             else:
-                emit(report, cfg.formats, cfg.output_path, args.timed_json)
+                emit(report, tuple(args.format.split(",")), args.out, args.timed_json)
         elif args.command in ("moments", "quadruples"):
             out = run_moments(_config_from_args(args), args.budget)
             if args.command == "quadruples":

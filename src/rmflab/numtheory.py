@@ -75,22 +75,6 @@ def trial_factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def is_squarefree(n: int) -> bool:
-    """True iff no prime square divides n (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"square-free test needs n >= 1, got {n}")
-    if n % 4 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 2
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class IntervalTable:
     """Complete factorizations and square-free flags for (x, x+y], as

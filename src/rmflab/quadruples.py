@@ -53,8 +53,8 @@ from .numtheory import (
     IntervalTable,
     _kernel_unchecked,
     check_scale,
-    is_squarefree,
     squarefree_flags,
+    trial_factorize,
 )
 
 ORACLE_MAX_S = 400
@@ -165,7 +165,7 @@ class QuadrupleParam:
         for n in quad:
             if not (x < n <= x + y):
                 raise ContractViolation(f"{n} outside ({x}, {x + y}] in {self}")
-            if not is_squarefree(n):
+            if any(e > 1 for _, e in trial_factorize(n)):
                 raise ContractViolation(f"{n} not square-free in {self}")
         delta = y / x
         for hi, lo_ in ((A, B), (r, s), (u, v)):
@@ -181,7 +181,7 @@ def param_of_quadruple(n1: int, n2: int, n3: int, n4: int) -> QuadrupleParam:
     A = gcd(n1,n2), B = gcd(n3,n4), r = gcd(n1/A, n3/B), s = gcd(n2/A, n4/B),
     u = n1/(A r), v = n2/(A s)."""
     for n in (n1, n2, n3, n4):
-        if not is_squarefree(n):
+        if any(e > 1 for _, e in trial_factorize(n)):
             raise ContractViolation(f"{n} is not square-free")
     k = _kernel_unchecked(_kernel_unchecked(n1, n2), _kernel_unchecked(n3, n4))
     if k != 1:

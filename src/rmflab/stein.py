@@ -15,14 +15,15 @@ small/large prime threshold z:
 
 Every grouping of the square-free incidences by prime reads the table's
 one transpose, IntervalTable.prime_major: L is its primes above z, N(p) its
-entries of p (k = n // p), and the entries' large-prime masks and
-small-sign products are reductions over it.  Member lists (each k with the
-distinct primes of k) are built one prime at a time, and only for primes
-with |N(p)| >= 2: a prime with a lone member is closed form.  N(p) is
+entries of p (k = n // p), and the entries' large-prime masks, small-sign
+products and omega_L, the number of primes of L dividing n, are reductions
+over it.  A prime with a lone member is closed form; for the others,
+_delta3 reads each member's prime bitmask (_support_masks), and T_p reads
+X(n) at N(p)'s entries with their omega_L (_shared_supports).  N(p) is
 counted for E|Delta_p f|^4 as a short interval of its own (_quadruple_counts),
-so no pair of N(p) is formed where y <= x.  T_p is
-evaluated in one place (_t_p): exactly for a given sign source, and for the
-exchange variance over a whole matrix of trial signs at once.
+so no pair of N(p) is formed where y <= x.  T_p is evaluated in one place
+(_t_p): exactly for a given sign source, and for the exchange variance over
+a whole matrix of trial signs at once.
 
 Identity checks run in exact rational arithmetic (fractions.Fraction);
 exhaustive sign-vector averages run as integer Walsh-Hadamard transforms.
@@ -51,9 +52,6 @@ from .numtheory import IntervalTable, PrimeMajor
 from .quadruples import DEFAULT_BUDGET, _count_solutions, _oracle_count_array, _solution_blocks
 from .rmf_core import IntervalSampler, SignSource
 
-# a member k of N(p), with the distinct primes of k
-_Member = tuple[int, tuple[int, ...]]
-
 # exchange_variance_monte_carlo's trial tile: its int8 X(n) matrix, the
 # sampler's shared-prime sign matrix and one prime's int64 member values with
 # their temporaries take about this many bytes
@@ -67,13 +65,27 @@ def _view(table: IntervalTable, z: float) -> tuple[PrimeMajor, int]:
     return view, int(np.searchsorted(view.primes, z, side="right"))
 
 
-def _members(table: IntervalTable, j: int) -> list[_Member]:
-    """N(p) of p = view.primes[j], ascending: k = n // p for the square-free
-    entries n that p divides, each with the other distinct primes of n."""
+def _support_masks(table: IntervalTable, j: int) -> tuple[list[int], int]:
+    """N(p) of p = view.primes[j], ascending, as each member's bitmask over
+    the k distinct primes of N(p) other than p (bit i for the i-th smallest),
+    read from the table rows of the entries n = k p; and k."""
     view, off = table.prime_major, table.offsets
     p, e = int(view.primes[j]), view.entries[view.offsets[j] : view.offsets[j + 1]]
-    return [((table.x_lo + 1 + i) // p, tuple(q for q in table.primes[a:b].tolist() if q != p))
-            for i, a, b in zip(e.tolist(), off[e].tolist(), off[e + 1].tolist())]
+    rows = [[q for q in table.primes[a:b].tolist() if q != p]
+            for a, b in zip(off[e].tolist(), off[e + 1].tolist())]
+    index = {q: i for i, q in enumerate(sorted({q for qs in rows for q in qs}))}
+    return [sum(1 << index[q] for q in qs) for qs in rows], len(index)
+
+
+def _shared_supports(table: IntervalTable, first: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each p = view.primes[j], j >= first, with |N(p)| >= 2, ascending:
+    the table indices of the entries n of N(p), and omega_L(n) for each as
+    an int64 column, from one count of the entries of L.  A prime with a
+    lone member has T_p = 0 and is left out."""
+    view = table.prime_major
+    omega_l = np.bincount(view.entries[view.offsets[first] :], minlength=table.y_len)
+    bounds = zip(view.offsets[first:-1].tolist(), view.offsets[first + 1 :].tolist())
+    return [(e, omega_l[e][:, None]) for e in (view.entries[a:b] for a, b in bounds if b - a >= 2)]
 
 
 def _over_entries(table: IntervalTable, ufunc: np.ufunc, rows: np.ndarray,
@@ -166,27 +178,22 @@ def _span_coordinates(masks: list[int]) -> tuple[list[int], int]:
     return coords, len(pivot)
 
 
-def _delta3(p: int, members: list[_Member], prime_budget: int) -> float:
+def _delta3(p: int, masks: list[int], k: int, prime_budget: int) -> float:
     """Exact E|Delta_p f|^3 = 4 * E|sum_{k in N(p)} X(k)|^3 by exhaustive
     sign-vector enumeration.  The factor 4 is E|X(p) - X'(p)|^3: the
     difference takes values -2, 0, 2 with probabilities 1/4, 1/2, 1/4.
 
     The sum sees the signs of the k distinct primes of N(p) only through
-    the members' parities, r = rank of their prime masks independent linear
-    forms over GF(2).  Each point of their image is hit by 2^(k-r) sign
-    vectors, so the average runs over the 2^r values of the sum in the
-    members' coordinates on a basis of their span.  The budget still counts
-    the k distinct primes.
+    the members' parities, r = rank of their prime masks (bits over those k
+    primes, from _support_masks) independent linear forms over GF(2).  Each
+    point of their image is hit by 2^(k-r) sign vectors, so the average
+    runs over the 2^r values of the sum in the members' coordinates on a
+    basis of their span.  The budget still counts the k distinct primes.
 
     The result is a dyadic rational represented exactly in a float."""
-    primes = sorted({q for _, qs in members for q in qs})
-    if len(primes) > prime_budget:
-        raise ScaleError(
-            f"{len(primes)} distinct primes in N({p}) exceeds budget {prime_budget}"
-        )
-    index = {q: j for j, q in enumerate(primes)}
-    k = len(primes)
-    coords, r = _span_coordinates([sum(1 << index[q] for q in qs) for _, qs in members])
+    if k > prime_budget:
+        raise ScaleError(f"{k} distinct primes in N({p}) exceeds budget {prime_budget}")
+    coords, r = _span_coordinates(masks)
     a = np.abs(_all_sign_values(coords, [1] * len(coords), r))
     third = int((a * a * a).sum())
     return 4 * (third << (k - r)) / float(1 << k)
@@ -229,11 +236,6 @@ def subset_weight_identity(l_size: int) -> tuple[list[int], int]:
 # Exchange statistics
 # ---------------------------------------------------------------------------
 
-def _omega_l(qs: tuple[int, ...], z: float) -> int:
-    """omega_L(k p) for p > z and a member k of N(p) with distinct primes qs."""
-    return 1 + sum(q > z for q in qs)
-
-
 def _t_p(xs: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """sum_k (g - x_k) x_k / omega_k with g = sum_k x_k, the sum over ordered
     pairs k != l of x_k x_l / omega_l, for each column of the int64 (members
@@ -244,14 +246,6 @@ def _t_p(xs: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     if terms.shape[1] > 1:
         return np.add.reduce(terms, axis=0)
     return np.add.accumulate(terms, axis=0)[-1]
-
-
-def _exact_t_p(members: list[_Member], signs: SignSource, z: float) -> Fraction:
-    """T_p of a large prime p with support N(p) = members, exactly."""
-    if not members:
-        return Fraction(0)
-    xs = np.array([[math.prod(signs.sign(q) for q in qs)] for _, qs in members])
-    return _t_p(xs, np.array([[Fraction(_omega_l(qs, z))] for _, qs in members]))[0]
 
 
 def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
@@ -270,14 +264,11 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     view, first = _view(table, z)
-    counts = np.diff(view.offsets)
-    used = first + np.flatnonzero(counts[first:] >= 2)
-    if not used.size:
+    per_p = _shared_supports(table, first)
+    if not per_p:
         return 0.0
-    omega_l = np.bincount(view.entries[view.offsets[first] :], minlength=table.y_len)
-    per_p = [(e, omega_l[e][:, None])
-             for e in (view.entries[view.offsets[j] : view.offsets[j + 1]] for j in used.tolist())]
-    per_trial = table.y_len + int(np.count_nonzero(counts >= 2)) + 40 * int(counts[used].max())
+    shared = int(np.count_nonzero(np.diff(view.offsets) >= 2))
+    per_trial = table.y_len + shared + 40 * max(e.size for e, _ in per_p)
     tile = max(_MIN_VAR_TILE, _VAR_TILE_BYTES // per_trial)
     sampler = IntervalSampler(table, master_seed)
     values = np.empty(trials)
@@ -346,7 +337,7 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
     ScaleError if one of its enumerations exceeds quadruples.DEFAULT_BUDGET.
     A prime with |N(p)| = 1, most of L, has E|Delta_p f|^3 = 4 in closed form,
     which is also its bound; those of the others come from _delta3 over
-    member lists built for them alone.  They are summed in ascending p."""
+    member masks built for them alone.  They are summed in ascending p."""
     view, first = _view(table, z)
     counts = np.diff(view.offsets)[first:]
     over = np.flatnonzero(counts > member_budget)
@@ -363,7 +354,7 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
     bounded_primes = int(np.count_nonzero(np.diff(table.offsets)[alone] - 1 > prime_budget))
     for m in np.flatnonzero(shared).tolist():
         try:
-            d3[m] = _delta3(int(large[m]), _members(table, first + m), prime_budget)
+            d3[m] = _delta3(int(large[m]), *_support_masks(table, first + m), prime_budget)
         except ScaleError:
             d3[m] = math.sqrt(int(d2[m]) * int(d4[m]))
             bounded_primes += 1
@@ -478,9 +469,10 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
         return Fraction(0), Fraction(0)
     bits = 1 << np.arange(l_size)
     masks = _over_entries(table, np.add, bits, first)
-    small = [signs.sign(q) for q in view.primes[:first].tolist()]
-    coeffs = _over_entries(table, np.multiply, np.array(small, dtype=np.int64))
-    x_bits = sum(1 << j for j, q in enumerate(large) if signs.sign(q) < 0)
+    small = np.array([signs.sign(q) for q in view.primes[:first].tolist()], dtype=np.int64)
+    large_signs = np.array([signs.sign(q) for q in large], dtype=np.int64)
+    coeffs = _over_entries(table, np.multiply, small)
+    x_bits = int(bits[large_signs < 0].sum())
     # f at every sign vector of L, indexed by its bits (1 = sign -1)
     f_of = _all_sign_values(masks[table.flags], coeffs[table.flags], l_size)
     a = np.arange(1 << l_size)
@@ -502,6 +494,9 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
         nu = subset_weight(l_size, k)
         direct += nu * Fraction(sum(map(operator.mul, d_x, row)), 1 << (k + 2))
         closed += nu * n_a
-    for j in range(first, view.primes.size):
-        closed += _exact_t_p(_members(table, j), signs, z)
+    # T_p is unchanged when every X(k), k in N(p), is multiplied by X(p), so
+    # it reads X(n) = (small-sign product) (large-sign product) at n = k p
+    x_n = coeffs * _over_entries(table, np.multiply, large_signs, first)
+    for e, omegas in _shared_supports(table, first):
+        closed += _t_p(x_n[e][:, None], np.frompyfunc(Fraction, 1, 1)(omegas))[0]
     return direct, closed

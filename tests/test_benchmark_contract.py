@@ -71,16 +71,16 @@ def test_stein_checks_reach_the_traced_stein_layers(monkeypatch):
 
 
 def test_stein_terms_builds_member_lists_only_for_shared_primes(monkeypatch):
-    # a prime with |N(p)| = 1 is closed form: at (100020, 100] member lists
+    # a prime with |N(p)| = 1 is closed form: at (100020, 100] member masks
     # are built for the 10 primes of L with |N(p)| >= 2, not for all 84
     built = []
-    original = stein._members
+    original = stein._support_masks
 
     def counted(table, j):
         built.append(j)
         return original(table, j)
 
-    monkeypatch.setattr(stein, "_members", counted)
+    monkeypatch.setattr(stein, "_support_masks", counted)
     out = harness.run_stein_checks(harness.ExperimentConfig(x=100020, y=100), var_trials=20)
     assert "skipped" in out["decomposition"] and "skipped" not in out["exchange_variance"]
     table = segmented_factorize(100020, 100)

@@ -19,7 +19,6 @@ from rmflab.harness import (
     MAX_IDENTITY_L,
     MAX_TRIALS,
     ExperimentConfig,
-    ExperimentReport,
     _build_parser,
     _moment_block,
     _read_w_csv,
@@ -54,8 +53,7 @@ def test_config_resolution():
         ExperimentConfig(x=1000, y=2000).resolved()
     with pytest.raises(ValueError):
         ExperimentConfig(x=1000, y=10, trials=0).resolved()
-    with pytest.raises(ValueError):
-        ExperimentConfig(x=1000, y=10, formats=("yaml",)).resolved()
+    assert main(["simulate", "--x", "1000", "--y", "10", "--format", "yaml"]) == 2
     assert ExperimentConfig(x=1000, y=10, trials=MAX_TRIALS).resolved().trials == MAX_TRIALS
     with pytest.raises(ScaleError):
         ExperimentConfig(x=1000, y=10, trials=MAX_TRIALS + 1).resolved()
@@ -153,14 +151,6 @@ def test_adding_trials_extends_stream():
     short = run_simulate(small_config(trials=100))
     long = run_simulate(small_config(trials=300))
     assert np.array_equal(long.w_values[:100], short.w_values)
-
-
-def test_report_round_trip():
-    report = run_simulate(small_config())
-    loaded = ExperimentReport.from_dict(json.loads(report.dumps()))
-    assert loaded.dumps() == report.dumps()
-    with pytest.raises(ValueError):
-        ExperimentReport.from_dict({"schema_version": 99})
 
 
 def test_emit_files(tmp_path):
@@ -369,6 +359,29 @@ def test_cli_out_without_file_name_is_a_usage_error(argv, out, tmp_path, monkeyp
     assert main(argv + ["--out", out]) == 2
     assert "--out must end in a file name" in _one_line_error(capsys)
     assert [p.name for p in tmp_path.rglob("*")] == ["runs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--x", "1000000000000", "--y", "1000000", "--z", "1e-297"],
+    ["simulate", "--x", "10000000000", "--y", "100000", "--trials", "200", "--z", "1e-320"],
+    ["stein", "--x", "100000", "--y", "100", "--z", "1e-310"],
+    # x^2 is beyond a float: the comparator raises OverflowError at any z
+    ["bounds", "--x", str(10**160), "--y", "10", "--z", "1"],
+], ids=["bounds", "simulate", "stein", "bounds-x-beyond-float"])
+def test_cli_refuses_a_z_that_overflows_the_comparator_before_any_work(argv, monkeypatch,
+                                                                        capsys):
+    # 1/z overflowed exchange_variance_bound: each command built the table
+    # (simulate also ran every trial) and then failed to write inf as JSON
+    _refuse_tables(monkeypatch)
+    assert main(argv) == 2
+    assert "the exchange-variance comparator overflows at z = " in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_a_small_z_with_a_finite_comparator_is_accepted(capsys):
+    assert main(["bounds", "--x", "1000000000000", "--y", "1000000", "--z", "1e-290"]) == 0
+    data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert data["exchange_variance"] > 1e300
 
 
 def test_cli_moments_subcommand(capsys):

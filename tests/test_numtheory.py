@@ -20,14 +20,13 @@ from rmflab.numtheory import (
     IntervalTable,
     _factor_segment,
     _kernel_unchecked,
-    is_squarefree,
     segmented_factorize,
     sieve_primes,
     squarefree_flags,
     trial_factorize,
     z_of_delta,
 )
-from rmflab.stein import _members, _omega_l, _view
+from rmflab.stein import _shared_supports, _view
 
 
 def naive_squarefree(n: int) -> bool:
@@ -335,7 +334,7 @@ def test_kernel_xor_examples():
 
 
 def test_kernel_xor_group_laws_exhaustive():
-    sf = [n for n in range(1, 1001) if is_squarefree(n)]
+    sf = [n for n in range(1, 1001) if naive_squarefree(n)]
     for a in sf[::7]:
         assert _kernel_unchecked(a, a) == 1
         assert _kernel_unchecked(a, 1) == a
@@ -352,7 +351,7 @@ def test_kernel_xor_group_laws_exhaustive():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3000))
 def test_kernel_xor_is_symmetric_difference(a, b):
-    if not (is_squarefree(a) and is_squarefree(b)):
+    if not (naive_squarefree(a) and naive_squarefree(b)):
         return
     pa = {p for p, _ in trial_factorize(a)}
     pb = {p for p, _ in trial_factorize(b)}
@@ -377,18 +376,20 @@ def test_prime_split_partition():
     assert large == sorted(large) and all(p > z for p in large)
     # L is the large primes of the square-free entries: 13 divides only
     # 104 = 2^3 * 13 and 117 = 3^2 * 13 here, so it is not in L
-    expected = {p for n in range(101, 121) if is_squarefree(n)
+    expected = {p for n in range(101, 121) if naive_squarefree(n)
                 for p, _ in trial_factorize(n) if p > z}
     assert set(large) == expected and 13 not in expected
 
 
 def test_omega_l_examples():
     z = math.log(10)
-    assert _omega_l((2, 3), z) == 2  # 30 = 5 * 6: 3 and 5
-    assert _omega_l((), z) == 1  # 7 = 7 * 1
-    # omega_L(k p) of every member k of N(p), p > z, against trial division
+    # omega_L(n) of the entries n of every N(p), p > z, |N(p)| >= 2, against
+    # trial division
     t = segmented_factorize(1000, 60)
-    view, first = _view(t, z)
-    for j, p in enumerate(view.primes[first:].tolist(), first):
-        for k, qs in _members(t, j):
-            assert _omega_l(qs, z) == sum(q > z for q, _ in trial_factorize(k * p))
+    supports = _shared_supports(t, _view(t, z)[1])
+    omega = {t.x_lo + 1 + i: w for e, ws in supports for i, w in zip(e.tolist(), ws[:, 0].tolist())}
+    assert omega[1002] == 2  # 1002 = 2 * 3 * 167: 3 and 167
+    assert omega[1001] == 3  # 1001 = 7 * 11 * 13
+    assert len(supports) == 8
+    for n, w in omega.items():
+        assert w == sum(q > z for q, _ in trial_factorize(n))

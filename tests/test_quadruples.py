@@ -262,6 +262,8 @@ def test_quadruple_param_check_rejects_bad_params():
         QuadrupleParam(2, 2, 4, 2, 1, 1).check(10, 10)  # gcd(r, s) != 1
     with pytest.raises(ContractViolation):
         QuadrupleParam(11, 11, 1, 1, 1, 1).check(200, 20)  # 121 outside interval
+    with pytest.raises(ContractViolation, match="4 not square-free"):
+        QuadrupleParam(2, 2, 2, 1, 1, 1).check(1, 3)  # (4, 2, 4, 2)
 
 
 def took_scalar_loop(monkeypatch, table):

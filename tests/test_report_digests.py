@@ -22,6 +22,10 @@ GOLDEN = [
     (["stein", "--x", "700", "--y", "9", "--seed", "5"], {
         "r.json": "904f12fbee99592455967bc8a3a3e45b0e92415534e172fad461a86f625bdfa2",
     }),
+    # the one reference command whose decomposition sums a nonzero T_p
+    (["stein", "--x", "706", "--y", "9", "--seed", "5"], {
+        "r.json": "7f065c9115098ef719bab1b74dad4dd84ae8f3dd23f64b75b6ce06408e2d89af",
+    }),
     (["moments", "--x", "100020", "--y", "300"], {
         "r.json": "af6aa20019622daf929c738b41d7dff4ca7cfdbee16c61dcf59179bb1aec781a",
     }),

@@ -22,15 +22,14 @@ from rmflab.quadruples import _oracle_count_array, _oracle_count_members
 from rmflab.rmf_core import SignSource
 from rmflab import stein
 from rmflab.stein import (
-    _Member,
     _all_sign_values,
     _delta3,
-    _exact_t_p,
-    _members,
     _over_entries,
     _quadruple_counts,
+    _shared_supports,
     _span_coordinates,
     _subset_sums,
+    _support_masks,
     _t_p,
     _view,
     decomposition_sides,
@@ -45,6 +44,10 @@ from rmflab.stein import (
 )
 
 
+# a member k of N(p), with the distinct primes of k
+Member = tuple[int, tuple[int, ...]]
+
+
 class FixedSigns:
     def __init__(self, neg=()):
         self.neg = set(neg)
@@ -53,11 +56,11 @@ class FixedSigns:
         return -1 if p in self.neg else 1
 
 
-def _supports(table: IntervalTable) -> dict[int, list[_Member]]:
+def _supports(table: IntervalTable) -> dict[int, list[Member]]:
     """N(p) for every prime p dividing a square-free entry, members in
-    ascending order."""
+    ascending order, from the table's rows alone."""
     ps, off, lo = table.primes.tolist(), table.offsets.tolist(), table.x_lo + 1
-    out: dict[int, list[_Member]] = {}
+    out: dict[int, list[Member]] = {}
     for i in np.flatnonzero(table.flags).tolist():
         primes = ps[off[i] : off[i + 1]]
         for p in primes:
@@ -65,7 +68,7 @@ def _supports(table: IntervalTable) -> dict[int, list[_Member]]:
     return out
 
 
-def _large_primes(supports: dict[int, list[_Member]], z: float) -> list[int]:
+def _large_primes(supports: dict[int, list[Member]], z: float) -> list[int]:
     return sorted(p for p in supports if p > z)
 
 
@@ -85,25 +88,45 @@ def large_primes(t, z):
     return view.primes[first:].tolist()
 
 
-def support_of(t, p):
-    """N(p) from the prime-major view; empty where p divides no square-free
+def prime_index(t, p):
+    """j with view.primes[j] == p, or None where p divides no square-free
     entry."""
     view = t.prime_major
     j = int(np.searchsorted(view.primes, p))
-    return _members(t, j) if j < view.primes.size and view.primes[j] == p else []
+    return j if j < view.primes.size and view.primes[j] == p else None
 
 
 def members(t, p):
-    """The support N(p), as its members k."""
-    return [k for k, _ in support_of(t, p)]
+    """N(p) from the prime-major view, as its members k."""
+    j, view = prime_index(t, p), t.prime_major
+    if j is None:
+        return []
+    return ((t.x_lo + 1 + view.entries[view.offsets[j] : view.offsets[j + 1]]) // p).tolist()
 
 
 def delta3(t, p, prime_budget=20):
-    return _delta3(p, support_of(t, p), prime_budget)
+    j = prime_index(t, p)
+    return _delta3(p, *(_support_masks(t, j) if j is not None else ([], 0)), prime_budget)
+
+
+def _masks_of(ms: list[Member]) -> tuple[list[int], int]:
+    """Each member's primes as a bitmask over the k distinct primes of ms,
+    ascending, and k."""
+    index = {q: i for i, q in enumerate(sorted({q for _, qs in ms for q in qs}))}
+    return [sum(1 << index[q] for q in qs) for _, qs in ms], len(index)
+
+
+def _reference_t_p(ms: list[Member], signs, z: float) -> Fraction:
+    """T_p over the members ms of N(p), p > z, exactly: X(k) the product of
+    the signs of k's primes and omega_L(k p) = 1 + #{q > z}."""
+    xs = [math.prod(signs.sign(q) for q in qs) for _, qs in ms]
+    g = sum(xs)
+    return sum((Fraction((g - x) * x, 1 + sum(q > z for q in qs)) for x, (_, qs) in zip(xs, ms)),
+               Fraction(0))
 
 
 def t_p(t, p, signs, z):
-    return _exact_t_p(support_of(t, p), signs, z)
+    return _reference_t_p(_supports(t).get(p, []), signs, z)
 
 
 def test_increment_support_examples():
@@ -235,11 +258,11 @@ def test_exchange_statistic_quadratic_form_parity():
 def test_exchange_statistic_zero_mean_over_seeds():
     # off-diagonal second-order chaos: E over sign draws of T_p is 0
     t = segmented_factorize(25, 20)  # N(7) = {5, 6}
-    support = support_of(t, 7)
+    support = _supports(t)[7]
     total = Fraction(0)
     n_seeds = 4000
     for seed in range(n_seeds):
-        total += _exact_t_p(support, SignSource(seed), 6.0)
+        total += _reference_t_p(support, SignSource(seed), 6.0)
     mean = total / n_seeds
     # T_7 = 2 X(5) X(6): sd of the mean is 2/sqrt(n_seeds)
     assert abs(mean) <= 4 * 2 / math.sqrt(n_seeds)
@@ -450,15 +473,16 @@ def reference_decomposition_sides(table, z, signs, l_budget=12):
             if a == 0:
                 break
             a = (a - 1) & rest
-        closed += _exact_t_p(members, signs, z)
+        closed += _reference_t_p(members, signs, z)
 
     return direct, closed
 
 
 def assert_view_matches_references(t, z, seed=0):
     """The prime-major view against the per-incidence loops it replaced:
-    its primes and incidence indices, L, every N(p) with each member's other
-    primes, and the entries' large-prime masks and small-sign products.  The
+    its primes and incidence indices, L, every N(p) as its members' prime
+    masks, the entries and omega_L of every N(p) of L with |N(p)| >= 2, and
+    the entries' large-prime masks and small-sign products.  The large-prime
     masks are compared at z, or, where L has more than 40 primes, over the
     40 largest primes, so that each fits an int64."""
     view = t.prime_major
@@ -467,8 +491,11 @@ def assert_view_matches_references(t, z, seed=0):
     at = {p: j for j, p in enumerate(sorted(supports))}
     assert view.index.tolist() == [at[p] for _, qs in t.squarefree_items() for p in qs]
     for j, p in enumerate(view.primes.tolist()):
-        assert _members(t, j) == supports[p]
+        assert _support_masks(t, j) == _masks_of(supports[p])
     assert large_primes(t, z) == _large_primes(supports, z)
+    shared = [([k * p - t.x_lo - 1 for k, _ in ms], [[1 + sum(q > z for q in qs)] for _, qs in ms])
+              for p, ms in sorted(supports.items()) if p > z and len(ms) >= 2]
+    assert [(e.tolist(), w.tolist()) for e, w in _shared_supports(t, _view(t, z)[1])] == shared
     if len(supports) > 40 and len(_large_primes(supports, z)) > 40:
         z = sorted(supports)[-41]
     large = _large_primes(supports, z)
@@ -595,9 +622,9 @@ def test_stein_terms_refuses_before_building_any_member(monkeypatch):
     assert stein_terms(t, 3.0, var_trials=2, member_budget=top).exact_primes == len(sizes)
 
     def no_members(*args):
-        raise AssertionError("member list built")
+        raise AssertionError("member masks built")
 
-    monkeypatch.setattr(stein, "_members", no_members)
+    monkeypatch.setattr(stein, "_support_masks", no_members)
     with pytest.raises(ScaleError, match=re.escape(f"|N({first})| = {top} exceeds {top - 1}")):
         stein_terms(t, 3.0, var_trials=2, member_budget=top - 1)
     with pytest.raises(ScaleError, match=re.escape("|N(5)| = 1019 exceeds 400")):
@@ -621,23 +648,26 @@ def _reference_delta3(p, members, prime_budget):
     return 4 * third / float(1 << k)
 
 
-def assert_delta3_matches_reference(p, ms, prime_budget=20):
+def assert_delta3_matches_reference(p, ms, masks, k, prime_budget=20):
+    """_delta3 on the masks of the members ms against the reference."""
     try:
         want = _reference_delta3(p, ms, prime_budget)
     except ScaleError as e:
         with pytest.raises(ScaleError, match=re.escape(str(e))):
-            _delta3(p, ms, prime_budget)
+            _delta3(p, masks, k, prime_budget)
         return False
-    assert _delta3(p, ms, prime_budget).hex() == want.hex(), p
+    assert _delta3(p, masks, k, prime_budget).hex() == want.hex(), p
     return True
 
 
 def delta3_within_budget(x, y):
-    """Checks every large prime at the z a stein run uses; whether each was
-    within the budget."""
+    """Checks every large prime at the z a stein run uses, on the view's
+    masks; whether each was within the budget."""
     t = segmented_factorize(x, y)
-    return [assert_delta3_matches_reference(p, support_of(t, p))
-            for p in large_primes(t, z_of_delta(y / x))]
+    supports = _supports(t)
+    view, first = _view(t, z_of_delta(y / x))
+    return [assert_delta3_matches_reference(p, supports[p], *_support_masks(t, j))
+            for j, p in enumerate(view.primes[first:].tolist(), first)]
 
 
 @pytest.mark.parametrize("x", range(10**5 + 15, 10**5 + 30))
@@ -662,20 +692,21 @@ _POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
        st.sampled_from((0, 3, 6, 20)))
 def test_delta3_matches_full_transform_on_random_supports(prime_sets, budget):
     ms = [(math.prod(qs), tuple(sorted(qs))) for qs in prime_sets]
-    assert_delta3_matches_reference(31, ms, budget)
+    assert_delta3_matches_reference(31, ms, *_masks_of(ms), budget)
 
 
 def test_delta3_degenerate_supports():
-    assert _delta3(7, [], 20) == _reference_delta3(7, [], 20) == 0.0
+    assert _delta3(7, [], 0, 20) == _reference_delta3(7, [], 20) == 0.0
     one = [(1, ())]  # k = 1: mask 0, rank 0
     assert _span_coordinates([0]) == ([0], 0)
-    assert _delta3(7, one, 20).hex() == _reference_delta3(7, one, 20).hex() == (4.0).hex()
+    assert _masks_of(one) == ([0], 0)
+    assert _delta3(7, [0], 0, 20).hex() == _reference_delta3(7, one, 20).hex() == (4.0).hex()
     for ms in ([(1, ()), (2, (2,))],
                [(6, (2, 3)), (15, (3, 5)), (10, (2, 5))],  # 6 * 15 * 10 is a square
                [(1, ()), (6, (2, 3)), (35, (5, 7)), (210, (2, 3, 5, 7)), (3, (3,))]):
         masks = [sum(1 << j for j, q in enumerate(_POOL) if q in qs) for _, qs in ms]
         assert _span_coordinates(masks)[1] < len(ms)
-        assert _delta3(7, ms, 20).hex() == _reference_delta3(7, ms, 20).hex()
+        assert _delta3(7, *_masks_of(ms), 20).hex() == _reference_delta3(7, ms, 20).hex()
 
 
 def test_span_coordinates_reconstruct_the_masks():
@@ -725,23 +756,23 @@ def _reference_exchange_variance(table, z, trials, master_seed):
 
 def _reference_stein_terms(table, z, var_trials=2000, master_seed=0, prime_budget=20,
                            member_budget=400):
-    """stein_terms with one member list, one scalar pair-kernel count and one
-    _delta3 call for every prime of L."""
-    view, first = _view(table, z)
-    counts = np.diff(view.offsets)
-    over = first + np.flatnonzero(counts[first:] > member_budget)
-    if over.size:
-        raise ScaleError(f"|N({view.primes[over[0]]})| = {counts[over[0]]} exceeds {member_budget}")
+    """stein_terms with one member list from the table's rows, one scalar
+    pair-kernel count and one _delta3 call for every prime of L."""
+    supports = _supports(table)
+    large = _large_primes(supports, z)
+    over = [p for p in large if len(supports[p]) > member_budget]
+    if over:
+        raise ScaleError(f"|N({over[0]})| = {len(supports[over[0]])} exceeds {member_budget}")
     total = 0.0
     d2: dict[int, int] = {}
     d4: dict[int, int] = {}
     exact_primes = bounded_primes = 0
-    for j, p in enumerate(view.primes[first:].tolist(), first):
-        members = _members(table, j)
+    for p in large:
+        members = supports[p]
         d2[p] = 2 * len(members)  # E|Delta_p f|^2 = 2 |N(p)|
         d4[p] = 8 * _oracle_count_members([k for k, _ in members])
         try:
-            total += _delta3(p, members, prime_budget)
+            total += _delta3(p, *_masks_of(members), prime_budget)
             exact_primes += 1
         except ScaleError:
             total += math.sqrt(d2[p] * d4[p])
