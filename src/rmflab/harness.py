@@ -5,8 +5,8 @@ and persists reports.
 Reproducibility contract: (config, master_seed) determines every byte of
 the emitted report files.  A trial's raw sum depends only on (master_seed,
 trial index), so no split of the trials among workers changes a byte.
-Wall-clock timings are printed to stderr and embedded in the JSON only on
-request (they are the one non-deterministic quantity).
+Wall-clock timings, the one non-deterministic quantity, go to stderr only:
+every report writes "timing_ms" as null.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ SCHEMA_VERSION = 1
 # per tile, so what grows with the trial count is the per-trial values and
 # the report text.
 MAX_TRIALS = 10**6
-# Largest stein --identity-max-l; a larger value is refused before the factor
-# table is built.  The identity loop grows about as L^3: 0.0006 s at the
-# default 30, 0.014 s at the cap and 0.14 s at 200 (2 shared vCPUs).
-MAX_IDENTITY_L = 100
+# stein checks the subset-weight identity for every |L| up to this
+# (0.0006 s on 2 shared vCPUs); the report records it as weight_identity.max_l
+IDENTITY_MAX_L = 30
 HIST_BINS = 64
 HIST_RANGE = (-5.0, 5.0)
 
@@ -144,11 +143,12 @@ class ExperimentReport:
     distances: dict
     bounds: dict
     ratios: dict
+    # stage wall times (sieve, trials, analysis) for stderr; never serialized
     timing_ms: dict | None = None
     # per-trial W values, kept for csv/histogram emission; never serialized
     w_values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config,
@@ -158,12 +158,11 @@ class ExperimentReport:
             "distances": self.distances,
             "bounds": self.bounds,
             "ratios": self.ratios,
-            "timing_ms": self.timing_ms if include_timing else None,
+            "timing_ms": None,
         }
 
-    def dumps(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True,
-                          allow_nan=False)
+    def dumps(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +292,9 @@ def run_moments(config: ExperimentConfig,
     return out
 
 
-def run_stein_checks(config: ExperimentConfig, identity_max_l: int = 30,
-                     var_trials: int = 2000) -> dict:
+def run_stein_checks(config: ExperimentConfig, var_trials: int = 2000) -> dict:
     """Identity and conditional-moment checks; each sub-check reports its
     own result or the scale refusal that stopped it."""
-    if identity_max_l < 1:
-        raise ValueError(f"identity_max_l must be >= 1, got {identity_max_l}")
-    if identity_max_l > MAX_IDENTITY_L:
-        raise ScaleError(f"identity_max_l = {identity_max_l} exceeds "
-                         f"MAX_IDENTITY_L = {MAX_IDENTITY_L}")
     if var_trials < 2:
         raise ValueError(f"var_trials must be >= 2, got {var_trials}")
     _check_trials(var_trials)
@@ -311,17 +304,15 @@ def run_stein_checks(config: ExperimentConfig, identity_max_l: int = 30,
 
     identity_ok = all(
         num * w == common
-        for nums, common in map(stein_mod.subset_weight_identity, range(1, identity_max_l + 1))
+        for nums, common in map(stein_mod.subset_weight_identity, range(1, IDENTITY_MAX_L + 1))
         for w, num in enumerate(nums, 1)
     )
-    out["weight_identity"] = {"max_l": identity_max_l, "ok": identity_ok}
+    out["weight_identity"] = {"max_l": IDENTITY_MAX_L, "ok": identity_ok}
 
     signs = SignSource(cfg.master_seed)
     try:
-        small = stein_mod.small_primes(table, cfg.z)
-        assignments = [{p: trial.sign(p) for p in small}
-                       for trial in map(signs.for_trial, range(5))]
-        rep = stein_mod.conditional_moments_check(table, cfg.z, assignments)
+        rep = stein_mod.conditional_moments_check(
+            table, cfg.z, [signs.for_trial(t) for t in range(5)])
         out["conditional_moments"] = {
             "large_primes": len(rep.large_primes),
             "ok": rep.ok,
@@ -394,15 +385,14 @@ def _write_files(files: list[tuple[Path, str]]) -> list[Path]:
     return started
 
 
-def emit(report: ExperimentReport, formats: tuple[str, ...], out_base: str,
-         include_timing: bool = False) -> list[Path]:
+def emit(report: ExperimentReport, formats: tuple[str, ...], out_base: str) -> list[Path]:
     """Write report files <out_base>.json / <out_base>.csv /
     <out_base>.hist.json; on any I/O failure partial files are removed and
     the error re-raised."""
     w_values = report.w_values
     files: list[tuple[Path, str]] = []
     if "json" in formats:
-        files.append((Path(out_base + ".json"), report.dumps(include_timing) + "\n"))
+        files.append((Path(out_base + ".json"), report.dumps() + "\n"))
     if "csv" in formats:
         if w_values is None:
             raise ValueError("csv format needs per-trial values")
@@ -424,13 +414,15 @@ def emit(report: ExperimentReport, formats: tuple[str, ...], out_base: str,
 # CLI
 # ---------------------------------------------------------------------------
 
-def _add_interval_args(p: argparse.ArgumentParser, trials: bool = False) -> None:
+def _add_interval_args(p: argparse.ArgumentParser, z: bool = True,
+                       trials: bool = False) -> None:
     p.add_argument("--x", type=int, required=True, help="interval left endpoint")
     p.add_argument("--y", type=int, help="interval length")
     p.add_argument("--delta", type=float, help="interval length as a fraction of x")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--z", type=float, default=None,
-                   help="override the small/large prime threshold")
+    if z:
+        p.add_argument("--z", type=float, default=None,
+                       help="override the small/large prime threshold")
     if trials:
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--workers", type=int, default=1,
@@ -448,32 +440,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "simulation, exact counting and distance diagnostics.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    budget_help = ("most candidate rows the non-diagonal enumeration may build; "
-                   "a larger count is refused (exit 3) before any row past the "
-                   "budget is built")
 
     p = sub.add_parser("simulate", help="run seeded Monte Carlo trials")
     _add_interval_args(p, trials=True)
     p.add_argument("--format", default="json",
                    help="comma-separated subset of json,csv,histogram")
-    p.add_argument("--timed-json", action="store_true",
-                   help="embed wall-clock timings in the JSON report "
-                        "(makes files non-reproducible)")
 
     p = sub.add_parser("moments", help="exact fourth moment of the interval sum")
-    _add_interval_args(p)
+    _add_interval_args(p, z=False)
     p.add_argument("--budget", type=int, default=quad_mod.DEFAULT_BUDGET,
-                   help=budget_help)
-
-    p = sub.add_parser("quadruples", help="square-quadruple counts and bound")
-    _add_interval_args(p)
-    p.add_argument("--budget", type=int, default=quad_mod.DEFAULT_BUDGET,
-                   help=budget_help)
+                   help="most candidate rows the non-diagonal enumeration may build; "
+                        "a larger count is refused (exit 3) before any row past the "
+                        "budget is built")
 
     p = sub.add_parser("stein", help="identity and conditional-moment checks")
     _add_interval_args(p)
     p.add_argument("--var-trials", type=int, default=2000)
-    p.add_argument("--identity-max-l", type=int, default=30)
 
     p = sub.add_parser("bounds", help="evaluate every bound for an interval")
     _add_interval_args(p)
@@ -492,7 +474,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         delta=args.delta,
         trials=getattr(args, "trials", 1),
         master_seed=args.seed,
-        z_override=args.z,
+        z_override=getattr(args, "z", None),
         workers=getattr(args, "workers", 1),
     )
 
@@ -568,21 +550,16 @@ def main(argv: list[str] | None = None) -> int:
             t0 = time.perf_counter()
             report = run_simulate(cfg)
             wall = (time.perf_counter() - t0) * 1000.0
-            print(f"simulate: {cfg.trials} trials in {wall:.1f} ms", file=sys.stderr)
+            stages = ", ".join(f"{k} {v:.1f} ms" for k, v in report.timing_ms.items())
+            print(f"simulate: {cfg.trials} trials in {wall:.1f} ms ({stages})", file=sys.stderr)
             if args.out is None:
-                print(report.dumps(args.timed_json))
+                print(report.dumps())
             else:
-                emit(report, tuple(args.format.split(",")), args.out, args.timed_json)
-        elif args.command in ("moments", "quadruples"):
-            out = run_moments(_config_from_args(args), args.budget)
-            if args.command == "quadruples":
-                out = {k: out[k] for k in ("s_count", "diagonal", "nondiagonal",
-                                           "nondiagonal_bound", "oracle") if k in out}
-            _emit_or_print(out, args.out)
+                emit(report, tuple(args.format.split(",")), args.out)
+        elif args.command == "moments":
+            _emit_or_print(run_moments(_config_from_args(args), args.budget), args.out)
         elif args.command == "stein":
-            cfg = _config_from_args(args)
-            _emit_or_print(
-                run_stein_checks(cfg, args.identity_max_l, args.var_trials), args.out)
+            _emit_or_print(run_stein_checks(_config_from_args(args), args.var_trials), args.out)
         elif args.command == "bounds":
             cfg = _config_from_args(args).resolved()
             table = segmented_factorize(cfg.x, cfg.y)

@@ -38,11 +38,6 @@ P_MASK = (1 << P_BITS) - 1
 MIN_BLOCK = 1 << 17
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, by Eratosthenes."""
-    return _sieve(limit).tolist()
-
-
 def _sieve(limit: int) -> np.ndarray:
     """All primes <= limit as an ascending int64 array."""
     if limit < 2:

@@ -372,7 +372,7 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
 @dataclass(frozen=True)
 class ConditionalMomentsReport:
     """Exhaustive conditional moments of the interval sum given the small
-    signs: one (mean, second moment) pair per small-sign assignment."""
+    signs: one (mean, second moment) pair per sign source."""
 
     s_count: int
     z: float
@@ -387,37 +387,25 @@ class ConditionalMomentsReport:
         )
 
 
-def small_primes(table: IntervalTable, z: float) -> list[int]:
-    """The primes <= z that divide a square-free entry, ascending: the small
-    primes whose signs conditional_moments_check reads."""
-    view, first = _view(table, z)
-    return view.primes[:first].tolist()
-
-
-def conditional_moments_check(table: IntervalTable, z: float,
-                  small_sign_assignments: list[dict[int, int]],
-                  large_prime_budget: int = 22) -> ConditionalMomentsReport:
-    """For each fixed assignment of signs to the small primes (<= z), average
-    the interval sum and its square over ALL 2^k sign vectors of L; the
+def conditional_moments_check(table: IntervalTable, z: float, sources: list[SignSource],
+                              large_prime_budget: int = 22) -> ConditionalMomentsReport:
+    """For each source's signs of the small primes (<= z), average the
+    interval sum and its square over ALL 2^k sign vectors of L; the
     conditional mean must be exactly 0 and the second moment exactly S.
-    Each assignment must cover small_primes(table, z)."""
+    A source is anything with .sign(p) = +1 or -1; only the primes <= z
+    that divide a square-free entry are read."""
     view, first = _view(table, z)
     large = view.primes[first:].tolist()
     if len(large) > large_prime_budget:
         raise ScaleError(
             f"{len(large)} distinct large primes exceeds budget {large_prime_budget}"
         )
-    small_present = small_primes(table, z)
+    small_present = view.primes[:first].tolist()
     masks = _over_entries(table, np.add, 1 << np.arange(len(large)), first)[table.flags]
     means = []
     seconds = []
-    for assignment in small_sign_assignments:
-        missing = [q for q in small_present if q not in assignment]
-        if missing:
-            raise ValueError(f"assignment missing small primes {missing}")
-        if any(v not in (-1, 1) for v in assignment.values()):
-            raise ValueError("assignment values must be +1 or -1")
-        small = np.array([assignment[q] for q in small_present], dtype=np.int64)
+    for source in sources:
+        small = np.array([source.sign(q) for q in small_present], dtype=np.int64)
         coeffs = _over_entries(table, np.multiply, small)[table.flags]
         mean, second = sign_vector_moments(masks, coeffs, len(large))
         means.append(mean)

@@ -14,6 +14,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from rmflab.distances import (
     wasserstein1,
 )
 from rmflab.harness import ExperimentConfig, emit, run_simulate
-from rmflab.numtheory import segmented_factorize, sieve_primes, z_of_delta
+from rmflab.numtheory import _sieve, segmented_factorize, z_of_delta
 from rmflab.quadruples import (
     diagonal_count,
     oracle_count_square_quadruples,
@@ -108,9 +109,11 @@ def test_criterion_03_conditional_moments_exhaustive():
     for x, y in MOMENT_INTERVALS:
         delta = y / x
         table = segmented_factorize(x, y)
-        small = sieve_primes(math.floor(z_of_delta(delta)))
+        small = _sieve(math.floor(z_of_delta(delta))).tolist()
+        # each source's .sign reads a dict of draws over every prime <= z
         assignments = [
-            {p: rng.choice((-1, 1)) for p in small} for _ in range(5)
+            SimpleNamespace(sign={p: rng.choice((-1, 1)) for p in small}.__getitem__)
+            for _ in range(5)
         ]
         report = conditional_moments_check(table, z_of_delta(delta), assignments,
                                            large_prime_budget=22)

@@ -2,6 +2,7 @@
 attribute name; these tests read it, without changing it, so that a rename
 or deletion that would break its traced runs fails here first."""
 
+import argparse
 import importlib
 import importlib.util
 import sys
@@ -25,6 +26,17 @@ def _load(name: str):
 
 
 spans = _load("spans")
+workloads = _load("workloads")
+
+# Each command's options, as `_build_parser()` defines them (30 in all).
+COMMAND_OPTIONS = {
+    "simulate": {"--x", "--y", "--delta", "--seed", "--z", "--trials", "--workers", "--out",
+                 "--format"},
+    "moments": {"--x", "--y", "--delta", "--seed", "--out", "--budget"},
+    "stein": {"--x", "--y", "--delta", "--seed", "--z", "--out", "--var-trials"},
+    "bounds": {"--x", "--y", "--delta", "--seed", "--z", "--out"},
+    "distances": {"--infile", "--out"},
+}
 
 
 @pytest.mark.parametrize("module_name, attr", [t[:2] for t in spans.TARGETS])
@@ -38,8 +50,29 @@ def test_span_targets_resolve(module_name, attr):
 
 
 def test_workloads_import():
-    workloads = _load("workloads")
     assert callable(workloads.interval_sum) and callable(workloads.squarefree_flags)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_every_workload_argv_parses(workload):
+    # a command or option the benchmark passes and the CLI no longer has
+    # would make every run of the workload exit 2
+    parse = harness._build_parser().parse_args
+    for seed in (1, 2, 3):
+        for call in workloads.calls_for(workload, seed):
+            args = parse(call.argv(seed, "runs/r"))
+            assert (args.command, args.x, args.y, args.seed, args.out) == (
+                call.command, call.x, call.y, seed, "runs/r")
+
+
+def test_each_command_has_exactly_its_options():
+    parser = harness._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {o for a in p._actions if not isinstance(a, argparse._HelpAction)
+                      for o in a.option_strings}
+               for name, p in commands.choices.items()}
+    assert options == COMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 30
 
 
 def test_incidence_counters_match_the_table():
@@ -66,7 +99,7 @@ def test_stein_checks_reach_the_traced_stein_layers(monkeypatch):
         monkeypatch.setattr(stein, name, counted)
     out = harness.run_stein_checks(harness.ExperimentConfig(x=700, y=9, master_seed=5))
     assert out["weight_identity"]["ok"] and out["decomposition"]["equal"]
-    assert calls["subset_weight_identity"] == 30  # one call per L <= --identity-max-l
+    assert calls["subset_weight_identity"] == harness.IDENTITY_MAX_L  # one call per |L|
     assert calls["decomposition_sides"] == 1
 
 

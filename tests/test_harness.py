@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,6 @@ from rmflab import harness
 from rmflab import quadruples as quad_mod
 from rmflab.errors import ScaleError
 from rmflab.harness import (
-    MAX_IDENTITY_L,
     MAX_TRIALS,
     ExperimentConfig,
     _build_parser,
@@ -223,16 +223,14 @@ def test_mean_within_four_sigma_across_seeds():
 
 
 def test_run_stein_checks_fragment():
-    frag = run_stein_checks(ExperimentConfig(x=700, y=9, master_seed=5),
-                            identity_max_l=10, var_trials=20)
+    frag = run_stein_checks(ExperimentConfig(x=700, y=9, master_seed=5), var_trials=20)
     assert frag["weight_identity"]["ok"]
     assert frag["conditional_moments"]["ok"]
     assert frag["exchange_variance"]["estimate"] >= 0
     assert frag["sum_delta3"]["value"] >= 0
     assert frag["sum_delta3"]["ratio"] >= 0  # reported, never asserted vs constants
     # larger interval: the exhaustive checks must refuse, not crash
-    frag2 = run_stein_checks(ExperimentConfig(x=10**4, y=400, master_seed=5),
-                             identity_max_l=3, var_trials=10)
+    frag2 = run_stein_checks(ExperimentConfig(x=10**4, y=400, master_seed=5), var_trials=10)
     assert "skipped" in frag2["conditional_moments"]
     assert "skipped" in frag2["decomposition"]
     assert frag2["exchange_variance"]["ratio"] >= 0
@@ -291,7 +289,6 @@ def test_cli_distances_round_trip(tmp_path, capsys):
 def test_cli_exit_codes(capsys):
     assert main(["simulate", "--x", "1000", "--y", "2000", "--trials", "5"]) == 2
     # scale error: oracle-sized check refused
-    assert main(["quadruples", "--x", "5000", "--y", "400", "--budget", "10"]) == 3
     assert main(["moments", "--x", "5000", "--y", "400", "--budget", "10"]) == 3
     # a non-finite or non-positive delta is a usage error, not y = 1
     capsys.readouterr()
@@ -392,8 +389,7 @@ def test_cli_moments_subcommand(capsys):
 
 
 def test_cli_stein_and_bounds_subcommands(capsys):
-    rc = main(["stein", "--x", "700", "--y", "9", "--seed", "5",
-               "--var-trials", "20", "--identity-max-l", "6"])
+    rc = main(["stein", "--x", "700", "--y", "9", "--seed", "5", "--var-trials", "20"])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert data["weight_identity"]["ok"] and data["conditional_moments"]["ok"]
@@ -547,19 +543,17 @@ def test_cli_stein_splits_primes_at_given_z(capsys):
     # the conditional moments use --z, not z(delta) = 2.18 here
     large = {p for _, ps in segmented_factorize(700, 9).squarefree_items()
              for p in ps if p > 3.5}
-    assert main(["stein", "--x", "700", "--y", "9", "--z", "3.5",
-                 "--var-trials", "20", "--identity-max-l", "3"]) == 0
+    assert main(["stein", "--x", "700", "--y", "9", "--z", "3.5", "--var-trials", "20"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["conditional_moments"] == {"large_primes": len(large), "ok": True}
     # with z given, delta >= 1/10 only warns, as in simulate
-    assert main(["stein", "--x", "700", "--y", "80", "--z", "3",
-                 "--var-trials", "20", "--identity-max-l", "3"]) == 0
+    assert main(["stein", "--x", "700", "--y", "80", "--z", "3", "--var-trials", "20"]) == 0
 
 
 def test_stein_at_a_large_z_never_sieves_to_z(monkeypatch):
-    # the five small-sign assignments cover the view's primes <= z, not
-    # every prime <= z: no sieve past isqrt(x + y), and the same conditional
-    # moments as assignments over every prime <= z where L is as empty
+    # the five sign sources are read at the view's primes <= z, not at every
+    # prime <= z: no sieve past isqrt(x + y), and the same conditional
+    # moments as at z = x + y, where L is as empty
     limits = []
     sieve = numtheory._sieve
 
@@ -569,34 +563,24 @@ def test_stein_at_a_large_z_never_sieves_to_z(monkeypatch):
 
     monkeypatch.setattr(numtheory, "_sieve", spy)
     out = run_stein_checks(ExperimentConfig(x=700, y=9, master_seed=4, z_override=1e7),
-                           identity_max_l=3, var_trials=2)
+                           var_trials=2)
     assert limits and max(limits) <= math.isqrt(709)
     monkeypatch.undo()
 
     table = segmented_factorize(700, 9)
     signs = SignSource(4)
-    full = [{p: signs.for_trial(i).sign(p) for p in numtheory.sieve_primes(709)}
-            for i in range(5)]
-    rep = conditional_moments_check(table, 709.0, full)
+    rep = conditional_moments_check(table, 709.0, [signs.for_trial(i) for i in range(5)])
     assert rep.large_primes == ()
     assert out["conditional_moments"] == {"large_primes": 0, "ok": rep.ok}
     small_z = run_stein_checks(ExperimentConfig(x=700, y=9, master_seed=4, z_override=709.0),
-                               identity_max_l=3, var_trials=2)
+                               var_trials=2)
     for key in ("conditional_moments", "decomposition", "s_count", "weight_identity"):
         assert out[key] == small_z[key]
 
 
 def test_cli_stein_negative_seed(capsys):
-    assert main(["stein", "--x", "700", "--y", "9", "--seed", "-1",
-                 "--var-trials", "20", "--identity-max-l", "3"]) == 0
+    assert main(["stein", "--x", "700", "--y", "9", "--seed", "-1", "--var-trials", "20"]) == 0
     assert json.loads(capsys.readouterr().out)["conditional_moments"]["ok"]
-
-
-@pytest.mark.parametrize("value", ["0", "-4"])
-def test_cli_stein_identity_max_l_below_one_exits_2(capsys, value):
-    # an identity check over no L at all would report ok
-    assert main(["stein", "--x", "700", "--y", "9", "--identity-max-l", value]) == 2
-    assert "identity_max_l" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("x, y", [(10**12, 10**9), (10**15, 10**3)])
@@ -648,23 +632,33 @@ def test_cli_too_many_trials_exits_3_at_once(capsys, argv):
     assert peak < 16 * 2**20
 
 
-def test_cli_identity_max_l_above_the_cap_exits_3_at_once(capsys, monkeypatch):
-    # refused before the factor table or the identity loop
-    def no_table(*_args):
-        raise AssertionError("factor table built")
+@pytest.mark.parametrize("argv", [
+    ["quadruples", "--x", "100", "--y", "40"],
+    ["moments", "--x", "100", "--y", "40", "--z", "1"],
+    ["stein", "--x", "700", "--y", "9", "--identity-max-l", "3"],
+    ["simulate", "--x", "2000", "--y", "100", "--trials", "5", "--timed-json"],
+], ids=["quadruples", "moments-z", "stein-identity-max-l", "simulate-timed-json"])
+def test_cli_unknown_command_or_option_is_an_argparse_error(argv, monkeypatch, capsys):
+    # argparse exits 2 before main builds a table or prints a report
+    _refuse_tables(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
-    monkeypatch.setattr("rmflab.harness.segmented_factorize", no_table)
-    t0 = time.perf_counter()
-    assert main(["stein", "--x", "100000", "--y", "100", "--identity-max-l", "1000000"]) == 3
-    assert time.perf_counter() - t0 < 1.0
-    assert _one_line_error(capsys).startswith("scale error:")
-    assert main(["stein", "--x", "700", "--y", "9",
-                 "--identity-max-l", str(MAX_IDENTITY_L + 1)]) == 3
 
-
-def test_identity_max_l_at_the_cap_runs():
-    out = run_stein_checks(ExperimentConfig(x=700, y=9), MAX_IDENTITY_L, var_trials=2)
-    assert out["weight_identity"] == {"max_l": MAX_IDENTITY_L, "ok": True}
+def test_cli_simulate_puts_its_stage_times_on_one_stderr_line(tmp_path, capsys):
+    # the total and the sieve, trials and analysis stages; never in a report
+    ms = r"\d+\.\d ms"
+    line = rf"simulate: 50 trials in {ms} \(sieve {ms}, trials {ms}, analysis {ms}\)"
+    argv = ["simulate", "--x", "2000", "--y", "100", "--trials", "50"]
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    assert re.fullmatch(line, printed.err.rstrip("\n"))
+    assert json.loads(printed.out)["timing_ms"] is None
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 0
+    assert re.fullmatch(line, _one_line_error(capsys))
+    assert json.loads((tmp_path / "r.json").read_text())["timing_ms"] is None
 
 
 def test_cli_parser_is_built_once_and_parses_each_command_afresh():
@@ -675,7 +669,7 @@ def test_cli_parser_is_built_once_and_parses_each_command_afresh():
     third = parse(["moments", "--x", "300", "--y", "30"])
     assert (first.command, first.x, first.y, first.budget) == ("moments", 100, 40, 5)
     assert (second.command, second.x, second.y, second.delta) == ("simulate", 2000, None, 0.05)
-    assert (second.trials, second.format, second.timed_json) == (1000, "json", False)
+    assert (second.trials, second.format) == (1000, "json")
     assert not hasattr(second, "budget")
     assert (third.command, third.x, third.y, third.budget) == (
         "moments", 300, 30, quad_mod.DEFAULT_BUDGET)

@@ -20,8 +20,8 @@ from rmflab.numtheory import (
     IntervalTable,
     _factor_segment,
     _kernel_unchecked,
+    _sieve,
     segmented_factorize,
-    sieve_primes,
     squarefree_flags,
     trial_factorize,
     z_of_delta,
@@ -40,9 +40,9 @@ def naive_squarefree(n: int) -> bool:
 
 
 def test_sieve_primes_small():
-    assert sieve_primes(1) == []
-    assert sieve_primes(2) == [2]
-    assert sieve_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert _sieve(1).tolist() == []
+    assert _sieve(2).tolist() == [2]
+    assert _sieve(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_factorize_examples():
@@ -125,7 +125,7 @@ def _reference_factor_segment(lo: int, length: int) -> IntervalTable:
     """The argsort construction that the packed-key sort replaced, kept
     verbatim as the oracle for _factor_segment."""
     hi = lo + length
-    sieve = np.array(sieve_primes(math.isqrt(hi)), dtype=np.int64)
+    sieve = _sieve(math.isqrt(hi))
     first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
     hits = (length - 1 - first) // sieve + 1
     inc_p = np.repeat(sieve, hits)
@@ -174,8 +174,8 @@ def entry_slice(t: IntervalTable, a: int, b: int):
 
 def test_sieve_primes_against_trial_division():
     want = [n for n in range(2, 20_000) if trial_factorize(n) == [(n, 1)]]
-    assert sieve_primes(19_999) == want
-    assert sieve_primes(20_011)[-2:] == [19_997, 20_011]
+    assert _sieve(19_999).tolist() == want
+    assert _sieve(20_011).tolist()[-2:] == [19_997, 20_011]
 
 
 @pytest.mark.parametrize("lo, length", [
@@ -370,7 +370,7 @@ def test_prime_split_z_values():
 def test_prime_split_partition():
     t = segmented_factorize(100, 20)
     z = z_of_delta(1e-5)  # 5.756: small primes 2, 3, 5
-    assert sieve_primes(math.floor(z)) == [2, 3, 5]
+    assert _sieve(math.floor(z)).tolist() == [2, 3, 5]
     view, first = _view(t, z)
     large = view.primes[first:].tolist()
     assert large == sorted(large) and all(p > z for p in large)

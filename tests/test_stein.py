@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmflab.errors import ScaleError
-from rmflab.harness import MAX_IDENTITY_L
 from rmflab.numtheory import (
     IntervalTable,
     _factor_segment,
+    _sieve,
     segmented_factorize,
-    sieve_primes,
     z_of_delta,
 )
 from rmflab.quadruples import _oracle_count_array, _oracle_count_members
@@ -37,7 +37,6 @@ from rmflab.stein import (
     subset_weight,
     subset_weight_identity,
     sign_vector_moments,
-    small_primes,
     stein_terms,
     exchange_variance_monte_carlo,
     SteinTerms,
@@ -288,17 +287,22 @@ def test_exchange_variance_golden_values():
     assert exchange_variance_monte_carlo(t, 3.0, 200, 99) == 81.81304020100502
 
 
+def _mapped_signs(signs: dict[int, int]) -> SimpleNamespace:
+    """A sign source whose .sign(p) reads a mapping of prime to +1/-1."""
+    return SimpleNamespace(sign=signs.__getitem__)
+
+
 def test_conditional_moments_exact():
     x, y = 700, 9
     delta = y / x
     t = segmented_factorize(x, y)
-    small = sieve_primes(math.floor(z_of_delta(delta)))
+    small = _sieve(math.floor(z_of_delta(delta))).tolist()
     assignments = [
         {p: 1 for p in small},
         {p: -1 for p in small},
         {p: (-1) ** i for i, p in enumerate(small)},
     ]
-    rep = conditional_moments_check(t, z_of_delta(delta), assignments)
+    rep = conditional_moments_check(t, z_of_delta(delta), list(map(_mapped_signs, assignments)))
     assert rep.ok
     assert rep.means == (Fraction(0),) * 3
     assert rep.second_moments == (Fraction(t.squarefree_count),) * 3
@@ -315,27 +319,27 @@ def test_every_squarefree_entry_has_a_large_prime():
 
 def test_conditional_moments_s_zero_interval():
     t = segmented_factorize(47, 1)  # 48 = 2^4 * 3
-    rep = conditional_moments_check(t, z_of_delta(1 / 47), [{}])
+    rep = conditional_moments_check(t, z_of_delta(1 / 47), [_mapped_signs({})])
     assert rep.ok and rep.s_count == 0
 
 
 def test_small_primes_are_the_primes_up_to_z_of_the_squarefree_entries():
+    # the primes whose signs conditional_moments_check reads
     for x, y, z in [(700, 9, z_of_delta(9 / 700)), (10**4, 300, 50.0), (700, 9, 1e300)]:
         t = segmented_factorize(x, y)
         want = sorted({p for _, primes in t.squarefree_items() for p in primes if p <= z})
-        assert small_primes(t, z) == want
+        view, first = _view(t, z)
+        assert view.primes[:first].tolist() == want
 
 
 def test_conditional_moments_budget_and_validation():
+    # too many large primes is refused before any sign is read: the source
+    # has no sign for the small primes
     t = segmented_factorize(10**4, 300)
-    with pytest.raises(ScaleError):
-        conditional_moments_check(t, z_of_delta(0.03), [{2: 1}], large_prime_budget=22)
-    t2 = segmented_factorize(700, 9)
-    with pytest.raises(ValueError):
-        conditional_moments_check(t2, z_of_delta(9 / 700), [{}])  # missing small prime 2
-    small = sieve_primes(math.floor(z_of_delta(9 / 700)))
-    with pytest.raises(ValueError):
-        conditional_moments_check(t2, z_of_delta(9 / 700), [{p: 2 for p in small}])
+    view, first = _view(t, 10.0)
+    assert view.primes[:first].tolist() == [2, 3, 5, 7]
+    with pytest.raises(ScaleError, match="distinct large primes exceeds budget 22"):
+        conditional_moments_check(t, 10.0, [_mapped_signs({})], large_prime_budget=22)
 
 
 def test_sign_vector_moments_tiny():
@@ -914,7 +918,7 @@ def test_exchange_variance_matches_the_all_primes_pass(monkeypatch):
 
 
 def test_weight_identity_matches_the_per_w_sums():
-    for l in range(1, MAX_IDENTITY_L + 1):
+    for l in range(1, 101):
         nums, common = subset_weight_identity(l)
         assert len(nums) == l
         for w, num in enumerate(nums, 1):
