@@ -35,15 +35,21 @@ SCHEMA_VERSION = 1
 # Most trials a run may ask for (simulate --trials, stein --var-trials); a
 # larger count is refused before the factor table is built.  At the cap a
 # simulate of (10^6, 10^6+10^3] writing json, csv and histogram peaks at
-# about 205 MB RSS (2 s on 2 vCPUs).  The sampler's sign matrix is bounded
-# per tile, so what grows with the trial count is the per-trial values and
-# the report text.
+# about 110 MB RSS (2 s on 2 vCPUs).  The sampler's sign matrix is bounded
+# per tile, so what grows with the trial count is the per-trial arrays and
+# the CSV text.
 MAX_TRIALS = 10**6
+# Most trial worker processes simulate may fork (--workers), above any core
+# count the lab targets; a larger count is refused before the factor table
+# is built, so no run asks the OS for thousands of processes.
+MAX_WORKERS = 64
 # stein checks the subset-weight identity for every |L| up to this
 # (0.0006 s on 2 shared vCPUs); the report records it as weight_identity.max_l
 IDENTITY_MAX_L = 30
 HIST_BINS = 64
 HIST_RANGE = (-5.0, 5.0)
+# CSV rows built per byte-table block: 2^14 rows of at most ~30 bytes
+CSV_CHUNK = 2**14
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -112,6 +118,8 @@ class ExperimentConfig:
         _check_trials(self.trials)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workers > MAX_WORKERS:
+            raise ScaleError(f"{self.workers} workers exceeds MAX_WORKERS = {MAX_WORKERS}")
         return ExperimentConfig(
             self.x, y, delta, self.trials, self.master_seed, self.z_override, self.workers,
         )
@@ -145,8 +153,11 @@ class ExperimentReport:
     ratios: dict
     # stage wall times (sieve, trials, analysis) for stderr; never serialized
     timing_ms: dict | None = None
-    # per-trial W values, kept for csv/histogram emission; never serialized
-    w_values: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # W's lattice (S - 2j) / sqrt(S), each trial's j and each j's trial
+    # count, kept for csv/histogram emission; never serialized
+    lattice: np.ndarray | None = field(default=None, repr=False, compare=False)
+    lattice_index: np.ndarray | None = field(default=None, repr=False, compare=False)
+    lattice_counts: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -160,6 +171,11 @@ class ExperimentReport:
             "ratios": self.ratios,
             "timing_ms": None,
         }
+
+    @property
+    def w_values(self) -> np.ndarray | None:
+        """Per-trial W values, bit for bit raw / sqrt(S)."""
+        return None if self.lattice is None else self.lattice[self.lattice_index]
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
@@ -195,24 +211,37 @@ def _run_trials(table: IntervalTable, master_seed: int, trials: int,
     return np.concatenate(parts)
 
 
-def _moment_block(raw: np.ndarray, s: int) -> dict:
-    # each power of W's values (S - 2j) / sqrt(S) once, gathered by j: w ** k
+def _lattice(raw: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W = raw / sqrt(S) on its lattice: the S+1 values (S - 2j) / sqrt(S)
+    (one zero when S = 0), each trial's index j, and the trials at each j.
+    lattice[j] is bit for bit raw / sqrt(S)."""
     lat = (s - 2 * np.arange(s + 1)) / math.sqrt(s) if s else np.zeros(1)
     j = (s - raw) >> 1
+    return lat, j, np.bincount(j, minlength=s + 1)
+
+
+def _moment_block(lat: np.ndarray, j: np.ndarray) -> dict:
+    # each power of the lattice once, gathered by j: w ** k
     powers = {k: (lat ** k)[j] for k in (1, 2, 3, 4)}
     moments = {f"m{k}": float(p.mean()) for k, p in powers.items()}
     # one trial has no standard error; null keeps the report strict JSON
     moments["se"] = {
-        f"m{k}": float(p.std(ddof=1) / math.sqrt(len(raw))) if len(raw) > 1 else None
+        f"m{k}": float(p.std(ddof=1) / math.sqrt(len(j))) if len(j) > 1 else None
         for k, p in powers.items()
     }
     return moments
 
 
-def _distance_block(values) -> dict:
+def _lattice_sample(lat: np.ndarray, counts: np.ndarray) -> dist_mod.SampleSet:
+    """The lattice values that occur, ascending, with their counts: the
+    SampleSet that from_values builds from the per-trial values."""
+    occurs = np.flatnonzero(counts)[::-1]
+    return dist_mod.SampleSet(tuple(lat[occurs].tolist()), tuple(counts[occurs].tolist()))
+
+
+def _distance_block(sample: dist_mod.SampleSet) -> dict:
     """KS and W1 distances of the sample from the standard normal and the
     K <= 2 sqrt(W) check, each distance computed once."""
-    sample = dist_mod.SampleSet.from_values(values)
     ks = dist_mod.kolmogorov_stat(sample)
     w1 = dist_mod.wasserstein1(sample)
     holds, ratio = dist_mod.kkw_from(ks, w1)
@@ -243,11 +272,11 @@ def run_simulate(config: ExperimentConfig) -> ExperimentReport:
 
     t0 = time.perf_counter()
     raw = _run_trials(table, cfg.master_seed, cfg.trials, cfg.workers)
-    w = raw / math.sqrt(s) if s else raw.astype(float)
     timing["trials"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    moments = _moment_block(raw, s)
+    lat, j, counts = _lattice(raw, s)
+    moments = _moment_block(lat, j)
 
     try:
         nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y)
@@ -255,7 +284,7 @@ def run_simulate(config: ExperimentConfig) -> ExperimentReport:
     except ScaleError as e:
         exact = {"skipped": str(e)}
 
-    distances = _distance_block(w)
+    distances = _distance_block(_lattice_sample(lat, counts))
     bounds = _bound_block(cfg, s)
     ratios = {
         "w1_over_bound": distances["w1"] / bounds["wasserstein"],
@@ -264,7 +293,7 @@ def run_simulate(config: ExperimentConfig) -> ExperimentReport:
     timing["analysis"] = (time.perf_counter() - t0) * 1000.0
 
     return ExperimentReport(
-        cfg.as_dict(), s, moments, exact, distances, bounds, ratios, timing, w,
+        cfg.as_dict(), s, moments, exact, distances, bounds, ratios, timing, lat, j, counts,
     )
 
 
@@ -355,17 +384,54 @@ def run_stein_checks(config: ExperimentConfig, var_trials: int = 2000) -> dict:
 # Emission
 # ---------------------------------------------------------------------------
 
-def _histogram_block(w: np.ndarray) -> dict:
-    """64 bins on [-5, 5] plus explicit under/overflow bins; counts (with
-    the flows) sum to the number of trials."""
-    counts, edges = np.histogram(w, bins=HIST_BINS, range=HIST_RANGE)
-    under = int((w < HIST_RANGE[0]).sum())
-    over = int((w > HIST_RANGE[1]).sum())
+def _histogram_block(lat: np.ndarray, counts: np.ndarray) -> dict:
+    """64 bins on [-5, 5] plus explicit under/overflow bins over the lattice
+    values, each weighted by its trial count; counts (with the flows) sum to
+    the number of trials."""
+    occurs = counts > 0
+    lat, counts = lat[occurs], counts[occurs]
+    binned, edges = np.histogram(lat, bins=HIST_BINS, range=HIST_RANGE, weights=counts)
+    under = int(counts[lat < HIST_RANGE[0]].sum())
+    over = int(counts[lat > HIST_RANGE[1]].sum())
     # values exactly at the right edge land in the last bin per numpy
     return {
         "edges": [float(e) for e in edges],
-        "counts": [under] + [int(c) for c in counts] + [over],
+        "counts": [under] + [int(c) for c in binned] + [over],
     }
+
+
+def _csv_text(lat: np.ndarray, j: np.ndarray, counts: np.ndarray) -> str:
+    """The `trial,w` CSV of W = lat[j], one f"{i},{w!r}" row per trial.
+
+    Each row is a fixed-width uint8 row: the trial index's digits (leading
+    zeros as NUL) and then ",repr(w)\n" padded with NUL, gathered from a
+    text table of the lattice values that occur.  Dropping the NUL bytes
+    leaves the CSV.  Rows are built CSV_CHUNK at a time, so no per-trial
+    Python string is made."""
+    occurs = np.flatnonzero(counts)
+    cells = [f",{v!r}\n".encode() for v in lat[occurs].tolist()]
+    width = max(map(len, cells))
+    text = np.frombuffer(b"".join(c.ljust(width, b"\0") for c in cells), dtype=np.uint8)
+    text = text.reshape(len(cells), width)
+    row_of = np.zeros(len(lat), dtype=np.intp)
+    row_of[occurs] = np.arange(len(occurs))
+
+    trials = len(j)
+    ndigits = len(str(trials - 1))
+    parts = ["trial,w\n"]
+    for start in range(0, trials, CSV_CHUNK):
+        # int32 holds every index up to MAX_TRIALS
+        i = np.arange(start, min(start + CSV_CHUNK, trials), dtype=np.int32)
+        rows = np.empty((len(i), ndigits + width), dtype=np.uint8)
+        for k in range(ndigits):
+            d = i // 10 ** (ndigits - 1 - k)
+            # a leading zero (d == 0) is NUL; the units digit is always
+            # written, so trial 0 reads "0"
+            rows[:, k] = d % 10 + ord("0") if k == ndigits - 1 else (d % 10 + ord("0")) * (d > 0)
+        rows[:, ndigits:] = text.take(row_of[j[start:start + len(i)]], axis=0)
+        flat = rows.ravel()
+        parts.append(flat[flat != 0].tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def _write_files(files: list[tuple[Path, str]]) -> list[Path]:
@@ -389,24 +455,19 @@ def emit(report: ExperimentReport, formats: tuple[str, ...], out_base: str) -> l
     """Write report files <out_base>.json / <out_base>.csv /
     <out_base>.hist.json; on any I/O failure partial files are removed and
     the error re-raised."""
-    w_values = report.w_values
+    lat, j, counts = report.lattice, report.lattice_index, report.lattice_counts
     files: list[tuple[Path, str]] = []
     if "json" in formats:
         files.append((Path(out_base + ".json"), report.dumps() + "\n"))
     if "csv" in formats:
-        if w_values is None:
+        if lat is None:
             raise ValueError("csv format needs per-trial values")
-        # W = raw/sqrt(S) takes at most S+1 values: one repr per value
-        values, which = np.unique(w_values, return_inverse=True)
-        text = [repr(float(v)) for v in values]
-        lines = ["trial,w"]
-        lines += [f"{i},{text[j]}" for i, j in enumerate(which.tolist())]
-        files.append((Path(out_base + ".csv"), "\n".join(lines) + "\n"))
+        files.append((Path(out_base + ".csv"), _csv_text(lat, j, counts)))
     if "histogram" in formats:
-        if w_values is None:
+        if lat is None:
             raise ValueError("histogram format needs per-trial values")
         files.append((Path(out_base + ".hist.json"),
-                      json.dumps(_histogram_block(w_values), indent=2) + "\n"))
+                      json.dumps(_histogram_block(lat, counts), indent=2) + "\n"))
     return _write_files(files)
 
 
@@ -566,7 +627,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit_or_print(_bound_block(cfg, table.squarefree_count), args.out)
         elif args.command == "distances":
             values = _read_w_csv(args.infile)
-            _emit_or_print({"n": len(values), **_distance_block(values)}, args.out)
+            sample = dist_mod.SampleSet.from_values(values)
+            _emit_or_print({"n": len(values), **_distance_block(sample)}, args.out)
     except ScaleError as e:
         print(f"scale error: {e}", file=sys.stderr)
         return EXIT_SCALE

@@ -158,7 +158,7 @@ def test_kkw_from_reuses_distances():
     sample = quantile_sample(200)
     k, w = kolmogorov_stat(sample), wasserstein1(sample)
     # the reports' one distance path computes each distance once
-    block = _distance_block(sample.values)
+    block = _distance_block(sample)
     assert (block["ks"], block["w1"]) == (k, w)
     assert kkw_from(k, w) == (block["kkw_holds"], block["kkw_ratio"])
     assert kkw_from(0.5, 0.25) == (True, 0.5)

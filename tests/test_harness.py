@@ -16,10 +16,19 @@ from hypothesis import strategies as st
 from rmflab import harness
 from rmflab import quadruples as quad_mod
 from rmflab.errors import ScaleError
+from rmflab.distances import SampleSet
 from rmflab.harness import (
+    CSV_CHUNK,
+    HIST_BINS,
+    HIST_RANGE,
     MAX_TRIALS,
+    MAX_WORKERS,
     ExperimentConfig,
     _build_parser,
+    _csv_text,
+    _histogram_block,
+    _lattice,
+    _lattice_sample,
     _moment_block,
     _read_w_csv,
     _run_trials,
@@ -124,7 +133,8 @@ def _moments_match_reference(x, y, trials, seed):
     s = table.squarefree_count
     raw = IntervalSampler(table, seed).raw_sums(0, trials)
     w = raw / math.sqrt(s) if s else raw.astype(float)
-    got = _moment_block(raw, s)
+    lat, j, _ = _lattice(raw, s)
+    got = _moment_block(lat, j)
     assert got == _reference_moment_block(w), (x, y, trials, seed)
     return got
 
@@ -172,6 +182,76 @@ def test_emit_files(tmp_path):
     assert len(hist["edges"]) == 65
     assert len(hist["counts"]) == 66  # underflow + 64 + overflow
     assert sum(hist["counts"]) == 200
+
+
+def _lattice_of(s, j):
+    """W's lattice built from the raw sums S - 2j, checked bit for bit
+    against raw / sqrt(S)."""
+    raw = s - 2 * np.asarray(j, dtype=np.int64)
+    lat, index, counts = _lattice(raw, s)
+    assert np.array_equal(index, j) and counts.sum() == len(raw)
+    w = raw / math.sqrt(s) if s else raw.astype(float)
+    assert lat[index].tobytes() == w.tobytes()
+    return lat, index, counts, w
+
+
+def _reference_csv(w) -> str:
+    # the per-row f-string writer the byte table replaced
+    return "\n".join(["trial,w"] + [f"{i},{float(v)!r}" for i, v in enumerate(w)]) + "\n"
+
+
+# every width of the trial index (1 to 5 digits) and both sides of the
+# chunk boundaries
+CSV_TRIALS = [1, 9, 10, 11, 99, 100, 10**4, 10**4 + 1,
+              CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
+              2 * CSV_CHUNK - 1, 2 * CSV_CHUNK, 2 * CSV_CHUNK + 1]
+
+
+@pytest.mark.parametrize("trials", CSV_TRIALS)
+def test_csv_byte_table_matches_per_row_writer(trials):
+    rng = np.random.default_rng(trials)
+    j = rng.binomial(606, 0.5, size=trials)
+    lat, j, counts, w = _lattice_of(606, j)
+    assert _csv_text(lat, j, counts) == _reference_csv(w)
+
+
+@pytest.mark.parametrize("s, j", [
+    (0, [0] * 12),                      # S = 0: every w is 0.0
+    (25, [0, 25, 3, 3, 0, 12, 25] * 3),  # 4 of the 26 values, the ends +-5 among them
+    (6080, [6080, 0, 3040, 1] * 250),    # wide's S: 4 reprs for 1000 rows
+], ids=["s0", "s25-partial", "s6080-partial"])
+def test_csv_byte_table_on_degenerate_and_partial_lattices(s, j):
+    lat, j, counts, w = _lattice_of(s, j)
+    assert _csv_text(lat, j, counts) == _reference_csv(w)
+
+
+def _reference_histogram_block(w) -> dict:
+    # the per-value histogram the weighted lattice histogram replaced
+    counts, edges = np.histogram(w, bins=HIST_BINS, range=HIST_RANGE)
+    under = int((w < HIST_RANGE[0]).sum())
+    over = int((w > HIST_RANGE[1]).sum())
+    return {
+        "edges": [float(e) for e in edges],
+        "counts": [under] + [int(c) for c in counts] + [over],
+    }
+
+
+@pytest.mark.parametrize("s, j", [
+    (0, [0] * 7),                     # S = 0
+    (606, [303]),                     # one trial
+    (25, [0, 25, 0, 1, 12, 13, 24, 25, 25]),  # w = +-5 exactly: the edge bins
+    (100, [0, 0, 1, 50, 97, 99, 100, 100]),   # |w| = 10, 9.8, 9.4: both flows, repeated
+], ids=["s0", "one-trial", "s25-edges", "s100-flows"])
+def test_lattice_sample_and_histogram_match_per_value_paths(s, j):
+    lat, j, counts, w = _lattice_of(s, j)
+    assert _lattice_sample(lat, counts) == SampleSet.from_values(w)
+    hist = _histogram_block(lat, counts)
+    assert hist == _reference_histogram_block(w)
+    assert sum(hist["counts"]) == len(w)
+    if s == 25:
+        assert hist["counts"][1] == 3 and hist["counts"][HIST_BINS] == 2
+    if s == 100:
+        assert hist["counts"][0] == 4 and hist["counts"][-1] == 3
 
 
 def test_emit_deterministic_bytes(tmp_path):
@@ -275,15 +355,18 @@ def test_cli_simulate_files(tmp_path, capsys):
 
 
 def test_cli_distances_round_trip(tmp_path, capsys):
+    # a CSV of two byte-table chunks read back through from_values gives
+    # the distances simulate computed on the lattice, to the last bit
+    trials = 2 * CSV_CHUNK - 3
     base = tmp_path / "exp"
-    main(["simulate", "--x", "2000", "--y", "100", "--trials", "64",
-          "--seed", "9", "--out", str(base), "--format", "json,csv"])
+    assert main(["simulate", "--x", "2000", "--y", "100", "--trials", str(trials),
+                 "--seed", "9", "--out", str(base), "--format", "json,csv"]) == 0
     rc = main(["distances", "--infile", str(tmp_path / "exp.csv")])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     sim = json.loads((tmp_path / "exp.json").read_text())
-    assert report["ks"] == pytest.approx(sim["distances"]["ks"])
-    assert report["w1"] == pytest.approx(sim["distances"]["w1"])
+    assert report["n"] == trials
+    assert {k: report[k] for k in sim["distances"]} == sim["distances"]
 
 
 def test_cli_exit_codes(capsys):
@@ -630,6 +713,29 @@ def test_cli_too_many_trials_exits_3_at_once(capsys, argv):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_cli_too_many_workers_exits_3_before_any_process(monkeypatch, capsys):
+    import multiprocessing
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a worker pool was asked for")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_process)
+    argv = ["simulate", "--x", "1000000", "--y", "1000", "--trials", "100000"]
+    with monkeypatch.context() as m:
+        # refused before the factor table is built
+        m.setattr(harness, "segmented_factorize", no_process)
+        assert main(argv + ["--workers", str(MAX_WORKERS + 1)]) == 3
+        assert _one_line_error(capsys) == (f"scale error: {MAX_WORKERS + 1} workers exceeds "
+                                           f"MAX_WORKERS = {MAX_WORKERS}")
+        assert main(argv + ["--workers", "100000"]) == 3
+        assert _one_line_error(capsys).startswith("scale error:")
+        with pytest.raises(ScaleError, match="MAX_WORKERS"):
+            run_simulate(small_config(workers=MAX_WORKERS + 1))
+    # the cap itself is accepted: one trial runs in this process
+    assert main(["simulate", "--x", "2000", "--y", "100", "--trials", "1",
+                 "--workers", str(MAX_WORKERS)]) == 0
 
 
 @pytest.mark.parametrize("argv", [
