@@ -62,57 +62,41 @@ def _check_trials(trials: int) -> None:
         raise ScaleError(f"{trials} trials exceeds MAX_TRIALS = {MAX_TRIALS}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's interval (x, x+y], trial count, master seed, optional
+    small/large prime threshold z and worker count.  Construction validates
+    every field, once: a bad value is a ValueError, a trial or worker count
+    past its cap a ScaleError.  The instance is frozen, and
+    dataclasses.replace validates the new one again.  delta = y / x is
+    derived, never given."""
+
     x: int
-    y: int | None = None
-    delta: float | None = None
+    y: int
     trials: int = 1
     master_seed: int = 0
     z_override: float | None = None
     workers: int = 1
 
-    def resolved(self) -> "ExperimentConfig":
-        """Validate and fill the y/delta pair: one of the two determines the
-        other. Idempotent: a consistent fully-specified config passes. Warns
-        on stderr when delta is outside the proven range."""
-        cfg = self._validated()
-        if cfg.delta >= 0.1:
-            print(
-                f"warning: delta = {cfg.delta:.4g} is outside the proven range (< 1/10)",
-                file=sys.stderr,
-            )
-        return cfg
-
-    def _validated(self) -> "ExperimentConfig":
-        """resolved() without the warning."""
+    def __post_init__(self) -> None:
         if self.x < 2:
             raise ValueError(f"x must be >= 2, got {self.x}")
-        if self.y is None and self.delta is None:
-            raise ValueError("one of y and delta must be given")
-        if self.delta is not None and not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        y = self.y if self.y is not None else round(self.delta * self.x)
-        if y < 1:
-            raise ValueError(f"y must be >= 1, got {y}" if self.y is not None else
-                             f"delta = {self.delta} gives y = round(delta * x) = 0 at x = {self.x}")
-        if y >= self.x:
-            raise ValueError(f"y must be < x, got y={y}, x={self.x}")
-        delta = y / self.x
-        if self.y is not None and self.delta is not None and self.delta != delta:
-            raise ValueError(f"inconsistent y={y} and delta={self.delta}")
+        if self.y < 1:
+            raise ValueError(f"y must be >= 1, got {self.y}")
+        if self.y >= self.x:
+            raise ValueError(f"y must be < x, got y={self.y}, x={self.x}")
         if self.z_override is not None:
             z = self.z_override
             if not 0 < z < math.inf:
                 raise ValueError(f"z must be finite and > 0, got {z}")
             # the exchange-variance comparator divides by z
             try:
-                finite = math.isfinite(bounds_mod.exchange_variance_bound(self.x, delta, z))
+                finite = math.isfinite(bounds_mod.exchange_variance_bound(self.x, self.delta, z))
             except OverflowError:
                 finite = False
             if not finite:
                 raise ValueError(f"the exchange-variance comparator overflows at z = {z} "
-                                 f"(x = {self.x}, y = {y})")
+                                 f"(x = {self.x}, y = {self.y})")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_trials(self.trials)
@@ -120,9 +104,10 @@ class ExperimentConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.workers > MAX_WORKERS:
             raise ScaleError(f"{self.workers} workers exceeds MAX_WORKERS = {MAX_WORKERS}")
-        return ExperimentConfig(
-            self.x, y, delta, self.trials, self.master_seed, self.z_override, self.workers,
-        )
+
+    @property
+    def delta(self) -> float:
+        return self.y / self.x
 
     @property
     def z(self) -> float:
@@ -261,9 +246,8 @@ def _bound_block(cfg: ExperimentConfig, s_count: int) -> dict:
     }
 
 
-def run_simulate(config: ExperimentConfig) -> ExperimentReport:
+def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
     """Full experiment: seeded trials, moments, distances, bounds, ratios."""
-    cfg = config.resolved()
     timing: dict[str, float] = {}
     t0 = time.perf_counter()
     table = segmented_factorize(cfg.x, cfg.y)
@@ -297,12 +281,11 @@ def run_simulate(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_moments(config: ExperimentConfig,
+def run_moments(cfg: ExperimentConfig,
                 budget: int = quad_mod.DEFAULT_BUDGET) -> dict:
     """Exact fourth-moment fragment: counts, closed forms and bound ratios.
     The non-diagonal enumeration runs first and is refused beyond `budget`
     candidate rows before the factor table is built."""
-    cfg = config.resolved()
     nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y, budget)
     table = segmented_factorize(cfg.x, cfg.y)
     s = table.squarefree_count
@@ -321,13 +304,12 @@ def run_moments(config: ExperimentConfig,
     return out
 
 
-def run_stein_checks(config: ExperimentConfig, var_trials: int = 2000) -> dict:
+def run_stein_checks(cfg: ExperimentConfig, var_trials: int = 2000) -> dict:
     """Identity and conditional-moment checks; each sub-check reports its
     own result or the scale refusal that stopped it."""
     if var_trials < 2:
         raise ValueError(f"var_trials must be >= 2, got {var_trials}")
     _check_trials(var_trials)
-    cfg = config.resolved()
     table = segmented_factorize(cfg.x, cfg.y)
     out: dict = {"s_count": table.squarefree_count}
 
@@ -478,8 +460,7 @@ def emit(report: ExperimentReport, formats: tuple[str, ...], out_base: str) -> l
 def _add_interval_args(p: argparse.ArgumentParser, z: bool = True,
                        trials: bool = False) -> None:
     p.add_argument("--x", type=int, required=True, help="interval left endpoint")
-    p.add_argument("--y", type=int, help="interval length")
-    p.add_argument("--delta", type=float, help="interval length as a fraction of x")
+    p.add_argument("--y", type=int, required=True, help="interval length")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     if z:
         p.add_argument("--z", type=float, default=None,
@@ -528,18 +509,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        x=args.x,
-        y=args.y,
-        delta=args.delta,
-        trials=getattr(args, "trials", 1),
-        master_seed=args.seed,
-        z_override=getattr(args, "z", None),
-        workers=getattr(args, "workers", 1),
-    )
-
-
 def _read_w_csv(path: str) -> list[float]:
     """The w column of a `trial,w` CSV written by `simulate`.  The rows are
     split in one joined pass and each distinct w string is converted once;
@@ -582,10 +551,8 @@ def _emit_or_print(payload: dict, out: str | None) -> None:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Refuse, before any work, an --out that names no file (it would write
-    `.json` or `..csv` into a directory), an unknown --format, a --format
-    that writes files without --out (it would print the JSON and drop them),
-    and a simulate or bounds interval with y < 2 (its distance bounds divide
-    by ln y)."""
+    `.json` or `..csv` into a directory), an unknown --format, and a --format
+    that writes files without --out (it would print the JSON and drop them)."""
     out = getattr(args, "out", None)
     if out is not None and os.path.basename(out) in ("", ".", ".."):
         raise ValueError(f"--out must end in a file name, got {out!r}")
@@ -596,18 +563,23 @@ def _check_args(args: argparse.Namespace) -> None:
     files = [f for f in formats if f in ("csv", "histogram")]
     if out is None and files:
         raise ValueError(f"--format {','.join(files)} writes files: give --out")
-    if args.command in ("simulate", "bounds"):
-        y = _config_from_args(args)._validated().y
-        if y < 2:
-            raise ValueError(f"the distance bounds divide by ln y and need y >= 2, got y={y}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_args(args)
+        if args.command != "distances":
+            cfg = ExperimentConfig(x=args.x, y=args.y, trials=getattr(args, "trials", 1),
+                                   master_seed=args.seed, z_override=getattr(args, "z", None),
+                                   workers=getattr(args, "workers", 1))
+            if args.command in ("simulate", "bounds") and cfg.y < 2:
+                raise ValueError("the distance bounds divide by ln y and need y >= 2, "
+                                 f"got y={cfg.y}")
+            if cfg.delta >= 0.1:
+                print(f"warning: delta = {cfg.delta!r} is outside the proven range (< 1/10)",
+                      file=sys.stderr)
         if args.command == "simulate":
-            cfg = _config_from_args(args)  # run_simulate resolves it, once
             t0 = time.perf_counter()
             report = run_simulate(cfg)
             wall = (time.perf_counter() - t0) * 1000.0
@@ -618,11 +590,10 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 emit(report, tuple(args.format.split(",")), args.out)
         elif args.command == "moments":
-            _emit_or_print(run_moments(_config_from_args(args), args.budget), args.out)
+            _emit_or_print(run_moments(cfg, args.budget), args.out)
         elif args.command == "stein":
-            _emit_or_print(run_stein_checks(_config_from_args(args), args.var_trials), args.out)
+            _emit_or_print(run_stein_checks(cfg, args.var_trials), args.out)
         elif args.command == "bounds":
-            cfg = _config_from_args(args).resolved()
             table = segmented_factorize(cfg.x, cfg.y)
             _emit_or_print(_bound_block(cfg, table.squarefree_count), args.out)
         elif args.command == "distances":

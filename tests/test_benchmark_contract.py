@@ -28,13 +28,13 @@ def _load(name: str):
 spans = _load("spans")
 workloads = _load("workloads")
 
-# Each command's options, as `_build_parser()` defines them (30 in all).
+# Each command's options, as `_build_parser()` defines them (26 in all).
 COMMAND_OPTIONS = {
-    "simulate": {"--x", "--y", "--delta", "--seed", "--z", "--trials", "--workers", "--out",
+    "simulate": {"--x", "--y", "--seed", "--z", "--trials", "--workers", "--out",
                  "--format"},
-    "moments": {"--x", "--y", "--delta", "--seed", "--out", "--budget"},
-    "stein": {"--x", "--y", "--delta", "--seed", "--z", "--out", "--var-trials"},
-    "bounds": {"--x", "--y", "--delta", "--seed", "--z", "--out"},
+    "moments": {"--x", "--y", "--seed", "--out", "--budget"},
+    "stein": {"--x", "--y", "--seed", "--z", "--out", "--var-trials"},
+    "bounds": {"--x", "--y", "--seed", "--z", "--out"},
     "distances": {"--infile", "--out"},
 }
 
@@ -72,7 +72,7 @@ def test_each_command_has_exactly_its_options():
                       for o in a.option_strings}
                for name, p in commands.choices.items()}
     assert options == COMMAND_OPTIONS
-    assert sum(map(len, options.values())) == 30
+    assert sum(map(len, options.values())) == 26
 
 
 def test_incidence_counters_match_the_table():
@@ -103,7 +103,7 @@ def test_stein_checks_reach_the_traced_stein_layers(monkeypatch):
     assert calls["decomposition_sides"] == 1
 
 
-def test_stein_terms_builds_member_lists_only_for_shared_primes(monkeypatch):
+def test_stein_terms_builds_member_masks_only_for_shared_primes(monkeypatch):
     # a prime with |N(p)| = 1 is closed form: at (100020, 100] member masks
     # are built for the 10 primes of L with |N(p)| >= 2, not for all 84
     built = []
@@ -117,7 +117,7 @@ def test_stein_terms_builds_member_lists_only_for_shared_primes(monkeypatch):
     out = harness.run_stein_checks(harness.ExperimentConfig(x=100020, y=100), var_trials=20)
     assert "skipped" in out["decomposition"] and "skipped" not in out["exchange_variance"]
     table = segmented_factorize(100020, 100)
-    view, first = stein._view(table, harness.ExperimentConfig(x=100020, y=100).resolved().z)
+    view, first = stein._view(table, harness.ExperimentConfig(x=100020, y=100).z)
     counts = np.diff(view.offsets)
     assert view.primes.size - first == 84
     assert built == (first + np.flatnonzero(counts[first:] >= 2)).tolist()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -50,27 +51,39 @@ def small_config(trials=200, workers=1, **kw):
     )
 
 
-def test_config_resolution():
-    cfg = ExperimentConfig(x=1000, delta=0.05).resolved()
-    assert cfg.y == 50 and cfg.delta == pytest.approx(0.05)
-    cfg2 = ExperimentConfig(x=1000, y=50).resolved()
-    assert cfg2.delta == pytest.approx(0.05)
-    assert cfg2.z == pytest.approx(0.5 * math.log(20))
-    with pytest.raises(ValueError):
-        ExperimentConfig(x=1000).resolved()
-    with pytest.raises(ValueError):
-        ExperimentConfig(x=1000, y=2000).resolved()
-    with pytest.raises(ValueError):
-        ExperimentConfig(x=1000, y=10, trials=0).resolved()
-    assert main(["simulate", "--x", "1000", "--y", "10", "--format", "yaml"]) == 2
-    assert ExperimentConfig(x=1000, y=10, trials=MAX_TRIALS).resolved().trials == MAX_TRIALS
-    with pytest.raises(ScaleError):
-        ExperimentConfig(x=1000, y=10, trials=MAX_TRIALS + 1).resolved()
+@pytest.mark.parametrize("fields, error, message", [
+    (dict(x=1, y=1), ValueError, "x must be >= 2, got 1"),
+    (dict(x=1000, y=0), ValueError, "y must be >= 1, got 0"),
+    (dict(x=1000, y=1000), ValueError, "y must be < x, got y=1000, x=1000"),
+    (dict(x=1000, y=50, z_override=math.inf), ValueError, "z must be finite and > 0, got inf"),
+    (dict(x=1000, y=50, z_override=math.nan), ValueError, "z must be finite and > 0, got nan"),
+    (dict(x=1000, y=50, z_override=0.0), ValueError, "z must be finite and > 0, got 0.0"),
+    (dict(x=10**12, y=10**6, z_override=1e-297), ValueError,
+     "the exchange-variance comparator overflows at z = 1e-297"),
+    (dict(x=1000, y=50, trials=0), ValueError, "trials must be >= 1, got 0"),
+    (dict(x=1000, y=50, trials=MAX_TRIALS + 1), ScaleError,
+     f"{MAX_TRIALS + 1} trials exceeds MAX_TRIALS"),
+    (dict(x=1000, y=50, workers=0), ValueError, "workers must be >= 1, got 0"),
+    (dict(x=1000, y=50, workers=MAX_WORKERS + 1), ScaleError,
+     f"{MAX_WORKERS + 1} workers exceeds MAX_WORKERS"),
+], ids=["x-1", "y-0", "y-eq-x", "z-inf", "z-nan", "z-0", "z-overflow", "trials-0",
+        "trials-over-cap", "workers-0", "workers-over-cap"])
+def test_config_refuses_each_bad_field_on_construction(fields, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        ExperimentConfig(**fields)
 
 
-def test_config_warns_outside_proven_range(capsys):
-    ExperimentConfig(x=100, y=50).resolved()
-    assert "outside the proven range" in capsys.readouterr().err
+def test_config_is_frozen_and_validated_again_on_replace():
+    cfg = ExperimentConfig(x=1000, y=50, trials=MAX_TRIALS, workers=MAX_WORKERS)
+    assert cfg.delta == 50 / 1000 and cfg.z == 0.5 * math.log(1 / cfg.delta)
+    assert ExperimentConfig(x=2, y=1).delta == 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.y = 2000
+    assert dataclasses.replace(cfg, y=999).delta == 0.999
+    with pytest.raises(ValueError, match="y must be < x"):
+        dataclasses.replace(cfg, y=2000)
+    with pytest.raises(ScaleError, match="MAX_TRIALS"):
+        dataclasses.replace(cfg, trials=MAX_TRIALS + 1)
 
 
 def test_simulate_trials_one():
@@ -373,18 +386,9 @@ def test_cli_exit_codes(capsys):
     assert main(["simulate", "--x", "1000", "--y", "2000", "--trials", "5"]) == 2
     # scale error: oracle-sized check refused
     assert main(["moments", "--x", "5000", "--y", "400", "--budget", "10"]) == 3
-    # a non-finite or non-positive delta is a usage error, not y = 1
     capsys.readouterr()
-    assert main(["simulate", "--x", "1000", "--delta", "inf"]) == 2
-    assert "delta" in _one_line_error(capsys)
-    assert main(["moments", "--x", "1000", "--delta", "-1"]) == 2
-    assert "delta" in _one_line_error(capsys)
-    # a delta with round(delta * x) = 0 is refused, not run as y = 1
-    assert main(["moments", "--x", "1000", "--delta", "1e-9"]) == 2
-    assert "delta" in _one_line_error(capsys)
-    # delta * x past the float range is refused, not an OverflowError
-    assert main(["moments", "--x", "10000000000", "--delta", "1e308"]) == 2
-    assert "delta" in _one_line_error(capsys)
+    assert main(["simulate", "--x", "1000", "--y", "10", "--format", "yaml"]) == 2
+    assert "unknown formats: ['yaml']" in _one_line_error(capsys)
     # a --z override that is not finite and > 0 is refused before the table
     # is built or any trial runs
     for argv in (["stein", "--x", "700", "--y", "9", "--z", "inf"],
@@ -530,10 +534,9 @@ def test_cli_bounds_y_one_exits_2(capsys):
     ["simulate", "--x", "2", "--y", "1", "--trials", "5"],
     # S = 0 at (3, 4]: this one used to exit 0
     ["simulate", "--x", "3", "--y", "1", "--trials", "5"],
-    ["simulate", "--x", "20", "--delta", "0.05", "--trials", "5"],  # y = 1
     ["bounds", "--x", "2", "--y", "1"],
     ["bounds", "--x", "3", "--y", "1"],
-], ids=["simulate-2-1", "simulate-3-1", "simulate-delta", "bounds-2-1", "bounds-3-1"])
+], ids=["simulate-2-1", "simulate-3-1", "bounds-2-1", "bounds-3-1"])
 def test_cli_distance_commands_refuse_y_one_before_any_work(argv, monkeypatch, capsys):
     # simulate ran every trial before its bounds divided by ln y = 0, and
     # bounds built the table first
@@ -743,7 +746,19 @@ def test_cli_too_many_workers_exits_3_before_any_process(monkeypatch, capsys):
     ["moments", "--x", "100", "--y", "40", "--z", "1"],
     ["stein", "--x", "700", "--y", "9", "--identity-max-l", "3"],
     ["simulate", "--x", "2000", "--y", "100", "--trials", "5", "--timed-json"],
-], ids=["quadruples", "moments-z", "stein-identity-max-l", "simulate-timed-json"])
+    # --y is the only interval length: --delta is no option, alone or with --y
+    ["simulate", "--x", "20", "--delta", "0.05", "--trials", "5"],
+    ["simulate", "--x", "2000", "--delta", "0.05"],
+    ["simulate", "--x", "1000", "--delta", "inf"],
+    ["moments", "--x", "1000", "--delta", "-1"],
+    ["moments", "--x", "1000", "--delta", "1e-9"],
+    ["moments", "--x", "10000000000", "--delta", "1e308"],
+    ["stein", "--x", "700", "--y", "9", "--delta", "0.012857142857142857"],
+    ["bounds", "--x", "1000", "--y", "50", "--delta", "0.05"],
+    ["bounds", "--x", "1000"],
+], ids=["quadruples", "moments-z", "stein-identity-max-l", "simulate-timed-json",
+        "simulate-delta", "simulate-delta-no-y", "simulate-delta-inf", "moments-delta-negative",
+        "moments-delta-tiny", "moments-delta-huge", "stein-delta", "bounds-delta", "bounds-no-y"])
 def test_cli_unknown_command_or_option_is_an_argparse_error(argv, monkeypatch, capsys):
     # argparse exits 2 before main builds a table or prints a report
     _refuse_tables(monkeypatch)
@@ -771,10 +786,10 @@ def test_cli_parser_is_built_once_and_parses_each_command_afresh():
     assert _build_parser() is _build_parser()
     parse = _build_parser().parse_args
     first = parse(["moments", "--x", "100", "--y", "40", "--budget", "5"])
-    second = parse(["simulate", "--x", "2000", "--delta", "0.05"])
+    second = parse(["simulate", "--x", "2000", "--y", "100"])
     third = parse(["moments", "--x", "300", "--y", "30"])
     assert (first.command, first.x, first.y, first.budget) == ("moments", 100, 40, 5)
-    assert (second.command, second.x, second.y, second.delta) == ("simulate", 2000, None, 0.05)
+    assert (second.command, second.x, second.y, second.z) == ("simulate", 2000, 100, None)
     assert (second.trials, second.format) == (1000, "json")
     assert not hasattr(second, "budget")
     assert (third.command, third.x, third.y, third.budget) == (
@@ -783,9 +798,36 @@ def test_cli_parser_is_built_once_and_parses_each_command_afresh():
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate", "--trials", "10"], ["moments"], ["stein", "--var-trials", "2"], ["bounds"]])
+    ["simulate", "--x", "100", "--y", "20", "--trials", "10"],
+    ["moments", "--x", "100", "--y", "20"],
+    ["stein", "--x", "100", "--y", "20", "--var-trials", "2"],
+    ["bounds", "--x", "100", "--y", "20"],
+    # delta is printed as the report writes it, not rounded to 1
+    ["bounds", "--x", "1000000", "--y", "999999"],
+])
 def test_cli_warns_once_about_delta(capsys, command):
-    assert main([command[0], "--x", "100", "--y", "20", *command[1:]]) == 0
+    assert main(command) == 0
+    delta = {"20": "0.2", "999999": "0.999999"}[command[4]]
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("warning:")] == [
-        "warning: delta = 0.2 is outside the proven range (< 1/10)"]
+        f"warning: delta = {delta} is outside the proven range (< 1/10)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x", "100", "--y", "20", "--trials", "10"],
+    ["moments", "--x", "100", "--y", "20"],
+    ["stein", "--x", "100", "--y", "20", "--var-trials", "2"],
+    ["bounds", "--x", "100", "--y", "20"],
+], ids=["simulate", "moments", "stein", "bounds"])
+def test_cli_builds_one_config_per_call(argv, monkeypatch, capsys):
+    # main validates the config once and hands that one instance to the run
+    built = []
+    validate = ExperimentConfig.__post_init__
+
+    def spy(cfg):
+        built.append(cfg)
+        validate(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", spy)
+    assert main(argv) == 0
+    assert [(cfg.x, cfg.y) for cfg in built] == [(100, 20)]
