@@ -138,11 +138,9 @@ class ExperimentReport:
     ratios: dict
     # stage wall times (sieve, trials, analysis) for stderr; never serialized
     timing_ms: dict | None = None
-    # W's lattice (S - 2j) / sqrt(S), each trial's j and each j's trial
-    # count, kept for csv/histogram emission; never serialized
-    lattice: np.ndarray | None = field(default=None, repr=False, compare=False)
-    lattice_index: np.ndarray | None = field(default=None, repr=False, compare=False)
-    lattice_counts: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # W's (distinct, counts, row) from _lattice, kept for csv/histogram
+    # emission; never serialized
+    lattice: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -160,7 +158,10 @@ class ExperimentReport:
     @property
     def w_values(self) -> np.ndarray | None:
         """Per-trial W values, bit for bit raw / sqrt(S)."""
-        return None if self.lattice is None else self.lattice[self.lattice_index]
+        if self.lattice is None:
+            return None
+        distinct, _, row = self.lattice
+        return distinct[row]
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
@@ -197,31 +198,30 @@ def _run_trials(table: IntervalTable, master_seed: int, trials: int,
 
 
 def _lattice(raw: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W = raw / sqrt(S) on its lattice: the S+1 values (S - 2j) / sqrt(S)
-    (one zero when S = 0), each trial's index j, and the trials at each j.
-    lattice[j] is bit for bit raw / sqrt(S)."""
-    lat = (s - 2 * np.arange(s + 1)) / math.sqrt(s) if s else np.zeros(1)
+    """The values of W = raw / sqrt(S) that occur, ascending (one zero when
+    S = 0), each one's trial count, and each trial's row in them: W lies on
+    the S+1 points (S - 2j) / sqrt(S), and T trials visit at most
+    min(S+1, T) of them.  distinct[row] is bit for bit raw / sqrt(S)."""
     j = (s - raw) >> 1
-    return lat, j, np.bincount(j, minlength=s + 1)
+    counts = np.bincount(j)
+    seen = counts > 0
+    # W falls as j rises: the row of j is the number of visited j above it
+    row = (np.count_nonzero(seen) - np.cumsum(seen))[j]
+    occurs = np.flatnonzero(seen)[::-1]
+    distinct = (s - 2 * occurs) / math.sqrt(s) if s else np.zeros(1)
+    return distinct, counts[occurs], row
 
 
-def _moment_block(lat: np.ndarray, j: np.ndarray) -> dict:
-    # each power of the lattice once, gathered by j: w ** k
-    powers = {k: (lat ** k)[j] for k in (1, 2, 3, 4)}
+def _moment_block(distinct: np.ndarray, row: np.ndarray) -> dict:
+    # each power of the values that occur once, gathered by row: w ** k
+    powers = {k: (distinct ** k)[row] for k in (1, 2, 3, 4)}
     moments = {f"m{k}": float(p.mean()) for k, p in powers.items()}
     # one trial has no standard error; null keeps the report strict JSON
     moments["se"] = {
-        f"m{k}": float(p.std(ddof=1) / math.sqrt(len(j))) if len(j) > 1 else None
+        f"m{k}": float(p.std(ddof=1) / math.sqrt(len(row))) if len(row) > 1 else None
         for k, p in powers.items()
     }
     return moments
-
-
-def _lattice_sample(lat: np.ndarray, counts: np.ndarray) -> dist_mod.SampleSet:
-    """The lattice values that occur, ascending, with their counts: the
-    SampleSet that from_values builds from the per-trial values."""
-    occurs = np.flatnonzero(counts)[::-1]
-    return dist_mod.SampleSet(tuple(lat[occurs].tolist()), tuple(counts[occurs].tolist()))
 
 
 def _distance_block(sample: dist_mod.SampleSet) -> dict:
@@ -259,8 +259,8 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
     timing["trials"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    lat, j, counts = _lattice(raw, s)
-    moments = _moment_block(lat, j)
+    distinct, counts, row = _lattice(raw, s)
+    moments = _moment_block(distinct, row)
 
     try:
         nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y)
@@ -268,7 +268,8 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
     except ScaleError as e:
         exact = {"skipped": str(e)}
 
-    distances = _distance_block(_lattice_sample(lat, counts))
+    sample = dist_mod.SampleSet(tuple(distinct.tolist()), tuple(counts.tolist()))
+    distances = _distance_block(sample)
     bounds = _bound_block(cfg, s)
     ratios = {
         "w1_over_bound": distances["w1"] / bounds["wasserstein"],
@@ -277,7 +278,8 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
     timing["analysis"] = (time.perf_counter() - t0) * 1000.0
 
     return ExperimentReport(
-        cfg.as_dict(), s, moments, exact, distances, bounds, ratios, timing, lat, j, counts,
+        cfg.as_dict(), s, moments, exact, distances, bounds, ratios, timing,
+        (distinct, counts, row),
     )
 
 
@@ -366,15 +368,13 @@ def run_stein_checks(cfg: ExperimentConfig, var_trials: int = 2000) -> dict:
 # Emission
 # ---------------------------------------------------------------------------
 
-def _histogram_block(lat: np.ndarray, counts: np.ndarray) -> dict:
-    """64 bins on [-5, 5] plus explicit under/overflow bins over the lattice
-    values, each weighted by its trial count; counts (with the flows) sum to
-    the number of trials."""
-    occurs = counts > 0
-    lat, counts = lat[occurs], counts[occurs]
-    binned, edges = np.histogram(lat, bins=HIST_BINS, range=HIST_RANGE, weights=counts)
-    under = int(counts[lat < HIST_RANGE[0]].sum())
-    over = int(counts[lat > HIST_RANGE[1]].sum())
+def _histogram_block(distinct: np.ndarray, counts: np.ndarray) -> dict:
+    """64 bins on [-5, 5] plus explicit under/overflow bins over the values
+    of W that occur, each weighted by its trial count; counts (with the
+    flows) sum to the number of trials."""
+    binned, edges = np.histogram(distinct, bins=HIST_BINS, range=HIST_RANGE, weights=counts)
+    under = int(counts[distinct < HIST_RANGE[0]].sum())
+    over = int(counts[distinct > HIST_RANGE[1]].sum())
     # values exactly at the right edge land in the last bin per numpy
     return {
         "edges": [float(e) for e in edges],
@@ -382,23 +382,20 @@ def _histogram_block(lat: np.ndarray, counts: np.ndarray) -> dict:
     }
 
 
-def _csv_text(lat: np.ndarray, j: np.ndarray, counts: np.ndarray) -> str:
-    """The `trial,w` CSV of W = lat[j], one f"{i},{w!r}" row per trial.
+def _csv_text(distinct: np.ndarray, row: np.ndarray) -> str:
+    """The `trial,w` CSV of W = distinct[row], one f"{i},{w!r}" row per trial.
 
     Each row is a fixed-width uint8 row: the trial index's digits (leading
     zeros as NUL) and then ",repr(w)\n" padded with NUL, gathered from a
-    text table of the lattice values that occur.  Dropping the NUL bytes
-    leaves the CSV.  Rows are built CSV_CHUNK at a time, so no per-trial
-    Python string is made."""
-    occurs = np.flatnonzero(counts)
-    cells = [f",{v!r}\n".encode() for v in lat[occurs].tolist()]
+    text table of the distinct values.  Dropping the NUL bytes leaves the
+    CSV.  Rows are built CSV_CHUNK at a time, so no per-trial Python string
+    is made."""
+    cells = [f",{v!r}\n".encode() for v in distinct.tolist()]
     width = max(map(len, cells))
     text = np.frombuffer(b"".join(c.ljust(width, b"\0") for c in cells), dtype=np.uint8)
     text = text.reshape(len(cells), width)
-    row_of = np.zeros(len(lat), dtype=np.intp)
-    row_of[occurs] = np.arange(len(occurs))
 
-    trials = len(j)
+    trials = len(row)
     ndigits = len(str(trials - 1))
     parts = ["trial,w\n"]
     for start in range(0, trials, CSV_CHUNK):
@@ -410,7 +407,7 @@ def _csv_text(lat: np.ndarray, j: np.ndarray, counts: np.ndarray) -> str:
             # a leading zero (d == 0) is NUL; the units digit is always
             # written, so trial 0 reads "0"
             rows[:, k] = d % 10 + ord("0") if k == ndigits - 1 else (d % 10 + ord("0")) * (d > 0)
-        rows[:, ndigits:] = text.take(row_of[j[start:start + len(i)]], axis=0)
+        rows[:, ndigits:] = text.take(row[start:start + len(i)], axis=0)
         flat = rows.ravel()
         parts.append(flat[flat != 0].tobytes().decode("ascii"))
     return "".join(parts)
@@ -437,19 +434,18 @@ def emit(report: ExperimentReport, formats: tuple[str, ...], out_base: str) -> l
     """Write report files <out_base>.json / <out_base>.csv /
     <out_base>.hist.json; on any I/O failure partial files are removed and
     the error re-raised."""
-    lat, j, counts = report.lattice, report.lattice_index, report.lattice_counts
+    if report.lattice is None and ("csv" in formats or "histogram" in formats):
+        raise ValueError("csv and histogram formats need per-trial values")
     files: list[tuple[Path, str]] = []
     if "json" in formats:
         files.append((Path(out_base + ".json"), report.dumps() + "\n"))
     if "csv" in formats:
-        if lat is None:
-            raise ValueError("csv format needs per-trial values")
-        files.append((Path(out_base + ".csv"), _csv_text(lat, j, counts)))
+        distinct, _, row = report.lattice
+        files.append((Path(out_base + ".csv"), _csv_text(distinct, row)))
     if "histogram" in formats:
-        if lat is None:
-            raise ValueError("histogram format needs per-trial values")
+        distinct, counts, _ = report.lattice
         files.append((Path(out_base + ".hist.json"),
-                      json.dumps(_histogram_block(lat, counts), indent=2) + "\n"))
+                      json.dumps(_histogram_block(distinct, counts), indent=2) + "\n"))
     return _write_files(files)
 
 
@@ -550,9 +546,18 @@ def _emit_or_print(payload: dict, out: str | None) -> None:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Refuse, before any work, an --out that names no file (it would write
-    `.json` or `..csv` into a directory), an unknown --format, and a --format
-    that writes files without --out (it would print the JSON and drop them)."""
+    """Refuse, before any work and before the config is built (so no delta
+    warning comes first), an --out that names no file (it would write `.json`
+    or `..csv` into a directory), an unknown --format, a --format that writes
+    files without --out (it would print the JSON and drop them), a
+    --var-trials below 2 or above MAX_TRIALS and a negative --budget."""
+    var_trials = getattr(args, "var_trials", 2)
+    if var_trials < 2:
+        raise ValueError(f"--var-trials must be >= 2, got {var_trials}")
+    if var_trials > MAX_TRIALS:
+        raise ScaleError(f"--var-trials {var_trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
+    if getattr(args, "budget", 0) < 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
     out = getattr(args, "out", None)
     if out is not None and os.path.basename(out) in ("", ".", ".."):
         raise ValueError(f"--out must end in a file name, got {out!r}")

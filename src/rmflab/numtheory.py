@@ -18,8 +18,8 @@ from .errors import ScaleError
 
 _U64_LIMIT = 1 << 64
 # Largest interval segmented_factorize accepts.  At the limit, (10^15 - 10^7,
-# 10^7], the table is built in six blocks and peaks at about 650 MiB
-# (tracemalloc) and 2-4 s.
+# 10^7], the table is built in eight blocks and peaks at about 590 MiB
+# (tracemalloc) and 2.4 s (3.1 s under tracemalloc) on 2 shared vCPUs.
 MAX_X_PLUS_Y = 10**15
 MAX_Y = 10**7
 # _factor_segment sorts each incidence as one int64 key
@@ -32,9 +32,10 @@ P_BITS = 31
 E_BITS = 6
 P_MASK = (1 << P_BITS) - 1
 # Fewest entries per block of _factor_segment.  A block is also at least as
-# long as the sieve, since each block touches every sieve prime: at the limit,
-# 2^17-entry blocks took 4.6 s of CPU against 2.2 s for blocks of 1,951,957
-# entries, one per sieve prime (2 shared vCPUs).
+# long as the list of sieve primes that hit the interval, since each block
+# touches every one of them: at the limit, 2^17-entry blocks took 4.4 s of CPU
+# against 2.4 s for blocks of 1,354,546 entries, one per such prime (2 shared
+# vCPUs).
 MIN_BLOCK = 1 << 17
 
 
@@ -180,14 +181,15 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     """Factor every n in (lo, lo+length]; lo >= 0 allowed (n = 1 gets the
     empty factorization and counts as square-free).
 
-    The primes up to sqrt(hi) are sieved once, and their hit counts size the
-    output: primes and exponents get room for every incidence plus one
-    cofactor per entry.  _factor_block then factors blocks of
-    max(MIN_BLOCK, number of sieve primes) entries, each into its slice of
-    the output, so the temporaries grow with the block and not with the
-    interval; an interval of one block runs the loop once.  A block touches
-    every sieve prime, but without a division: from one block to the next,
-    each prime's first multiple and hit count move by its quotient and
+    The primes up to sqrt(hi) are sieved once, and those with no multiple in
+    the interval are dropped: in a short interval that is most of them.  The
+    hit counts of the rest size the output: primes and exponents get room for
+    every incidence plus one cofactor per entry.  _factor_block then factors
+    blocks of max(MIN_BLOCK, number of kept primes) entries, each into its
+    slice of the output, so the temporaries grow with the block and not with
+    the interval; an interval of one block runs the loop once.  A block
+    touches every kept prime, but without a division: from one block to the
+    next, each prime's first multiple and hit count move by its quotient and
     remainder of the block length.  The prime powers p^k <= hi, k >= 2, that
     raise exponents are listed once, for the primes whose square has a
     multiple in the interval.  The returned primes and exponents are views
@@ -196,6 +198,9 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     sieve = _sieve(math.isqrt(hi))
     first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
     left = (length - 1 - first) // sieve + 1  # multiples not yet placed
+    # most primes up to sqrt(hi) have no multiple in a short interval
+    hit = left > 0
+    sieve, first, left = sieve[hit], first[hit], left[hit]
     # each power p^k <= hi, k >= 2, of a prime whose square has a multiple in
     # the interval, with the index of p
     j = np.flatnonzero(hi // sieve**2 > lo // sieve**2)
@@ -301,7 +306,8 @@ def segmented_factorize(x: int, y: int) -> IntervalTable:
     their multiples and prime-power multiples and takes what the sieve
     primes leave of each n as its prime cofactor exceeding sqrt(x+y); each
     block writes its slice of the table's arrays, and temporaries are sized
-    by the block (at least 2^17 entries and one per sieve prime), not by y.
+    by the block (at least 2^17 entries and one per sieve prime with a
+    multiple in the interval), not by y.
     Refuses x+y > MAX_X_PLUS_Y or y > MAX_Y with ScaleError before
     allocating.
     """

@@ -29,7 +29,6 @@ from rmflab.harness import (
     _csv_text,
     _histogram_block,
     _lattice,
-    _lattice_sample,
     _moment_block,
     _read_w_csv,
     _run_trials,
@@ -146,8 +145,8 @@ def _moments_match_reference(x, y, trials, seed):
     s = table.squarefree_count
     raw = IntervalSampler(table, seed).raw_sums(0, trials)
     w = raw / math.sqrt(s) if s else raw.astype(float)
-    lat, j, _ = _lattice(raw, s)
-    got = _moment_block(lat, j)
+    distinct, _, row = _lattice(raw, s)
+    got = _moment_block(distinct, row)
     assert got == _reference_moment_block(w), (x, y, trials, seed)
     return got
 
@@ -198,14 +197,44 @@ def test_emit_files(tmp_path):
 
 
 def _lattice_of(s, j):
-    """W's lattice built from the raw sums S - 2j, checked bit for bit
-    against raw / sqrt(S)."""
+    """_lattice of the raw sums S - 2j, checked against raw / sqrt(S): the
+    distinct values strictly ascending, at most min(S + 1, T) of them, with
+    positive counts summing to T, the SampleSet the distances read, and
+    distinct[row] bit for bit."""
     raw = s - 2 * np.asarray(j, dtype=np.int64)
-    lat, index, counts = _lattice(raw, s)
-    assert np.array_equal(index, j) and counts.sum() == len(raw)
+    distinct, counts, row = _lattice(raw, s)
     w = raw / math.sqrt(s) if s else raw.astype(float)
-    assert lat[index].tobytes() == w.tobytes()
-    return lat, index, counts, w
+    assert (np.diff(distinct) > 0).all()
+    assert len(distinct) == len(counts) <= min(s + 1, len(raw))
+    assert (counts > 0).all() and counts.sum() == len(raw)
+    assert (SampleSet(tuple(distinct.tolist()), tuple(counts.tolist()))
+            == SampleSet.from_values(w))
+    assert distinct[row].tobytes() == w.tobytes()
+    return distinct, counts, row, w
+
+
+def _wide_js():
+    # the benchmark's wide size: 1000 sampled trials on an S ~ 6078 lattice
+    table = segmented_factorize(10**10 + 1234, 10**4)
+    s = table.squarefree_count
+    return s, (s - IntervalSampler(table, 2).raw_sums(0, 1000)) >> 1
+
+
+@pytest.mark.parametrize("case", ["s0", "one-trial", "wide", "s607940"])
+def test_lattice_holds_the_values_that_occur(case):
+    rng = np.random.default_rng(7)
+    s, j = {
+        "s0": lambda: (0, [0] * 5),
+        "one-trial": lambda: (606, [303]),
+        "wide": _wide_js,
+        # (10^12, 10^12 + 10^6]'s S: 1000 trials visit at most 1000 of 607,941 points
+        "s607940": lambda: (607_940, rng.binomial(607_940, 0.5, size=1000)),
+    }[case]()
+    distinct, counts, row, _ = _lattice_of(s, j)
+    if case == "s0":
+        assert distinct.tolist() == [0.0] and counts.tolist() == [5]
+    if case == "wide":
+        assert len(distinct) < s // 10
 
 
 def _reference_csv(w) -> str:
@@ -224,8 +253,8 @@ CSV_TRIALS = [1, 9, 10, 11, 99, 100, 10**4, 10**4 + 1,
 def test_csv_byte_table_matches_per_row_writer(trials):
     rng = np.random.default_rng(trials)
     j = rng.binomial(606, 0.5, size=trials)
-    lat, j, counts, w = _lattice_of(606, j)
-    assert _csv_text(lat, j, counts) == _reference_csv(w)
+    distinct, _, row, w = _lattice_of(606, j)
+    assert _csv_text(distinct, row) == _reference_csv(w)
 
 
 @pytest.mark.parametrize("s, j", [
@@ -234,12 +263,12 @@ def test_csv_byte_table_matches_per_row_writer(trials):
     (6080, [6080, 0, 3040, 1] * 250),    # wide's S: 4 reprs for 1000 rows
 ], ids=["s0", "s25-partial", "s6080-partial"])
 def test_csv_byte_table_on_degenerate_and_partial_lattices(s, j):
-    lat, j, counts, w = _lattice_of(s, j)
-    assert _csv_text(lat, j, counts) == _reference_csv(w)
+    distinct, _, row, w = _lattice_of(s, j)
+    assert _csv_text(distinct, row) == _reference_csv(w)
 
 
 def _reference_histogram_block(w) -> dict:
-    # the per-value histogram the weighted lattice histogram replaced
+    # the per-value histogram the weighted histogram of distinct values replaced
     counts, edges = np.histogram(w, bins=HIST_BINS, range=HIST_RANGE)
     under = int((w < HIST_RANGE[0]).sum())
     over = int((w > HIST_RANGE[1]).sum())
@@ -255,10 +284,9 @@ def _reference_histogram_block(w) -> dict:
     (25, [0, 25, 0, 1, 12, 13, 24, 25, 25]),  # w = +-5 exactly: the edge bins
     (100, [0, 0, 1, 50, 97, 99, 100, 100]),   # |w| = 10, 9.8, 9.4: both flows, repeated
 ], ids=["s0", "one-trial", "s25-edges", "s100-flows"])
-def test_lattice_sample_and_histogram_match_per_value_paths(s, j):
-    lat, j, counts, w = _lattice_of(s, j)
-    assert _lattice_sample(lat, counts) == SampleSet.from_values(w)
-    hist = _histogram_block(lat, counts)
+def test_histogram_matches_per_value_path(s, j):
+    distinct, counts, _, w = _lattice_of(s, j)
+    hist = _histogram_block(distinct, counts)
     assert hist == _reference_histogram_block(w)
     assert sum(hist["counts"]) == len(w)
     if s == 25:
@@ -369,7 +397,7 @@ def test_cli_simulate_files(tmp_path, capsys):
 
 def test_cli_distances_round_trip(tmp_path, capsys):
     # a CSV of two byte-table chunks read back through from_values gives
-    # the distances simulate computed on the lattice, to the last bit
+    # the distances simulate computed on the distinct values, to the last bit
     trials = 2 * CSV_CHUNK - 3
     base = tmp_path / "exp"
     assert main(["simulate", "--x", "2000", "--y", "100", "--trials", str(trials),
@@ -507,7 +535,21 @@ def test_stein_refuses_one_var_trial_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(harness, "segmented_factorize", no_table)
     for x, y in ((100000000, 10000), (700, 9)):
         assert main(["stein", "--x", str(x), "--y", str(y), "--var-trials", "1"]) == 2
-        assert "var_trials must be >= 2, got 1" in _one_line_error(capsys)
+        assert "--var-trials must be >= 2, got 1" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["stein", "--x", "100", "--y", "20", "--var-trials", "1"], 2,
+     "error: --var-trials must be >= 2, got 1"),
+    (["stein", "--x", "100", "--y", "20", "--var-trials", str(MAX_TRIALS + 1)], 3,
+     f"scale error: --var-trials {MAX_TRIALS + 1} exceeds MAX_TRIALS = {MAX_TRIALS}"),
+    (["moments", "--x", "100", "--y", "20", "--budget", "-1"], 2,
+     "error: --budget must be >= 0, got -1"),
+], ids=["var-trials-1", "var-trials-over-cap", "budget-negative"])
+def test_cli_refuses_a_bad_count_in_one_stderr_line(argv, code, message, capsys):
+    # delta = 0.2 here: the count is refused before the delta warning prints
+    assert main(argv) == code
+    assert _one_line_error(capsys) == message
 
 
 def _one_line_error(capsys) -> str:

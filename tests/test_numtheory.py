@@ -183,6 +183,8 @@ def test_sieve_primes_against_trial_division():
     (2**40 - 5000, 10_000),  # holds 2^40
     (2**49 - 3000, 6000),    # exponent 49, the largest below 10^15
     (10**10, 10**6),
+    (10**12, 10**4),         # 5,216 of the 78,498 sieve primes hit the interval
+    (2**40 - 50, 100),       # 136 of the 82,025 sieve primes hit the interval
 ])
 def test_factor_segment_matches_reference(lo, length):
     assert_same_arrays(table_arrays(_factor_segment(lo, length)),
@@ -190,13 +192,16 @@ def test_factor_segment_matches_reference(lo, length):
 
 
 @pytest.mark.slow
-def test_factor_segment_matches_reference_at_the_scale_limit():
+def test_factor_segment_matches_reference_at_the_scale_limit(monkeypatch):
     """The largest table segmented_factorize accepts: cofactors reach 10^15,
-    and the 1,951,957 sieve primes set the block length, so the 10^7
-    entries are built in six blocks.  The reference runs on 5*10^4-entry
-    slices (start, middle, end), so it never holds 10^7 entries."""
+    and the 1,354,546 of the 1,951,957 sieve primes that have a multiple in
+    the interval set the block length, so the 10^7 entries are built in
+    eight blocks.  The reference runs on 5*10^4-entry slices (start, middle,
+    end), so it never holds 10^7 entries."""
     lo, length, width = 10**15 - 10**7, 10**7, 50_000
+    blocks = blocks_of(monkeypatch)
     t = _factor_segment(lo, length)
+    assert blocks == [1_354_546] * 7 + [length - 7 * 1_354_546]
     assert t.primes.max() > 10**15 - 10**7
     for a in (0, length // 2, length - width):
         assert_same_arrays(entry_slice(t, a, a + width),

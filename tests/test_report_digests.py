@@ -15,6 +15,13 @@ GOLDEN = [
         "r.hist.json": "75d7a004fab567871ef9c7711d6e2ea6b9164f0d31641741af72e9bf09654755",
         "r.json": "62bb61224b0aa24f15fee386500341f70a083586f8f1a9226484bf42a28f9f03",
     }),
+    # 181 of the 6,074 points of W's lattice are visited (S = 6,073)
+    (["simulate", "--x", "10000000501", "--y", "10000", "--trials", "1000", "--seed", "2",
+      "--format", "json,csv,histogram"], {
+        "r.csv": "7aaeb9912f039dd64c6aeb1ad2d946c478496db4e1cf57b8d83d3c8e79fc6df1",
+        "r.hist.json": "834227512e3f87517100f801de2e905a13d1f61123f8f9deff9a41299fc00259",
+        "r.json": "2b5a49d06edb92054203e5d2121700b0428d39132c9b6b570a43f7200a798afe",
+    }),
     # the README reference point
     (["stein", "--x", "100000", "--y", "100", "--seed", "0"], {
         "r.json": "63d7bc39d3e3f7447205be117294b76cb5336ddaf915df99619c4be72ba49e17",
