@@ -506,34 +506,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_w_csv(path: str) -> list[float]:
-    """The w column of a `trial,w` CSV written by `simulate`.  The rows are
-    split in one joined pass and each distinct w string is converted once;
-    a file that fails that pass is walked row by row to name its first
-    malformed row."""
+    """The w column of a `trial,w` CSV written by `simulate`, in one pass over
+    its rows; each distinct w string is converted once."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "trial,w":
             raise ValueError(f"unexpected CSV header {header!r}")
         lines = fh.read().split("\n")
-    rows = [line for line in lines if line.strip()]
-    fields = ",".join(rows).split(",")
-    # as many commas as rows, and none without one: exactly one per row
-    if len(fields) == 2 * len(rows) and all("," in row for row in rows):
-        ws = fields[1::2]
-        try:
-            value = {w: float(w) for w in set(ws)}
-            return [value[w] for w in ws]
-        except ValueError:
-            pass
+    value: dict[str, float] = {}
     values = []
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
-        try:
-            _, w = line.split(",")
-            values.append(float(w))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed row {line.strip()!r}") from None
+        # float rejects the "" of a row without a comma and a w with one
+        w = line.partition(",")[2]
+        if w not in value:
+            try:
+                value[w] = float(w)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed row {line.strip()!r}") from None
+        values.append(value[w])
     return values
 
 

@@ -18,8 +18,9 @@ from .errors import ScaleError
 
 _U64_LIMIT = 1 << 64
 # Largest interval segmented_factorize accepts.  At the limit, (10^15 - 10^7,
-# 10^7], the table is built in eight blocks and peaks at about 590 MiB
-# (tracemalloc) and 2.4 s (3.1 s under tracemalloc) on 2 shared vCPUs.
+# 10^7], the table is built in eight blocks in 2.9-3.8 s (3.2-3.6 s under
+# tracemalloc) and peaks at about 570 MiB (tracemalloc) and 550 MiB max RSS
+# on 2 shared vCPUs.
 MAX_X_PLUS_Y = 10**15
 MAX_Y = 10**7
 # _factor_segment sorts each incidence as one int64 key
@@ -187,20 +188,17 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     every incidence plus one cofactor per entry.  _factor_block then factors
     blocks of max(MIN_BLOCK, number of kept primes) entries, each into its
     slice of the output, so the temporaries grow with the block and not with
-    the interval; an interval of one block runs the loop once.  A block
-    touches every kept prime, but without a division: from one block to the
-    next, each prime's first multiple and hit count move by its quotient and
-    remainder of the block length.  The prime powers p^k <= hi, k >= 2, that
+    the interval; an interval of one block runs the loop once.  Each block
+    finds the first multiple and the count of every kept prime and prime
+    power from its own bounds.  The prime powers p^k <= hi, k >= 2, that
     raise exponents are listed once, for the primes whose square has a
     multiple in the interval.  The returned primes and exponents are views
     of the output buffers, whose unused cofactor room is never written."""
     hi = lo + length
     sieve = _sieve(math.isqrt(hi))
-    first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
-    left = (length - 1 - first) // sieve + 1  # multiples not yet placed
+    hits = hi // sieve - lo // sieve  # multiples in the interval
     # most primes up to sqrt(hi) have no multiple in a short interval
-    hit = left > 0
-    sieve, first, left = sieve[hit], first[hit], left[hit]
+    sieve = sieve[hits > 0]
     # each power p^k <= hi, k >= 2, of a prime whose square has a multiple in
     # the interval, with the index of p
     j = np.flatnonzero(hi // sieve**2 > lo // sieve**2)
@@ -213,38 +211,31 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
         power_j.append(j)
         power.append(pk)
     power_j, power = np.concatenate(power_j), np.concatenate(power)
-    primes = np.empty(int(left.sum()) + length, dtype=np.int64)
+    primes = np.empty(int(hits.sum()) + length, dtype=np.int64)
     exponents = np.empty(primes.size, dtype=np.int8)
     offsets = np.zeros(length + 1, dtype=np.int64)
     flags = np.ones(length, dtype=bool)
     block = max(MIN_BLOCK, sieve.size)
-    quot, rest = np.divmod(block, sieve)
     pos = 0
     for a in range(0, length, block):
         b = min(a + block, length)
-        wrap = first < rest  # a full block holds quot + 1 multiples of p
-        hits = np.minimum(quot + wrap, left)
-        left -= hits
         ends = offsets[a + 1 : b + 1]
-        _factor_block(lo + a, b - a, sieve, first, hits, power_j, power,
-                      primes[pos:], exponents[pos:], ends, flags[a:b])
+        _factor_block(lo + a, b - a, sieve, power_j, power, primes[pos:],
+                      exponents[pos:], ends, flags[a:b])
         ends += pos
         pos = int(ends[-1])
-        first -= rest
-        first[wrap] += sieve[wrap]
     return IntervalTable(lo, length, offsets, primes[:pos], exponents[:pos], flags)
 
 
-def _factor_block(lo: int, length: int, sieve: np.ndarray, first: np.ndarray,
-                  hits: np.ndarray, power_j: np.ndarray, power: np.ndarray,
-                  keys: np.ndarray, exponents: np.ndarray, ends: np.ndarray,
-                  flags: np.ndarray) -> None:
+def _factor_block(lo: int, length: int, sieve: np.ndarray, power_j: np.ndarray,
+                  power: np.ndarray, keys: np.ndarray, exponents: np.ndarray,
+                  ends: np.ndarray, flags: np.ndarray) -> None:
     """Factor every n in (lo, lo+length] into the fronts of keys (primes)
     and exponents.  ends gets each entry's end offset there, and flags (True
-    on entry) is cleared where n is not square-free.  first[j] is the index
-    of the first multiple of sieve[j] in the block, hits[j] their number,
-    and power holds every prime power p^k, k >= 2, that may divide some n,
-    with power_j the index of p.
+    on entry) is cleared where n is not square-free.  sieve holds the primes
+    up to sqrt(hi) that may divide some n, and power every prime power p^k,
+    k >= 2, that may, with power_j the index of p; the first multiple and
+    the count of each in the block come from its own bounds.
 
     No prime is divided out of the block.  The incidences p | n of the
     sieve primes are laid out prime-major, and each multiple of a power p^k
@@ -255,6 +246,8 @@ def _factor_block(lo: int, length: int, sieve: np.ndarray, first: np.ndarray,
     in place over the index buffer at the front of keys, and each cofactor
     the key (index, P_MASK, 1); one in-place sort puts them in CSR order."""
     hi = lo + length
+    first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
+    hits = (length - 1 - first) // sieve + 1
     start = np.cumsum(hits) - hits  # where p's run begins
     nnz = int(hits.sum())
     inc_p = np.repeat(sieve, hits)

@@ -47,3 +47,16 @@ def test_report_bytes_match_golden_digests(argv, digests, tmp_path):
     assert main(argv + ["--out", str(tmp_path / "r")]) == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(tmp_path.iterdir())} == digests
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_distances_report_bytes_match_golden_digest(tmp_path):
+    """distances over the CSV that the first GOLDEN command writes."""
+    simulate = ["simulate", "--x", "2000", "--y", "150", "--trials", "777", "--seed", "3"]
+    assert main(simulate + ["--format", "csv", "--out", str(tmp_path / "s")]) == 0
+    assert sha256(tmp_path / "s.csv") == GOLDEN[0][1]["r.csv"]
+    assert main(["distances", "--infile", str(tmp_path / "s.csv"), "--out", str(tmp_path / "d")]) == 0
+    assert sha256(tmp_path / "d.json") == "7986a46b201e7345f11c40d0be828b39a4bb6f31130b709bd3e59e999a1bfd74"
