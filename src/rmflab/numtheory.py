@@ -8,7 +8,7 @@ integers x+1, ..., x+y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -82,6 +82,10 @@ class IntervalTable:
     flags[i] (bool) is True iff n is square-free.  segmented_factorize
     refuses intervals with x+y > MAX_X_PLUS_Y or y > MAX_Y.  Every grouping
     of the square-free incidences by prime reads prime_major.
+
+    The one way to restrict a table to some of its square-free entries is
+    to narrow flags to a subset of them (restrict): the IntervalSampler and
+    prime_major of the result see only those entries.
     """
 
     x_lo: int
@@ -99,6 +103,19 @@ class IntervalTable:
     def prime_major(self) -> "PrimeMajor":
         """Built on first use and kept; segmented_factorize never builds it."""
         return _prime_major(self)
+
+    def restrict(self, mask: np.ndarray) -> "IntervalTable":
+        """This table with flags narrowed to mask, a bool array over the
+        entries that is a subset of flags (a two_core mask, say).  If this
+        table's prime_major is built, the result's is cut from it rather
+        than built again."""
+        mask = np.array(mask, dtype=bool)
+        if mask.shape != self.flags.shape or (mask & ~self.flags).any():
+            raise ValueError("a restriction mask must be a subset of flags")
+        table = replace(self, flags=mask)
+        if "prime_major" in self.__dict__:
+            table.__dict__["prime_major"] = _restricted_view(self, mask)
+        return table
 
     @property
     def x_hi(self) -> int:
@@ -164,6 +181,56 @@ def _prime_major(table: IntervalTable) -> PrimeMajor:
     for a in view:
         a.flags.writeable = False
     return view
+
+
+def _incidence_entries(table: IntervalTable) -> np.ndarray:
+    """The table index of each square-free incidence, in table order."""
+    return np.repeat(np.flatnonzero(table.flags), np.diff(table.offsets)[table.flags])
+
+
+def _restricted_view(table: IntervalTable, mask: np.ndarray) -> PrimeMajor:
+    """_prime_major of table.restrict(mask), cut from table.prime_major: the
+    incidences of the entries in mask keep their order, and the primes left
+    without one are dropped and the rest renumbered."""
+    view = table.prime_major
+    keep = mask[view.entries]
+    prime_of = np.repeat(np.arange(view.primes.size), np.diff(view.offsets))
+    counts = np.bincount(prime_of[keep], minlength=view.primes.size)
+    live = counts > 0
+    number = np.cumsum(live) - 1
+    index = number[view.index[mask[_incidence_entries(table)]]]
+    out = PrimeMajor(view.primes[live], index, np.concatenate(([0], np.cumsum(counts[live]))),
+                     view.entries[keep])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def two_core(table: IntervalTable) -> np.ndarray:
+    """The table's 2-core, as a read-only bool mask over its entries: what
+    is left of the square-free entries (flags) after repeatedly removing
+    every entry with a prime that divides no other remaining entry.  Every
+    prime of a core entry divides at least two core entries; n = 1, with no
+    prime, is never removed.
+
+    The signs X(n) of the removed entries are iid uniform and independent of
+    the core's, and every non-diagonal square quadruple lies in the core.
+    Each round is one np.bincount of the live incidences by prime over the
+    prime-major view, and the incidences of the entries it removes are
+    dropped before the next."""
+    view = table.prime_major
+    core = table.flags.copy()
+    entry, index = _incidence_entries(table), view.index
+    while entry.size:
+        lone = np.bincount(index, minlength=view.primes.size) == 1
+        peeled = entry[lone[index]]
+        if not peeled.size:
+            break
+        core[peeled] = False
+        live = core[entry]
+        entry, index = entry[live], index[live]
+    core.flags.writeable = False
+    return core
 
 
 def _runs(first: np.ndarray, step: np.ndarray, count: np.ndarray,

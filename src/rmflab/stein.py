@@ -254,13 +254,15 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
 
     The signs of trial t are those of SignSource(master_seed).for_trial(t),
     and X(n) for a tile of trials comes from IntervalSampler.entry_values.
-    T_p vanishes unless |N(p)| >= 2, so only those p are summed.  A member
-    k of N(p) has X(k) = X(n) X(p) with n = k p, and each term (g - x_k) x_k
-    of T_p is unchanged when every x_k is multiplied by the same sign, so
-    T_p reads X(n) for the entries of N(p) directly.  A tile's X(n) matrix,
-    the shared primes' sign matrix and one prime's member values fit about
-    _VAR_TILE_BYTES, and every trial's terms are added in ascending p as in
-    a per-trial evaluation."""
+    T_p vanishes unless |N(p)| >= 2, so only those p are summed, and the
+    sampler is built on the table restricted to their entries, so it hashes
+    only the primes of those entries.  A member k of N(p) has X(k) = X(n)
+    X(p) with n = k p, and each term (g - x_k) x_k of T_p is unchanged when
+    every x_k is multiplied by the same sign, so T_p reads X(n) for the
+    entries of N(p) directly.  A tile's X(n) matrix, the shared primes' sign
+    matrix and one prime's member values fit about _VAR_TILE_BYTES, and
+    every trial's terms are added in ascending p as in a per-trial
+    evaluation."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     view, first = _view(table, z)
@@ -270,7 +272,9 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
     shared = int(np.count_nonzero(np.diff(view.offsets) >= 2))
     per_trial = table.y_len + shared + 40 * max(e.size for e, _ in per_p)
     tile = max(_MIN_VAR_TILE, _VAR_TILE_BYTES // per_trial)
-    sampler = IntervalSampler(table, master_seed)
+    members = np.zeros(table.y_len, dtype=bool)
+    members[np.concatenate([e for e, _ in per_p])] = True
+    sampler = IntervalSampler(table.restrict(members), master_seed)
     values = np.empty(trials)
     for start in range(0, trials, tile):
         count = min(tile, trials - start)

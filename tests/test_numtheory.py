@@ -2,6 +2,8 @@ import hashlib
 import math
 import random
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,14 +21,17 @@ from rmflab.numtheory import (
     P_MASK,
     IntervalTable,
     _factor_segment,
+    _prime_major,
     _kernel_unchecked,
     _sieve,
     segmented_factorize,
     squarefree_flags,
     trial_factorize,
+    two_core,
     z_of_delta,
 )
-from rmflab.stein import _shared_supports, _view
+from rmflab.quadruples import oracle_count_square_quadruples
+from rmflab.stein import _all_sign_values, _shared_supports, _view
 
 
 def naive_squarefree(n: int) -> bool:
@@ -398,3 +403,113 @@ def test_omega_l_examples():
     assert len(supports) == 8
     for n, w in omega.items():
         assert w == sum(q > z for q, _ in trial_factorize(n))
+
+
+def naive_two_core(table):
+    """The 2-core by scalar peeling, one entry at a time: the square-free n
+    whose primes each divide another n still present."""
+    live = dict(table.squarefree_items())
+    while True:
+        count = Counter(p for ps in live.values() for p in ps)
+        lone = next((n for n, ps in live.items() if any(count[p] == 1 for p in ps)), None)
+        if lone is None:
+            return sorted(live)
+        del live[lone]
+
+
+def core_values(table):
+    return (np.flatnonzero(two_core(table)) + table.x_lo + 1).tolist()
+
+
+@pytest.mark.parametrize("x, y", [(24, 18), (2000, 150), (100020, 1000), (10**6, 1000),
+                                  (10**8, 10**4)])
+def test_two_core_is_a_subset_of_flags_that_a_second_peel_keeps(x, y):
+    t = segmented_factorize(x, y)
+    core = two_core(t)
+    assert core.dtype == np.bool_ and core.shape == t.flags.shape
+    assert not core.flags.writeable
+    assert not (core & ~t.flags).any()
+    # every prime of a core entry divides at least two core entries
+    restricted = t.restrict(core)
+    assert (np.diff(restricted.prime_major.offsets) >= 2).all()
+    assert np.array_equal(two_core(restricted), core)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=400),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_restricted_view_equals_a_fresh_build(lo, length, seed):
+    # the view of a restriction, cut from the built view, equals the one
+    # _prime_major builds for the narrowed flags, in values and dtypes
+    t = _factor_segment(lo, length)
+    mask = t.flags & np.random.default_rng(seed).integers(0, 2, length).astype(bool)
+    t.prime_major
+    cut = t.restrict(mask)
+    assert np.array_equal(cut.flags, mask) and not cut.flags.flags.writeable
+    fresh = _prime_major(cut)
+    for got, want in zip(cut.prime_major, fresh):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    # a restriction of a table without a view builds its own on first use
+    built = _factor_segment(lo, length).restrict(mask).prime_major
+    assert all(np.array_equal(a, b) for a, b in zip(built, fresh))
+
+
+def test_restrict_refuses_a_mask_outside_flags():
+    t = segmented_factorize(100, 20)
+    with pytest.raises(ValueError, match="subset of flags"):
+        t.restrict(np.ones(20, dtype=bool))  # 104 is not square-free
+    with pytest.raises(ValueError, match="subset of flags"):
+        t.restrict(t.flags[:10])
+
+
+def test_two_core_keeps_one():
+    # 1 has no prime, so nothing peels it; 5 and 7 are lone, and 2, 3 and
+    # 6 = 2 * 3 hold each other's primes
+    t = _factor_segment(0, 7)
+    assert core_values(t) == [1, 2, 3, 6] == naive_two_core(t)
+    # 3 * 6^2 - 2 * 6 diagonal and the 4! orderings of 1 * 6 * 2 * 3 = 36
+    assert oracle_count_square_quadruples(t) == 120
+
+
+def test_two_core_of_the_wide_interval_is_empty():
+    t = segmented_factorize(10**10 + 501, 10**4)
+    assert t.squarefree_count > 6000 and not two_core(t).any()
+
+
+@pytest.mark.parametrize("x, y, c", [(24, 18, 5), (10**8, 10**4, 804), (10**12, 10**5, 3297)])
+def test_two_core_sizes(x, y, c):
+    assert np.count_nonzero(two_core(segmented_factorize(x, y))) == c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=300))
+def test_two_core_matches_scalar_peeling(lo, length):
+    t = _factor_segment(lo, length)
+    assert core_values(t) == naive_two_core(t)
+
+
+def sum_law(table):
+    """The law of the sum of X(n) over the table's square-free entries, over
+    all 2^P sign vectors of their P primes, as exact probabilities."""
+    view = table.prime_major
+    bit = {p: 1 << i for i, p in enumerate(view.primes.tolist())}
+    masks = [sum(bit[p] for p in ps) for _, ps in table.squarefree_items()]
+    counts = Counter(_all_sign_values(masks, [1] * len(masks), view.primes.size).tolist())
+    return {v: Fraction(c, 1 << view.primes.size) for v, c in counts.items()}
+
+
+@pytest.mark.parametrize("x, y", [(24, 18), (38, 31), (94, 25)])
+def test_peeled_signs_are_an_independent_binomial(x, y):
+    # W * sqrt(S) = R_K + (the core's sum), with R_K = 2 Bin(K, 1/2) - K
+    # independent of the core sum, K = S - C
+    t = segmented_factorize(x, y)
+    core = two_core(t)
+    k = t.squarefree_count - int(np.count_nonzero(core))
+    assert k > 0 and core.any() and t.prime_major.primes.size <= 18
+    want: dict[int, Fraction] = {}
+    for v, prob in sum_law(t.restrict(core)).items():
+        for i in range(k + 1):
+            w = v + k - 2 * i
+            want[w] = want.get(w, 0) + prob * Fraction(math.comb(k, i), 1 << k)
+    assert sum_law(t) == want

@@ -20,7 +20,7 @@ from rmflab.numtheory import (
 )
 from rmflab.quadruples import _oracle_count_array, _oracle_count_members
 from rmflab.rmf_core import SignSource
-from rmflab import stein
+from rmflab import rmf_core, stein
 from rmflab.stein import (
     _all_sign_values,
     _delta3,
@@ -285,6 +285,41 @@ def test_exchange_variance_golden_values():
     assert exchange_variance_monte_carlo(t, 0.5 * math.log(25), 2000, 5) == 4034.537993545384
     t = segmented_factorize(200, 80)
     assert exchange_variance_monte_carlo(t, 3.0, 200, 99) == 81.81304020100502
+
+
+@pytest.mark.parametrize("x, y, seed, hexed", [
+    (10**5, 100, 0, "0x1.131ca6df4201ep+6"),
+    (10**5, 100, 1, "0x1.1e6a891c2a43ap+6"),
+    (100020, 100, 0, "0x1.1fb5f003845c8p+6"),
+    (100020, 100, 1, "0x1.5313f8356d3d8p+6"),
+    (700, 9, 0, "0x0.0p+0"),
+    (10**8, 10**4, 1, "0x1.38c8651434566p+19"),
+])
+def test_exchange_variance_golden_hex(x, y, seed, hexed):
+    # 2000 trials at the default z, bit for bit as when the sampler hashed
+    # every prime of the table
+    t = segmented_factorize(x, y)
+    assert exchange_variance_monte_carlo(t, z_of_delta(y / x), 2000, seed).hex() == hexed
+
+
+def test_exchange_variance_hashes_only_the_primes_it_reads(monkeypatch):
+    # the primes of the entries of every N(p) with |N(p)| >= 2 and p > z:
+    # 46 of the 86 primes at (100020, 100]
+    t = segmented_factorize(100020, 100)
+    z = z_of_delta(100 / 100020)
+    read = {q for e, _ in _shared_supports(t, _view(t, z)[1])
+            for i in e.tolist() for q, _ in t.factors(t.x_lo + 1 + i)}
+    hashed = []
+
+    def spy(primes):
+        hashed.append(primes.tolist())
+        return halves(primes)
+
+    halves = rmf_core._prime_halves
+    monkeypatch.setattr(rmf_core, "_prime_halves", spy)
+    exchange_variance_monte_carlo(t, z, 100, 0)
+    assert hashed == [sorted(read)] and len(read) == 46
+    assert t.prime_major.primes.size == 86
 
 
 def _mapped_signs(signs: dict[int, int]) -> SimpleNamespace:
