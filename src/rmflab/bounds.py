@@ -15,20 +15,24 @@ from .numtheory import z_of_delta
 
 @dataclass(frozen=True)
 class BoundInputs:
+    """(x, x+y], its square-free count S and z; delta = y / x is derived."""
+
     x: int
     y: int
     s_count: int
-    delta: float
     z: float
+
+    @property
+    def delta(self) -> float:
+        return self.y / self.x
 
     @classmethod
     def from_interval(cls, x: int, y: int, s_count: int,
                       z_override: float | None = None) -> "BoundInputs":
         if not 0 <= s_count <= y:
             raise ValueError(f"S must lie in [0, y], got S={s_count}, y={y}")
-        delta = y / x
-        z = z_override if z_override is not None else z_of_delta(delta)
-        return cls(x, y, s_count, delta, z)
+        z = z_override if z_override is not None else z_of_delta(y / x)
+        return cls(x, y, s_count, z)
 
 
 def _log_y(b: BoundInputs) -> float:

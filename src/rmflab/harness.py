@@ -43,6 +43,8 @@ MAX_TRIALS = 10**6
 # count the lab targets; a larger count is refused before the factor table
 # is built, so no run asks the OS for thousands of processes.
 MAX_WORKERS = 64
+# Monte Carlo trials of stein's exchange variance (--var-trials)
+VAR_TRIALS = 2000
 # stein checks the subset-weight identity for every |L| up to this
 # (0.0006 s on 2 shared vCPUs); the report records it as weight_identity.max_l
 IDENTITY_MAX_L = 30
@@ -234,7 +236,7 @@ def _distance_block(sample: dist_mod.SampleSet) -> dict:
 
 
 def _bound_block(cfg: ExperimentConfig, s_count: int) -> dict:
-    b = bounds_mod.BoundInputs(cfg.x, cfg.y, s_count, cfg.delta, cfg.z)
+    b = bounds_mod.BoundInputs(cfg.x, cfg.y, s_count, cfg.z)
     return {
         "wasserstein": bounds_mod.wasserstein_bound(b),
         "kolmogorov": bounds_mod.kolmogorov_bound(b),
@@ -306,9 +308,11 @@ def run_moments(cfg: ExperimentConfig,
     return out
 
 
-def run_stein_checks(cfg: ExperimentConfig, var_trials: int = 2000) -> dict:
+def run_stein_checks(cfg: ExperimentConfig, var_trials: int = VAR_TRIALS) -> dict:
     """Identity and conditional-moment checks; each sub-check reports its
-    own result or the scale refusal that stopped it."""
+    own result or the scale refusal that stopped it.  One stein_terms call
+    gives both exchange_variance and sum_delta3, so its refusal skips
+    both."""
     if var_trials < 2:
         raise ValueError(f"var_trials must be >= 2, got {var_trials}")
     _check_trials(var_trials)
@@ -360,7 +364,7 @@ def run_stein_checks(cfg: ExperimentConfig, var_trials: int = 2000) -> dict:
             "ratio": terms.sum_delta3 / d3_bound if d3_bound else None,
         }
     except ScaleError as e:
-        out["exchange_variance"] = {"skipped": str(e)}
+        out["exchange_variance"] = out["sum_delta3"] = {"skipped": str(e)}
     return out
 
 
@@ -493,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stein", help="identity and conditional-moment checks")
     _add_interval_args(p)
-    p.add_argument("--var-trials", type=int, default=2000)
+    p.add_argument("--var-trials", type=int, default=VAR_TRIALS)
 
     p = sub.add_parser("bounds", help="evaluate every bound for an interval")
     _add_interval_args(p)

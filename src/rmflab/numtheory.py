@@ -174,7 +174,7 @@ def _prime_major(table: IntervalTable) -> PrimeMajor:
     sizes = np.diff(table.offsets)
     primes, index = np.unique(table.primes[np.repeat(table.flags, sizes)],
                               return_inverse=True)
-    keys = index * table.y_len + np.repeat(np.flatnonzero(table.flags), sizes[table.flags])
+    keys = index * table.y_len + _incidence_entries(table)
     keys.sort()
     offsets = np.concatenate(([0], np.cumsum(np.bincount(index, minlength=primes.size))))
     view = PrimeMajor(primes, index, offsets, keys % table.y_len)

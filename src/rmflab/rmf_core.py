@@ -100,7 +100,7 @@ def _xorshift30(z: np.ndarray) -> np.ndarray:
 # (10^10 + 501, 10^10 + 10^4 + 501] with 1000 trials, and level within
 # noise at (10^12, 10^12 + 10^6] (2 shared vCPUs)
 _TILE_WORDS = 1 << 16
-# bytes of the uint8 sign rows of one default tile: the shared primes' sign
+# bytes of the uint8 sign rows of one tile: the shared primes' sign
 # matrix plus two parity blocks of _MIN_BLOCK entries.  A tile is at least
 # _MIN_TILE trials wide, as narrow rows cost more per trial to gather, hash
 # and XOR: at (10^12, 10^12 + 10^6], 38,278 shared primes, 1024 trials took
@@ -199,7 +199,7 @@ class IntervalSampler:
     the parities in uint8 over at most 255 rows at a time, a raw sum being
     S - 2 * #{n : X(n) = -1}; entry_values writes each block's X(n) = 1 - 2
     * parity into its entries' rows.  A block is at least 128 entries and
-    about 2^16 (entry, trial) bytes.  A default tile is the 2 MiB sign
+    about 2^16 (entry, trial) bytes.  A tile is the 2 MiB sign
     budget over (shared primes + two 128-entry blocks) rows, at least 512
     trials: 1,000 trials are one tile at P = 7054 (613 shared), a tile is
     about 6,000 trials at P = 636 (91 shared) and 512 at P = 526,390 (38,278
@@ -255,42 +255,40 @@ class IntervalSampler:
                 (m, row[:m], row[m:].view(np.int64)) for m, row in zip(prefix.tolist(), vals)
             ]))
 
-    def raw_sums(self, start: int, count: int, batch: int | None = None) -> np.ndarray:
-        """Interval sums for trials start, ..., start+count-1 (int64),
-        `batch` trials per tile (default: _SIGN_BYTES over the shared primes
-        plus two _MIN_BLOCK blocks, at least _MIN_TILE)."""
+    def raw_sums(self, start: int, count: int) -> np.ndarray:
+        """Interval sums for trials start, ..., start+count-1 (int64)."""
         n_neg = np.zeros(count, dtype=np.int64)
 
         def count_block(trials: slice, entries: np.ndarray, parity: np.ndarray) -> None:
             for b in range(0, len(parity), 255):
                 n_neg[trials] += np.add.reduce(parity[b : b + 255], axis=0, dtype=np.uint8)
 
-        self._parity_blocks(start, count, batch, count_block)
+        self._parity_blocks(start, count, count_block)
         return self.s_count - 2 * n_neg
 
-    def entry_values(self, start: int, count: int, batch: int | None = None) -> np.ndarray:
+    def entry_values(self, start: int, count: int) -> np.ndarray:
         """(y x count) int8 matrix whose [i, t] entry is X(x + 1 + i) in
-        trial start + t, 0 where x + 1 + i is not square-free; `batch` as
-        for raw_sums."""
+        trial start + t, 0 where x + 1 + i is not square-free."""
         out = np.zeros((self._y_len, count), dtype=np.int8)
         out[self._units] = 1
 
         def write_block(trials: slice, entries: np.ndarray, parity: np.ndarray) -> None:
             out[entries, trials] = 1 - 2 * parity.view(np.int8)
 
-        self._parity_blocks(start, count, batch, write_block)
+        self._parity_blocks(start, count, write_block)
         return out
 
-    def _parity_blocks(self, start: int, count: int, batch: int | None, visit) -> None:
+    def _parity_blocks(self, start: int, count: int, visit) -> None:
         """visit(trials, entries, parity) for each block of each bucket in
         each tile of trials start, ..., start+count-1: the tile's slice of
         0..count-1, the block's table entry indices and their (entries x
-        trials) uint8 parity of X(n) = -1, valid until visit returns.  Each
-        tile runs in its own ufunc buffer scope."""
+        trials) uint8 parity of X(n) = -1, valid until visit returns.  A
+        tile is _SIGN_BYTES over the shared primes plus two _MIN_BLOCK
+        blocks, at least _MIN_TILE trials.  Each tile runs in its own ufunc
+        buffer scope."""
         n_shared = len(self._shared_half)
-        if batch is None:
-            batch = max(_MIN_TILE, _SIGN_BYTES // (n_shared + 2 * _MIN_BLOCK))
-        tile = max(1, min(batch, count))
+        tile = max(_MIN_TILE, _SIGN_BYTES // (n_shared + 2 * _MIN_BLOCK))
+        tile = max(1, min(tile, count))
         width = max(_MIN_BLOCK, _BLOCK_SIGNS // tile)
         blocks = [(entries[c0 : c0 + width], c0, levels)
                   for entries, levels in self._buckets for c0 in range(0, entries.size, width)]

@@ -57,6 +57,14 @@ from .rmf_core import IntervalSampler, SignSource
 # their temporaries take about this many bytes
 _VAR_TILE_BYTES = 1 << 23
 _MIN_VAR_TILE = 64
+# Budgets of the exact checks, each compared with a size before the work it
+# bounds: the distinct primes of one N(p) for _delta3's transform over
+# their 2^k sign vectors, |N(p)| for stein_terms, and |L| for the 2^|L|
+# sign vectors of conditional_moments_check and of decomposition_sides
+PRIME_BUDGET = 20
+MEMBER_BUDGET = 400
+LARGE_PRIME_BUDGET = 22
+L_BUDGET = 12
 
 
 def _view(table: IntervalTable, z: float) -> tuple[PrimeMajor, int]:
@@ -178,7 +186,7 @@ def _span_coordinates(masks: list[int]) -> tuple[list[int], int]:
     return coords, len(pivot)
 
 
-def _delta3(p: int, masks: list[int], k: int, prime_budget: int) -> float:
+def _delta3(p: int, masks: list[int], k: int) -> float:
     """Exact E|Delta_p f|^3 = 4 * E|sum_{k in N(p)} X(k)|^3 by exhaustive
     sign-vector enumeration.  The factor 4 is E|X(p) - X'(p)|^3: the
     difference takes values -2, 0, 2 with probabilities 1/4, 1/2, 1/4.
@@ -188,11 +196,11 @@ def _delta3(p: int, masks: list[int], k: int, prime_budget: int) -> float:
     primes, from _support_masks) independent linear forms over GF(2).  Each
     point of their image is hit by 2^(k-r) sign vectors, so the average
     runs over the 2^r values of the sum in the members' coordinates on a
-    basis of their span.  The budget still counts the k distinct primes.
+    basis of their span.  PRIME_BUDGET still counts the k distinct primes.
 
     The result is a dyadic rational represented exactly in a float."""
-    if k > prime_budget:
-        raise ScaleError(f"{k} distinct primes in N({p}) exceeds budget {prime_budget}")
+    if k > PRIME_BUDGET:
+        raise ScaleError(f"{k} distinct primes in N({p}) exceeds budget {PRIME_BUDGET}")
     coords, r = _span_coordinates(masks)
     a = np.abs(_all_sign_values(coords, [1] * len(coords), r))
     third = int((a * a * a).sum())
@@ -328,14 +336,14 @@ class SteinTerms:
     bounded_primes: int
 
 
-def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
-                master_seed: int = 0, prime_budget: int = 20,
-                member_budget: int = 400) -> SteinTerms:
+def stein_terms(table: IntervalTable, z: float, var_trials: int,
+                master_seed: int) -> SteinTerms:
     """Sum E|Delta_p f|^3 over large primes with nonempty N(p): exactly where
-    the support involves at most prime_budget distinct primes, otherwise by
+    the support involves at most PRIME_BUDGET distinct primes, otherwise by
     the Cauchy-Schwarz bound sqrt(E|Delta_p f|^2 E|Delta_p f|^4); plus the
-    sampled Var(sum_p T_p).  Refused, before any member is built, when some
-    |N(p)| exceeds member_budget; the refusal names the least such p.
+    Var(sum_p T_p) sampled over var_trials trials.  Refused, before any
+    member is built, when some |N(p)| exceeds MEMBER_BUDGET; the refusal
+    names the least such p.
 
     E|Delta_p f|^2 = 2 |N(p)| and E|Delta_p f|^4 = 8 * _quadruple_counts, a
     ScaleError if one of its enumerations exceeds quadruples.DEFAULT_BUDGET.
@@ -344,10 +352,10 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
     member masks built for them alone.  They are summed in ascending p."""
     view, first = _view(table, z)
     counts = np.diff(view.offsets)[first:]
-    over = np.flatnonzero(counts > member_budget)
+    over = np.flatnonzero(counts > MEMBER_BUDGET)
     if over.size:
         raise ScaleError(f"|N({view.primes[first + over[0]]})| = {counts[over[0]]} "
-                         f"exceeds {member_budget}")
+                         f"exceeds {MEMBER_BUDGET}")
     large = view.primes[first:]
     shared = counts >= 2
     d2 = 2 * counts
@@ -355,10 +363,10 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int = 2000,
     d3 = np.full(counts.size, 4.0)
     # a lone member k = n // p has omega(n) - 1 distinct primes
     alone = view.entries[view.offsets[first] :][np.repeat(~shared, counts)]
-    bounded_primes = int(np.count_nonzero(np.diff(table.offsets)[alone] - 1 > prime_budget))
+    bounded_primes = int(np.count_nonzero(np.diff(table.offsets)[alone] - 1 > PRIME_BUDGET))
     for m in np.flatnonzero(shared).tolist():
         try:
-            d3[m] = _delta3(int(large[m]), *_support_masks(table, first + m), prime_budget)
+            d3[m] = _delta3(int(large[m]), *_support_masks(table, first + m))
         except ScaleError:
             d3[m] = math.sqrt(int(d2[m]) * int(d4[m]))
             bounded_primes += 1
@@ -391,18 +399,19 @@ class ConditionalMomentsReport:
         )
 
 
-def conditional_moments_check(table: IntervalTable, z: float, sources: list[SignSource],
-                              large_prime_budget: int = 22) -> ConditionalMomentsReport:
+def conditional_moments_check(table: IntervalTable, z: float,
+                              sources: list[SignSource]) -> ConditionalMomentsReport:
     """For each source's signs of the small primes (<= z), average the
     interval sum and its square over ALL 2^k sign vectors of L; the
     conditional mean must be exactly 0 and the second moment exactly S.
     A source is anything with .sign(p) = +1 or -1; only the primes <= z
-    that divide a square-free entry are read."""
+    that divide a square-free entry are read.  Refused when |L| exceeds
+    LARGE_PRIME_BUDGET."""
     view, first = _view(table, z)
     large = view.primes[first:].tolist()
-    if len(large) > large_prime_budget:
+    if len(large) > LARGE_PRIME_BUDGET:
         raise ScaleError(
-            f"{len(large)} distinct large primes exceeds budget {large_prime_budget}"
+            f"{len(large)} distinct large primes exceeds budget {LARGE_PRIME_BUDGET}"
         )
     small_present = view.primes[:first].tolist()
     masks = _over_entries(table, np.add, 1 << np.arange(len(large)), first)[table.flags]
@@ -429,10 +438,10 @@ def _by_size(v: np.ndarray) -> np.ndarray:
     return np.where(own, 0, v) @ (np.bitwise_count(a)[:, None] == np.arange(l_size))
 
 
-def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
-                        l_budget: int = 12) -> tuple[Fraction, Fraction]:
+def decomposition_sides(table: IntervalTable, z: float,
+                        signs: SignSource) -> tuple[Fraction, Fraction]:
     """Both sides of the conditional decomposition of the exchange statistic,
-    exactly.
+    exactly; refused when |L| exceeds L_BUDGET.
 
     Left: the subset-weighted sum (1/2) sum_{p} sum_{A not containing p}
     W(A) E(Delta_p f Delta_p f^A | X), where f^A has the signs on A
@@ -455,8 +464,8 @@ def decomposition_sides(table: IntervalTable, z: float, signs: SignSource,
     view, first = _view(table, z)
     large = view.primes[first:].tolist()
     l_size = len(large)
-    if l_size > l_budget:
-        raise ScaleError(f"|L| = {l_size} exceeds budget {l_budget}")
+    if l_size > L_BUDGET:
+        raise ScaleError(f"|L| = {l_size} exceeds budget {L_BUDGET}")
     if l_size == 0:
         return Fraction(0), Fraction(0)
     bits = 1 << np.arange(l_size)

@@ -1,0 +1,155 @@
+"""Mutation checks: small faults that the test suite must catch.
+
+Each entry of MUTANTS puts one fault into the source: a file, an exact text
+that occurs once in it, the text that replaces it, and the test files each
+of which must fail with the fault in place.  For each entry the runner
+copies src/, tests/, perfbench/ and pyproject.toml into a temporary
+directory, applies the entry there and runs each named test file with
+`pytest -x`.  A mutant is killed when every named file fails (pytest exits
+1).  The runner exits 1 if any mutant survives, or, before running any, if
+an old text is not found exactly once, so that the table keeps up with the
+code.  The named files must pass on the unchanged tree, as tier-1 checks
+first.  pytest does not collect this file; run it from anywhere, with no
+options:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+STEIN = "src/rmflab/stein.py"
+CORE = "src/rmflab/rmf_core.py"
+HARNESS = "src/rmflab/harness.py"
+
+MUTANTS = [
+    # each Stein budget refusing at its own value
+    Mutant("_delta3 refuses k = PRIME_BUDGET", STEIN,
+           "if k > PRIME_BUDGET:", "if k >= PRIME_BUDGET:", ("tests/test_stein.py",)),
+    Mutant("a lone member with k = PRIME_BUDGET counted as bounded", STEIN,
+           "np.diff(table.offsets)[alone] - 1 > PRIME_BUDGET",
+           "np.diff(table.offsets)[alone] - 1 >= PRIME_BUDGET", ("tests/test_stein.py",)),
+    Mutant("stein_terms refuses |N(p)| = MEMBER_BUDGET", STEIN,
+           "counts > MEMBER_BUDGET", "counts >= MEMBER_BUDGET", ("tests/test_stein.py",)),
+    Mutant("conditional_moments_check refuses |L| = LARGE_PRIME_BUDGET", STEIN,
+           "if len(large) > LARGE_PRIME_BUDGET:", "if len(large) >= LARGE_PRIME_BUDGET:",
+           ("tests/test_stein.py",)),
+    Mutant("decomposition_sides refuses |L| = L_BUDGET", STEIN,
+           "if l_size > L_BUDGET:", "if l_size >= L_BUDGET:", ("tests/test_stein.py",)),
+    # the sign kernel
+    Mutant("bit 62 read for the sign", CORE,
+           "np.signbit(hb.view(np.float64), out=dst)",
+           "np.signbit((hb << np.uint64(1)).view(np.float64), out=dst)",
+           ("tests/test_rmf_core.py",)),
+    Mutant("np.less on the float view", CORE,
+           "np.signbit(hb.view(np.float64), out=bits)",
+           "np.less(hb.view(np.float64), 0, out=bits)", ("tests/test_rmf_core.py",)),
+    Mutant("the omega = 1 bucket dropped", CORE,
+           "for k in (np.flatnonzero(sizes[1:]) + 1).tolist():",
+           "for k in (np.flatnonzero(sizes[2:]) + 2).tolist():", ("tests/test_rmf_core.py",)),
+    # simulate's analysis and report files
+    Mutant("trial 0 written blank", HARNESS,
+           'rows[:, k] = d % 10 + ord("0") if k == ndigits - 1 else (d % 10 + ord("0")) * (d > 0)',
+           'rows[:, k] = (d % 10 + ord("0")) * (d > 0)',
+           ("tests/test_harness.py", "tests/test_report_digests.py")),
+    Mutant("an unweighted histogram", HARNESS,
+           "range=HIST_RANGE, weights=counts)", "range=HIST_RANGE)",
+           ("tests/test_harness.py", "tests/test_report_digests.py")),
+    Mutant("CSV rows out of order", HARNESS,
+           "text.take(row[start:start + len(i)], axis=0)",
+           "text.take(np.sort(row[start:start + len(i)]), axis=0)",
+           ("tests/test_harness.py", "tests/test_report_digests.py")),
+    Mutant("an unreversed distinct", HARNESS,
+           "occurs = np.flatnonzero(seen)[::-1]", "occurs = np.flatnonzero(seen)",
+           ("tests/test_harness.py", "tests/test_report_digests.py")),
+    # the CLI and its refusals
+    Mutant(".4g for delta", HARNESS,
+           'print(f"warning: delta = {cfg.delta!r} is',
+           'print(f"warning: delta = {cfg.delta:.4g} is', ("tests/test_harness.py",)),
+    Mutant("no worker cap", HARNESS,
+           "if self.workers > MAX_WORKERS:", "if self.workers > 1000 * MAX_WORKERS:",
+           ("tests/test_harness.py",)),
+    Mutant("a --budget check of < -5", HARNESS,
+           'if getattr(args, "budget", 0) < 0:', 'if getattr(args, "budget", 0) < -5:',
+           ("tests/test_harness.py",)),
+    Mutant("a refused stein_terms drops sum_delta3", HARNESS,
+           'out["exchange_variance"] = out["sum_delta3"] = {"skipped": str(e)}',
+           'out["exchange_variance"] = {"skipped": str(e)}', ("tests/test_harness.py",)),
+    Mutant("another default for --var-trials", HARNESS,
+           "VAR_TRIALS = 2000", "VAR_TRIALS = 2001", ("tests/test_report_digests.py",)),
+    # the factor table
+    Mutant("a left > 1 filter on the sieve primes", "src/rmflab/numtheory.py",
+           "sieve = sieve[hits > 0]", "sieve = sieve[hits > 1]", ("tests/test_numtheory.py",)),
+]
+
+
+def _stale(mutants: list[Mutant]) -> list[str]:
+    """Why each entry whose old text is not found exactly once is stale."""
+    out = []
+    for m in mutants:
+        found = (ROOT / m.path).read_text().count(m.old)
+        if found != 1:
+            out.append(f"{m.name}: old text found {found} times in {m.path}")
+    return out
+
+
+def _survivors(m: Mutant) -> list[str]:
+    """The named test files that do not fail with m applied to a copy."""
+    with tempfile.TemporaryDirectory(prefix="rmflab-mutant-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            if (ROOT / name).is_dir():
+                shutil.copytree(ROOT / name, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(ROOT / name, copy / name)
+        target = copy / m.path
+        target.write_text(target.read_text().replace(m.old, m.new))
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        out = []
+        for test in m.tests:
+            run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                                  test], cwd=copy, env=env, capture_output=True, text=True)
+            if run.returncode != 1:
+                out.append(f"{test} (pytest exit {run.returncode})")
+        return out
+
+
+def main() -> int:
+    stale = _stale(MUTANTS)
+    if stale:
+        print("stale mutants:\n  " + "\n  ".join(stale))
+        return 1
+    survived = 0
+    for m in MUTANTS:
+        t0 = time.perf_counter()
+        left = _survivors(m)
+        survived += bool(left)
+        status = f"SURVIVED in {', '.join(left)}" if left else "killed"
+        print(f"{m.name}: {status} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -115,8 +115,7 @@ def test_criterion_03_conditional_moments_exhaustive():
             SimpleNamespace(sign={p: rng.choice((-1, 1)) for p in small}.__getitem__)
             for _ in range(5)
         ]
-        report = conditional_moments_check(table, z_of_delta(delta), assignments,
-                                           large_prime_budget=22)
+        report = conditional_moments_check(table, z_of_delta(delta), assignments)
         assert report.ok, f"conditional moments off on ({x}, {y})"
         assert report.means == (Fraction(0),) * 5
         assert report.second_moments == (Fraction(table.squarefree_count),) * 5

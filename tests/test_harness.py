@@ -357,6 +357,18 @@ def test_run_stein_checks_fragment():
     assert frag2["exchange_variance"]["ratio"] >= 0
 
 
+def test_cli_stein_refusal_skips_both_stein_terms_keys(capsys):
+    # one stein_terms call gives exchange_variance and sum_delta3, so its
+    # refusal skips both with the same reason; each at-scale refusal keeps
+    # its message
+    assert main(["stein", "--x", "100000000", "--y", "10000", "--var-trials", "20"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["conditional_moments"] == {"skipped": "5836 distinct large primes exceeds budget 22"}
+    assert out["decomposition"] == {"skipped": "|L| = 5836 exceeds budget 12"}
+    assert out["exchange_variance"] == {"skipped": "|N(5)| = 1019 exceeds 400"}
+    assert out["sum_delta3"] == out["exchange_variance"]
+
+
 def test_emit_io_failure_exit_code(tmp_path, capsys):
     rc = main(["simulate", "--x", "2000", "--y", "100", "--trials", "10",
                "--out", "/proc/nonexistent/run"])

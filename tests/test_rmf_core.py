@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import math
@@ -122,11 +123,29 @@ def test_sampler_matches_scalar_path():
     assert samp.raw_sums(10, 7).tolist() == vec[10:17].tolist()
 
 
+@contextlib.contextmanager
+def tiles_of(batch):
+    """The sampler's tiles set to `batch` trials through its tile constants
+    (a _MIN_TILE of batch over a zero sign budget), or left at their
+    default width where batch is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr(rmf_core, "_MIN_TILE", batch)
+            mp.setattr(rmf_core, "_SIGN_BYTES", 0)
+        yield
+
+
+def raw_sums(samp, start, count, batch):
+    """samp.raw_sums(start, count) in tiles of `batch` trials."""
+    with tiles_of(batch):
+        return samp.raw_sums(start, count)
+
+
 def test_sampler_batch_boundaries():
     t = segmented_factorize(500, 40)
     samp = IntervalSampler(t, 5)
-    a = samp.raw_sums(0, 30, batch=7)
-    b = samp.raw_sums(0, 30, batch=512)
+    a = raw_sums(samp, 0, 30, 7)
+    b = raw_sums(samp, 0, 30, 512)
     assert np.array_equal(a, b)
 
 
@@ -158,7 +177,7 @@ def test_sampler_unaligned_tiles_match_one_long_call():
     samp = IntervalSampler(t, 9)
     long = samp.raw_sums(0, 1000)
     assert np.array_equal(samp.raw_sums(137, 501), long[137:638])
-    assert np.array_equal(samp.raw_sums(137, 501, batch=50), long[137:638])
+    assert np.array_equal(raw_sums(samp, 137, 501, 50), long[137:638])
     assert np.array_equal(samp.raw_sums(999, 1), long[999:])
 
 
@@ -190,7 +209,7 @@ def test_sampler_golden_digest():
     samp = IntervalSampler(segmented_factorize(10**6, 10**3), 1)
     assert default_tile(samp) == 6043
     for batch in TILE_BATCHES:
-        raw = samp.raw_sums(0, 4096, batch=batch)
+        raw = raw_sums(samp, 0, 4096, batch)
         digest = hashlib.sha256(raw.astype("<i8").tobytes()).hexdigest()
         assert digest == "9f5d89ab2b1d5dfd69025bc950df35dddbafe839c5a7d0d53b138efc4b051436", batch
 
@@ -212,7 +231,7 @@ def test_sampler_tile_widths_match_scalar_path(x, y, seed):
         # 510 entries at the tile widths up to 65, takes at least three counts
         assert max(len(entries) for entries, _ in samp._buckets) > 510
         assert rmf_core._BLOCK_SIGNS // 65 > 510
-    runs = [samp.raw_sums(start, count, batch=b) for b in TILE_BATCHES]
+    runs = [raw_sums(samp, start, count, b) for b in TILE_BATCHES]
     for raw in runs[1:]:
         assert np.array_equal(raw, runs[0])
     root = SignSource(seed)
@@ -227,7 +246,7 @@ def test_sampler_crosses_default_tile_boundary():
     samp = IntervalSampler(t, 1)
     assert default_tile(samp) == 6043 > rmf_core._MIN_TILE
     raw = samp.raw_sums(0, 6048)
-    assert np.array_equal(raw, samp.raw_sums(0, 6048, batch=4096))
+    assert np.array_equal(raw, raw_sums(samp, 0, 6048, 4096))
     root = SignSource(1)
     for i in (6042, 6043):
         assert raw[i] == interval_sum(t, root.for_trial(i))
@@ -253,7 +272,7 @@ def test_sampler_parity_counts_do_not_wrap(monkeypatch):
     mobius_sum = interval_sum(t, FixedSigns(neg=set(t.primes.tolist())))
     samp = IntervalSampler(t, 2)
     for batch in (5, 64, None):
-        assert samp.raw_sums(0, 5, batch=batch).tolist() == [mobius_sum] * 5
+        assert raw_sums(samp, 0, 5, batch).tolist() == [mobius_sum] * 5
     assert calls[False] > 1 and calls[True] > 0
 
 
@@ -267,7 +286,7 @@ def test_sampler_minimum_tile_matches_scalar_path():
     assert rmf_core._SIGN_BYTES // n_rows == 418
     assert default_tile(samp) == rmf_core._MIN_TILE < 600
     raw = samp.raw_sums(0, 600)
-    assert np.array_equal(raw, samp.raw_sums(0, 600, batch=600))
+    assert np.array_equal(raw, raw_sums(samp, 0, 600, 600))
     root = SignSource(4)
     for i in (rmf_core._MIN_TILE - 1, rmf_core._MIN_TILE):
         assert raw[i] == interval_sum(t, root.for_trial(i))
@@ -300,7 +319,7 @@ def test_sampler_private_primes_match_scalar_path(wide_scalar_sums, batch):
     # reorders to list private primes first
     assert any(p in private and q in shared for ps in lists for p in ps for q in ps if p < q)
     samp = IntervalSampler(t, 5)
-    assert samp.raw_sums(3, 10, batch=batch).tolist() == scalar
+    assert raw_sums(samp, 3, 10, batch).tolist() == scalar
 
 
 @pytest.mark.parametrize("fail", [False, True])
@@ -417,10 +436,11 @@ TILE_EDGES = (0, 1, 6, 7, 63, 64, 299, 300, 332)
 def test_entry_values_match_scalar_path(x, y, seed, columns, batch):
     t = segmented_factorize(x, y)
     samp = IntervalSampler(t, seed)
-    values = samp.entry_values(61, 333, batch=batch)
+    with tiles_of(batch):
+        values = samp.entry_values(61, 333)
     assert values.dtype == np.int8 and values.shape == (y, 333)
     assert np.array_equal(values[:, columns], scalar_entry_values(x, y, seed, 61, columns))
-    assert np.array_equal(values.sum(axis=0), samp.raw_sums(61, 333, batch=batch))
+    assert np.array_equal(values.sum(axis=0), raw_sums(samp, 61, 333, batch))
 
 
 def test_entry_values_match_scalar_source():

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 import tracemalloc
@@ -21,6 +22,7 @@ from rmflab.numtheory import (
 from rmflab.quadruples import _oracle_count_array, _oracle_count_members
 from rmflab.rmf_core import SignSource
 from rmflab import rmf_core, stein
+from rmflab.harness import VAR_TRIALS
 from rmflab.stein import (
     _all_sign_values,
     _delta3,
@@ -103,9 +105,9 @@ def members(t, p):
     return ((t.x_lo + 1 + view.entries[view.offsets[j] : view.offsets[j + 1]]) // p).tolist()
 
 
-def delta3(t, p, prime_budget=20):
+def delta3(t, p):
     j = prime_index(t, p)
-    return _delta3(p, *(_support_masks(t, j) if j is not None else ([], 0)), prime_budget)
+    return _delta3(p, *(_support_masks(t, j) if j is not None else ([], 0)))
 
 
 def _masks_of(ms: list[Member]) -> tuple[list[int], int]:
@@ -148,7 +150,7 @@ def test_increment_support_invariants():
 def test_delta2():
     t = segmented_factorize(10, 10)
     # z = 1: every prime of the table is large
-    d2 = stein_terms(t, 1.0, var_trials=2).delta2_by_p
+    d2 = stein_terms(t, 1.0, var_trials=2, master_seed=0).delta2_by_p
     assert d2[7] == 2
     assert d2.get(23, 0) == 0
     for p in (2, 3, 5, 7, 11):
@@ -157,11 +159,11 @@ def test_delta2():
 
 def test_delta4():
     t10 = segmented_factorize(10, 10)
-    assert stein_terms(t10, 1.0, var_trials=2).delta4_by_p[7] == 8  # |N(7)| = 1
+    assert stein_terms(t10, 1.0, var_trials=2, master_seed=0).delta4_by_p[7] == 8  # |N(7)| = 1
     assert members(t10, 23) == [] and _oracle_count_array([]) == 0
     t = segmented_factorize(25, 20)  # N(7) = {5, 6}, no non-diagonal
     assert members(t, 7) == [5, 6]
-    assert stein_terms(t, 1.0, var_trials=2).delta4_by_p[7] == 8 * (3 * 4 - 2 * 2)
+    assert stein_terms(t, 1.0, var_trials=2, master_seed=0).delta4_by_p[7] == 8 * (3 * 4 - 2 * 2)
 
 
 def test_delta3_frozen_values():
@@ -190,16 +192,17 @@ def test_delta3_brute_force_cross_check():
 
 def test_cauchy_schwarz_chain():
     t = segmented_factorize(100, 60)
-    terms = stein_terms(t, 1.0, var_trials=2)
+    terms = stein_terms(t, 1.0, var_trials=2, master_seed=0)
     for p in (2, 3, 5, 7, 11, 13, 17, 31, 101):
         d3 = Fraction(delta3(t, p))
         assert d3 * d3 <= terms.delta2_by_p[p] * terms.delta4_by_p[p]
 
 
-def test_delta3_budget():
+def test_delta3_budget(monkeypatch):
     t = segmented_factorize(10**4, 200)
+    monkeypatch.setattr(stein, "PRIME_BUDGET", 5)
     with pytest.raises(ScaleError):
-        delta3(t, 2, prime_budget=5)
+        delta3(t, 2)
 
 
 def test_subset_weight():
@@ -374,7 +377,7 @@ def test_conditional_moments_budget_and_validation():
     view, first = _view(t, 10.0)
     assert view.primes[:first].tolist() == [2, 3, 5, 7]
     with pytest.raises(ScaleError, match="distinct large primes exceeds budget 22"):
-        conditional_moments_check(t, 10.0, [_mapped_signs({})], large_prime_budget=22)
+        conditional_moments_check(t, 10.0, [_mapped_signs({})])
 
 
 def test_sign_vector_moments_tiny():
@@ -409,7 +412,7 @@ def test_decomposition_budget():
         decomposition_sides(t, 5.0, SignSource(0))
 
 
-def test_stein_terms_aggregation():
+def test_stein_terms_aggregation(monkeypatch):
     t = segmented_factorize(200, 80)
     terms = stein_terms(t, 3.0, var_trials=50, master_seed=2)
     assert terms.sum_delta3 >= 0 and terms.exchange_variance >= 0
@@ -420,7 +423,8 @@ def test_stein_terms_aggregation():
     for p, d2 in terms.delta2_by_p.items():
         assert Fraction(delta3(t, p)) ** 2 <= d2 * terms.delta4_by_p[p]
     # forcing the exact path off routes primes through the bound
-    loose = stein_terms(t, 3.0, var_trials=50, master_seed=2, prime_budget=0)
+    monkeypatch.setattr(stein, "PRIME_BUDGET", 0)
+    loose = stein_terms(t, 3.0, var_trials=50, master_seed=2)
     assert loose.bounded_primes > 0
     assert loose.sum_delta3 >= terms.sum_delta3
 
@@ -658,16 +662,69 @@ def test_stein_terms_refuses_before_building_any_member(monkeypatch):
     sizes = {p: len(ms) for p, ms in _supports(t).items() if p > 3.0}
     top = max(sizes.values())
     first = min(p for p, n in sizes.items() if n > top - 1)
-    assert stein_terms(t, 3.0, var_trials=2, member_budget=top).exact_primes == len(sizes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stein, "MEMBER_BUDGET", top)
+        assert stein_terms(t, 3.0, var_trials=2, master_seed=0).exact_primes == len(sizes)
 
     def no_members(*args):
         raise AssertionError("member masks built")
 
     monkeypatch.setattr(stein, "_support_masks", no_members)
-    with pytest.raises(ScaleError, match=re.escape(f"|N({first})| = {top} exceeds {top - 1}")):
-        stein_terms(t, 3.0, var_trials=2, member_budget=top - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stein, "MEMBER_BUDGET", top - 1)
+        with pytest.raises(ScaleError, match=re.escape(f"|N({first})| = {top} exceeds {top - 1}")):
+            stein_terms(t, 3.0, var_trials=2, master_seed=0)
     with pytest.raises(ScaleError, match=re.escape("|N(5)| = 1019 exceeds 400")):
-        stein_terms(segmented_factorize(10**8, 10**4), z_of_delta(10**4 / 10**8))
+        stein_terms(segmented_factorize(10**8, 10**4), z_of_delta(10**4 / 10**8), VAR_TRIALS, 0)
+
+
+@pytest.mark.parametrize("x, y, z", [
+    (200, 80, 3.0),                  # the most distinct primes, 10, in N(7), |N(7)| = 8
+    (700, 9, z_of_delta(9 / 700)),   # 2, in the lone members of N(3), N(5) and N(47)
+])
+def test_prime_budget_boundary(monkeypatch, x, y, z):
+    # at PRIME_BUDGET = k, the most distinct primes in any N(p) of L, every
+    # prime is exact; at k - 1 the primes with k fall back to the
+    # Cauchy-Schwarz bound, and _delta3 refuses each with its message
+    t = segmented_factorize(x, y)
+    view, first = _view(t, z)
+    masks = {p: _support_masks(t, j) for j, p in enumerate(view.primes[first:].tolist(), first)}
+    k = max(n for _, n in masks.values())
+    top = [p for p, (_, n) in masks.items() if n == k]
+    monkeypatch.setattr(stein, "PRIME_BUDGET", k)
+    exact_d3 = {p: _delta3(p, *m) for p, m in masks.items()}
+    exact = stein_terms(t, z, var_trials=2, master_seed=0)
+    assert (exact.exact_primes, exact.bounded_primes) == (len(masks), 0)
+    assert exact.sum_delta3 == np.add.accumulate(list(exact_d3.values()))[-1]
+    monkeypatch.setattr(stein, "PRIME_BUDGET", k - 1)
+    for p in top:
+        with pytest.raises(ScaleError) as refusal:
+            _delta3(p, *masks[p])
+        assert str(refusal.value) == f"{k} distinct primes in N({p}) exceeds budget {k - 1}"
+    loose = stein_terms(t, z, var_trials=2, master_seed=0)
+    assert (loose.exact_primes, loose.bounded_primes) == (len(masks) - len(top), len(top))
+    d3 = [math.sqrt(loose.delta2_by_p[p] * loose.delta4_by_p[p]) if p in top else v
+          for p, v in exact_d3.items()]
+    assert loose.sum_delta3 == np.add.accumulate(d3)[-1]
+
+
+@pytest.mark.parametrize("budget, check, refusal", [
+    ("LARGE_PRIME_BUDGET", lambda t, z: conditional_moments_check(t, z, [SignSource(1)]).ok,
+     "10 distinct large primes exceeds budget 9"),
+    ("L_BUDGET", lambda t, z: operator.eq(*decomposition_sides(t, z, SignSource(1))),
+     "|L| = 10 exceeds budget 9"),
+], ids=["LARGE_PRIME_BUDGET", "L_BUDGET"])
+def test_large_prime_budgets_boundary(monkeypatch, budget, check, refusal):
+    # |L| = 10 at (700, 9]: checked at a budget of 10, refused at 9
+    t = segmented_factorize(700, 9)
+    z = z_of_delta(9 / 700)
+    assert len(large_primes(t, z)) == 10
+    monkeypatch.setattr(stein, budget, 10)
+    assert check(t, z)
+    monkeypatch.setattr(stein, budget, 9)
+    with pytest.raises(ScaleError) as e:
+        check(t, z)
+    assert str(e.value) == refusal
 
 
 def _reference_delta3(p, members, prime_budget):
@@ -687,15 +744,18 @@ def _reference_delta3(p, members, prime_budget):
     return 4 * third / float(1 << k)
 
 
-def assert_delta3_matches_reference(p, ms, masks, k, prime_budget=20):
-    """_delta3 on the masks of the members ms against the reference."""
-    try:
-        want = _reference_delta3(p, ms, prime_budget)
-    except ScaleError as e:
-        with pytest.raises(ScaleError, match=re.escape(str(e))):
-            _delta3(p, masks, k, prime_budget)
-        return False
-    assert _delta3(p, masks, k, prime_budget).hex() == want.hex(), p
+def assert_delta3_matches_reference(p, ms, masks, k, prime_budget=stein.PRIME_BUDGET):
+    """_delta3 on the masks of the members ms, with stein.PRIME_BUDGET set
+    to prime_budget, against the reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stein, "PRIME_BUDGET", prime_budget)
+        try:
+            want = _reference_delta3(p, ms, prime_budget)
+        except ScaleError as e:
+            with pytest.raises(ScaleError, match=re.escape(str(e))):
+                _delta3(p, masks, k)
+            return False
+        assert _delta3(p, masks, k).hex() == want.hex(), p
     return True
 
 
@@ -735,17 +795,17 @@ def test_delta3_matches_full_transform_on_random_supports(prime_sets, budget):
 
 
 def test_delta3_degenerate_supports():
-    assert _delta3(7, [], 0, 20) == _reference_delta3(7, [], 20) == 0.0
+    assert _delta3(7, [], 0) == _reference_delta3(7, [], 20) == 0.0
     one = [(1, ())]  # k = 1: mask 0, rank 0
     assert _span_coordinates([0]) == ([0], 0)
     assert _masks_of(one) == ([0], 0)
-    assert _delta3(7, [0], 0, 20).hex() == _reference_delta3(7, one, 20).hex() == (4.0).hex()
+    assert _delta3(7, [0], 0).hex() == _reference_delta3(7, one, 20).hex() == (4.0).hex()
     for ms in ([(1, ()), (2, (2,))],
                [(6, (2, 3)), (15, (3, 5)), (10, (2, 5))],  # 6 * 15 * 10 is a square
                [(1, ()), (6, (2, 3)), (35, (5, 7)), (210, (2, 3, 5, 7)), (3, (3,))]):
         masks = [sum(1 << j for j, q in enumerate(_POOL) if q in qs) for _, qs in ms]
         assert _span_coordinates(masks)[1] < len(ms)
-        assert _delta3(7, *_masks_of(ms), 20).hex() == _reference_delta3(7, ms, 20).hex()
+        assert _delta3(7, *_masks_of(ms)).hex() == _reference_delta3(7, ms, 20).hex()
 
 
 def test_span_coordinates_reconstruct_the_masks():
@@ -793,10 +853,11 @@ def _reference_exchange_variance(table, z, trials, master_seed):
     return float(total.var(ddof=1))
 
 
-def _reference_stein_terms(table, z, var_trials=2000, master_seed=0, prime_budget=20,
-                           member_budget=400):
+def _reference_stein_terms(table, z, var_trials, master_seed, prime_budget, member_budget):
     """stein_terms with one member list from the table's rows, one scalar
-    pair-kernel count and one _delta3 call for every prime of L."""
+    pair-kernel count, and one _delta3 call for every prime of L with at
+    most prime_budget distinct primes in N(p) (prime_budget is at most
+    stein.PRIME_BUDGET)."""
     supports = _supports(table)
     large = _large_primes(supports, z)
     over = [p for p in large if len(supports[p]) > member_budget]
@@ -810,10 +871,11 @@ def _reference_stein_terms(table, z, var_trials=2000, master_seed=0, prime_budge
         members = supports[p]
         d2[p] = 2 * len(members)  # E|Delta_p f|^2 = 2 |N(p)|
         d4[p] = 8 * _oracle_count_members([k for k, _ in members])
-        try:
-            total += _delta3(p, *_masks_of(members), prime_budget)
+        masks, k = _masks_of(members)
+        if k <= prime_budget:
+            total += _delta3(p, masks, k)
             exact_primes += 1
-        except ScaleError:
+        else:
             total += math.sqrt(d2[p] * d4[p])
             bounded_primes += 1
     var_t = _reference_exchange_variance(table, z, var_trials, master_seed)
@@ -831,9 +893,16 @@ def _reference_weight_identity(l_size, omega):
                     common)
 
 
-def assert_stein_terms_match_reference(t, z, **kwargs):
-    got = stein_terms(t, z, **kwargs)
-    want = _reference_stein_terms(t, z, **kwargs)
+def assert_stein_terms_match_reference(t, z, var_trials, master_seed=0,
+                                       prime_budget=stein.PRIME_BUDGET,
+                                       member_budget=stein.MEMBER_BUDGET):
+    """stein_terms, with stein.PRIME_BUDGET and stein.MEMBER_BUDGET set to
+    the given budgets, against the per-prime reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stein, "PRIME_BUDGET", prime_budget)
+        mp.setattr(stein, "MEMBER_BUDGET", member_budget)
+        got = stein_terms(t, z, var_trials, master_seed)
+    want = _reference_stein_terms(t, z, var_trials, master_seed, prime_budget, member_budget)
     assert got == want
     assert got.sum_delta3.hex() == want.sum_delta3.hex()
     assert got.exchange_variance.hex() == want.exchange_variance.hex()
@@ -915,10 +984,12 @@ def test_quadruple_counts_match_the_oracle_prime_by_prime(monkeypatch, x, y, z, 
 
 def test_stein_terms_pairs_no_members_when_y_is_at_most_x(monkeypatch):
     counted = spy_on(monkeypatch, "_oracle_count_array")
-    for x, y in ((5000, 500), (20000, 600), (1000, 999), (10**6, 10**4)):
-        stein_terms(segmented_factorize(x, y), 1.0, var_trials=2, member_budget=10**7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stein, "MEMBER_BUDGET", 10**7)
+        for x, y in ((5000, 500), (20000, 600), (1000, 999), (10**6, 10**4)):
+            stein_terms(segmented_factorize(x, y), 1.0, var_trials=2, master_seed=0)
     assert counted == []
-    stein_terms(_factor_segment(9, 12), 1.0, var_trials=2)
+    stein_terms(_factor_segment(9, 12), 1.0, var_trials=2, master_seed=0)
     assert counted == [8, 8]  # N(2) = {5, 7} and N(5) = {2, 3}
 
 
