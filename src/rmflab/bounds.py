@@ -27,12 +27,10 @@ class BoundInputs:
         return self.y / self.x
 
     @classmethod
-    def from_interval(cls, x: int, y: int, s_count: int,
-                      z_override: float | None = None) -> "BoundInputs":
+    def from_interval(cls, x: int, y: int, s_count: int) -> "BoundInputs":
         if not 0 <= s_count <= y:
             raise ValueError(f"S must lie in [0, y], got S={s_count}, y={y}")
-        z = z_override if z_override is not None else z_of_delta(y / x)
-        return cls(x, y, s_count, z)
+        return cls(x, y, s_count, z_of_delta(y / x))
 
 
 def _log_y(b: BoundInputs) -> float:

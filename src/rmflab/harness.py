@@ -139,10 +139,10 @@ class ExperimentReport:
     bounds: dict
     ratios: dict
     # stage wall times (sieve, trials, analysis) for stderr; never serialized
-    timing_ms: dict | None = None
+    timing_ms: dict
     # W's (distinct, counts, row) from _lattice, kept for csv/histogram
     # emission; never serialized
-    lattice: tuple | None = field(default=None, repr=False, compare=False)
+    lattice: tuple = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -158,10 +158,8 @@ class ExperimentReport:
         }
 
     @property
-    def w_values(self) -> np.ndarray | None:
+    def w_values(self) -> np.ndarray:
         """Per-trial W values, bit for bit raw / sqrt(S)."""
-        if self.lattice is None:
-            return None
         distinct, _, row = self.lattice
         return distinct[row]
 
@@ -285,12 +283,12 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_moments(cfg: ExperimentConfig,
-                budget: int = quad_mod.DEFAULT_BUDGET) -> dict:
+def run_moments(cfg: ExperimentConfig) -> dict:
     """Exact fourth-moment fragment: counts, closed forms and bound ratios.
-    The non-diagonal enumeration runs first and is refused beyond `budget`
-    candidate rows before the factor table is built."""
-    nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y, budget)
+    The non-diagonal enumeration runs first and is refused beyond
+    quadruples.DEFAULT_BUDGET candidate rows before the factor table is
+    built."""
+    nd = quad_mod.param_enumerate_nondiagonal(cfg.x, cfg.y)
     table = segmented_factorize(cfg.x, cfg.y)
     s = table.squarefree_count
     diag = quad_mod.diagonal_count(s)
@@ -438,8 +436,6 @@ def emit(report: ExperimentReport, formats: tuple[str, ...], out_base: str) -> l
     """Write report files <out_base>.json / <out_base>.csv /
     <out_base>.hist.json; on any I/O failure partial files are removed and
     the error re-raised."""
-    if report.lattice is None and ("csv" in formats or "histogram" in formats):
-        raise ValueError("csv and histogram formats need per-trial values")
     files: list[tuple[Path, str]] = []
     if "json" in formats:
         files.append((Path(out_base + ".json"), report.dumps() + "\n"))
@@ -490,10 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="exact fourth moment of the interval sum")
     _add_interval_args(p, z=False)
-    p.add_argument("--budget", type=int, default=quad_mod.DEFAULT_BUDGET,
-                   help="most candidate rows the non-diagonal enumeration may build; "
-                        "a larger count is refused (exit 3) before any row past the "
-                        "budget is built")
 
     p = sub.add_parser("stein", help="identity and conditional-moment checks")
     _add_interval_args(p)
@@ -545,15 +537,13 @@ def _check_args(args: argparse.Namespace) -> None:
     """Refuse, before any work and before the config is built (so no delta
     warning comes first), an --out that names no file (it would write `.json`
     or `..csv` into a directory), an unknown --format, a --format that writes
-    files without --out (it would print the JSON and drop them), a
-    --var-trials below 2 or above MAX_TRIALS and a negative --budget."""
+    files without --out (it would print the JSON and drop them) and a
+    --var-trials below 2 or above MAX_TRIALS."""
     var_trials = getattr(args, "var_trials", 2)
     if var_trials < 2:
         raise ValueError(f"--var-trials must be >= 2, got {var_trials}")
     if var_trials > MAX_TRIALS:
         raise ScaleError(f"--var-trials {var_trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
-    if getattr(args, "budget", 0) < 0:
-        raise ValueError(f"--budget must be >= 0, got {args.budget}")
     out = getattr(args, "out", None)
     if out is not None and os.path.basename(out) in ("", ".", ".."):
         raise ValueError(f"--out must end in a file name, got {out!r}")
@@ -591,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 emit(report, tuple(args.format.split(",")), args.out)
         elif args.command == "moments":
-            _emit_or_print(run_moments(cfg, args.budget), args.out)
+            _emit_or_print(run_moments(cfg), args.out)
         elif args.command == "stein":
             _emit_or_print(run_stein_checks(cfg, args.var_trials), args.out)
         elif args.command == "bounds":

@@ -23,14 +23,11 @@ _U64_LIMIT = 1 << 64
 # on 2 shared vCPUs.
 MAX_X_PLUS_Y = 10**15
 MAX_Y = 10**7
-# _factor_segment sorts each incidence as one int64 key
-# (index << P_BITS | prime) << E_BITS | exponent: a sieve prime is at most
-# isqrt(MAX_X_PLUS_Y) < P_MASK, an exponent at most log2(MAX_X_PLUS_Y)
-# < 2^E_BITS, and an index within its block below MAX_Y <= 2^(63 - P_BITS -
-# E_BITS).  A prime cofactor is keyed with P_MASK, above every sieve prime, so
-# it sorts last.
+# _factor_segment sorts each incidence as one int64 key index << P_BITS |
+# prime: a sieve prime is at most isqrt(MAX_X_PLUS_Y) < P_MASK, and an index
+# within its block below MAX_Y <= 2^(63 - P_BITS).  A prime cofactor is keyed
+# with P_MASK, above every sieve prime, so it sorts last.
 P_BITS = 31
-E_BITS = 6
 P_MASK = (1 << P_BITS) - 1
 # Fewest entries per block of _factor_segment.  A block is also at least as
 # long as the list of sieve primes that hit the interval, since each block
@@ -77,11 +74,13 @@ class IntervalTable:
     """Complete factorizations and square-free flags for (x, x+y], as
     read-only CSR arrays.
 
-    Entry i is n = x_lo + 1 + i: its primes, ascending, are
-    primes[offsets[i]:offsets[i+1]] (int64) with their exponents (int8), and
-    flags[i] (bool) is True iff n is square-free.  segmented_factorize
-    refuses intervals with x+y > MAX_X_PLUS_Y or y > MAX_Y.  Every grouping
-    of the square-free incidences by prime reads prime_major.
+    Entry i is n = x_lo + 1 + i: its distinct primes, ascending, are
+    primes[offsets[i]:offsets[i+1]] (int64), and flags[i] (bool) is True
+    iff n is square-free.  No exponent is stored: factors and entries find
+    each by dividing n, and it is 1 in a square-free entry.
+    segmented_factorize refuses intervals with x+y > MAX_X_PLUS_Y or y >
+    MAX_Y.  Every grouping of the square-free incidences by prime reads
+    prime_major.
 
     The one way to restrict a table to some of its square-free entries is
     to narrow flags to a subset of them (restrict): the IntervalSampler and
@@ -92,11 +91,10 @@ class IntervalTable:
     y_len: int
     offsets: np.ndarray
     primes: np.ndarray
-    exponents: np.ndarray
     flags: np.ndarray
 
     def __post_init__(self):
-        for a in (self.offsets, self.primes, self.exponents, self.flags):
+        for a in (self.offsets, self.primes, self.flags):
             a.flags.writeable = False
 
     @cached_property
@@ -128,7 +126,8 @@ class IntervalTable:
     @property
     def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The (prime, exponent) pairs of every entry."""
-        pairs = list(zip(self.primes.tolist(), self.exponents.tolist()))
+        n = np.repeat(np.arange(self.x_lo + 1, self.x_hi + 1), np.diff(self.offsets))
+        pairs = list(zip(self.primes.tolist(), _valuations(n, self.primes).tolist()))
         off = self.offsets.tolist()
         return tuple(tuple(pairs[a:b]) for a, b in zip(off, off[1:]))
 
@@ -139,8 +138,8 @@ class IntervalTable:
 
     def factors(self, n: int) -> tuple[tuple[int, int], ...]:
         i = self._index(n)
-        a, b = self.offsets[i], self.offsets[i + 1]
-        return tuple(zip(self.primes[a:b].tolist(), self.exponents[a:b].tolist()))
+        ps = self.primes[self.offsets[i] : self.offsets[i + 1]]
+        return tuple(zip(ps.tolist(), _valuations(np.full(ps.size, n), ps).tolist()))
 
     def is_squarefree(self, n: int) -> bool:
         return bool(self.flags[self._index(n)])
@@ -153,6 +152,18 @@ class IntervalTable:
         ps, off, lo = self.primes.tolist(), self.offsets.tolist(), self.x_lo + 1
         return [(lo + i, tuple(ps[off[i] : off[i + 1]]))
                 for i in np.flatnonzero(self.flags).tolist()]
+
+
+def _valuations(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The exponent of each prime p[k] in n[k], for p[k] | n[k]."""
+    n = n // p
+    e = np.ones(p.size, dtype=np.int64)
+    at = np.flatnonzero(n % p == 0)
+    while at.size:
+        e[at] += 1
+        n[at] //= p[at]
+        at = at[n[at] % p[at] == 0]
+    return e
 
 
 class PrimeMajor(NamedTuple):
@@ -251,16 +262,16 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
 
     The primes up to sqrt(hi) are sieved once, and those with no multiple in
     the interval are dropped: in a short interval that is most of them.  The
-    hit counts of the rest size the output: primes and exponents get room for
-    every incidence plus one cofactor per entry.  _factor_block then factors
+    hit counts of the rest size the output: primes gets room for every
+    incidence plus one cofactor per entry.  _factor_block then factors
     blocks of max(MIN_BLOCK, number of kept primes) entries, each into its
     slice of the output, so the temporaries grow with the block and not with
     the interval; an interval of one block runs the loop once.  Each block
     finds the first multiple and the count of every kept prime and prime
-    power from its own bounds.  The prime powers p^k <= hi, k >= 2, that
-    raise exponents are listed once, for the primes whose square has a
-    multiple in the interval.  The returned primes and exponents are views
-    of the output buffers, whose unused cofactor room is never written."""
+    power from its own bounds.  The prime powers p^k <= hi, k >= 2, are
+    listed once, for the primes whose square has a multiple in the
+    interval.  The returned primes is a view of the output buffer, whose
+    unused cofactor room is never written."""
     hi = lo + length
     sieve = _sieve(math.isqrt(hi))
     hits = hi // sieve - lo // sieve  # multiples in the interval
@@ -279,7 +290,6 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
         power.append(pk)
     power_j, power = np.concatenate(power_j), np.concatenate(power)
     primes = np.empty(int(hits.sum()) + length, dtype=np.int64)
-    exponents = np.empty(primes.size, dtype=np.int8)
     offsets = np.zeros(length + 1, dtype=np.int64)
     flags = np.ones(length, dtype=bool)
     block = max(MIN_BLOCK, sieve.size)
@@ -287,31 +297,31 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     for a in range(0, length, block):
         b = min(a + block, length)
         ends = offsets[a + 1 : b + 1]
-        _factor_block(lo + a, b - a, sieve, power_j, power, primes[pos:],
-                      exponents[pos:], ends, flags[a:b])
+        _factor_block(lo + a, b - a, sieve, power_j, power, primes[pos:], ends, flags[a:b])
         ends += pos
         pos = int(ends[-1])
-    return IntervalTable(lo, length, offsets, primes[:pos], exponents[:pos], flags)
+    return IntervalTable(lo, length, offsets, primes[:pos], flags)
 
 
 def _factor_block(lo: int, length: int, sieve: np.ndarray, power_j: np.ndarray,
-                  power: np.ndarray, keys: np.ndarray, exponents: np.ndarray,
-                  ends: np.ndarray, flags: np.ndarray) -> None:
-    """Factor every n in (lo, lo+length] into the fronts of keys (primes)
-    and exponents.  ends gets each entry's end offset there, and flags (True
-    on entry) is cleared where n is not square-free.  sieve holds the primes
-    up to sqrt(hi) that may divide some n, and power every prime power p^k,
-    k >= 2, that may, with power_j the index of p; the first multiple and
-    the count of each in the block come from its own bounds.
+                  power: np.ndarray, keys: np.ndarray, ends: np.ndarray,
+                  flags: np.ndarray) -> None:
+    """Factor every n in (lo, lo+length] into the front of keys (its
+    distinct primes).  ends gets each entry's end offset there, and flags
+    (True on entry) is cleared where n is not square-free.  sieve holds the
+    primes up to sqrt(hi) that may divide some n, and power every prime
+    power p^k, k >= 2, that may, with power_j the index of p; the first
+    multiple and the count of each in the block come from its own bounds.
 
     No prime is divided out of the block.  The incidences p | n of the
     sieve primes are laid out prime-major, and each multiple of a power p^k
-    adds one to the exponent of its incidence of p, found in p's run by
-    arithmetic, for all the powers at once.  n over the product of its
-    sieve-prime powers is its cofactor, a prime > sqrt(hi) where it exceeds
-    1.  Each incidence becomes one int64 key (index, prime, exponent), built
-    in place over the index buffer at the front of keys, and each cofactor
-    the key (index, P_MASK, 1); one in-place sort puts them in CSR order."""
+    multiplies its product by p and clears its flag, at its incidence of p,
+    found in p's run by arithmetic, for all the powers at once.  n over the
+    product of its sieve-prime powers is its cofactor, a prime > sqrt(hi)
+    where it exceeds 1.  Each incidence becomes one int64 key (index,
+    prime), built in place over the index buffer at the front of keys, and
+    each cofactor the key (index, P_MASK); one in-place sort puts them in
+    CSR order."""
     hi = lo + length
     first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
     hits = (length - 1 - first) // sieve + 1
@@ -321,18 +331,15 @@ def _factor_block(lo: int, length: int, sieve: np.ndarray, power_j: np.ndarray,
     inc_i = keys[:nnz]
     inc_i[:] = inc_p
     _runs(first, sieve, hits, inc_i)
-    inc_e = np.ones(nnz, dtype=np.int8)
     prod = np.ones(length, dtype=np.int64)
     np.multiply.at(prod, inc_i, inc_p)
     p = sieve[power_j]
     first_k = (lo // power + 1) * power - (lo + 1)
     hits_k = (length - 1 - first_k) // power + 1
     step = power // p  # p^(k-1) is the gap in p's run between multiples of p^k
+    # at repeats an incidence once per power dividing it
     at = _runs(start[power_j] + (first_k - first[power_j]) // p, step, hits_k,
                np.repeat(step, hits_k))
-    # at repeats an incidence once per power dividing it; an int8 one keeps
-    # np.add.at on its fast path
-    np.add.at(inc_e, at, np.int8(1))
     np.multiply.at(prod, inc_i[at], inc_p[at])
     flags[inc_i[at]] = False
     rem = np.arange(lo + 1, hi + 1, dtype=np.int64)
@@ -345,16 +352,10 @@ def _factor_block(lo: int, length: int, sieve: np.ndarray, power_j: np.ndarray,
     np.cumsum(ends, out=ends)
     inc_i <<= P_BITS
     inc_i |= inc_p
-    inc_i <<= E_BITS
-    inc_i |= inc_e
-    del inc_p, inc_e
+    del inc_p
     keys = keys[: nnz + cof.size]
-    keys[nnz:] = cof << P_BITS + E_BITS | P_MASK << E_BITS | 1
+    keys[nnz:] = cof << P_BITS | P_MASK
     keys.sort()
-    exponents = exponents[: keys.size]
-    exponents[:] = keys
-    exponents &= (1 << E_BITS) - 1
-    keys >>= E_BITS
     keys &= P_MASK
     keys[ends[cof] - 1] = rem[cof]  # a cofactor sorts last in its entry
 

@@ -24,16 +24,16 @@ grow with the interval.  A filter gathers only the parent columns it reads
 runs np.gcd only on the rows that pass its cheaper tests, and the parent
 columns are gathered for the surviving rows alone.
 
-The budget counts candidate rows: each level's rows before filtering, i.e.
-the sum of its range widths.  Each shape's levels are streamed once.  The
-outer levels (A, c1, c2 of (b)/(c); A, r, u of (d)) are charged in full
+The budget, DEFAULT_BUDGET, counts candidate rows: each level's rows
+before filtering, i.e. the sum of its range widths.  Each shape's levels
+are streamed once.  The outer levels (A, c1, c2 of (b)/(c); A, r, u of (d)) are charged in full
 before that stream starts, each by a cheap stream of the outer levels
 before it; the deep levels (B of (b)/(c); B, s, v of (d)) are charged
 block by block inside the stream, before the block's rows are built.
 Every charge is >= 0, so an interval is refused iff its total charge
 exceeds the budget, and no row is built before it is charged.  A refusal
 at an outer level comes after only the earlier outer levels have run; one
-at a deep level, after at most `budget` candidate rows.
+at a deep level, after at most DEFAULT_BUDGET candidate rows.
 
 The same enumeration counts the quadruples within each N(p) of `stein`
 over N(p)'s flags on (x // p, (x+y) // p].  The pair-kernel oracle is the
@@ -71,6 +71,7 @@ ORACLE_MAX_S = 400
 # (members are at most MAX_X_PLUS_Y < 2^50) into LIMB-bit limbs, so that
 # every partial product fits an int64.
 LIMB = 25
+# Most candidate rows one enumeration may charge; read at each call
 DEFAULT_BUDGET = 10**9
 # Rows per block of a level's expansion: bounds the enumeration's memory.
 BLOCK = 1 << 14
@@ -307,18 +308,17 @@ def _enumerate(outer, deep, bud: _Budget):
         yield from _stream(deep, block, bud)
 
 
-def _solution_blocks(x: int, y: int, budget: int, flags: np.ndarray | None = None):
+def _solution_blocks(x: int, y: int, flags: np.ndarray | None = None):
     """Yield ("bc", A, B, c1, c2) and ("d", A, B, r, s, u, v) blocks of
     int64 columns, one row per solution; a "bc" row stands for one solution
     of shape (b) and one of shape (c).  With `flags`, the members are the
-    square-free n with flags[n - x - 1] set, and y may be x + 1."""
+    square-free n with flags[n - x - 1] set, and y may be x + 1.  The
+    candidate rows are charged against DEFAULT_BUDGET."""
     if x < 2 or y < 1:
         raise ValueError(f"need x >= 2, y >= 1, got x={x}, y={y}")
     if y > x + (flags is not None):
         # the ratio bounds that drive the case split need hi/lo < 2
         raise ValueError(f"enumeration needs y <= x, got x={x}, y={y}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
     check_scale(x, y)
     lo, hi = x + 1, x + y
     # both members of an unequal ratio pair are > x/y, hence >= x // y + 1,
@@ -327,7 +327,7 @@ def _solution_blocks(x: int, y: int, budget: int, flags: np.ndarray | None = Non
     if m * m > hi:
         return  # (b)/(c) need A*c <= hi and (d) A*m*m <= hi with A, c >= m
     sf = np.frombuffer(squarefree_flags(x, y), dtype=np.bool_) if flags is None else flags
-    bud = _Budget(budget)
+    bud = _Budget(DEFAULT_BUDGET)
     one = np.ones(1, dtype=np.int64)
 
     def isf(n):  # square-free, for n already known to lie in (x, x+y]
@@ -413,7 +413,7 @@ def _solution_blocks(x: int, y: int, budget: int, flags: np.ndarray | None = Non
         yield "d", b["A"], b["B"], b["r"], b["s"], b["u"], b["v"]
 
 
-def nondiagonal_quadruples(x: int, y: int, budget: int = DEFAULT_BUDGET):
+def nondiagonal_quadruples(x: int, y: int):
     """Yield (QuadrupleParam, (n1, n2, n3, n4)) for every ordered
     non-diagonal square quadruple in (x, x+y], each exactly once.
 
@@ -426,7 +426,7 @@ def nondiagonal_quadruples(x: int, y: int, budget: int = DEFAULT_BUDGET):
       (c) r=s=1, u,v > x/y distinct, A,B > x/y distinct;
       (d) r,s > x/y distinct and u,v > x/y distinct, A,B arbitrary.
     """
-    for shape, *cols in _solution_blocks(x, y, budget):
+    for shape, *cols in _solution_blocks(x, y):
         for row in zip(*(c.tolist() for c in cols)):
             if shape == "bc":
                 A, B, c1, c2 = row
@@ -440,10 +440,10 @@ def nondiagonal_quadruples(x: int, y: int, budget: int = DEFAULT_BUDGET):
                        (A * r * u, A * s * v, B * r * v, B * s * u))
 
 
-def param_enumerate_nondiagonal(x: int, y: int, budget: int = DEFAULT_BUDGET) -> int:
+def param_enumerate_nondiagonal(x: int, y: int) -> int:
     """Exact number of ordered non-diagonal square quadruples in (x, x+y].
-    Refused with ScaleError when the candidate rows exceed `budget`."""
-    return _count_solutions(_solution_blocks(x, y, budget))
+    Refused with ScaleError when the candidate rows exceed DEFAULT_BUDGET."""
+    return _count_solutions(_solution_blocks(x, y))
 
 
 def _count_solutions(blocks) -> int:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ScaleError
 from .numtheory import IntervalTable, PrimeMajor
-from .quadruples import DEFAULT_BUDGET, _count_solutions, _oracle_count_array, _solution_blocks
+from .quadruples import _count_solutions, _oracle_count_array, _solution_blocks
 from .rmf_core import IntervalSampler, SignSource
 
 # exchange_variance_monte_carlo's trial tile: its int8 X(n) matrix, the
@@ -318,7 +318,7 @@ def _quadruple_counts(table: IntervalTable, first: int) -> np.ndarray:
             continue
         flags = np.zeros(hi[j] - lo[j], dtype=np.bool_)
         flags[k - lo[j] - 1] = True
-        out[j] += _count_solutions(_solution_blocks(int(lo[j]), flags.size, DEFAULT_BUDGET, flags))
+        out[j] += _count_solutions(_solution_blocks(int(lo[j]), flags.size, flags))
     return out
 
 
@@ -387,7 +387,6 @@ class ConditionalMomentsReport:
     signs: one (mean, second moment) pair per sign source."""
 
     s_count: int
-    z: float
     large_primes: tuple[int, ...]
     means: tuple[Fraction, ...]
     second_moments: tuple[Fraction, ...]
@@ -424,7 +423,7 @@ def conditional_moments_check(table: IntervalTable, z: float,
         means.append(mean)
         seconds.append(second)
     return ConditionalMomentsReport(
-        table.squarefree_count, z, tuple(large), tuple(means), tuple(seconds)
+        table.squarefree_count, tuple(large), tuple(means), tuple(seconds)
     )
 
 

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 STEIN = "src/rmflab/stein.py"
 CORE = "src/rmflab/rmf_core.py"
 HARNESS = "src/rmflab/harness.py"
+NUMTHEORY = "src/rmflab/numtheory.py"
 
 MUTANTS = [
     # each Stein budget refusing at its own value
@@ -89,17 +90,24 @@ MUTANTS = [
     Mutant("no worker cap", HARNESS,
            "if self.workers > MAX_WORKERS:", "if self.workers > 1000 * MAX_WORKERS:",
            ("tests/test_harness.py",)),
-    Mutant("a --budget check of < -5", HARNESS,
-           'if getattr(args, "budget", 0) < 0:', 'if getattr(args, "budget", 0) < -5:',
-           ("tests/test_harness.py",)),
     Mutant("a refused stein_terms drops sum_delta3", HARNESS,
            'out["exchange_variance"] = out["sum_delta3"] = {"skipped": str(e)}',
            'out["exchange_variance"] = {"skipped": str(e)}', ("tests/test_harness.py",)),
     Mutant("another default for --var-trials", HARNESS,
            "VAR_TRIALS = 2000", "VAR_TRIALS = 2001", ("tests/test_report_digests.py",)),
     # the factor table
-    Mutant("a left > 1 filter on the sieve primes", "src/rmflab/numtheory.py",
+    Mutant("a left > 1 filter on the sieve primes", NUMTHEORY,
            "sieve = sieve[hits > 0]", "sieve = sieve[hits > 1]", ("tests/test_numtheory.py",)),
+    Mutant("a cofactor keyed without P_MASK", NUMTHEORY,
+           "keys[nnz:] = cof << P_BITS | P_MASK", "keys[nnz:] = cof << P_BITS",
+           ("tests/test_numtheory.py",)),
+    Mutant("every exponent one short", NUMTHEORY,
+           "e = np.ones(p.size, dtype=np.int64)", "e = np.zeros(p.size, dtype=np.int64)",
+           ("tests/test_numtheory.py",)),
+    # the enumeration budget
+    Mutant("the enumeration refuses a charge equal to its budget", "src/rmflab/quadruples.py",
+           "if self.charged > self.budget:", "if self.charged >= self.budget:",
+           ("tests/test_quadruples.py",)),
 ]
 
 

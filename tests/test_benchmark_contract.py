@@ -28,11 +28,11 @@ def _load(name: str):
 spans = _load("spans")
 workloads = _load("workloads")
 
-# Each command's options, as `_build_parser()` defines them (26 in all).
+# Each command's options, as `_build_parser()` defines them (25 in all).
 COMMAND_OPTIONS = {
     "simulate": {"--x", "--y", "--seed", "--z", "--trials", "--workers", "--out",
                  "--format"},
-    "moments": {"--x", "--y", "--seed", "--out", "--budget"},
+    "moments": {"--x", "--y", "--seed", "--out"},
     "stein": {"--x", "--y", "--seed", "--z", "--out", "--var-trials"},
     "bounds": {"--x", "--y", "--seed", "--z", "--out"},
     "distances": {"--infile", "--out"},
@@ -72,7 +72,7 @@ def test_each_command_has_exactly_its_options():
                       for o in a.option_strings}
                for name, p in commands.choices.items()}
     assert options == COMMAND_OPTIONS
-    assert sum(map(len, options.values())) == 26
+    assert sum(map(len, options.values())) == 25
 
 
 def test_incidence_counters_match_the_table():

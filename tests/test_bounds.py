@@ -104,8 +104,7 @@ def test_determinism():
     assert kolmogorov_bound(b) == kolmogorov_bound(b)
 
 
-def test_bound_inputs_z_default_and_override():
+def test_bound_inputs_z_default():
     b = BoundInputs.from_interval(10**4, 100, 60)
     assert b.z == pytest.approx(0.5 * math.log(100))
     assert b.delta == pytest.approx(0.01)
-    assert BoundInputs.from_interval(10**4, 100, 60, z_override=7.0).z == 7.0

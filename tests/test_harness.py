@@ -317,9 +317,7 @@ def test_simulate_reports_a_refused_enumeration(monkeypatch):
 def test_simulate_reports_the_budget_and_the_rows_charged(monkeypatch):
     # (2000, 2150]: m = 14 and m^2 <= 2150, so the enumeration runs; its
     # first level, A in [14, 2150 // 14], charges 140 candidate rows
-    enumerate_ = quad_mod.param_enumerate_nondiagonal
-    monkeypatch.setattr(quad_mod, "param_enumerate_nondiagonal",
-                        lambda x, y: enumerate_(x, y, budget=10))
+    monkeypatch.setattr(quad_mod, "DEFAULT_BUDGET", 10)
     report = run_simulate(small_config(trials=10))
     assert report.exact == {
         "skipped": "enumeration budget of 10 candidate rows exceeded: 140 charged"}
@@ -422,10 +420,11 @@ def test_cli_distances_round_trip(tmp_path, capsys):
     assert {k: report[k] for k in sim["distances"]} == sim["distances"]
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, monkeypatch):
     assert main(["simulate", "--x", "1000", "--y", "2000", "--trials", "5"]) == 2
-    # scale error: oracle-sized check refused
-    assert main(["moments", "--x", "5000", "--y", "400", "--budget", "10"]) == 3
+    # scale error: the enumeration refused
+    monkeypatch.setattr(quad_mod, "DEFAULT_BUDGET", 10)
+    assert main(["moments", "--x", "5000", "--y", "400"]) == 3
     capsys.readouterr()
     assert main(["simulate", "--x", "1000", "--y", "10", "--format", "yaml"]) == 2
     assert "unknown formats: ['yaml']" in _one_line_error(capsys)
@@ -438,10 +437,9 @@ def test_cli_exit_codes(capsys):
                  ["bounds", "--x", "1000", "--y", "50", "--z", "-1"]):
         assert main(argv) == 2, argv
         assert "z must be finite and > 0" in _one_line_error(capsys)
-    # a negative enumeration budget is a usage error; a budget of 0 is valid
-    assert main(["moments", "--x", "1000", "--y", "50", "--budget", "-1"]) == 2
-    assert "budget must be >= 0, got -1" in _one_line_error(capsys)
-    assert main(["moments", "--x", "1000", "--y", "50", "--budget", "0"]) == 3
+    # a budget of 0 refuses every enumeration that charges a row
+    monkeypatch.setattr(quad_mod, "DEFAULT_BUDGET", 0)
+    assert main(["moments", "--x", "1000", "--y", "50"]) == 3
     assert "budget of 0 candidate rows exceeded" in _one_line_error(capsys)
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required --x
@@ -555,9 +553,7 @@ def test_stein_refuses_one_var_trial_before_any_work(monkeypatch, capsys):
      "error: --var-trials must be >= 2, got 1"),
     (["stein", "--x", "100", "--y", "20", "--var-trials", str(MAX_TRIALS + 1)], 3,
      f"scale error: --var-trials {MAX_TRIALS + 1} exceeds MAX_TRIALS = {MAX_TRIALS}"),
-    (["moments", "--x", "100", "--y", "20", "--budget", "-1"], 2,
-     "error: --budget must be >= 0, got -1"),
-], ids=["var-trials-1", "var-trials-over-cap", "budget-negative"])
+], ids=["var-trials-1", "var-trials-over-cap"])
 def test_cli_refuses_a_bad_count_in_one_stderr_line(argv, code, message, capsys):
     # delta = 0.2 here: the count is refused before the delta warning prints
     assert main(argv) == code
@@ -570,10 +566,11 @@ def _one_line_error(capsys) -> str:
     return err[0]
 
 
-def test_cli_moments_budget_refusal_names_budget_and_rows(capsys):
+def test_cli_moments_budget_refusal_names_budget_and_rows(capsys, monkeypatch):
     # (5000, 5400]: m = 13 and m^2 <= 5400, so the enumeration runs; its
     # first level, A in [13, 5400 // 13], charges 403 candidate rows
-    assert main(["moments", "--x", "5000", "--y", "400", "--budget", "10"]) == 3
+    monkeypatch.setattr(quad_mod, "DEFAULT_BUDGET", 10)
+    assert main(["moments", "--x", "5000", "--y", "400"]) == 3
     assert _one_line_error(capsys) == (
         "scale error: enumeration budget of 10 candidate rows exceeded: 403 charged")
 
@@ -732,13 +729,14 @@ def test_cli_out_of_scale_interval_exits_3_at_once(capsys, x, y):
     assert _one_line_error(capsys).startswith("scale error:")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--x", "10000000", "--y", "1000000"],
-    ["--x", "1000000", "--y", "100000", "--budget", "1000000"],
-])
-def test_cli_moments_over_budget_exits_3_at_once(capsys, argv):
+@pytest.mark.parametrize("argv, budget", [
+    (["--x", "10000000", "--y", "1000000"], quad_mod.DEFAULT_BUDGET),
+    (["--x", "1000000", "--y", "100000"], 10**6),
+], ids=["argv0", "argv1"])
+def test_cli_moments_over_budget_exits_3_at_once(capsys, monkeypatch, argv, budget):
     # the enumeration sizes its levels and refuses before the factor table
     # or the over-budget level is built
+    monkeypatch.setattr(quad_mod, "DEFAULT_BUDGET", budget)
     t0 = time.perf_counter()
     assert main(["moments", *argv]) == 3
     assert time.perf_counter() - t0 < 1.0
@@ -839,15 +837,14 @@ def test_cli_simulate_puts_its_stage_times_on_one_stderr_line(tmp_path, capsys):
 def test_cli_parser_is_built_once_and_parses_each_command_afresh():
     assert _build_parser() is _build_parser()
     parse = _build_parser().parse_args
-    first = parse(["moments", "--x", "100", "--y", "40", "--budget", "5"])
+    first = parse(["moments", "--x", "100", "--y", "40", "--out", "r"])
     second = parse(["simulate", "--x", "2000", "--y", "100"])
     third = parse(["moments", "--x", "300", "--y", "30"])
-    assert (first.command, first.x, first.y, first.budget) == ("moments", 100, 40, 5)
+    assert (first.command, first.x, first.y, first.out) == ("moments", 100, 40, "r")
     assert (second.command, second.x, second.y, second.z) == ("simulate", 2000, 100, None)
     assert (second.trials, second.format) == (1000, "json")
-    assert not hasattr(second, "budget")
-    assert (third.command, third.x, third.y, third.budget) == (
-        "moments", 300, 30, quad_mod.DEFAULT_BUDGET)
+    assert not hasattr(second, "var_trials")
+    assert (third.command, third.x, third.y, third.out) == ("moments", 300, 30, None)
     assert not hasattr(third, "trials")
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from rmflab import numtheory
 from rmflab.errors import ScaleError
 from rmflab.numtheory import (
-    E_BITS,
     MAX_X_PLUS_Y,
     MAX_Y,
     MIN_BLOCK,
@@ -69,8 +68,8 @@ def test_factorize_recovers_large_cofactor():
 def test_table_shape_and_range_errors():
     t = segmented_factorize(10, 10)
     assert t.y_len == len(t.entries) == len(t.flags) == 10
-    assert t.offsets.size == 11 and t.offsets[-1] == t.primes.size == t.exponents.size
-    for a in (t.offsets, t.primes, t.exponents, t.flags):
+    assert t.offsets.size == 11 and t.offsets[-1] == t.primes.size
+    for a in (t.offsets, t.primes, t.flags):
         with pytest.raises(ValueError):  # read-only
             a[0] = 0
     with pytest.raises(ValueError):
@@ -126,9 +125,10 @@ def test_table_golden_digest():
     assert t.squarefree_count == 6079
 
 
-def _reference_factor_segment(lo: int, length: int) -> IntervalTable:
-    """The argsort construction that the packed-key sort replaced, kept
-    verbatim as the oracle for _factor_segment."""
+def _reference_factor_segment(lo: int, length: int) -> tuple[IntervalTable, np.ndarray]:
+    """The argsort construction that the packed-key sort replaced, kept as
+    the oracle for _factor_segment: its table and, in the same order as the
+    table's primes, the exponent that its division rounds found for each."""
     hi = lo + length
     sieve = _sieve(math.isqrt(hi))
     first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
@@ -154,27 +154,29 @@ def _reference_factor_segment(lo: int, length: int) -> IntervalTable:
     order = np.argsort(idx, kind="stable")
     offsets = np.zeros(length + 1, dtype=np.int64)
     np.cumsum(np.bincount(idx, minlength=length), out=offsets[1:])
-    return IntervalTable(
-        lo, length, offsets, np.concatenate([inc_p, rem[cof]])[order],
-        np.concatenate([inc_e, np.ones(cof.size, dtype=np.int8)])[order], flags,
-    )
+    table = IntervalTable(lo, length, offsets, np.concatenate([inc_p, rem[cof]])[order], flags)
+    return table, np.concatenate([inc_e, np.ones(cof.size, dtype=np.int8)])[order]
+
+
+def reference_arrays(lo: int, length: int):
+    return table_arrays(_reference_factor_segment(lo, length)[0])
 
 
 def assert_same_arrays(got, want):
-    # (offsets, primes, exponents, flags), equal in value and in dtype
-    for name, a, b in zip(("offsets", "primes", "exponents", "flags"), got, want):
+    # (offsets, primes, flags), equal in value and in dtype
+    for name, a, b in zip(("offsets", "primes", "flags"), got, want):
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
 
 
 def table_arrays(t: IntervalTable):
-    return t.offsets, t.primes, t.exponents, t.flags
+    return t.offsets, t.primes, t.flags
 
 
 def entry_slice(t: IntervalTable, a: int, b: int):
     """The arrays of entries a..b-1 of t, as a table of just them would hold."""
     lo, hi = t.offsets[a], t.offsets[b]
-    return t.offsets[a : b + 1] - lo, t.primes[lo:hi], t.exponents[lo:hi], t.flags[a:b]
+    return t.offsets[a : b + 1] - lo, t.primes[lo:hi], t.flags[a:b]
 
 
 def test_sieve_primes_against_trial_division():
@@ -183,17 +185,26 @@ def test_sieve_primes_against_trial_division():
     assert _sieve(20_011).tolist()[-2:] == [19_997, 20_011]
 
 
-@pytest.mark.parametrize("lo, length", [
+DESK_INTERVALS = [
     (0, 1), (0, 30), (3, 1), (700, 9),
     (2**40 - 5000, 10_000),  # holds 2^40
     (2**49 - 3000, 6000),    # exponent 49, the largest below 10^15
-    (10**10, 10**6),
     (10**12, 10**4),         # 5,216 of the 78,498 sieve primes hit the interval
     (2**40 - 50, 100),       # 136 of the 82,025 sieve primes hit the interval
-])
+]
+
+
+@pytest.mark.parametrize("lo, length", [*DESK_INTERVALS, (10**10, 10**6)])
 def test_factor_segment_matches_reference(lo, length):
-    assert_same_arrays(table_arrays(_factor_segment(lo, length)),
-                       table_arrays(_reference_factor_segment(lo, length)))
+    assert_same_arrays(table_arrays(_factor_segment(lo, length)), reference_arrays(lo, length))
+
+
+@pytest.mark.parametrize("lo, length", DESK_INTERVALS)
+def test_entry_exponents_match_the_reference_division_rounds(lo, length):
+    # the table stores no exponent: entries divides n by each of its primes
+    want = _reference_factor_segment(lo, length)[1]
+    got = [e for fac in _factor_segment(lo, length).entries for _, e in fac]
+    assert got == want.tolist()
 
 
 @pytest.mark.slow
@@ -209,15 +220,13 @@ def test_factor_segment_matches_reference_at_the_scale_limit(monkeypatch):
     assert blocks == [1_354_546] * 7 + [length - 7 * 1_354_546]
     assert t.primes.max() > 10**15 - 10**7
     for a in (0, length // 2, length - width):
-        assert_same_arrays(entry_slice(t, a, a + width),
-                           table_arrays(_reference_factor_segment(lo + a, width)))
+        assert_same_arrays(entry_slice(t, a, a + width), reference_arrays(lo + a, width))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**14), st.integers(min_value=1, max_value=2000))
 def test_factor_segment_matches_reference_sweep(lo, length):
-    assert_same_arrays(table_arrays(_factor_segment(lo, length)),
-                       table_arrays(_reference_factor_segment(lo, length)))
+    assert_same_arrays(table_arrays(_factor_segment(lo, length)), reference_arrays(lo, length))
 
 
 def blocks_of(mp):
@@ -240,7 +249,7 @@ def assert_matches_reference_in_small_blocks(lo, length):
         blocks = blocks_of(mp)
         t = _factor_segment(lo, length)
     assert len(blocks) > 1 and sum(blocks) == length
-    assert_same_arrays(table_arrays(t), table_arrays(_reference_factor_segment(lo, length)))
+    assert_same_arrays(table_arrays(t), reference_arrays(lo, length))
     return t
 
 
@@ -283,16 +292,15 @@ def test_factor_segment_default_blocks_match_reference(monkeypatch):
     blocks = blocks_of(monkeypatch)
     t = _factor_segment(lo, length)
     assert blocks == [MIN_BLOCK] * 7 + [length - 7 * MIN_BLOCK]
-    assert_same_arrays(table_arrays(t), table_arrays(_reference_factor_segment(lo, length)))
+    assert_same_arrays(table_arrays(t), reference_arrays(lo, length))
 
 
 def test_key_widths_cover_the_scale_limits():
-    # _factor_segment packs (index, prime, exponent) into one int64 key; a
-    # scale limit raised past these widths would corrupt tables silently.
-    # Sieve primes stay below P_MASK, the cofactor's sort key.
+    # _factor_segment packs (index, prime) into one int64 key; a scale limit
+    # raised past these widths would corrupt tables silently.  Sieve primes
+    # stay below P_MASK, the cofactor's sort key.
     assert math.isqrt(MAX_X_PLUS_Y) < P_MASK < 2**P_BITS
-    assert MAX_Y <= 2 ** (63 - P_BITS - E_BITS)
-    assert math.log2(MAX_X_PLUS_Y) < 2**E_BITS
+    assert MAX_Y <= 2 ** (63 - P_BITS)
 
 
 def test_factor_segment_memory():

@@ -197,14 +197,29 @@ def test_bijection_and_invariants_of_enumerated_quadruples():
             param.check(x, y)
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(quadruples, "DEFAULT_BUDGET", 100)
     with pytest.raises(ScaleError):
-        param_enumerate_nondiagonal(5000, 500, budget=100)
+        param_enumerate_nondiagonal(5000, 500)
     # candidate rows are charged per level before the level is built
+    monkeypatch.setattr(quadruples, "DEFAULT_BUDGET", 10**6)
     with pytest.raises(ScaleError):
-        param_enumerate_nondiagonal(10**6, 10**5, budget=10**6)
+        param_enumerate_nondiagonal(10**6, 10**5)
+    monkeypatch.undo()
     with pytest.raises(ScaleError):
         param_enumerate_nondiagonal(10**7, 10**6)
+
+
+def test_enumeration_budget_boundary(monkeypatch):
+    # (5000, 5400] charges 21,287 candidate rows in all: a DEFAULT_BUDGET of
+    # exactly that runs the enumeration, and one row less refuses it
+    monkeypatch.setattr(quadruples, "DEFAULT_BUDGET", 21_287)
+    assert param_enumerate_nondiagonal(5000, 400) == 648
+    monkeypatch.setattr(quadruples, "DEFAULT_BUDGET", 21_286)
+    with pytest.raises(ScaleError) as refusal:
+        param_enumerate_nondiagonal(5000, 400)
+    assert str(refusal.value) == (
+        "enumeration budget of 21286 candidate rows exceeded: 21287 charged")
 
 
 def test_enumeration_domain():
@@ -408,7 +423,7 @@ def assert_same_rows(got, want):
 
 def reference_run(monkeypatch, x, y, budget=10**15):
     """The solution rows and the total charge of the reference enumeration;
-    ScaleError when it refuses `budget`."""
+    ScaleError when it refuses a DEFAULT_BUDGET of `budget`."""
     buds = []
 
     def run(outer, deep, bud):
@@ -417,12 +432,16 @@ def reference_run(monkeypatch, x, y, budget=10**15):
 
     with monkeypatch.context() as mp:
         mp.setattr(quadruples, "_enumerate", run)
-        rows = solution_rows(quadruples._solution_blocks(x, y, budget))
+        mp.setattr(quadruples, "DEFAULT_BUDGET", budget)
+        rows = solution_rows(quadruples._solution_blocks(x, y))
     return rows, buds[-1].charged if buds else 0
 
 
 def one_pass_rows(x, y, budget=10**15):
-    return solution_rows(quadruples._solution_blocks(x, y, budget))
+    """The one pass's solution rows under a DEFAULT_BUDGET of `budget`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadruples, "DEFAULT_BUDGET", budget)
+        return solution_rows(quadruples._solution_blocks(x, y))
 
 
 def assert_one_pass_matches_reference(monkeypatch, x, y):
