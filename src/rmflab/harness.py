@@ -239,9 +239,7 @@ def _bound_block(cfg: ExperimentConfig, s_count: int) -> dict:
         "wasserstein": bounds_mod.wasserstein_bound(b),
         "kolmogorov": bounds_mod.kolmogorov_bound(b),
         "nondiagonal": bounds_mod.nondiagonal_bound(cfg.x, cfg.delta),
-        # the summed-third-moment comparator divides by ln y
-        "delta3_sum": (bounds_mod.delta3_sum_bound(cfg.x, cfg.y, cfg.z)
-                       if cfg.y >= 2 else None),
+        "delta3_sum": bounds_mod.delta3_sum_bound(cfg.x, cfg.y, cfg.z),
         "exchange_variance": bounds_mod.exchange_variance_bound(cfg.x, cfg.delta, cfg.z),
     }
 

@@ -315,17 +315,15 @@ def _factor_block(lo: int, length: int, sieve: np.ndarray, power_j: np.ndarray,
 
     No prime is divided out of the block.  The incidences p | n of the
     sieve primes are laid out prime-major, and each multiple of a power p^k
-    multiplies its product by p and clears its flag, at its incidence of p,
-    found in p's run by arithmetic, for all the powers at once.  n over the
-    product of its sieve-prime powers is its cofactor, a prime > sqrt(hi)
-    where it exceeds 1.  Each incidence becomes one int64 key (index,
-    prime), built in place over the index buffer at the front of keys, and
-    each cofactor the key (index, P_MASK); one in-place sort puts them in
-    CSR order."""
+    multiplies its product by p and clears its flag, by entry index, for all
+    the powers at once.  n over the product of its sieve-prime powers is its
+    cofactor, a prime > sqrt(hi) where it exceeds 1.  Each incidence becomes
+    one int64 key (index, prime), built in place over the index buffer at
+    the front of keys, and each cofactor the key (index, P_MASK); one
+    in-place sort puts them in CSR order."""
     hi = lo + length
     first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
     hits = (length - 1 - first) // sieve + 1
-    start = np.cumsum(hits) - hits  # where p's run begins
     nnz = int(hits.sum())
     inc_p = np.repeat(sieve, hits)
     inc_i = keys[:nnz]
@@ -333,15 +331,12 @@ def _factor_block(lo: int, length: int, sieve: np.ndarray, power_j: np.ndarray,
     _runs(first, sieve, hits, inc_i)
     prod = np.ones(length, dtype=np.int64)
     np.multiply.at(prod, inc_i, inc_p)
-    p = sieve[power_j]
     first_k = (lo // power + 1) * power - (lo + 1)
     hits_k = (length - 1 - first_k) // power + 1
-    step = power // p  # p^(k-1) is the gap in p's run between multiples of p^k
-    # at repeats an incidence once per power dividing it
-    at = _runs(start[power_j] + (first_k - first[power_j]) // p, step, hits_k,
-               np.repeat(step, hits_k))
-    np.multiply.at(prod, inc_i[at], inc_p[at])
-    flags[inc_i[at]] = False
+    # at repeats an entry once per power dividing it
+    at = _runs(first_k, power, hits_k, np.repeat(power, hits_k))
+    np.multiply.at(prod, at, np.repeat(sieve[power_j], hits_k))
+    flags[at] = False
     rem = np.arange(lo + 1, hi + 1, dtype=np.int64)
     rem //= prod
     del prod

@@ -37,8 +37,7 @@ at a deep level, after at most DEFAULT_BUDGET candidate rows.
 
 The same enumeration counts the quadruples within each N(p) of `stein`
 over N(p)'s flags on (x // p, (x+y) // p].  The pair-kernel oracle is the
-test reference, and `stein`'s count where a table with y > x breaks the
-enumeration's ratio bounds.  oracle_count_square_quadruples pairs only the
+test reference.  oracle_count_square_quadruples pairs only the
 members of the interval's 2-core (numtheory.two_core), which holds every
 non-diagonal quadruple, and adds the closed-form diagonal of the rest;
 _oracle_count_array and _oracle_count_members pair all of their members and

@@ -54,8 +54,9 @@ def rmf_value(n: int, table: IntervalTable, signs: SignSource) -> int:
     distinct prime factors of n.  X(1) = +1 (empty product)."""
     if not table.is_squarefree(n):
         return 0
+    i = n - table.x_lo - 1
     v = 1
-    for p, _ in table.factors(n):
+    for p in table.primes[table.offsets[i] : table.offsets[i + 1]].tolist():
         v *= signs.sign(p)
     return v
 

@@ -19,22 +19,22 @@ entries of p (k = n // p), and the entries' large-prime masks, small-sign
 products and omega_L, the number of primes of L dividing n, are reductions
 over it.  A prime with a lone member is closed form; for the others,
 _delta3 reads each member's prime bitmask (_support_masks), and T_p reads
-X(n) at N(p)'s entries with their omega_L (_shared_supports).  N(p) is
-counted for E|Delta_p f|^4 as a short interval of its own (_quadruple_counts),
-so no pair of N(p) is formed where y <= x.  T_p is evaluated in one place
-(_t_p): exactly for a given sign source, and for the exchange variance over
-a whole matrix of trial signs at once.
+X(n) at N(p)'s entries with their omega_L (_shared_supports).  For
+E|Delta_p f|^4, N(p) is a short interval of its own whose square quadruples
+quadruples._solution_blocks enumerates (_quadruple_counts).  T_p is
+evaluated in one place (_t_p): exactly for a given sign source, and for the
+exchange variance over a whole matrix of trial signs at once.
 
 Identity checks run in exact rational arithmetic (fractions.Fraction);
 exhaustive sign-vector averages run as integer Walsh-Hadamard transforms.
-The conditional-moment check evaluates f at ALL 2^k sign vectors in
-O(k 2^k) exactly; E|Delta_p f|^3 depends on the signs only through the
-parities of the members of N(p), so its average runs over the 2^r points of
-their image, r the GF(2) rank of the members' prime masks.  Both sides of
-the conditional decomposition are integer subset-sum (zeta) transforms over
-the bits of L, summed by subset size, so only O(|L|) Fractions are formed;
-the subset-weight identity gives, for each |L|, the integer numerators of
-every w over one common denominator.
+Both exhaustive checks read one table of f at ALL 2^|L| sign vectors of L,
+built exactly in O(|L| 2^|L|) (_sign_vectors); E|Delta_p f|^3 depends on
+the signs only through the parities of the members of N(p), so its average
+runs over the 2^r points of their image, r the GF(2) rank of the members'
+prime masks.  Both sides of the conditional decomposition are integer
+subset-sum (zeta) transforms over the bits of L, summed by subset size, so
+only O(|L|) Fractions are formed; the subset-weight identity gives, for
+each |L|, the integer numerators of every w over one common denominator.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ScaleError
 from .numtheory import IntervalTable, PrimeMajor
-from .quadruples import _count_solutions, _oracle_count_array, _solution_blocks
+from .quadruples import _count_solutions, _solution_blocks
 from .rmf_core import IntervalSampler, SignSource
 
 # exchange_variance_monte_carlo's trial tile: its int8 X(n) matrix, the
@@ -150,14 +150,18 @@ def _all_sign_values(masks: list[int], coeffs: list[int], k: int) -> np.ndarray:
     return _walsh_inplace(g)
 
 
-def sign_vector_moments(masks: list[int], coeffs: list[int], k: int
-                        ) -> tuple[Fraction, Fraction]:
-    """Exact (mean, second moment) of f over all 2^k sign vectors."""
-    v = _all_sign_values(masks, coeffs, k)
-    n = 1 << k
-    total = int(v.sum())
-    total_sq = int((v * v).sum())
-    return Fraction(total, n), Fraction(total_sq, n)
+def _sign_vectors(table: IntervalTable, first: int,
+                  signs: SignSource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For L = view.primes[first:]: each table entry's bitmask over L (bit
+    j for its j-th prime) and its product of the small signs (of the primes
+    below L), as int64 columns over all entries; and f, the interval sum, at
+    every sign vector of L, indexed by its bits (1 = sign -1)."""
+    view = table.prime_major
+    l_size = view.primes.size - first
+    masks = _over_entries(table, np.add, 1 << np.arange(l_size), first)
+    small = np.array([signs.sign(q) for q in view.primes[:first].tolist()], dtype=np.int64)
+    coeffs = _over_entries(table, np.multiply, small)
+    return masks, coeffs, _all_sign_values(masks[table.flags], coeffs[table.flags], l_size)
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +301,22 @@ def exchange_variance_monte_carlo(table: IntervalTable, z: float, trials: int,
 def _quadruple_counts(table: IntervalTable, first: int) -> np.ndarray:
     """The ordered square quadruples within N(p), for p = view.primes[j],
     j >= first: with n = |N(p)|, the diagonal 3n^2 - 2n plus the non-diagonal
-    count of (x', hi'] = (x // p, (x+y) // p] over N(p).  That count is 0
-    where m'^2 > hi', m' = max(2, x' // (hi' - x') + 1), as in
-    quadruples._solution_blocks, and elsewhere enumerated, each prime
-    charged against quadruples.DEFAULT_BUDGET.  The enumeration needs
-    hi' - x' <= x' + 1, true for every prime where y <= x; a prime of a
-    table with y > x that breaks it goes to the pair-kernel oracle."""
+    count that quadruples._solution_blocks enumerates over N(p)'s flags on
+    (x // p, (x+y) // p], charged against quadruples.DEFAULT_BUDGET.  If two
+    members of a square quadruple of square-free numbers are equal, so are
+    the other two, so a non-diagonal quadruple has four distinct members
+    and only the primes with n >= 4 are enumerated.  The enumeration needs
+    (x+y) // p - x // p <= x // p + 1, true for every p where y <= x."""
     view = table.prime_major
-    large = view.primes[first:]
     n = np.diff(view.offsets)[first:]
-    lo, hi = table.x_lo // large, table.x_hi // large
-    m = np.maximum(2, lo // (hi - lo) + 1)
-    wide = hi - lo > lo + 1
     out = 3 * n * n - 2 * n
-    for j in np.flatnonzero(wide | (m <= hi // m)).tolist():
+    for j in np.flatnonzero(n >= 4).tolist():
+        p = int(view.primes[first + j])
         e = view.entries[view.offsets[first + j] : view.offsets[first + j + 1]]
-        k = (table.x_lo + 1 + e) // large[j]
-        if wide[j]:
-            out[j] = _oracle_count_array(k)
-            continue
-        flags = np.zeros(hi[j] - lo[j], dtype=np.bool_)
-        flags[k - lo[j] - 1] = True
-        out[j] += _count_solutions(_solution_blocks(int(lo[j]), flags.size, flags))
+        lo = table.x_lo // p
+        flags = np.zeros(table.x_hi // p - lo, dtype=np.bool_)
+        flags[(table.x_lo + 1 + e) // p - lo - 1] = True
+        out[j] += _count_solutions(_solution_blocks(lo, flags.size, flags))
     return out
 
 
@@ -341,15 +339,18 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int,
     """Sum E|Delta_p f|^3 over large primes with nonempty N(p): exactly where
     the support involves at most PRIME_BUDGET distinct primes, otherwise by
     the Cauchy-Schwarz bound sqrt(E|Delta_p f|^2 E|Delta_p f|^4); plus the
-    Var(sum_p T_p) sampled over var_trials trials.  Refused, before any
-    member is built, when some |N(p)| exceeds MEMBER_BUDGET; the refusal
-    names the least such p.
+    Var(sum_p T_p) sampled over var_trials trials.  A table with y > x is
+    a ValueError before any work.  Refused, before any member is built,
+    when some |N(p)| exceeds MEMBER_BUDGET; the refusal names the least
+    such p.
 
     E|Delta_p f|^2 = 2 |N(p)| and E|Delta_p f|^4 = 8 * _quadruple_counts, a
     ScaleError if one of its enumerations exceeds quadruples.DEFAULT_BUDGET.
     A prime with |N(p)| = 1, most of L, has E|Delta_p f|^3 = 4 in closed form,
     which is also its bound; those of the others come from _delta3 over
     member masks built for them alone.  They are summed in ascending p."""
+    if table.y_len > table.x_lo:
+        raise ValueError(f"stein_terms needs y <= x, got x={table.x_lo}, y={table.y_len}")
     view, first = _view(table, z)
     counts = np.diff(view.offsets)[first:]
     over = np.flatnonzero(counts > MEMBER_BUDGET)
@@ -412,16 +413,13 @@ def conditional_moments_check(table: IntervalTable, z: float,
         raise ScaleError(
             f"{len(large)} distinct large primes exceeds budget {LARGE_PRIME_BUDGET}"
         )
-    small_present = view.primes[:first].tolist()
-    masks = _over_entries(table, np.add, 1 << np.arange(len(large)), first)[table.flags]
+    n = 1 << len(large)
     means = []
     seconds = []
     for source in sources:
-        small = np.array([source.sign(q) for q in small_present], dtype=np.int64)
-        coeffs = _over_entries(table, np.multiply, small)[table.flags]
-        mean, second = sign_vector_moments(masks, coeffs, len(large))
-        means.append(mean)
-        seconds.append(second)
+        f = _sign_vectors(table, first, source)[2]
+        means.append(Fraction(int(f.sum()), n))
+        seconds.append(Fraction(int((f * f).sum()), n))
     return ConditionalMomentsReport(
         table.squarefree_count, tuple(large), tuple(means), tuple(seconds)
     )
@@ -465,16 +463,10 @@ def decomposition_sides(table: IntervalTable, z: float,
     l_size = len(large)
     if l_size > L_BUDGET:
         raise ScaleError(f"|L| = {l_size} exceeds budget {L_BUDGET}")
-    if l_size == 0:
-        return Fraction(0), Fraction(0)
+    masks, coeffs, f_of = _sign_vectors(table, first, signs)
     bits = 1 << np.arange(l_size)
-    masks = _over_entries(table, np.add, bits, first)
-    small = np.array([signs.sign(q) for q in view.primes[:first].tolist()], dtype=np.int64)
     large_signs = np.array([signs.sign(q) for q in large], dtype=np.int64)
-    coeffs = _over_entries(table, np.multiply, small)
     x_bits = int(bits[large_signs < 0].sum())
-    # f at every sign vector of L, indexed by its bits (1 = sign -1)
-    f_of = _all_sign_values(masks[table.flags], coeffs[table.flags], l_size)
     a = np.arange(1 << l_size)
     # f_at[d] = f(X with the signs on d flipped); diff[j, d] = D_{p_j} there
     f_at = f_of[a ^ x_bits]

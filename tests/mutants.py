@@ -57,6 +57,18 @@ MUTANTS = [
            ("tests/test_stein.py",)),
     Mutant("decomposition_sides refuses |L| = L_BUDGET", STEIN,
            "if l_size > L_BUDGET:", "if l_size >= L_BUDGET:", ("tests/test_stein.py",)),
+    Mutant("stein_terms refuses y = x", STEIN,
+           "if table.y_len > table.x_lo:", "if table.y_len >= table.x_lo:",
+           ("tests/test_stein.py",)),
+    # the exact Stein checks
+    Mutant("the N(p) with four members not enumerated", STEIN,
+           "np.flatnonzero(n >= 4)", "np.flatnonzero(n >= 5)", ("tests/test_stein.py",)),
+    Mutant("the second moment taken as the squared sum", STEIN,
+           "seconds.append(Fraction(int((f * f).sum()), n))",
+           "seconds.append(Fraction(int(f.sum() ** 2), n))", ("tests/test_stein.py",)),
+    Mutant("the small signs dropped from the sign-vector table", STEIN,
+           "coeffs = _over_entries(table, np.multiply, small)",
+           "coeffs = np.ones(table.y_len, dtype=np.int64)", ("tests/test_stein.py",)),
     # the sign kernel
     Mutant("bit 62 read for the sign", CORE,
            "np.signbit(hb.view(np.float64), out=dst)",
@@ -65,6 +77,9 @@ MUTANTS = [
     Mutant("np.less on the float view", CORE,
            "np.signbit(hb.view(np.float64), out=bits)",
            "np.less(hb.view(np.float64), 0, out=bits)", ("tests/test_rmf_core.py",)),
+    Mutant("rmf_value reads only the first prime of its entry", CORE,
+           "table.primes[table.offsets[i] : table.offsets[i + 1]]",
+           "table.primes[table.offsets[i] : table.offsets[i] + 1]", ("tests/test_rmf_core.py",)),
     Mutant("the omega = 1 bucket dropped", CORE,
            "for k in (np.flatnonzero(sizes[1:]) + 1).tolist():",
            "for k in (np.flatnonzero(sizes[2:]) + 2).tolist():", ("tests/test_rmf_core.py",)),
@@ -93,6 +108,10 @@ MUTANTS = [
     Mutant("a refused stein_terms drops sum_delta3", HARNESS,
            'out["exchange_variance"] = out["sum_delta3"] = {"skipped": str(e)}',
            'out["exchange_variance"] = {"skipped": str(e)}', ("tests/test_harness.py",)),
+    Mutant("simulate at y = 1 reports no delta3_sum bound", HARNESS,
+           '"delta3_sum": bounds_mod.delta3_sum_bound(cfg.x, cfg.y, cfg.z),',
+           '"delta3_sum": bounds_mod.delta3_sum_bound(cfg.x, cfg.y, cfg.z) if cfg.y >= 2 else None,',
+           ("tests/test_harness.py",)),
     Mutant("another default for --var-trials", HARNESS,
            "VAR_TRIALS = 2000", "VAR_TRIALS = 2001", ("tests/test_report_digests.py",)),
     # the factor table
@@ -101,6 +120,11 @@ MUTANTS = [
     Mutant("a cofactor keyed without P_MASK", NUMTHEORY,
            "keys[nnz:] = cof << P_BITS | P_MASK", "keys[nnz:] = cof << P_BITS",
            ("tests/test_numtheory.py",)),
+    Mutant("a prime-power multiple's product multiplied by the power", NUMTHEORY,
+           "np.multiply.at(prod, at, np.repeat(sieve[power_j], hits_k))",
+           "np.multiply.at(prod, at, np.repeat(power, hits_k))", ("tests/test_numtheory.py",)),
+    Mutant("a prime-power multiple left flagged square-free", NUMTHEORY,
+           "    flags[at] = False\n", "", ("tests/test_numtheory.py",)),
     Mutant("every exponent one short", NUMTHEORY,
            "e = np.ones(p.size, dtype=np.int64)", "e = np.zeros(p.size, dtype=np.int64)",
            ("tests/test_numtheory.py",)),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from rmflab import harness
 from rmflab import quadruples as quad_mod
 from rmflab.errors import ScaleError
+from rmflab.bounds import delta3_sum_bound
 from rmflab.distances import SampleSet
 from rmflab.harness import (
     CSV_CHUNK,
@@ -92,11 +93,19 @@ def test_simulate_trials_one():
 
 
 def test_simulate_degenerate_interval():
-    report = run_simulate(ExperimentConfig(x=47, y=1, trials=5, master_seed=1))
+    cfg = ExperimentConfig(x=7, y=2, trials=5, master_seed=1)  # 8 and 9
+    report = run_simulate(cfg)
     assert report.s_count == 0
     assert report.moments["m1"] == 0.0
     assert report.bounds["wasserstein"] == 1.0  # min clamp
-    assert report.bounds["delta3_sum"] is None  # needs y >= 2
+    assert report.bounds["delta3_sum"] == delta3_sum_bound(7, 2, cfg.z)
+
+
+@pytest.mark.parametrize("x", [3, 4])  # S = 0 and S = 1
+def test_simulate_refuses_y_one_whatever_s(x):
+    # the bounds divide by ln y, whether or not S clamps the distance bounds
+    with pytest.raises(ValueError, match="y >= 2, got y=1|y must be >= 2, got 1"):
+        run_simulate(ExperimentConfig(x=x, y=1))
 
 
 def test_simulate_report_contents():

@@ -197,6 +197,18 @@ def test_bijection_and_invariants_of_enumerated_quadruples():
             param.check(x, y)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=500).flatmap(lambda x: st.tuples(
+    st.just(x), st.integers(min_value=1, max_value=x))))
+def test_nondiagonal_quadruples_have_four_distinct_members(xy):
+    # two equal members of a square quadruple of square-free numbers leave
+    # two with a square product, which are equal too; stein enumerates only
+    # the N(p) with four or more members on this ground
+    x, y = xy
+    for _, quad in nondiagonal_quadruples(x, y):
+        assert len(set(quad)) == 4
+
+
 def test_enumeration_budget(monkeypatch):
     monkeypatch.setattr(quadruples, "DEFAULT_BUDGET", 100)
     with pytest.raises(ScaleError):

@@ -16,7 +16,7 @@ from rmflab.rmf_core import (
     interval_sum,
     rmf_value,
 )
-from rmflab.stein import sign_vector_moments
+from rmflab.stein import conditional_moments_check
 
 
 class FixedSigns:
@@ -81,7 +81,7 @@ def test_normalized_w():
     assert all(abs(r) <= s for r in raw)
     assert report.w_values.tolist() == [r / math.sqrt(s) for r in raw]
     # S = 0 gives W = 0 for every trial rather than an error
-    empty = run_simulate(ExperimentConfig(x=47, y=1, trials=5, master_seed=1))
+    empty = run_simulate(ExperimentConfig(x=7, y=2, trials=5, master_seed=1))
     assert empty.s_count == 0 and empty.w_values.tolist() == [0.0] * 5
 
 
@@ -99,16 +99,13 @@ def test_multiplicativity_on_coprime_squarefree_pairs():
 
 def test_exhaustive_moments_are_zero_and_s():
     # unconditional analogue of the conditional-moment lemma: over ALL sign
-    # vectors of the involved primes, mean is 0 and second moment is S
+    # vectors of the involved primes, mean is 0 and second moment is S; at
+    # z = 1 every prime is large, so no sign is conditioned on
     t = segmented_factorize(100, 12)
-    items = t.squarefree_items()
-    primes = sorted({p for _, ps in items for p in ps})
-    assert len(primes) <= 20
-    idx = {p: j for j, p in enumerate(primes)}
-    masks = [sum(1 << idx[p] for p in ps) for _, ps in items]
-    mean, second = sign_vector_moments(masks, [1] * len(masks), len(primes))
-    assert mean == Fraction(0)
-    assert second == Fraction(t.squarefree_count)
+    rep = conditional_moments_check(t, 1.0, [SignSource(0)])
+    assert len(rep.large_primes) <= 20
+    assert rep.means == (Fraction(0),)
+    assert rep.second_moments == (Fraction(t.squarefree_count),)
 
 
 def test_sampler_matches_scalar_path():

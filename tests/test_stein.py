@@ -21,7 +21,7 @@ from rmflab.numtheory import (
 )
 from rmflab.quadruples import _oracle_count_array, _oracle_count_members
 from rmflab.rmf_core import SignSource
-from rmflab import rmf_core, stein
+from rmflab import quadruples, rmf_core, stein
 from rmflab.harness import VAR_TRIALS
 from rmflab.stein import (
     _all_sign_values,
@@ -38,7 +38,6 @@ from rmflab.stein import (
     conditional_moments_check,
     subset_weight,
     subset_weight_identity,
-    sign_vector_moments,
     stein_terms,
     exchange_variance_monte_carlo,
     SteinTerms,
@@ -381,11 +380,18 @@ def test_conditional_moments_budget_and_validation():
 
 
 def test_sign_vector_moments_tiny():
-    # two disjoint singleton masks: f = c1 (+/-1) + c2 (+/-1)
-    mean, second = sign_vector_moments([1, 2], [1, 1], 2)
-    assert mean == 0 and second == 2
-    mean, second = sign_vector_moments([1, 1], [1, 1], 1)  # same mask: f = +/-2
-    assert mean == 0 and second == 4
+    # (1, 3] at z = 1: two disjoint singleton masks, f = X(2) + X(3)
+    rep = conditional_moments_check(_factor_segment(1, 2), 1.0, [_mapped_signs({})])
+    assert rep.large_primes == (2, 3)
+    assert (rep.means, rep.second_moments) == ((0,), (2,))
+    # 10 and 15 of (9, 15] at z = 3.5: one mask, f = (X(2) + X(3)) X(5), so
+    # +/-2 where the small signs agree and 0 where they differ
+    t = _factor_segment(9, 6)
+    t = t.restrict(np.isin(np.arange(10, 16), (10, 15)))
+    sources = [_mapped_signs({2: 1, 3: 1}), _mapped_signs({2: 1, 3: -1})]
+    rep = conditional_moments_check(t, 3.5, sources)
+    assert rep.large_primes == (5,)
+    assert (rep.means, rep.second_moments) == ((0, 0), (4, 0))
 
 
 def test_decomposition_exact_equality():
@@ -922,12 +928,13 @@ def test_stein_terms_match_the_per_prime_loop(x, y):
 
 
 @settings(max_examples=40, deadline=None)
-@example(lo=0, length=1, z=1.0, budget=20, seed=0)     # n = 1 alone: L empty
-@example(lo=9, length=12, z=1.0, budget=0, seed=1)     # every prime bounded
+@example(lo=1, length=1, z=1.0, budget=20, seed=0)     # (1, 2]: N(2) = {1}
+@example(lo=12, length=12, z=1.0, budget=0, seed=1)    # every N(p) with a prime bounded
 @example(lo=699, length=10, z=1e9, budget=20, seed=2)  # z above every prime
-@given(st.integers(0, 5000), st.integers(1, 300), st.floats(0.5, 60.0),
+@given(st.integers(1, 5000), st.integers(1, 300), st.floats(0.5, 60.0),
        st.sampled_from((0, 1, 2, 20)), st.integers(0, 50))
 def test_stein_terms_match_the_per_prime_loop_on_small_intervals(lo, length, z, budget, seed):
+    length = min(length, lo)  # stein_terms needs y <= x
     assert_stein_terms_match_reference(_factor_segment(lo, length), z, var_trials=70,
                                        master_seed=seed, prime_budget=budget)
 
@@ -962,13 +969,11 @@ def spy_on(monkeypatch, name):
 
 
 @pytest.mark.parametrize("x, y, z, enumerated, nondiagonal", [
-    (5000, 500, 1.0, 15, 0),
-    (20000, 600, 1.0, 7, 0),
-    (1000, 999, 1.0, 95, 16440),  # 41 of the 95 with y' = x' + 1
-    pytest.param(10**6, 10**4, z_of_delta(10**-2), 25, 3288, marks=pytest.mark.slow),
-    # y > x: (4, 10] for p = 2 and (1, 4] for p = 5 take the oracle, (3, 7]
-    # for p = 3 the enumeration
-    (9, 12, 1.0, 1, 0),
+    # every prime with |N(p)| >= 4 is enumerated
+    (5000, 500, 1.0, 23, 0),
+    (20000, 600, 1.0, 24, 0),
+    (1000, 999, 1.0, 40, 16440),  # 21 of the 40 with y' = x' + 1
+    pytest.param(10**6, 10**4, z_of_delta(10**-2), 274, 3288, marks=pytest.mark.slow),
 ])
 def test_quadruple_counts_match_the_oracle_prime_by_prime(monkeypatch, x, y, z, enumerated,
                                                           nondiagonal):
@@ -983,14 +988,32 @@ def test_quadruple_counts_match_the_oracle_prime_by_prime(monkeypatch, x, y, z, 
 
 
 def test_stein_terms_pairs_no_members_when_y_is_at_most_x(monkeypatch):
-    counted = spy_on(monkeypatch, "_oracle_count_array")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stein, "MEMBER_BUDGET", 10**7)
-        for x, y in ((5000, 500), (20000, 600), (1000, 999), (10**6, 10**4)):
-            stein_terms(segmented_factorize(x, y), 1.0, var_trials=2, master_seed=0)
-    assert counted == []
-    stein_terms(_factor_segment(9, 12), 1.0, var_trials=2, master_seed=0)
-    assert counted == [8, 8]  # N(2) = {5, 7} and N(5) = {2, 3}
+    # the pair kernels are the oracle's; stein_terms counts by enumeration
+    def no_pairs(*args):
+        raise AssertionError("pair kernels built")
+
+    monkeypatch.setattr(quadruples, "_pair_kernels", no_pairs)
+    monkeypatch.setattr(stein, "MEMBER_BUDGET", 10**7)
+    for x, y in ((5000, 500), (20000, 600), (1000, 999), (10**6, 10**4)):
+        stein_terms(segmented_factorize(x, y), 1.0, var_trials=2, master_seed=0)
+
+
+def test_stein_terms_refuses_y_above_x_before_any_work(monkeypatch):
+    def no_view(*args):
+        raise AssertionError("view read")
+
+    monkeypatch.setattr(stein, "_view", no_view)
+    with pytest.raises(ValueError, match=re.escape("stein_terms needs y <= x, got x=9, y=12")):
+        stein_terms(_factor_segment(9, 12), 1.0, var_trials=2, master_seed=0)
+
+
+def test_stein_terms_accepts_y_equal_to_x():
+    # (1000, 2000]: 21 of the 40 enumerated primes have y' = x' + 1, the
+    # most the enumeration takes
+    t = _factor_segment(1000, 1000)
+    terms = assert_stein_terms_match_reference(t, 1.0, var_trials=20,
+                                               member_budget=10**7)
+    assert terms.exact_primes + terms.bounded_primes == len(large_primes(t, 1.0))
 
 
 @pytest.mark.slow
