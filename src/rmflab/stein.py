@@ -27,14 +27,14 @@ exchange variance over a whole matrix of trial signs at once.
 
 Identity checks run in exact rational arithmetic (fractions.Fraction);
 exhaustive sign-vector averages run as integer Walsh-Hadamard transforms.
-Both exhaustive checks read one table of f at ALL 2^|L| sign vectors of L,
-built exactly in O(|L| 2^|L|) (_sign_vectors); E|Delta_p f|^3 depends on
-the signs only through the parities of the members of N(p), so its average
-runs over the 2^r points of their image, r the GF(2) rank of the members'
-prime masks.  Both sides of the conditional decomposition are integer
-subset-sum (zeta) transforms over the bits of L, summed by subset size, so
-only O(|L|) Fractions are formed; the subset-weight identity gives, for
-each |L|, the integer numerators of every w over one common denominator.
+Both exhaustive checks build the entries' masks over L once per call, and from
+them f at ALL 2^|L| sign vectors of L in O(|L| 2^|L|) (_sign_vectors);
+E|Delta_p f|^3 depends on the signs only through the parities of the members
+of N(p), so its average runs over the 2^r points of their image, r the GF(2)
+rank of the members' prime masks.  Both sides of the conditional decomposition
+are integer subset-sum (zeta) transforms over the bits of L, summed by subset
+size, so only O(|L|) Fractions are formed; the subset-weight identity gives,
+for each |L|, the integer numerators of every w over one common denominator.
 """
 
 from __future__ import annotations
@@ -145,23 +145,25 @@ def _all_sign_values(masks: list[int], coeffs: list[int], k: int) -> np.ndarray:
     """f(eps) = sum_i coeffs[i] * (-1)^popcount(masks[i] & eps) for every
     eps in {0,1}^k, as an int64 vector indexed by eps."""
     g = np.zeros(1 << k, dtype=np.int64)
-    for m, c in zip(masks, coeffs):
-        g[m] += c
+    np.add.at(g, masks, coeffs)
     return _walsh_inplace(g)
 
 
-def _sign_vectors(table: IntervalTable, first: int,
-                  signs: SignSource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For L = view.primes[first:]: each table entry's bitmask over L (bit
-    j for its j-th prime) and its product of the small signs (of the primes
-    below L), as int64 columns over all entries; and f, the interval sum, at
-    every sign vector of L, indexed by its bits (1 = sign -1)."""
+def _sign_vectors(table: IntervalTable, first: int, sources: list[SignSource]
+                  ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """For L = view.primes[first:]: each table entry's bitmask over L (bit j
+    for its j-th prime), built once; then per source, each entry's product of
+    its small signs (primes below L), both int64 columns over all entries, and
+    f, the interval sum, at every sign vector of L, by its bits (1 = sign -1)."""
     view = table.prime_major
     l_size = view.primes.size - first
     masks = _over_entries(table, np.add, 1 << np.arange(l_size), first)
-    small = np.array([signs.sign(q) for q in view.primes[:first].tolist()], dtype=np.int64)
-    coeffs = _over_entries(table, np.multiply, small)
-    return masks, coeffs, _all_sign_values(masks[table.flags], coeffs[table.flags], l_size)
+    out = []
+    for signs in sources:
+        small = np.array([signs.sign(q) for q in view.primes[:first].tolist()], dtype=np.int64)
+        coeffs = _over_entries(table, np.multiply, small)
+        out.append((coeffs, _all_sign_values(masks[table.flags], coeffs[table.flags], l_size)))
+    return masks, out
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +407,8 @@ def conditional_moments_check(table: IntervalTable, z: float,
     interval sum and its square over ALL 2^k sign vectors of L; the
     conditional mean must be exactly 0 and the second moment exactly S.
     A source is anything with .sign(p) = +1 or -1; only the primes <= z
-    that divide a square-free entry are read.  Refused when |L| exceeds
-    LARGE_PRIME_BUDGET."""
+    that divide a square-free entry are read.  The entries' masks over L are
+    built once for all sources.  Refused when |L| exceeds LARGE_PRIME_BUDGET."""
     view, first = _view(table, z)
     large = view.primes[first:].tolist()
     if len(large) > LARGE_PRIME_BUDGET:
@@ -414,10 +416,8 @@ def conditional_moments_check(table: IntervalTable, z: float,
             f"{len(large)} distinct large primes exceeds budget {LARGE_PRIME_BUDGET}"
         )
     n = 1 << len(large)
-    means = []
-    seconds = []
-    for source in sources:
-        f = _sign_vectors(table, first, source)[2]
+    means, seconds = [], []
+    for _, f in _sign_vectors(table, first, sources)[1]:
         means.append(Fraction(int(f.sum()), n))
         seconds.append(Fraction(int((f * f).sum()), n))
     return ConditionalMomentsReport(
@@ -456,17 +456,17 @@ def decomposition_sides(table: IntervalTable, z: float,
 
     The prime set L here is the effective one: large primes (> z) dividing
     some square-free entry; primes outside it have Delta_p f identically 0
-    and identical nu-weighted contributions on both sides.
+    and identical nu-weighted contributions on both sides.  The entries'
+    masks over L are built once and give f, the histogram and X(n).
     """
     view, first = _view(table, z)
     large = view.primes[first:].tolist()
     l_size = len(large)
     if l_size > L_BUDGET:
         raise ScaleError(f"|L| = {l_size} exceeds budget {L_BUDGET}")
-    masks, coeffs, f_of = _sign_vectors(table, first, signs)
+    masks, [(coeffs, f_of)] = _sign_vectors(table, first, [signs])
     bits = 1 << np.arange(l_size)
-    large_signs = np.array([signs.sign(q) for q in large], dtype=np.int64)
-    x_bits = int(bits[large_signs < 0].sum())
+    x_bits = sum(1 << j for j, q in enumerate(large) if signs.sign(q) < 0)
     a = np.arange(1 << l_size)
     # f_at[d] = f(X with the signs on d flipped); diff[j, d] = D_{p_j} there
     f_at = f_of[a ^ x_bits]
@@ -486,9 +486,9 @@ def decomposition_sides(table: IntervalTable, z: float,
         nu = subset_weight(l_size, k)
         direct += nu * Fraction(sum(map(operator.mul, d_x, row)), 1 << (k + 2))
         closed += nu * n_a
-    # T_p is unchanged when every X(k), k in N(p), is multiplied by X(p), so
-    # it reads X(n) = (small-sign product) (large-sign product) at n = k p
-    x_n = coeffs * _over_entries(table, np.multiply, large_signs, first)
+    # T_p is unchanged when every X(k), k in N(p), is multiplied by X(p); it reads X(n),
+    # n = k p: the small-sign product times -1 per large prime of n with sign -1
+    x_n = coeffs * np.where(np.bitwise_count(masks & x_bits) & 1, -1, 1)
     for e, omegas in _shared_supports(table, first):
         closed += _t_p(x_n[e][:, None], np.frompyfunc(Fraction, 1, 1)(omegas))[0]
     return direct, closed

@@ -69,6 +69,20 @@ MUTANTS = [
     Mutant("the small signs dropped from the sign-vector table", STEIN,
            "coeffs = _over_entries(table, np.multiply, small)",
            "coeffs = np.ones(table.y_len, dtype=np.int64)", ("tests/test_stein.py",)),
+    Mutant("every source reads the first source's small signs", STEIN,
+           "    for signs in sources:\n"
+           "        small = np.array([signs.sign(q) for q in view.primes[:first].tolist()], "
+           "dtype=np.int64)\n"
+           "        coeffs = _over_entries(table, np.multiply, small)\n",
+           "    small = np.array([sources[0].sign(q) for q in view.primes[:first].tolist()], "
+           "dtype=np.int64)\n"
+           "    coeffs = _over_entries(table, np.multiply, small)\n"
+           "    for signs in sources:\n", ("tests/test_stein.py",)),
+    Mutant("the large-sign factor taken as any overlap", STEIN,
+           "np.bitwise_count(masks & x_bits) & 1", "np.bitwise_count(masks & x_bits) != 0",
+           ("tests/test_stein.py", "tests/test_report_digests.py")),
+    Mutant("a buffered fancy add in _all_sign_values", STEIN,
+           "np.add.at(g, masks, coeffs)", "g[masks] += coeffs", ("tests/test_stein.py",)),
     # the sign kernel
     Mutant("bit 62 read for the sign", CORE,
            "np.signbit(hb.view(np.float64), out=dst)",

@@ -733,6 +733,26 @@ def test_large_prime_budgets_boundary(monkeypatch, budget, check, refusal):
     assert str(e.value) == refusal
 
 
+def test_exhaustive_checks_build_each_entry_table_once(monkeypatch):
+    # one pass for the entries' masks over L per call, one for the small-sign
+    # products per source, and X(n) read off the masks: 1 + 5 and 1 + 1 at (700, 9]
+    t = segmented_factorize(700, 9)
+    z = z_of_delta(9 / 700)
+    calls, real = [], stein._over_entries
+
+    def spy(table, ufunc, *rest):
+        calls.append(ufunc)
+        return real(table, ufunc, *rest)
+
+    monkeypatch.setattr(stein, "_over_entries", spy)
+    signs = SignSource(5)
+    assert conditional_moments_check(t, z, [signs.for_trial(i) for i in range(5)]).ok
+    assert (len(calls), calls.count(np.add), calls.count(np.multiply)) == (6, 1, 5)
+    calls.clear()
+    assert operator.eq(*decomposition_sides(t, z, signs))
+    assert calls == [np.add, np.multiply]
+
+
 def _reference_delta3(p, members, prime_budget):
     """_delta3 as a Walsh-Hadamard transform over all 2^k sign vectors of
     the k distinct primes of N(p)."""
