@@ -18,15 +18,15 @@ from .errors import ScaleError
 
 _U64_LIMIT = 1 << 64
 # Largest interval segmented_factorize accepts.  At the limit, (10^15 - 10^7,
-# 10^7], the table is built in eight blocks in 2.9-3.8 s (3.2-3.6 s under
-# tracemalloc) and peaks at about 570 MiB (tracemalloc) and 550 MiB max RSS
+# 10^7], the table is built in eight blocks in 1.9-2.4 s (1.7-2.2 s under
+# tracemalloc) and peaks at about 506 MiB (tracemalloc) and 498 MiB max RSS
 # on 2 shared vCPUs.
 MAX_X_PLUS_Y = 10**15
 MAX_Y = 10**7
-# _factor_segment sorts each incidence as one int64 key index << P_BITS |
-# prime: a sieve prime is at most isqrt(MAX_X_PLUS_Y) < P_MASK, and an index
-# within its block below MAX_Y <= 2^(63 - P_BITS).  A prime cofactor is keyed
-# with P_MASK, above every sieve prime, so it sorts last.
+# _factor_block sorts each incidence of a sparse sieve prime as one int64 key
+# index << P_BITS | prime: a sieve prime is at most isqrt(MAX_X_PLUS_Y) <
+# P_MASK, so it fits the low P_BITS bits that P_MASK reads back, and an index
+# within its block is below MAX_Y <= 2^(63 - P_BITS).
 P_BITS = 31
 P_MASK = (1 << P_BITS) - 1
 # Fewest entries per block of _factor_segment.  A block is also at least as
@@ -35,19 +35,27 @@ P_MASK = (1 << P_BITS) - 1
 # against 2.4 s for blocks of 1,354,546 entries, one per such prime (2 shared
 # vCPUs).
 MIN_BLOCK = 1 << 17
+# _factor_block handles a sieve prime p <= length // DENSE_HITS of its block,
+# with at least DENSE_HITS multiples there, by strided slices, and sorts the
+# incidences of the rest.
+DENSE_HITS = 512
 
 
 def _sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as an ascending int64 array."""
+    """All primes <= limit as an ascending int64 array.  Odd numbers only:
+    index i of the sieve stands for 2i + 1, an odd prime p strikes its odd
+    multiples from p^2 on, which lie p indices apart, and 2 is prepended."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    is_prime[4::2] = False
+    is_prime = np.ones((limit + 1) // 2, dtype=bool)
+    is_prime[0] = False  # 1
     for p in range(3, math.isqrt(limit) + 1, 2):
-        if is_prime[p]:
-            is_prime[p * p :: 2 * p] = False
-    return np.flatnonzero(is_prime).astype(np.int64, copy=False)
+        if is_prime[p // 2]:
+            is_prime[p * p // 2 :: p] = False
+    odd = np.flatnonzero(is_prime)
+    odd <<= 1
+    odd += 1
+    return np.concatenate(([2], odd)).astype(np.int64, copy=False)
 
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
@@ -268,10 +276,12 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     slice of the output, so the temporaries grow with the block and not with
     the interval; an interval of one block runs the loop once.  Each block
     finds the first multiple and the count of every kept prime and prime
-    power from its own bounds.  The prime powers p^k <= hi, k >= 2, are
-    listed once, for the primes whose square has a multiple in the
-    interval.  The returned primes is a view of the output buffer, whose
-    unused cofactor room is never written."""
+    power from its own bounds, strides over the multiples of the primes
+    with at least DENSE_HITS of them there and sorts the incidences of the
+    rest.  The prime powers p^k <= hi, k >= 2, are listed once, for the
+    primes whose square has a multiple in the interval.  The returned
+    primes is a view of the output buffer, whose unused cofactor room is
+    never written."""
     hi = lo + length
     sieve = _sieve(math.isqrt(hi))
     hits = hi // sieve - lo // sieve  # multiples in the interval
@@ -313,46 +323,76 @@ def _factor_block(lo: int, length: int, sieve: np.ndarray, power_j: np.ndarray,
     power p^k, k >= 2, that may, with power_j the index of p; the first
     multiple and the count of each in the block come from its own bounds.
 
-    No prime is divided out of the block.  The incidences p | n of the
-    sieve primes are laid out prime-major, and each multiple of a power p^k
-    multiplies its product by p and clears its flag, by entry index, for all
-    the powers at once.  n over the product of its sieve-prime powers is its
-    cofactor, a prime > sqrt(hi) where it exceeds 1.  Each incidence becomes
-    one int64 key (index, prime), built in place over the index buffer at
-    the front of keys, and each cofactor the key (index, P_MASK); one
-    in-place sort puts them in CSR order."""
+    No prime is divided out of the block.  Every multiple of a sieve prime
+    multiplies its entry's product by p and adds one to its count (kept in
+    ends), and each multiple of a power p^k multiplies the product by p and
+    clears its flag.  n over the product of its sieve-prime powers is its
+    cofactor, a prime > sqrt(hi) where it exceeds 1, and goes straight to
+    its entry's last slot.  A dense prime, p <= length // DENSE_HITS, has
+    its multiples updated by strided slices and is written, in ascending p,
+    at the next free slot of each (kept in the product's buffer once the
+    cofactors are taken).  The incidences of the sparse primes and of the
+    powers are laid out prime-major and applied by entry index, all at
+    once.  The sparse ones become int64 keys (index, prime), packed in
+    place over the index buffer at the front of keys; one in-place sort
+    puts them in entry order, and each goes to its entry's next free slot
+    after the dense primes plus its rank among the entry's sparse primes."""
     hi = lo + length
+    dense = int(np.searchsorted(sieve, length // DENSE_HITS, side="right"))
     first = (lo // sieve + 1) * sieve - (lo + 1)  # index of the first multiple
-    hits = (length - 1 - first) // sieve + 1
+    strided = list(zip(sieve[:dense].tolist(), first[:dense].tolist()))
+    prod = np.ones(length, dtype=np.int64)
+    ends[:] = 0
+    for p, f in strided:
+        prod[f::p] *= p
+        ends[f::p] += 1
+    sparse, first = sieve[dense:], first[dense:]
+    hits = (length - 1 - first) // sparse + 1
     nnz = int(hits.sum())
-    inc_p = np.repeat(sieve, hits)
+    inc_p = np.repeat(sparse, hits)
     inc_i = keys[:nnz]
     inc_i[:] = inc_p
-    _runs(first, sieve, hits, inc_i)
-    prod = np.ones(length, dtype=np.int64)
+    _runs(first, sparse, hits, inc_i)
     np.multiply.at(prod, inc_i, inc_p)
+    inc_i <<= P_BITS
+    inc_i |= inc_p
+    del inc_p
+    inc_i.sort()
     first_k = (lo // power + 1) * power - (lo + 1)
     hits_k = (length - 1 - first_k) // power + 1
     # at repeats an entry once per power dividing it
     at = _runs(first_k, power, hits_k, np.repeat(power, hits_k))
     np.multiply.at(prod, at, np.repeat(sieve[power_j], hits_k))
     flags[at] = False
+    del at
     rem = np.arange(lo + 1, hi + 1, dtype=np.int64)
     rem //= prod
-    del prod
     has_cof = rem > 1
-    cof = np.flatnonzero(has_cof)
-    ends[:] = np.bincount(inc_i, minlength=length)
+    entry = inc_i >> P_BITS
+    inc_p = inc_i & P_MASK
+    sparse_end = np.bincount(entry, minlength=length)
+    ends += sparse_end
     ends += has_cof
     np.cumsum(ends, out=ends)
-    inc_i <<= P_BITS
-    inc_i |= inc_p
-    del inc_p
-    keys = keys[: nnz + cof.size]
-    keys[nnz:] = cof << P_BITS | P_MASK
-    keys.sort()
-    keys &= P_MASK
-    keys[ends[cof] - 1] = rem[cof]  # a cofactor sorts last in its entry
+    # the number of sparse keys of each entry and of those before it
+    np.cumsum(sparse_end, out=sparse_end)
+    fill = prod  # each entry's next free slot
+    fill[0] = 0
+    fill[1:] = ends[:-1]
+    for p, f in strided:
+        slot = fill[f::p]
+        keys[slot] = p
+        slot += 1
+    # a sorted key's rank among its entry's is its position less the
+    # number of sparse keys of the entries before
+    fill[1:] -= sparse_end[:-1]
+    del sparse_end
+    dest = fill[entry]
+    del entry
+    dest += np.arange(nnz)
+    keys[dest] = inc_p
+    cof = np.flatnonzero(has_cof)
+    keys[ends[cof] - 1] = rem[cof]
 
 
 def segmented_factorize(x: int, y: int) -> IntervalTable:
@@ -361,9 +401,10 @@ def segmented_factorize(x: int, y: int) -> IntervalTable:
     Sieves the primes up to sqrt(x+y) once, then, block by block, marks
     their multiples and prime-power multiples and takes what the sieve
     primes leave of each n as its prime cofactor exceeding sqrt(x+y); each
-    block writes its slice of the table's arrays, and temporaries are sized
-    by the block (at least 2^17 entries and one per sieve prime with a
-    multiple in the interval), not by y.
+    block writes its slice of the table's arrays, the small primes by
+    strided slices and the rest through one sort of their incidences, and
+    temporaries are sized by the block (at least 2^17 entries and one per
+    sieve prime with a multiple in the interval), not by y.
     Refuses x+y > MAX_X_PLUS_Y or y > MAX_Y with ScaleError before
     allocating.
     """

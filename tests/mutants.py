@@ -131,8 +131,12 @@ MUTANTS = [
     # the factor table
     Mutant("a left > 1 filter on the sieve primes", NUMTHEORY,
            "sieve = sieve[hits > 0]", "sieve = sieve[hits > 1]", ("tests/test_numtheory.py",)),
-    Mutant("a cofactor keyed without P_MASK", NUMTHEORY,
-           "keys[nnz:] = cof << P_BITS | P_MASK", "keys[nnz:] = cof << P_BITS",
+    Mutant("a dense prime's multiples keep their free slot", NUMTHEORY,
+           "        slot += 1\n", "", ("tests/test_numtheory.py",)),
+    Mutant("a sparse key's rank counts the sparse keys of earlier entries", NUMTHEORY,
+           "    fill[1:] -= sparse_end[:-1]\n", "", ("tests/test_numtheory.py",)),
+    Mutant("a cofactor written one slot early", NUMTHEORY,
+           "keys[ends[cof] - 1] = rem[cof]", "keys[ends[cof] - 2] = rem[cof]",
            ("tests/test_numtheory.py",)),
     Mutant("a prime-power multiple's product multiplied by the power", NUMTHEORY,
            "np.multiply.at(prod, at, np.repeat(sieve[power_j], hits_k))",

@@ -49,6 +49,16 @@ def test_sieve_primes_small():
     assert _sieve(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_tables_match_the_reference_before_any_exponent_is_read():
+    # pytest runs this file in order, and the tests below read exponents by
+    # dividing n by each stored prime, which never ends on a stored 1: a
+    # table with an unwritten slot fails here first, on its arrays.  The
+    # last interval has dense primes.
+    for lo, length in [(10, 10), (9996, 4), (10**12, 10**4)]:
+        assert_same_arrays(table_arrays(_factor_segment(lo, length)),
+                           reference_arrays(lo, length))
+
+
 def test_factorize_examples():
     t = segmented_factorize(10, 10)
     assert dict(t.factors(12)) == {2: 2, 3: 1}
@@ -179,10 +189,34 @@ def entry_slice(t: IntervalTable, a: int, b: int):
     return t.offsets[a : b + 1] - lo, t.primes[lo:hi], t.flags[a:b]
 
 
+def _reference_sieve(limit: int) -> np.ndarray:
+    """The sieve over every number up to limit that the odd-only sieve
+    replaced, kept as its oracle."""
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    is_prime[4::2] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if is_prime[p]:
+            is_prime[p * p :: 2 * p] = False
+    return np.flatnonzero(is_prime).astype(np.int64, copy=False)
+
+
 def test_sieve_primes_against_trial_division():
     want = [n for n in range(2, 20_000) if trial_factorize(n) == [(n, 1)]]
     assert _sieve(19_999).tolist() == want
     assert _sieve(20_011).tolist()[-2:] == [19_997, 20_011]
+    for limit in range(11):
+        assert _sieve(limit).tolist() == [p for p in want if p <= limit]
+
+
+@pytest.mark.parametrize("limit", [10**6, math.isqrt(MAX_X_PLUS_Y)])
+def test_sieve_matches_the_reference_sieve(limit):
+    # the sieves of the sweep benchmark's (10^12, 10^5] and of the scale limit
+    got, want = _sieve(limit), _reference_sieve(limit)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 DESK_INTERVALS = [
@@ -194,7 +228,11 @@ DESK_INTERVALS = [
 ]
 
 
-@pytest.mark.parametrize("lo, length", [*DESK_INTERVALS, (10**10, 10**6)])
+@pytest.mark.parametrize("lo, length", [
+    *DESK_INTERVALS,
+    (10**10, 10**6),
+    (10**12 + 777, 10**5),  # one block over 27,597 kept sieve primes
+])
 def test_factor_segment_matches_reference(lo, length):
     assert_same_arrays(table_arrays(_factor_segment(lo, length)), reference_arrays(lo, length))
 
@@ -243,25 +281,59 @@ def blocks_of(mp):
     return lengths
 
 
-def assert_matches_reference_in_small_blocks(lo, length):
+def assert_matches_reference_in_small_blocks(lo, length, dense_hits=None):
+    """_factor_segment in blocks of 64 entries against the reference, with
+    DENSE_HITS set to dense_hits if given; returns the table and, for each
+    block, how many of its kept sieve primes are dense and how many not."""
+    blocks, splits = [], []
+    factor_block = numtheory._factor_block
+
+    def spy(lo, length, sieve, *rest):
+        dense = int(np.count_nonzero(sieve <= length // numtheory.DENSE_HITS))
+        blocks.append(length)
+        splits.append((dense, sieve.size - dense))
+        return factor_block(lo, length, sieve, *rest)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numtheory, "MIN_BLOCK", 64)
-        blocks = blocks_of(mp)
+        if dense_hits is not None:
+            mp.setattr(numtheory, "DENSE_HITS", dense_hits)
+        mp.setattr(numtheory, "_factor_block", spy)
         t = _factor_segment(lo, length)
     assert len(blocks) > 1 and sum(blocks) == length
     assert_same_arrays(table_arrays(t), reference_arrays(lo, length))
-    return t
+    return t, splits
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**4), st.integers(min_value=65, max_value=3000))
 def test_factor_segment_small_blocks_match_reference_sweep(lo, length):
-    # hi <= 13,000 has at most 30 sieve primes, so blocks hold 64 entries
-    assert_matches_reference_in_small_blocks(lo, length)
+    # hi <= 13,000 has at most 30 sieve primes, so blocks hold 64 entries,
+    # and 64 // DENSE_HITS = 0 makes every sieve prime sparse
+    splits = assert_matches_reference_in_small_blocks(lo, length)[1]
+    assert all(dense == 0 for dense, _ in splits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2000), st.integers(min_value=2, max_value=32))
+def test_factor_segment_small_blocks_all_dense_sweep(lo, blocks):
+    # hi <= 4048 keeps every sieve prime below 64, and whole blocks of 64
+    # entries with DENSE_HITS = 1 make each of them dense
+    splits = assert_matches_reference_in_small_blocks(lo, 64 * blocks, dense_hits=1)[1]
+    assert all(sparse == 0 and dense > 0 for dense, sparse in splits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=300, max_value=10**4), st.integers(min_value=128, max_value=3000))
+def test_factor_segment_small_blocks_split_mid_list_sweep(lo, length):
+    # blocks of 64 with DENSE_HITS = 4 make 2, 3, 5, 7, 11 and 13 dense,
+    # and hi > 300 keeps 17 and more sparse
+    splits = assert_matches_reference_in_small_blocks(lo, length, dense_hits=4)[1]
+    assert all(dense == 6 and sparse > 0 for dense, sparse in splits[:-1])
 
 
 def test_factor_segment_small_blocks_from_zero():
-    t = assert_matches_reference_in_small_blocks(0, 200)
+    t = assert_matches_reference_in_small_blocks(0, 200)[0]
     assert t.factors(1) == () and t.flags[0]
 
 
@@ -271,7 +343,7 @@ def test_factor_segment_small_blocks_from_zero():
 ])
 def test_factor_segment_small_blocks_prime_power_at_an_edge(lo, n, slot):
     # 9, 27, 81 and 11^2 = 121 have multiples on both sides of the edge too
-    t = assert_matches_reference_in_small_blocks(lo, 300)
+    t = assert_matches_reference_in_small_blocks(lo, 300)[0]
     assert n - lo - 1 == slot
     assert len(t.factors(n)) == 1 and t.factors(n)[0][1] >= 6
 
@@ -281,7 +353,7 @@ def test_factor_segment_small_blocks_prime_power_at_an_edge(lo, n, slot):
     (9878, 10_006),  # 2 * 5003 in the last slot of the second block
 ])
 def test_factor_segment_small_blocks_cofactor_at_an_edge(lo, n):
-    t = assert_matches_reference_in_small_blocks(lo, 200)
+    t = assert_matches_reference_in_small_blocks(lo, 200)[0]
     assert (n - lo) % 64 == 0
     cofactor = t.factors(n)[-1][0]
     assert cofactor**2 > lo + 200
@@ -296,9 +368,9 @@ def test_factor_segment_default_blocks_match_reference(monkeypatch):
 
 
 def test_key_widths_cover_the_scale_limits():
-    # _factor_segment packs (index, prime) into one int64 key; a scale limit
+    # _factor_block packs (index, prime) into one int64 key; a scale limit
     # raised past these widths would corrupt tables silently.  Sieve primes
-    # stay below P_MASK, the cofactor's sort key.
+    # stay below P_MASK, so they fit the bits that P_MASK reads back.
     assert math.isqrt(MAX_X_PLUS_Y) < P_MASK < 2**P_BITS
     assert MAX_Y <= 2 ** (63 - P_BITS)
 
@@ -306,7 +378,8 @@ def test_key_widths_cover_the_scale_limits():
 def test_factor_segment_memory():
     # the larger of the sweep benchmark's two intervals; the argsort
     # construction peaked at 170 MiB here, one whole-interval packed-key
-    # sort at 82 MiB, and the table itself holds about 42 MB
+    # sort at 82 MiB, and the block-wise build at 42.9 MiB, of which the
+    # table itself holds 36.9 MiB
     tracemalloc.start()
     try:
         segmented_factorize(10**10, 10**6)
