@@ -23,18 +23,16 @@ from .distances import (
     normal_quantile,
     wasserstein1,
 )
-from .errors import ContractViolation, ScaleError
+from .errors import ScaleError
 from .harness import ExperimentConfig, ExperimentReport, emit, run_simulate
 from .numtheory import (
     IntervalTable,
     segmented_factorize,
 )
 from .quadruples import (
-    QuadrupleParam,
     diagonal_count,
     oracle_count_square_quadruples,
     param_enumerate_nondiagonal,
-    param_of_quadruple,
 )
 from .rmf_core import (
     IntervalSampler,

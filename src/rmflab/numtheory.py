@@ -58,25 +58,6 @@ def _sieve(limit: int) -> np.ndarray:
     return np.concatenate(([2], odd)).astype(np.int64, copy=False)
 
 
-def trial_factorize(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n >= 1 by trial division. Desk scale only."""
-    if n < 1:
-        raise ValueError(f"cannot factorize n={n}")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                e += 1
-                n //= d
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class IntervalTable:
     """Complete factorizations and square-free flags for (x, x+y], as
@@ -84,8 +65,9 @@ class IntervalTable:
 
     Entry i is n = x_lo + 1 + i: its distinct primes, ascending, are
     primes[offsets[i]:offsets[i+1]] (int64), and flags[i] (bool) is True
-    iff n is square-free.  No exponent is stored: factors and entries find
-    each by dividing n, and it is 1 in a square-free entry.
+    iff n is square-free.  No exponent is stored: entries, which only the
+    benchmark's incidence counters read, finds each by dividing n, and it is
+    1 in a square-free entry.
     segmented_factorize refuses intervals with x+y > MAX_X_PLUS_Y or y >
     MAX_Y.  Every grouping of the square-free incidences by prime reads
     prime_major.
@@ -144,16 +126,8 @@ class IntervalTable:
             raise ValueError(f"n={n} outside table interval ({self.x_lo}, {self.x_hi}]")
         return n - self.x_lo - 1
 
-    def factors(self, n: int) -> tuple[tuple[int, int], ...]:
-        i = self._index(n)
-        ps = self.primes[self.offsets[i] : self.offsets[i + 1]]
-        return tuple(zip(ps.tolist(), _valuations(np.full(ps.size, n), ps).tolist()))
-
     def is_squarefree(self, n: int) -> bool:
         return bool(self.flags[self._index(n)])
-
-    def squarefree_values(self) -> list[int]:
-        return (np.flatnonzero(self.flags) + (self.x_lo + 1)).tolist()
 
     def squarefree_items(self) -> list[tuple[int, tuple[int, ...]]]:
         """(n, distinct primes of n) for every square-free n in the table."""
@@ -440,13 +414,6 @@ def squarefree_flags(x: int, y: int) -> bytearray:
     at = (x // squares[few:] + 1) * squares[few:] - (x + 1)
     flags[at[at < y]] = 0
     return bytearray(flags)
-
-
-def _kernel_unchecked(a: int, b: int) -> int:
-    """Symmetric difference of the prime sets of square-free a and b, as the
-    square-free integer a*b / gcd(a,b)^2."""
-    g = math.gcd(a, b)
-    return (a // g) * (b // g)
 
 
 def z_of_delta(delta: float) -> float:

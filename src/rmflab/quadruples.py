@@ -36,30 +36,22 @@ at an outer level comes after only the earlier outer levels have run; one
 at a deep level, after at most DEFAULT_BUDGET candidate rows.
 
 The same enumeration counts the quadruples within each N(p) of `stein`
-over N(p)'s flags on (x // p, (x+y) // p].  The pair-kernel oracle is the
-test reference.  oracle_count_square_quadruples pairs only the
+over N(p)'s flags on (x // p, (x+y) // p].  The pair-kernel oracle checks
+the enumeration in `moments`.  oracle_count_square_quadruples pairs only the
 members of the interval's 2-core (numtheory.two_core), which holds every
 non-diagonal quadruple, and adds the closed-form diagonal of the rest;
-_oracle_count_array and _oracle_count_members pair all of their members and
-stay as the all-pairs references.
+_oracle_count_array pairs all of its members and stays as the all-pairs
+reference.  The parametrization's inverse, its invariant check, the
+expansion of the enumeration's rows into quadruples and the Python-int
+all-pairs count are test references, in tests/reference.py.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ContractViolation, ScaleError
-from .numtheory import (
-    IntervalTable,
-    _kernel_unchecked,
-    check_scale,
-    squarefree_flags,
-    trial_factorize,
-    two_core,
-)
+from .errors import ScaleError
+from .numtheory import IntervalTable, check_scale, squarefree_flags, two_core
 
 # The oracle refuses S > ORACLE_MAX_S.  The gate stays on S, not on the core
 # size C, so `moments` reports carry an `oracle` key at the same intervals as
@@ -122,7 +114,7 @@ def _pair_kernels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _oracle_count_array(members) -> int:
-    """_oracle_count_members of distinct members below 2^(2*LIMB), in numpy.
+    """The pair-kernel count of distinct members below 2^(2*LIMB), in numpy.
 
     Only the pairs a < b are built: (a, b) and (b, a) share a kernel, and
     kernel 1 belongs to the c pairs (a, a) alone, so c members count c^2
@@ -139,79 +131,6 @@ def _oracle_count_array(members) -> int:
     new[1:] = (high[1:] != high[:-1]) | (low[1:] != low[:-1])
     d = np.diff(np.flatnonzero(new), append=i.size)
     return n.size * n.size + 4 * int(d @ d)
-
-
-def _oracle_count_members(members: list[int]) -> int:
-    """The pair-kernel count over any list of square-free members, one
-    Python-int kernel per ordered pair."""
-    counts: dict[int, int] = {}
-    for a in members:
-        for b in members:
-            k = _kernel_unchecked(a, b)
-            counts[k] = counts.get(k, 0) + 1
-    return sum(c * c for c in counts.values())
-
-
-@dataclass(frozen=True)
-class QuadrupleParam:
-    """The six-variable parametrization of one ordered square quadruple."""
-
-    A: int
-    B: int
-    r: int
-    s: int
-    u: int
-    v: int
-
-    def reconstruct(self) -> tuple[int, int, int, int]:
-        A, B, r, s, u, v = self.A, self.B, self.r, self.s, self.u, self.v
-        return (A * r * u, A * s * v, B * r * v, B * s * u)
-
-    def check(self, x: int, y: int) -> None:
-        """Assert every invariant the construction promises, for a quadruple
-        drawn from (x, x+y]."""
-        A, B, r, s, u, v = self.A, self.B, self.r, self.s, self.u, self.v
-        if math.gcd(r, s) != 1 or math.gcd(u, v) != 1:
-            raise ContractViolation(f"(r,s) or (u,v) not coprime in {self}")
-        quad = self.reconstruct()
-        for n in quad:
-            if not (x < n <= x + y):
-                raise ContractViolation(f"{n} outside ({x}, {x + y}] in {self}")
-            if any(e > 1 for _, e in trial_factorize(n)):
-                raise ContractViolation(f"{n} not square-free in {self}")
-        delta = y / x
-        for hi, lo_ in ((A, B), (r, s), (u, v)):
-            ratio = hi / lo_
-            if not (1 / (1 + delta) <= ratio <= 1 + delta):
-                raise ContractViolation(f"ratio bound fails for {self}")
-            if hi != lo_ and (hi < 1 / delta or lo_ < 1 / delta):
-                raise ContractViolation(f"unequal pair below 1/delta in {self}")
-
-
-def param_of_quadruple(n1: int, n2: int, n3: int, n4: int) -> QuadrupleParam:
-    """Recover the unique parameter tuple of a square quadruple:
-    A = gcd(n1,n2), B = gcd(n3,n4), r = gcd(n1/A, n3/B), s = gcd(n2/A, n4/B),
-    u = n1/(A r), v = n2/(A s)."""
-    for n in (n1, n2, n3, n4):
-        if any(e > 1 for _, e in trial_factorize(n)):
-            raise ContractViolation(f"{n} is not square-free")
-    k = _kernel_unchecked(_kernel_unchecked(n1, n2), _kernel_unchecked(n3, n4))
-    if k != 1:
-        raise ContractViolation(
-            f"product of ({n1}, {n2}, {n3}, {n4}) is not a perfect square"
-        )
-    A = math.gcd(n1, n2)
-    B = math.gcd(n3, n4)
-    r = math.gcd(n1 // A, n3 // B)
-    s = math.gcd(n2 // A, n4 // B)
-    u = n1 // (A * r)
-    v = n2 // (A * s)
-    param = QuadrupleParam(A, B, r, s, u, v)
-    if param.reconstruct() != (n1, n2, n3, n4):
-        raise ContractViolation(
-            f"reconstruction failed for ({n1}, {n2}, {n3}, {n4}): {param}"
-        )
-    return param
 
 
 class _Budget:
@@ -309,10 +228,21 @@ def _enumerate(outer, deep, bud: _Budget):
 
 def _solution_blocks(x: int, y: int, flags: np.ndarray | None = None):
     """Yield ("bc", A, B, c1, c2) and ("d", A, B, r, s, u, v) blocks of
-    int64 columns, one row per solution; a "bc" row stands for one solution
-    of shape (b) and one of shape (c).  With `flags`, the members are the
+    int64 columns, one row per ordered non-diagonal solution; a "bc" row
+    stands for one solution of shape (b), (r, s) = (c1, c2), and one of
+    shape (c), (u, v) = (c1, c2).  With `flags`, the members are the
     square-free n with flags[n - x - 1] set, and y may be x + 1.  The
-    candidate rows are charged against DEFAULT_BUDGET."""
+    candidate rows are charged against DEFAULT_BUDGET.
+
+    A solution is diagonal iff its entries are equal in pairs, which in
+    parameters means r=s=u=v=1, or A=B with u=v=1, or A=B with r=s=1.
+    Unequal coprime pairs force both elements past x/y (the ratio bounds),
+    so three non-diagonal shapes remain:
+
+      (b) u=v=1, r,s > x/y distinct, A,B > x/y distinct;
+      (c) r=s=1, u,v > x/y distinct, A,B > x/y distinct;
+      (d) r,s > x/y distinct and u,v > x/y distinct, A,B arbitrary.
+    """
     if x < 2 or y < 1:
         raise ValueError(f"need x >= 2, y >= 1, got x={x}, y={y}")
     if y > x + (flags is not None):
@@ -410,33 +340,6 @@ def _solution_blocks(x: int, y: int, flags: np.ndarray | None = None):
     )
     for b in _enumerate(d_outer, d_deep, bud):
         yield "d", b["A"], b["B"], b["r"], b["s"], b["u"], b["v"]
-
-
-def nondiagonal_quadruples(x: int, y: int):
-    """Yield (QuadrupleParam, (n1, n2, n3, n4)) for every ordered
-    non-diagonal square quadruple in (x, x+y], each exactly once.
-
-    A solution is diagonal iff its entries are equal in pairs, which in
-    parameters means r=s=u=v=1, or A=B with u=v=1, or A=B with r=s=1.
-    Unequal coprime pairs force both elements past x/y (the ratio bounds),
-    so three non-diagonal shapes remain:
-
-      (b) u=v=1, r,s > x/y distinct, A,B > x/y distinct;
-      (c) r=s=1, u,v > x/y distinct, A,B > x/y distinct;
-      (d) r,s > x/y distinct and u,v > x/y distinct, A,B arbitrary.
-    """
-    for shape, *cols in _solution_blocks(x, y):
-        for row in zip(*(c.tolist() for c in cols)):
-            if shape == "bc":
-                A, B, c1, c2 = row
-                yield (QuadrupleParam(A, B, c1, c2, 1, 1),
-                       (A * c1, A * c2, B * c1, B * c2))
-                yield (QuadrupleParam(A, B, 1, 1, c1, c2),
-                       (A * c1, A * c2, B * c2, B * c1))
-            else:
-                A, B, r, s, u, v = row
-                yield (QuadrupleParam(A, B, r, s, u, v),
-                       (A * r * u, A * s * v, B * r * v, B * s * u))
 
 
 def param_enumerate_nondiagonal(x: int, y: int) -> int:

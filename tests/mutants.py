@@ -6,11 +6,13 @@ of which must fail with the fault in place.  For each entry the runner
 copies src/, tests/, perfbench/ and pyproject.toml into a temporary
 directory, applies the entry there and runs each named test file with
 `pytest -x`.  A mutant is killed when every named file fails (pytest exits
-1).  The runner exits 1 if any mutant survives, or, before running any, if
-an old text is not found exactly once, so that the table keeps up with the
-code.  The named files must pass on the unchanged tree, as tier-1 checks
-first.  pytest does not collect this file; run it from anywhere, with no
-options:
+1).  A file whose run takes longer than TIMEOUT_S counts as failing: its
+pytest and every process that pytest started are killed, and the mutant's
+line says so.  The runner exits 1 if any mutant survives, or, before running
+any, if an old text is not found exactly once, so that the table keeps up
+with the code.  The named files must pass on the unchanged tree, as tier-1
+checks first.  pytest does not collect this file; run it from anywhere, with
+no options:
 
     python tests/mutants.py
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -28,6 +31,11 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+# Longest run of one test file under a mutant.  The slowest named file,
+# tests/test_stein.py, takes 14-17 s on 2 shared vCPUs, and a mutant can
+# make a loop run forever (a factor table that stores a prime of 1 never
+# leaves numtheory._valuations).
+TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -163,8 +171,9 @@ def _stale(mutants: list[Mutant]) -> list[str]:
     return out
 
 
-def _survivors(m: Mutant) -> list[str]:
-    """The named test files that do not fail with m applied to a copy."""
+def _survivors(m: Mutant) -> tuple[list[str], list[str]]:
+    """The named test files that do not fail with m applied to a copy, and
+    those that ran past TIMEOUT_S and count as failing."""
     with tempfile.TemporaryDirectory(prefix="rmflab-mutant-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -176,13 +185,23 @@ def _survivors(m: Mutant) -> list[str]:
         target = copy / m.path
         target.write_text(target.read_text().replace(m.old, m.new))
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        out = []
+        out, hung = [], []
         for test in m.tests:
-            run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                                  test], cwd=copy, env=env, capture_output=True, text=True)
-            if run.returncode != 1:
-                out.append(f"{test} (pytest exit {run.returncode})")
-        return out
+            # its own session, so that a kill reaches pytest's fork-pool workers too
+            run = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                                    "no:cacheprovider", test], cwd=copy, env=env,
+                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                   start_new_session=True)
+            try:
+                code = run.wait(timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                os.killpg(run.pid, signal.SIGKILL)  # pytest is not yet reaped: its group exists
+                run.wait()
+                hung.append(test)
+                continue
+            if code != 1:
+                out.append(f"{test} (pytest exit {code})")
+        return out, hung
 
 
 def main() -> int:
@@ -193,9 +212,11 @@ def main() -> int:
     survived = 0
     for m in MUTANTS:
         t0 = time.perf_counter()
-        left = _survivors(m)
+        left, hung = _survivors(m)
         survived += bool(left)
         status = f"SURVIVED in {', '.join(left)}" if left else "killed"
+        if hung and not left:
+            status += f" (timed out after {TIMEOUT_S} s in {', '.join(hung)})"
         print(f"{m.name}: {status} ({time.perf_counter() - t0:.1f} s)", flush=True)
     print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
     return 1 if survived else 0

@@ -6,12 +6,14 @@ import argparse
 import importlib
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rmflab import harness, numtheory, rmf_core, stein
+import rmflab
+from rmflab import errors, harness, numtheory, quadruples, rmf_core, stein
 from rmflab.numtheory import segmented_factorize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -47,6 +49,35 @@ def test_span_targets_resolve(module_name, attr):
     for part in path:
         owner = getattr(owner, part)
     assert leaf in vars(owner)
+
+
+# The package's public names; the span targets above pin what must stay.
+PUBLIC_NAMES = [
+    "BoundInputs", "ExperimentConfig", "ExperimentReport", "IntervalSampler", "IntervalTable",
+    "SampleSet", "ScaleError", "SignSource", "SteinTerms", "conditional_moments_check",
+    "delta3_sum_bound", "diagonal_count", "emit", "exchange_variance_bound",
+    "exchange_variance_monte_carlo", "interval_sum", "kkw_from", "kolmogorov_bound",
+    "kolmogorov_stat", "nondiagonal_bound", "normal_cdf", "normal_pdf", "normal_quantile",
+    "oracle_count_square_quadruples", "param_enumerate_nondiagonal", "rmf_value",
+    "run_simulate", "segmented_factorize", "stein_terms", "subset_weight",
+    "subset_weight_identity", "wasserstein1", "wasserstein_bound",
+]
+
+
+def test_public_names_are_pinned():
+    # the test-only references live in tests/reference.py, not in the package
+    public = sorted(name for name, value in vars(rmflab).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == PUBLIC_NAMES
+    moved = {
+        quadruples: ("QuadrupleParam", "param_of_quadruple", "nondiagonal_quadruples",
+                     "_oracle_count_members"),
+        numtheory: ("trial_factorize", "_kernel_unchecked"),
+        numtheory.IntervalTable: ("factors", "squarefree_values"),
+        errors: ("ContractViolation",),
+    }
+    assert not [(owner, name) for owner, names in moved.items() for name in names
+                if hasattr(owner, name)]
 
 
 def test_workloads_import():

@@ -21,16 +21,15 @@ from rmflab.numtheory import (
     IntervalTable,
     _factor_segment,
     _prime_major,
-    _kernel_unchecked,
     _sieve,
     segmented_factorize,
     squarefree_flags,
-    trial_factorize,
     two_core,
     z_of_delta,
 )
 from rmflab.quadruples import oracle_count_square_quadruples
 from rmflab.stein import _all_sign_values, _shared_supports, _view
+from reference import _kernel_unchecked, factors, squarefree_values, trial_factorize
 
 
 def naive_squarefree(n: int) -> bool:
@@ -61,18 +60,18 @@ def test_tables_match_the_reference_before_any_exponent_is_read():
 
 def test_factorize_examples():
     t = segmented_factorize(10, 10)
-    assert dict(t.factors(12)) == {2: 2, 3: 1}
+    assert dict(factors(t, 12)) == {2: 2, 3: 1}
     assert not t.is_squarefree(12)
-    assert dict(t.factors(11)) == {11: 1}
+    assert dict(factors(t, 11)) == {11: 1}
     assert t.is_squarefree(11)
-    assert dict(t.factors(20)) == {2: 2, 5: 1}
+    assert dict(factors(t, 20)) == {2: 2, 5: 1}
     assert not t.is_squarefree(20)
 
 
 def test_factorize_recovers_large_cofactor():
     # 2 * 4999 has a prime factor above sqrt(xmax)
     t = segmented_factorize(9996, 4)
-    assert dict(t.factors(9998)) == {2: 1, 4999: 1}
+    assert dict(factors(t, 9998)) == {2: 1, 4999: 1}
 
 
 def test_table_shape_and_range_errors():
@@ -83,9 +82,9 @@ def test_table_shape_and_range_errors():
         with pytest.raises(ValueError):  # read-only
             a[0] = 0
     with pytest.raises(ValueError):
-        t.factors(10)
+        factors(t, 10)
     with pytest.raises(ValueError):
-        t.factors(21)
+        factors(t, 21)
 
 
 def test_factorize_preconditions():
@@ -334,7 +333,7 @@ def test_factor_segment_small_blocks_split_mid_list_sweep(lo, length):
 
 def test_factor_segment_small_blocks_from_zero():
     t = assert_matches_reference_in_small_blocks(0, 200)[0]
-    assert t.factors(1) == () and t.flags[0]
+    assert factors(t, 1) == () and t.flags[0]
 
 
 @pytest.mark.parametrize("lo, n, slot", [
@@ -345,7 +344,7 @@ def test_factor_segment_small_blocks_prime_power_at_an_edge(lo, n, slot):
     # 9, 27, 81 and 11^2 = 121 have multiples on both sides of the edge too
     t = assert_matches_reference_in_small_blocks(lo, 300)[0]
     assert n - lo - 1 == slot
-    assert len(t.factors(n)) == 1 and t.factors(n)[0][1] >= 6
+    assert len(factors(t, n)) == 1 and factors(t, n)[0][1] >= 6
 
 
 @pytest.mark.parametrize("lo, n", [
@@ -355,7 +354,7 @@ def test_factor_segment_small_blocks_prime_power_at_an_edge(lo, n, slot):
 def test_factor_segment_small_blocks_cofactor_at_an_edge(lo, n):
     t = assert_matches_reference_in_small_blocks(lo, 200)[0]
     assert (n - lo) % 64 == 0
-    cofactor = t.factors(n)[-1][0]
+    cofactor = factors(t, n)[-1][0]
     assert cofactor**2 > lo + 200
 
 
@@ -391,12 +390,12 @@ def test_factor_segment_memory():
 
 def test_squarefree_count_examples():
     assert segmented_factorize(10, 10).squarefree_count == 6
-    assert segmented_factorize(10, 10).squarefree_values() == [11, 13, 14, 15, 17, 19]
+    assert squarefree_values(segmented_factorize(10, 10)) == [11, 13, 14, 15, 17, 19]
     assert segmented_factorize(1, 1).squarefree_count == 1  # n = 2
     assert segmented_factorize(47, 1).squarefree_count == 0  # 48 = 2^4 * 3
     from_zero = _factor_segment(0, 6)  # n = 1 has the empty factorization
-    assert from_zero.factors(1) == ()
-    assert from_zero.squarefree_values() == [1, 2, 3, 5, 6]
+    assert factors(from_zero, 1) == ()
+    assert squarefree_values(from_zero) == [1, 2, 3, 5, 6]
 
 
 def test_squarefree_count_against_oracle():

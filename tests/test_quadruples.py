@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmflab import quadruples
-from rmflab.errors import ContractViolation, ScaleError
+from rmflab.errors import ScaleError
 from rmflab.bounds import nondiagonal_bound
 from rmflab.numtheory import (
     MAX_X_PLUS_Y,
-    _kernel_unchecked,
     segmented_factorize,
     squarefree_flags,
     two_core,
@@ -20,17 +19,22 @@ from rmflab.numtheory import (
 from rmflab.quadruples import (
     LIMB,
     ORACLE_MAX_S,
-    QuadrupleParam,
     _Budget,
     _expand,
     _oracle_count_array,
-    _oracle_count_members,
     _widths,
     diagonal_count,
-    nondiagonal_quadruples,
     oracle_count_square_quadruples,
     param_enumerate_nondiagonal,
+)
+from reference import (
+    ContractViolation,
+    QuadrupleParam,
+    _kernel_unchecked,
+    _oracle_count_members,
+    nondiagonal_quadruples,
     param_of_quadruple,
+    squarefree_values,
 )
 
 
@@ -81,7 +85,7 @@ def test_oracle_matches_literal_enumeration():
         if t.squarefree_count > 14:
             continue
         assert oracle_count_square_quadruples(t) == literal_square_quadruples(
-            t.squarefree_values()
+            squarefree_values(t)
         )
 
 
@@ -143,7 +147,7 @@ def test_enumeration_matches_oracle_at_benchmark_interval():
     t = segmented_factorize(100029, 1000)
     assert t.squarefree_count == 613
     nd = param_enumerate_nondiagonal(100029, 1000)
-    assert diagonal_count(613) + nd == _oracle_count_members(t.squarefree_values()) == 1126177
+    assert diagonal_count(613) + nd == _oracle_count_members(squarefree_values(t)) == 1126177
 
 
 def test_expand_splits_ranges_into_blocks(monkeypatch):
@@ -245,10 +249,8 @@ def test_enumeration_domain():
 
 def test_oracle_order_invariance():
     # ordered-tuple count cannot depend on how the member list is indexed
-    from rmflab.quadruples import _oracle_count_members
-
     t = segmented_factorize(52, 26)
-    members = t.squarefree_values()
+    members = squarefree_values(t)
     base = _oracle_count_members(members)
     rnd = random.Random(8)
     for _ in range(5):
@@ -295,19 +297,20 @@ def test_quadruple_param_check_rejects_bad_params():
 
 
 def took_scalar_loop(monkeypatch, table):
-    """Whether the oracle took the scalar loop; its count is checked against
-    the scalar loop either way."""
-    scalar = []
+    """Whether the oracle counted without its numpy pair kernel
+    _oracle_count_array; its count is checked against the reference's
+    scalar loop either way."""
+    kernel = []
 
     def spy(members):
-        scalar.append(len(members))
-        return _oracle_count_members(members)
+        kernel.append(len(members))
+        return _oracle_count_array(members)
 
-    monkeypatch.setattr(quadruples, "_oracle_count_members", spy)
+    monkeypatch.setattr(quadruples, "_oracle_count_array", spy)
     got = oracle_count_square_quadruples(table)
     monkeypatch.undo()
-    assert got == _oracle_count_members(table.squarefree_values())
-    return bool(scalar)
+    assert got == _oracle_count_members(squarefree_values(table))
+    return not kernel
 
 
 def interval_with_s(x, s):
@@ -340,7 +343,7 @@ def test_oracle_matches_scalar_loop_across_int64_squares(monkeypatch):
     assert INT64_MEMBER ** 2 < 2**63 <= (INT64_MEMBER + 1) ** 2
     below = segmented_factorize(INT64_MEMBER - 300, 300)
     above = segmented_factorize(INT64_MEMBER - 150, 300)
-    assert below.squarefree_values()[-1] <= INT64_MEMBER < above.squarefree_values()[-1]
+    assert squarefree_values(below)[-1] <= INT64_MEMBER < squarefree_values(above)[-1]
     assert not took_scalar_loop(monkeypatch, below)
     assert not took_scalar_loop(monkeypatch, above)
 
@@ -349,7 +352,7 @@ def test_oracle_matches_scalar_loop_across_int64_squares(monkeypatch):
 def test_oracle_above_int64_squares_matches_scalar_loop(monkeypatch, x, y):
     t = segmented_factorize(x, y)
     assert 0 < t.squarefree_count <= ORACLE_MAX_S
-    assert t.squarefree_values()[-1] > INT64_MEMBER
+    assert squarefree_values(t)[-1] > INT64_MEMBER
     assert not took_scalar_loop(monkeypatch, t)
 
 
@@ -358,14 +361,14 @@ def test_oracle_above_int64_squares_matches_scalar_loop(monkeypatch, x, y):
        st.integers(min_value=1, max_value=400))
 def test_oracle_above_int64_squares_sweep(x, y):
     t = segmented_factorize(x, y)
-    assert oracle_count_square_quadruples(t) == _oracle_count_members(t.squarefree_values())
+    assert oracle_count_square_quadruples(t) == _oracle_count_members(squarefree_values(t))
 
 
 def test_oracle_edge_cases():
     # no member, one member, and members above 2^31.5 (kernels of two int64
     # words) beside small ones
-    big = segmented_factorize(INT64_MEMBER, 60).squarefree_values()
-    small = segmented_factorize(100, 40).squarefree_values()
+    big = squarefree_values(segmented_factorize(INT64_MEMBER, 60))
+    small = squarefree_values(segmented_factorize(100, 40))
     assert big[0] > INT64_MEMBER
     for members in ([], [5], [7] + small[:9] + big + small[9:20] + [13]):
         assert _oracle_count_array(members) == _oracle_count_members(members)
@@ -587,14 +590,14 @@ def test_nondiagonal_quadruples_lie_in_the_core(monkeypatch, x, y, c):
     assert len(core) == c
     rows = [quad for _, quad in nondiagonal_quadruples(x, y)]
     assert rows and set().union(*rows) <= core
-    assert lifted_oracle(monkeypatch, t) == _oracle_count_array(t.squarefree_values())
+    assert lifted_oracle(monkeypatch, t) == _oracle_count_array(squarefree_values(t))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=400))
 def test_core_oracle_matches_all_pairs_sweep(x, y):
     t = segmented_factorize(x, y)
-    assert oracle_count_square_quadruples(t) == _oracle_count_array(t.squarefree_values())
+    assert oracle_count_square_quadruples(t) == _oracle_count_array(squarefree_values(t))
 
 
 @pytest.mark.slow

@@ -19,10 +19,11 @@ from rmflab.numtheory import (
     segmented_factorize,
     z_of_delta,
 )
-from rmflab.quadruples import _oracle_count_array, _oracle_count_members
+from rmflab.quadruples import _oracle_count_array
 from rmflab.rmf_core import SignSource
 from rmflab import quadruples, rmf_core, stein
 from rmflab.harness import VAR_TRIALS
+from reference import _oracle_count_members, factors
 from rmflab.stein import (
     _all_sign_values,
     _delta3,
@@ -178,13 +179,13 @@ def test_delta3_brute_force_cross_check():
     # independent enumeration over explicit sign vectors
     t = segmented_factorize(25, 20)
     ks = members(t, 7)
-    primes = sorted({q for k in ks for q, _ in t.factors(k * 7) if q != 7})
+    primes = sorted({q for k in ks for q, _ in factors(t, k * 7) if q != 7})
     total = 0
     for bits in range(1 << len(primes)):
         sgn = {q: -1 if bits >> j & 1 else 1 for j, q in enumerate(primes)}
         g = 0
         for k in ks:
-            g += math.prod(sgn[q] for q, _ in t.factors(k * 7) if q != 7)
+            g += math.prod(sgn[q] for q, _ in factors(t, k * 7) if q != 7)
         total += abs(g) ** 3
     assert delta3(t, 7) == 4 * total / (1 << len(primes))
 
@@ -310,7 +311,7 @@ def test_exchange_variance_hashes_only_the_primes_it_reads(monkeypatch):
     t = segmented_factorize(100020, 100)
     z = z_of_delta(100 / 100020)
     read = {q for e, _ in _shared_supports(t, _view(t, z)[1])
-            for i in e.tolist() for q, _ in t.factors(t.x_lo + 1 + i)}
+            for i in e.tolist() for q, _ in factors(t, t.x_lo + 1 + i)}
     hashed = []
 
     def spy(primes):
