@@ -305,10 +305,11 @@ def run_moments(cfg: ExperimentConfig) -> dict:
 
 
 def run_stein_checks(cfg: ExperimentConfig, var_trials: int = VAR_TRIALS) -> dict:
-    """Identity and conditional-moment checks; each sub-check reports its
-    own result or the scale refusal that stopped it.  One stein_terms call
-    gives both exchange_variance and sum_delta3, so its refusal skips
-    both."""
+    """Identity and conditional-moment checks.  The weight identity and the
+    conditional moments always run; the decomposition and stein_terms each
+    report their result or the scale refusal that stopped them.  One
+    stein_terms call gives both exchange_variance and sum_delta3, so its
+    refusal skips both."""
     if var_trials < 2:
         raise ValueError(f"var_trials must be >= 2, got {var_trials}")
     _check_trials(var_trials)
@@ -323,15 +324,8 @@ def run_stein_checks(cfg: ExperimentConfig, var_trials: int = VAR_TRIALS) -> dic
     out["weight_identity"] = {"max_l": IDENTITY_MAX_L, "ok": identity_ok}
 
     signs = SignSource(cfg.master_seed)
-    try:
-        rep = stein_mod.conditional_moments_check(
-            table, cfg.z, [signs.for_trial(t) for t in range(5)])
-        out["conditional_moments"] = {
-            "large_primes": len(rep.large_primes),
-            "ok": rep.ok,
-        }
-    except ScaleError as e:
-        out["conditional_moments"] = {"skipped": str(e)}
+    rep = stein_mod.conditional_moments_check(table, cfg.z, [signs.for_trial(t) for t in range(5)])
+    out["conditional_moments"] = {"large_primes": len(rep.large_primes), "ok": rep.ok}
 
     try:
         direct, closed = stein_mod.decomposition_sides(table, cfg.z, signs)

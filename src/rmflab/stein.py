@@ -27,14 +27,16 @@ exchange variance over a whole matrix of trial signs at once.
 
 Identity checks run in exact rational arithmetic (fractions.Fraction);
 exhaustive sign-vector averages run as integer Walsh-Hadamard transforms.
-Both exhaustive checks build the entries' masks over L once per call, and from
-them f at ALL 2^|L| sign vectors of L in O(|L| 2^|L|) (_sign_vectors);
-E|Delta_p f|^3 depends on the signs only through the parities of the members
-of N(p), so its average runs over the 2^r points of their image, r the GF(2)
-rank of the members' prime masks.  Both sides of the conditional decomposition
-are integer subset-sum (zeta) transforms over the bits of L, summed by subset
-size, so only O(|L|) Fractions are formed; the subset-weight identity gives,
-for each |L|, the integer numerators of every w over one common denominator.
+The conditional moments enumerate no sign vector: they are integer sums over
+the entries grouped by large part (conditional_moments_check).  The
+decomposition builds the entries' masks over L once per call, and from them
+f at ALL 2^|L| sign vectors of L in O(|L| 2^|L|).  E|Delta_p f|^3 depends on
+the signs only through the parities of the members of N(p), so its average
+runs over the 2^r points of their image, r the GF(2) rank of the members'
+prime masks.  Both sides of the conditional decomposition are integer
+subset-sum (zeta) transforms over the bits of L, summed by subset size, so
+only O(|L|) Fractions are formed; the subset-weight identity gives, for each
+|L|, the integer numerators of every w over one common denominator.
 """
 
 from __future__ import annotations
@@ -60,10 +62,9 @@ _MIN_VAR_TILE = 64
 # Budgets of the exact checks, each compared with a size before the work it
 # bounds: the distinct primes of one N(p) for _delta3's transform over
 # their 2^k sign vectors, |N(p)| for stein_terms, and |L| for the 2^|L|
-# sign vectors of conditional_moments_check and of decomposition_sides
+# sign vectors of decomposition_sides
 PRIME_BUDGET = 20
 MEMBER_BUDGET = 400
-LARGE_PRIME_BUDGET = 22
 L_BUDGET = 12
 
 
@@ -149,21 +150,11 @@ def _all_sign_values(masks: list[int], coeffs: list[int], k: int) -> np.ndarray:
     return _walsh_inplace(g)
 
 
-def _sign_vectors(table: IntervalTable, first: int, sources: list[SignSource]
-                  ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """For L = view.primes[first:]: each table entry's bitmask over L (bit j
-    for its j-th prime), built once; then per source, each entry's product of
-    its small signs (primes below L), both int64 columns over all entries, and
-    f, the interval sum, at every sign vector of L, by its bits (1 = sign -1)."""
-    view = table.prime_major
-    l_size = view.primes.size - first
-    masks = _over_entries(table, np.add, 1 << np.arange(l_size), first)
-    out = []
-    for signs in sources:
-        small = np.array([signs.sign(q) for q in view.primes[:first].tolist()], dtype=np.int64)
-        coeffs = _over_entries(table, np.multiply, small)
-        out.append((coeffs, _all_sign_values(masks[table.flags], coeffs[table.flags], l_size)))
-    return masks, out
+def _small_signs(table: IntervalTable, first: int, signs: SignSource) -> np.ndarray:
+    """Each table entry's product of the signs of its primes below L,
+    view.primes[:first], as an int64 column."""
+    small = [signs.sign(q) for q in table.prime_major.primes[:first].tolist()]
+    return _over_entries(table, np.multiply, np.array(small, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +377,8 @@ def stein_terms(table: IntervalTable, z: float, var_trials: int,
 
 @dataclass(frozen=True)
 class ConditionalMomentsReport:
-    """Exhaustive conditional moments of the interval sum given the small
-    signs: one (mean, second moment) pair per sign source."""
+    """Exact conditional moments of the interval sum given the small signs,
+    over the signs of L: one (mean, second moment) pair per sign source."""
 
     s_count: int
     large_primes: tuple[int, ...]
@@ -403,26 +394,28 @@ class ConditionalMomentsReport:
 
 def conditional_moments_check(table: IntervalTable, z: float,
                               sources: list[SignSource]) -> ConditionalMomentsReport:
-    """For each source's signs of the small primes (<= z), average the
-    interval sum and its square over ALL 2^k sign vectors of L; the
-    conditional mean must be exactly 0 and the second moment exactly S.
-    A source is anything with .sign(p) = +1 or -1; only the primes <= z
-    that divide a square-free entry are read.  The entries' masks over L are
-    built once for all sources.  Refused when |L| exceeds LARGE_PRIME_BUDGET."""
+    """For each source's signs of the small primes (<= z), the exact mean
+    and second moment of the interval sum over the signs of L: 0 and S where
+    the lemma holds.  A source is anything with .sign(p) = +1 or -1; only the
+    primes <= z that divide a square-free entry are read.  f sums each
+    entry's small-sign product times the character of its large part n //
+    (product of its primes <= z); these characters are orthonormal, so the
+    mean is the sum over large part 1 and the second moment the sum of each
+    large part's squared sum.  The groups are found once for all sources."""
     view, first = _view(table, z)
-    large = view.primes[first:].tolist()
-    if len(large) > LARGE_PRIME_BUDGET:
-        raise ScaleError(
-            f"{len(large)} distinct large primes exceeds budget {LARGE_PRIME_BUDGET}"
-        )
-    n = 1 << len(large)
+    flags = table.flags
+    small_part = _over_entries(table, np.multiply, view.primes[:first])[flags]
+    parts, group = np.unique((np.flatnonzero(flags) + (table.x_lo + 1)) // small_part,
+                             return_inverse=True)
     means, seconds = [], []
-    for _, f in _sign_vectors(table, first, sources)[1]:
-        means.append(Fraction(int(f.sum()), n))
-        seconds.append(Fraction(int((f * f).sum()), n))
-    return ConditionalMomentsReport(
-        table.squarefree_count, tuple(large), tuple(means), tuple(seconds)
-    )
+    for signs in sources:
+        sums = np.zeros(parts.size, dtype=np.int64)
+        np.add.at(sums, group, _small_signs(table, first, signs)[flags])
+        # the large parts ascend, so a large part of 1 is the first group
+        means.append(Fraction(int(sums[0]) if parts.size and parts[0] == 1 else 0))
+        seconds.append(Fraction(int((sums * sums).sum())))
+    return ConditionalMomentsReport(table.squarefree_count, tuple(view.primes[first:].tolist()),
+                                    tuple(means), tuple(seconds))
 
 
 def _by_size(v: np.ndarray) -> np.ndarray:
@@ -464,8 +457,10 @@ def decomposition_sides(table: IntervalTable, z: float,
     l_size = len(large)
     if l_size > L_BUDGET:
         raise ScaleError(f"|L| = {l_size} exceeds budget {L_BUDGET}")
-    masks, [(coeffs, f_of)] = _sign_vectors(table, first, [signs])
     bits = 1 << np.arange(l_size)
+    masks = _over_entries(table, np.add, bits, first)
+    coeffs = _small_signs(table, first, signs)
+    f_of = _all_sign_values(masks[table.flags], coeffs[table.flags], l_size)
     x_bits = sum(1 << j for j, q in enumerate(large) if signs.sign(q) < 0)
     a = np.arange(1 << l_size)
     # f_at[d] = f(X with the signs on d flipped); diff[j, d] = D_{p_j} there

@@ -8,17 +8,21 @@
 - QuadrupleParam (with its invariant check), its inverse param_of_quadruple
   and nondiagonal_quadruples check the parametrization lemma: every
   enumerated solution maps back to its parameters and meets the invariants.
+- conditional_moments_exhaustive checks stein.conditional_moments_check by
+  averaging f and f^2 over all 2^|L| sign vectors of L.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from rmflab.numtheory import IntervalTable, _valuations
 from rmflab.quadruples import _solution_blocks
+from rmflab.stein import ConditionalMomentsReport, _all_sign_values, _over_entries, _view
 
 
 class ContractViolation(ValueError):
@@ -139,3 +143,21 @@ def nondiagonal_quadruples(x: int, y: int):
             for params in rows:
                 q = QuadrupleParam(*params)
                 yield q, q.reconstruct()
+
+
+def conditional_moments_exhaustive(table: IntervalTable, z: float,
+                                   sources) -> ConditionalMomentsReport:
+    """stein.conditional_moments_check by averaging f and f^2 over all 2^|L|
+    sign vectors of L, f from one Walsh-Hadamard transform per source."""
+    view, first = _view(table, z)
+    large = view.primes[first:].tolist()
+    flags, n = table.flags, 1 << len(large)
+    masks = _over_entries(table, np.add, 1 << np.arange(len(large)), first)[flags]
+    means, seconds = [], []
+    for signs in sources:
+        small = np.array([signs.sign(q) for q in view.primes[:first].tolist()], dtype=np.int64)
+        f = _all_sign_values(masks, _over_entries(table, np.multiply, small)[flags], len(large))
+        means.append(Fraction(int(f.sum()), n))
+        seconds.append(Fraction(int((f * f).sum()), n))
+    return ConditionalMomentsReport(table.squarefree_count, tuple(large), tuple(means),
+                                    tuple(seconds))

@@ -40,6 +40,7 @@ from rmflab.stein import (
     subset_weight_identity,
     _view,
 )
+from reference import conditional_moments_exhaustive
 
 SUITE_T0 = time.perf_counter()
 SUITE_BUDGET_S = 600.0
@@ -119,12 +120,14 @@ def test_criterion_03_conditional_moments_exhaustive():
         assert report.ok, f"conditional moments off on ({x}, {y})"
         assert report.means == (Fraction(0),) * 5
         assert report.second_moments == (Fraction(table.squarefree_count),) * 5
+        assert report == conditional_moments_exhaustive(table, z_of_delta(delta), assignments)
         checked += 1
     elapsed = time.perf_counter() - t0
     assert checked >= 5
     assert elapsed <= 120.0, f"took {elapsed:.1f} s"
     print(f"CRITERION 3: PASS - {checked} tiny intervals x 5 assignments, "
-          f"conditional mean 0 and second moment S exactly, {elapsed:.1f} s")
+          f"conditional mean 0 and second moment S exactly, equal to the average "
+          f"over all sign vectors of L, {elapsed:.1f} s")
 
 
 def test_criterion_04_combinatorial_identity():

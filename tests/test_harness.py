@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -42,7 +43,7 @@ from rmflab.harness import (
 from rmflab import numtheory
 from rmflab.numtheory import segmented_factorize
 from rmflab.rmf_core import IntervalSampler, SignSource
-from rmflab.stein import conditional_moments_check
+from rmflab.stein import L_BUDGET, conditional_moments_check
 
 
 def small_config(trials=200, workers=1, **kw):
@@ -357,9 +358,11 @@ def test_run_stein_checks_fragment():
     assert frag["exchange_variance"]["estimate"] >= 0
     assert frag["sum_delta3"]["value"] >= 0
     assert frag["sum_delta3"]["ratio"] >= 0  # reported, never asserted vs constants
-    # larger interval: the exhaustive checks must refuse, not crash
+    # larger interval: the conditional moments still run, the decomposition's
+    # 2^|L| enumeration must refuse, not crash
     frag2 = run_stein_checks(ExperimentConfig(x=10**4, y=400, master_seed=5), var_trials=10)
-    assert "skipped" in frag2["conditional_moments"]
+    assert frag2["conditional_moments"]["ok"]
+    assert frag2["conditional_moments"]["large_primes"] > L_BUDGET
     assert "skipped" in frag2["decomposition"]
     assert frag2["exchange_variance"]["ratio"] >= 0
 
@@ -367,10 +370,10 @@ def test_run_stein_checks_fragment():
 def test_cli_stein_refusal_skips_both_stein_terms_keys(capsys):
     # one stein_terms call gives exchange_variance and sum_delta3, so its
     # refusal skips both with the same reason; each at-scale refusal keeps
-    # its message
+    # its message, and the conditional moments, which have no budget, run
     assert main(["stein", "--x", "100000000", "--y", "10000", "--var-trials", "20"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["conditional_moments"] == {"skipped": "5836 distinct large primes exceeds budget 22"}
+    assert out["conditional_moments"] == {"large_primes": 5836, "ok": True}
     assert out["decomposition"] == {"skipped": "|L| = 5836 exceeds budget 12"}
     assert out["exchange_variance"] == {"skipped": "|N(5)| = 1019 exceeds 400"}
     assert out["sum_delta3"] == out["exchange_variance"]
@@ -891,3 +894,18 @@ def test_cli_builds_one_config_per_call(argv, monkeypatch, capsys):
     monkeypatch.setattr(ExperimentConfig, "__post_init__", spy)
     assert main(argv) == 0
     assert [(cfg.x, cfg.y) for cfg in built] == [(100, 20)]
+
+
+def test_readme_refusal_rows_name_live_constants():
+    # every row of README's Refusals table names a module constant and its
+    # value, 10^k or a plain integer: a deleted or retuned constant leaves no
+    # stale row behind
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Refusals\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert len(rows) >= 10
+    for line in rows:
+        module, name, value = re.match(r"\| `(\w+)\.(\w+)` \| (\d+(?:\^\d+)?) \|", line).groups()
+        base, _, power = value.partition("^")
+        want = int(base) ** int(power or 1)
+        assert getattr(importlib.import_module(f"rmflab.{module}"), name) == want, line

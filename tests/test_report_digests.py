@@ -24,7 +24,7 @@ GOLDEN = [
     }),
     # the README reference point
     (["stein", "--x", "100000", "--y", "100", "--seed", "0"], {
-        "r.json": "63d7bc39d3e3f7447205be117294b76cb5336ddaf915df99619c4be72ba49e17",
+        "r.json": "58f5b3d4a3fa4f39ac88477e2438bbeee2599968cd5126ef14d26f5637842f36",
     }),
     (["stein", "--x", "700", "--y", "9", "--seed", "5"], {
         "r.json": "904f12fbee99592455967bc8a3a3e45b0e92415534e172fad461a86f625bdfa2",

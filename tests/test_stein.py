@@ -23,7 +23,7 @@ from rmflab.quadruples import _oracle_count_array
 from rmflab.rmf_core import SignSource
 from rmflab import quadruples, rmf_core, stein
 from rmflab.harness import VAR_TRIALS
-from reference import _oracle_count_members, factors
+from reference import _oracle_count_members, conditional_moments_exhaustive, factors
 from rmflab.stein import (
     _all_sign_values,
     _delta3,
@@ -370,16 +370,6 @@ def test_small_primes_are_the_primes_up_to_z_of_the_squarefree_entries():
         assert view.primes[:first].tolist() == want
 
 
-def test_conditional_moments_budget_and_validation():
-    # too many large primes is refused before any sign is read: the source
-    # has no sign for the small primes
-    t = segmented_factorize(10**4, 300)
-    view, first = _view(t, 10.0)
-    assert view.primes[:first].tolist() == [2, 3, 5, 7]
-    with pytest.raises(ScaleError, match="distinct large primes exceeds budget 22"):
-        conditional_moments_check(t, 10.0, [_mapped_signs({})])
-
-
 def test_sign_vector_moments_tiny():
     # (1, 3] at z = 1: two disjoint singleton masks, f = X(2) + X(3)
     rep = conditional_moments_check(_factor_segment(1, 2), 1.0, [_mapped_signs({})])
@@ -393,6 +383,32 @@ def test_sign_vector_moments_tiny():
     rep = conditional_moments_check(t, 3.5, sources)
     assert rep.large_primes == (5,)
     assert (rep.means, rep.second_moments) == ((0, 0), (4, 0))
+
+
+def test_conditional_moments_match_the_exhaustive_oracle():
+    # 240 seeded desk intervals at fixed z, where a z-smooth entry or two
+    # entries with one large part make the check fail, plus a table holding
+    # n = 1 (f has the constant term X(1) = 1) and one with S = 0; every
+    # mean and second moment equals the average over all 2^|L| sign vectors
+    rng = random.Random(1)
+    cases = [(rng.randrange(1000), rng.randrange(1, 21), rng.choice((0.5, 1.5, 3.5, 7.5, 12.0)))
+             for _ in range(240)]
+    cases += [(0, length, z) for length in (1, 2, 7, 12) for z in (0.5, 3.5)] + [(47, 1, 3.5)]
+    failed = set()
+    for lo, length, z in cases:
+        t = _factor_segment(lo, length)
+        assert len(large_primes(t, z)) <= 22
+        sources = [SignSource(rng.randrange(1000)) for _ in range(3)]
+        rep = conditional_moments_check(t, z, sources)
+        want = conditional_moments_exhaustive(t, z, sources)
+        # equal reports: the same L, S, means and second moments
+        assert rep == want, (lo, length, z)
+        if not rep.ok:
+            failed.add((lo, length, z))
+    assert len(failed) >= 10
+    assert {(0, 1, 0.5), (0, 7, 3.5)} <= failed  # the mean is 1 where n = 1 is an entry
+    assert _factor_segment(47, 1).squarefree_count == 0
+    assert (47, 1, 3.5) not in failed
 
 
 def test_decomposition_exact_equality():
@@ -716,11 +732,9 @@ def test_prime_budget_boundary(monkeypatch, x, y, z):
 
 
 @pytest.mark.parametrize("budget, check, refusal", [
-    ("LARGE_PRIME_BUDGET", lambda t, z: conditional_moments_check(t, z, [SignSource(1)]).ok,
-     "10 distinct large primes exceeds budget 9"),
     ("L_BUDGET", lambda t, z: operator.eq(*decomposition_sides(t, z, SignSource(1))),
      "|L| = 10 exceeds budget 9"),
-], ids=["LARGE_PRIME_BUDGET", "L_BUDGET"])
+], ids=["L_BUDGET"])
 def test_large_prime_budgets_boundary(monkeypatch, budget, check, refusal):
     # |L| = 10 at (700, 9]: checked at a budget of 10, refused at 9
     t = segmented_factorize(700, 9)
@@ -735,8 +749,10 @@ def test_large_prime_budgets_boundary(monkeypatch, budget, check, refusal):
 
 
 def test_exhaustive_checks_build_each_entry_table_once(monkeypatch):
-    # one pass for the entries' masks over L per call, one for the small-sign
-    # products per source, and X(n) read off the masks: 1 + 5 and 1 + 1 at (700, 9]
+    # the conditional moments: one pass for the entries' small parts per call
+    # and one for the small-sign products per source, 1 + 5 at (700, 9]; the
+    # decomposition: one for the entries' masks over L and one for the
+    # small-sign products, with X(n) read off the masks
     t = segmented_factorize(700, 9)
     z = z_of_delta(9 / 700)
     calls, real = [], stein._over_entries
@@ -748,7 +764,7 @@ def test_exhaustive_checks_build_each_entry_table_once(monkeypatch):
     monkeypatch.setattr(stein, "_over_entries", spy)
     signs = SignSource(5)
     assert conditional_moments_check(t, z, [signs.for_trial(i) for i in range(5)]).ok
-    assert (len(calls), calls.count(np.add), calls.count(np.multiply)) == (6, 1, 5)
+    assert calls == [np.multiply] * 6
     calls.clear()
     assert operator.eq(*decomposition_sides(t, z, signs))
     assert calls == [np.add, np.multiply]
