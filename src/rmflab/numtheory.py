@@ -8,6 +8,9 @@ integers x+1, ..., x+y.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -18,9 +21,10 @@ from .errors import ScaleError
 
 _U64_LIMIT = 1 << 64
 # Largest interval segmented_factorize accepts.  At the limit, (10^15 - 10^7,
-# 10^7], the table is built in eight blocks in 1.9-2.4 s (1.7-2.2 s under
-# tracemalloc) and peaks at about 506 MiB (tracemalloc) and 498 MiB max RSS
-# on 2 shared vCPUs.
+# 10^7], the table is built in eight blocks, two at a time, in 2.2-2.6 s
+# (2.4 s under tracemalloc) and peaks at about 575 MiB (tracemalloc) and 567
+# MiB max RSS on 2 shared vCPUs; one block at a time took 3.4-4.7 s and 498
+# MiB there.
 MAX_X_PLUS_Y = 10**15
 MAX_Y = 10**7
 # _factor_block sorts each incidence of a sparse sieve prime as one int64 key
@@ -33,7 +37,8 @@ P_MASK = (1 << P_BITS) - 1
 # long as the list of sieve primes that hit the interval, since each block
 # touches every one of them: at the limit, 2^17-entry blocks took 4.4 s of CPU
 # against 2.4 s for blocks of 1,354,546 entries, one per such prime (2 shared
-# vCPUs).
+# vCPUs).  Two threads factoring blocks at once take blocks of at least
+# MIN_BLOCK // 2 entries, and only for an interval longer than MIN_BLOCK.
 MIN_BLOCK = 1 << 17
 # _factor_block handles a sieve prime p <= length // DENSE_HITS of its block,
 # with at least DENSE_HITS multiples there, by strided slices, and sorts the
@@ -253,8 +258,17 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     power from its own bounds, strides over the multiples of the primes
     with at least DENSE_HITS of them there and sorts the incidences of the
     rest.  The prime powers p^k <= hi, k >= 2, are listed once, for the
-    primes whose square has a multiple in the interval.  The returned
-    primes is a view of the output buffer, whose unused cofactor room is
+    primes whose square has a multiple in the interval.
+
+    An interval longer than MIN_BLOCK, in a process that may run on two or
+    more CPUs, is factored two blocks at a time (_two_at_a_time) in blocks of
+    max(MIN_BLOCK // 2, number of kept primes) entries, so about MIN_BLOCK
+    entries are in flight as before.  Each block then writes into its own
+    room of the output, its kept primes' hits from its own bounds plus its
+    length, and after both threads are done one pass in block order moves
+    each block's used part down to the running end and shifts the block's
+    offsets by it.  Either way the table is the same, byte for byte.  The
+    returned primes is a view of the output buffer, whose unused room is
     never written."""
     hi = lo + length
     sieve = _sieve(math.isqrt(hi))
@@ -276,15 +290,75 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     primes = np.empty(int(hits.sum()) + length, dtype=np.int64)
     offsets = np.zeros(length + 1, dtype=np.int64)
     flags = np.ones(length, dtype=bool)
-    block = max(MIN_BLOCK, sieve.size)
+    if length <= MIN_BLOCK or _cpu_count() < 2:
+        block = max(MIN_BLOCK, sieve.size)
+        pos = 0
+        for a in range(0, length, block):
+            b = min(a + block, length)
+            ends = offsets[a + 1 : b + 1]
+            _factor_block(lo + a, b - a, sieve, power_j, power, primes[pos:], ends, flags[a:b])
+            ends += pos
+            pos = int(ends[-1])
+        return IntervalTable(lo, length, offsets, primes[:pos], flags)
+    block = max(MIN_BLOCK // 2, sieve.size)
+    edges = [*range(0, length, block), length]
+    # block k's room starts at its first entry plus the hits before it
+    before = lo // sieve
+    room = [c + int(((lo + c) // sieve - before).sum()) for c in edges]
+
+    def factor(k: int) -> None:
+        a, b = edges[k], edges[k + 1]
+        _factor_block(lo + a, b - a, sieve, power_j, power, primes[room[k] : room[k + 1]],
+                      offsets[a + 1 : b + 1], flags[a:b])
+
+    _two_at_a_time(factor, len(edges) - 1)
     pos = 0
-    for a in range(0, length, block):
-        b = min(a + block, length)
-        ends = offsets[a + 1 : b + 1]
-        _factor_block(lo + a, b - a, sieve, power_j, power, primes[pos:], ends, flags[a:b])
-        ends += pos
-        pos = int(ends[-1])
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
+        used = int(offsets[b])
+        primes[pos : pos + used] = primes[room[k] : room[k] + used]
+        offsets[a + 1 : b + 1] += pos
+        pos += used
     return IntervalTable(lo, length, offsets, primes[:pos], flags)
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _two_at_a_time(work: Callable[[int], None], count: int) -> None:
+    """work(k) for every k in range(count), on the calling thread and one
+    helper thread that take the next k from one shared iterator.  numpy
+    releases the GIL in most of a block's loops and sorts, so the two
+    overlap.  The first exception in either thread, MemoryError included,
+    stops the other after its current k and is raised here; the helper is
+    joined before this returns or raises."""
+    todo = iter(range(count))
+    lock = threading.Lock()
+    failed: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            while not failed:
+                with lock:
+                    k = next(todo, None)
+                if k is None:
+                    return
+                work(k)
+        except BaseException as e:
+            failed.append(e)
+
+    helper = threading.Thread(target=run, name="rmflab-factor-block")
+    helper.start()
+    try:
+        run()
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 def _factor_block(lo: int, length: int, sieve: np.ndarray, power_j: np.ndarray,
@@ -378,7 +452,10 @@ def segmented_factorize(x: int, y: int) -> IntervalTable:
     block writes its slice of the table's arrays, the small primes by
     strided slices and the rest through one sort of their incidences, and
     temporaries are sized by the block (at least 2^17 entries and one per
-    sieve prime with a multiple in the interval), not by y.
+    sieve prime with a multiple in the interval), not by y.  Where y >
+    MIN_BLOCK and the process may run on two or more CPUs, two threads
+    factor blocks of at least 2^16 entries at a time (see _factor_segment);
+    the table does not depend on the number of CPUs.
     Refuses x+y > MAX_X_PLUS_Y or y > MAX_Y with ScaleError before
     allocating.
     """

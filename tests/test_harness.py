@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -415,6 +416,31 @@ def test_cli_simulate_files(tmp_path, capsys):
     assert (tmp_path / "exp.json").exists()
     assert (tmp_path / "exp.csv").exists()
     assert (tmp_path / "exp.hist.json").exists()
+
+
+def test_cli_simulate_workers_fork_after_a_threaded_factorization(tmp_path, capsys, monkeypatch):
+    # an interval longer than MIN_BLOCK is factored two blocks at a time;
+    # its helper thread must be gone before --workers 2 forks the pool
+    monkeypatch.setattr(numtheory, "_cpu_count", lambda: 2)
+    threads, fork = threading.active_count(), os.fork
+    at_fork = []
+
+    def counting_fork():
+        at_fork.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    y = numtheory.MIN_BLOCK + 1000
+    files = {}
+    for workers in ("1", "2"):
+        base = tmp_path / f"w{workers}"
+        assert main(["simulate", "--x", "1000000000", "--y", str(y), "--trials", "20",
+                     "--seed", "3", "--format", "json,csv,histogram", "--out", str(base),
+                     "--workers", workers]) == 0
+        files[workers] = [(tmp_path / f"w{workers}{s}").read_bytes()
+                          for s in (".json", ".csv", ".hist.json")]
+    assert files["1"] == files["2"]
+    assert at_fork == [threads, threads]
 
 
 def test_cli_distances_round_trip(tmp_path, capsys):

@@ -1,13 +1,16 @@
 import hashlib
 import math
 import random
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmflab import numtheory
@@ -254,7 +257,7 @@ def test_factor_segment_matches_reference_at_the_scale_limit(monkeypatch):
     lo, length, width = 10**15 - 10**7, 10**7, 50_000
     blocks = blocks_of(monkeypatch)
     t = _factor_segment(lo, length)
-    assert blocks == [1_354_546] * 7 + [length - 7 * 1_354_546]
+    assert block_lengths(blocks) == [1_354_546] * 7 + [length - 7 * 1_354_546]
     assert t.primes.max() > 10**15 - 10**7
     for a in (0, length // 2, length - width):
         assert_same_arrays(entry_slice(t, a, a + width), reference_arrays(lo + a, width))
@@ -267,41 +270,53 @@ def test_factor_segment_matches_reference_sweep(lo, length):
 
 
 def blocks_of(mp):
-    """The lengths of the blocks _factor_segment factors, in order, while
-    mp is active."""
-    lengths = []
+    """(lo, length) of each block _factor_segment factors while mp is
+    active, in the order the calls start: two threads append to it."""
+    blocks = []
     factor_block = numtheory._factor_block
 
     def spy(lo, length, *rest):
-        lengths.append(length)
+        blocks.append((lo, length))
         return factor_block(lo, length, *rest)
 
     mp.setattr(numtheory, "_factor_block", spy)
-    return lengths
+    return blocks
 
 
-def assert_matches_reference_in_small_blocks(lo, length, dense_hits=None):
-    """_factor_segment in blocks of 64 entries against the reference, with
-    DENSE_HITS set to dense_hits if given; returns the table and, for each
-    block, how many of its kept sieve primes are dense and how many not."""
-    blocks, splits = [], []
+def block_lengths(blocks):
+    """The lengths of blocks_of's records in interval order."""
+    return [length for _, length in sorted(blocks)]
+
+
+def assert_matches_reference_in_small_blocks(lo, length, dense_hits=None, cpus=2):
+    """_factor_segment with MIN_BLOCK = 64 on cpus CPUs against the
+    reference, with DENSE_HITS set to dense_hits if given: on one CPU in
+    blocks of 64 entries, on two in blocks of 32, two at a time, where at
+    most 32 sieve primes hit the interval.  Returns the table and, for each
+    block in interval order, how many of its kept sieve primes are dense
+    and how many not."""
+    records = []
     factor_block = numtheory._factor_block
 
     def spy(lo, length, sieve, *rest):
         dense = int(np.count_nonzero(sieve <= length // numtheory.DENSE_HITS))
-        blocks.append(length)
-        splits.append((dense, sieve.size - dense))
+        records.append((lo, length, (dense, sieve.size - dense)))
         return factor_block(lo, length, sieve, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numtheory, "MIN_BLOCK", 64)
+        mp.setattr(numtheory, "_cpu_count", lambda: cpus)
         if dense_hits is not None:
             mp.setattr(numtheory, "DENSE_HITS", dense_hits)
         mp.setattr(numtheory, "_factor_block", spy)
         t = _factor_segment(lo, length)
+    records.sort()
+    blocks = [n for _, n, _ in records]
     assert len(blocks) > 1 and sum(blocks) == length
+    if cpus == 1:
+        assert blocks[:-1] == [64] * (len(blocks) - 1)
     assert_same_arrays(table_arrays(t), reference_arrays(lo, length))
-    return t, splits
+    return t, [split for _, _, split in records]
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,7 +333,7 @@ def test_factor_segment_small_blocks_match_reference_sweep(lo, length):
 def test_factor_segment_small_blocks_all_dense_sweep(lo, blocks):
     # hi <= 4048 keeps every sieve prime below 64, and whole blocks of 64
     # entries with DENSE_HITS = 1 make each of them dense
-    splits = assert_matches_reference_in_small_blocks(lo, 64 * blocks, dense_hits=1)[1]
+    splits = assert_matches_reference_in_small_blocks(lo, 64 * blocks, dense_hits=1, cpus=1)[1]
     assert all(sparse == 0 and dense > 0 for dense, sparse in splits)
 
 
@@ -327,7 +342,7 @@ def test_factor_segment_small_blocks_all_dense_sweep(lo, blocks):
 def test_factor_segment_small_blocks_split_mid_list_sweep(lo, length):
     # blocks of 64 with DENSE_HITS = 4 make 2, 3, 5, 7, 11 and 13 dense,
     # and hi > 300 keeps 17 and more sparse
-    splits = assert_matches_reference_in_small_blocks(lo, length, dense_hits=4)[1]
+    splits = assert_matches_reference_in_small_blocks(lo, length, dense_hits=4, cpus=1)[1]
     assert all(dense == 6 and sparse > 0 for dense, sparse in splits[:-1])
 
 
@@ -341,7 +356,8 @@ def test_factor_segment_small_blocks_from_zero():
     (959, 1024, 64),  # 2^10 in the first slot of the second block
 ])
 def test_factor_segment_small_blocks_prime_power_at_an_edge(lo, n, slot):
-    # 9, 27, 81 and 11^2 = 121 have multiples on both sides of the edge too
+    # 9, 27, 81 and 11^2 = 121 have multiples on both sides of the edge too;
+    # 63 and 64 are edges of the 32-entry blocks that two threads take too
     t = assert_matches_reference_in_small_blocks(lo, 300)[0]
     assert n - lo - 1 == slot
     assert len(factors(t, n)) == 1 and factors(t, n)[0][1] >= 6
@@ -360,10 +376,118 @@ def test_factor_segment_small_blocks_cofactor_at_an_edge(lo, n):
 
 def test_factor_segment_default_blocks_match_reference(monkeypatch):
     lo, length = 10**10 + 777, 10**6
+    monkeypatch.setattr(numtheory, "_cpu_count", lambda: 1)
     blocks = blocks_of(monkeypatch)
     t = _factor_segment(lo, length)
-    assert blocks == [MIN_BLOCK] * 7 + [length - 7 * MIN_BLOCK]
+    assert block_lengths(blocks) == [MIN_BLOCK] * 7 + [length - 7 * MIN_BLOCK]
     assert_same_arrays(table_arrays(t), reference_arrays(lo, length))
+
+
+def test_factor_segment_two_threads_match_reference(monkeypatch):
+    # 9,592 sieve primes hit (10^10, 10^10 + 10^6]: half-size blocks
+    lo, length = 10**10, 10**6
+    monkeypatch.setattr(numtheory, "_cpu_count", lambda: 2)
+    blocks = blocks_of(monkeypatch)
+    t = _factor_segment(lo, length)
+    half = MIN_BLOCK // 2
+    assert block_lengths(blocks) == [half] * 15 + [length - 15 * half]
+    assert_same_arrays(table_arrays(t), reference_arrays(lo, length))
+
+
+def tables_on(cpus, lo, length):
+    """table_arrays of _factor_segment(lo, length) with MIN_BLOCK = 64 on
+    cpus CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtheory, "MIN_BLOCK", 64)
+        mp.setattr(numtheory, "_cpu_count", lambda: cpus)
+        return table_arrays(_factor_segment(lo, length))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3000))
+@example(0, 200)
+@example(959, 300)   # 2^10 in the first slot of a block on both paths
+@example(9943, 200)  # the prime 10,007 in the last slot of a block on both paths
+@example(10**6 - 5, 2000)  # 168 kept sieve primes: two threads take blocks of 168
+def test_factor_segment_same_table_for_any_cpu_count(lo, length):
+    one = tables_on(1, lo, length)
+    assert_same_arrays(tables_on(2, lo, length), one)
+    assert_same_arrays(tables_on(3, lo, length), one)
+
+
+def test_factor_segment_takes_each_block_once_under_fast_switching(monkeypatch):
+    # a thread switch every microsecond: a block index handed out twice, or
+    # lost, between the two threads shows in the spy or in the table
+    lo, length = 10**6 - 5, 20_000  # 169 kept sieve primes: 119 blocks of up to 169
+    monkeypatch.setattr(numtheory, "MIN_BLOCK", 64)
+    monkeypatch.setattr(numtheory, "_cpu_count", lambda: 2)
+    blocks = blocks_of(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t = _factor_segment(lo, length)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(blocks) == [(lo + a, min(169, length - a)) for a in range(0, length, 169)]
+    assert_same_arrays(table_arrays(t), reference_arrays(lo, length))
+
+
+def test_factor_segment_counts_cpus_in_its_affinity(monkeypatch):
+    monkeypatch.setattr(numtheory.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert numtheory._cpu_count() == 3
+    monkeypatch.delattr(numtheory.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(numtheory.os, "cpu_count", lambda: None)
+    assert numtheory._cpu_count() == 1
+
+
+def slow_helper_spy(mp, fail_on=None, error=MemoryError, main_s=0.005):
+    """Spy on _factor_block with MIN_BLOCK = 64 and two CPUs: the helper
+    thread's blocks take 50 ms longer and the calling thread's main_s, so
+    each thread gets blocks, and with main_s = 0 the helper is still in its
+    first block when the calling thread runs out of them.  The first block
+    that fail_on ("main" or "helper") starts raises error.  Returns the
+    (lo, thread) of each call."""
+    calls = []
+    factor_block = numtheory._factor_block
+    main = threading.main_thread()
+
+    def spy(lo, *rest):
+        mine = "main" if threading.current_thread() is main else "helper"
+        calls.append((lo, mine))
+        if mine == fail_on and [t for _, t in calls].count(mine) == 1:
+            raise error("injected")
+        time.sleep(0.05 if mine == "helper" else main_s)
+        return factor_block(lo, *rest)
+
+    mp.setattr(numtheory, "MIN_BLOCK", 64)
+    mp.setattr(numtheory, "_cpu_count", lambda: 2)
+    mp.setattr(numtheory, "_factor_block", spy)
+    return calls
+
+
+def test_factor_segment_joins_its_helper(monkeypatch):
+    lo, length = 10**4, 640  # 20 blocks of 32
+    before = threading.active_count()
+    calls = slow_helper_spy(monkeypatch, main_s=0)
+    t = _factor_segment(lo, length)
+    assert threading.active_count() == before
+    assert {thread for _, thread in calls} == {"main", "helper"}
+    assert sorted(lo for lo, _ in calls) == list(range(lo, lo + length, 32))
+    assert_same_arrays(table_arrays(t), reference_arrays(lo, length))
+
+
+@pytest.mark.parametrize("fail_on", ["main", "helper"])
+@pytest.mark.parametrize("error", [MemoryError, ValueError])
+def test_factor_segment_raises_a_block_error_after_joining(monkeypatch, fail_on, error):
+    lo, length = 10**4, 640
+    before = threading.active_count()
+    calls = slow_helper_spy(monkeypatch, fail_on, error)
+    with pytest.raises(error, match="injected"):
+        _factor_segment(lo, length)
+    assert threading.active_count() == before
+    # the other thread stops after the block it is in
+    failed = next(k for k, (_, t) in enumerate(calls) if t == fail_on)
+    assert len(calls) - failed <= 3
 
 
 def test_key_widths_cover_the_scale_limits():
