@@ -21,10 +21,10 @@ from .errors import ScaleError
 
 _U64_LIMIT = 1 << 64
 # Largest interval segmented_factorize accepts.  At the limit, (10^15 - 10^7,
-# 10^7], the table is built in eight blocks, two at a time, in 2.2-2.6 s
-# (2.4 s under tracemalloc) and peaks at about 575 MiB (tracemalloc) and 567
-# MiB max RSS on 2 shared vCPUs; one block at a time took 3.4-4.7 s and 498
-# MiB there.
+# 10^7], the table is built in eight blocks, one at a time (its 1,354,546 kept
+# sieve primes are more than MIN_BLOCK // 2), in 2.5-2.7 s (2.8-3.0 s under
+# tracemalloc) and peaks at about 506 MiB (tracemalloc) and 500 MiB max RSS
+# on 2 shared vCPUs.
 MAX_X_PLUS_Y = 10**15
 MAX_Y = 10**7
 # _factor_block sorts each incidence of a sparse sieve prime as one int64 key
@@ -37,8 +37,9 @@ P_MASK = (1 << P_BITS) - 1
 # long as the list of sieve primes that hit the interval, since each block
 # touches every one of them: at the limit, 2^17-entry blocks took 4.4 s of CPU
 # against 2.4 s for blocks of 1,354,546 entries, one per such prime (2 shared
-# vCPUs).  Two threads factoring blocks at once take blocks of at least
-# MIN_BLOCK // 2 entries, and only for an interval longer than MIN_BLOCK.
+# vCPUs).  Two threads factoring blocks at once take blocks of MIN_BLOCK // 2
+# entries, and only for an interval longer than MIN_BLOCK with at most
+# MIN_BLOCK // 2 such primes, so the entries in flight stay MIN_BLOCK.
 MIN_BLOCK = 1 << 17
 # _factor_block handles a sieve prime p <= length // DENSE_HITS of its block,
 # with at least DENSE_HITS multiples there, by strided slices, and sorts the
@@ -251,25 +252,25 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     the interval are dropped: in a short interval that is most of them.  The
     hit counts of the rest size the output: primes gets room for every
     incidence plus one cofactor per entry.  _factor_block then factors
-    blocks of max(MIN_BLOCK, number of kept primes) entries, each into its
-    slice of the output, so the temporaries grow with the block and not with
-    the interval; an interval of one block runs the loop once.  Each block
-    finds the first multiple and the count of every kept prime and prime
-    power from its own bounds, strides over the multiples of the primes
-    with at least DENSE_HITS of them there and sorts the incidences of the
-    rest.  The prime powers p^k <= hi, k >= 2, are listed once, for the
-    primes whose square has a multiple in the interval.
+    blocks of max(MIN_BLOCK, number of kept primes) entries, in order, each
+    straight at the running end of the output, so the temporaries grow with
+    the block and not with the interval; an interval of one block runs the
+    loop once.  Each block finds the first multiple and the count of every
+    kept prime and prime power from its own bounds, strides over the
+    multiples of the primes with at least DENSE_HITS of them there and sorts
+    the incidences of the rest.  The prime powers p^k <= hi, k >= 2, are
+    listed once, for the primes whose square has a multiple in the interval.
 
-    An interval longer than MIN_BLOCK, in a process that may run on two or
-    more CPUs, is factored two blocks at a time (_two_at_a_time) in blocks of
-    max(MIN_BLOCK // 2, number of kept primes) entries, so about MIN_BLOCK
-    entries are in flight as before.  Each block then writes into its own
-    room of the output, its kept primes' hits from its own bounds plus its
-    length, and after both threads are done one pass in block order moves
-    each block's used part down to the running end and shifts the block's
-    offsets by it.  Either way the table is the same, byte for byte.  The
-    returned primes is a view of the output buffer, whose unused room is
-    never written."""
+    An interval longer than MIN_BLOCK with at most MIN_BLOCK // 2 kept
+    primes, in a process that may run on two or more CPUs, is factored in
+    blocks of MIN_BLOCK // 2 entries two at a time (_two_at_a_time), so
+    MIN_BLOCK entries are in flight as on one thread.  Each block then
+    writes from the start of its own room, its kept primes' hits from its
+    own bounds plus its length, and after both threads are done one pass in
+    block order moves each block's used part down to the running end.
+    Either way each block's offsets are shifted by the running end, and the
+    table is the same, byte for byte.  The returned primes is a view of the
+    front of the output buffer."""
     hi = lo + length
     sieve = _sieve(math.isqrt(hi))
     hits = hi // sieve - lo // sieve  # multiples in the interval
@@ -290,39 +291,41 @@ def _factor_segment(lo: int, length: int) -> IntervalTable:
     primes = np.empty(int(hits.sum()) + length, dtype=np.int64)
     offsets = np.zeros(length + 1, dtype=np.int64)
     flags = np.ones(length, dtype=bool)
-    if length <= MIN_BLOCK or _cpu_count() < 2:
-        block = max(MIN_BLOCK, sieve.size)
-        pos = 0
-        for a in range(0, length, block):
-            b = min(a + block, length)
-            ends = offsets[a + 1 : b + 1]
-            _factor_block(lo + a, b - a, sieve, power_j, power, primes[pos:], ends, flags[a:b])
-            ends += pos
-            pos = int(ends[-1])
-        return IntervalTable(lo, length, offsets, primes[:pos], flags)
-    block = max(MIN_BLOCK // 2, sieve.size)
+    threads = 2 if length > MIN_BLOCK and 2 * sieve.size <= MIN_BLOCK and _cpu_count() > 1 else 1
+    block = max(MIN_BLOCK // threads, sieve.size)
     edges = [*range(0, length, block), length]
-    # block k's room starts at its first entry plus the hits before it
+    # block k has room for its kept primes' hits from its own bounds plus its
+    # length; on two threads it starts at the hits before the block plus the
+    # block's first entry
     before = lo // sieve
     room = [c + int(((lo + c) // sieve - before).sum()) for c in edges]
+    del before
 
-    def factor(k: int) -> None:
+    def factor(k: int, at: int) -> None:
         a, b = edges[k], edges[k + 1]
-        _factor_block(lo + a, b - a, sieve, power_j, power, primes[room[k] : room[k + 1]],
+        _factor_block(lo + a, b - a, sieve, power_j, power, primes[at : at + room[k + 1] - room[k]],
                       offsets[a + 1 : b + 1], flags[a:b])
 
-    _two_at_a_time(factor, len(edges) - 1)
+    if threads > 1:
+        _two_at_a_time(lambda k: factor(k, room[k]), len(edges) - 1)
     pos = 0
     for k, (a, b) in enumerate(zip(edges, edges[1:])):
-        used = int(offsets[b])
-        primes[pos : pos + used] = primes[room[k] : room[k] + used]
+        if threads == 1:
+            factor(k, pos)  # straight at the running end
+        elif room[k] != pos:
+            used = int(offsets[b])
+            primes[pos : pos + used] = primes[room[k] : room[k] + used]
         offsets[a + 1 : b + 1] += pos
-        pos += used
+        pos = int(offsets[b])
     return IntervalTable(lo, length, offsets, primes[:pos], flags)
 
 
 def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on: its affinity mask, not
+    a CPU quota.  A process held to one CPU's time by a quota while allowed
+    several CPUs still counts several, and its two threads then take turns:
+    at (10^10, 10^10 + 10^6], pinned to one CPU, two threads took 94-102 ms
+    a call against 88-109 ms for one."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
@@ -453,9 +456,10 @@ def segmented_factorize(x: int, y: int) -> IntervalTable:
     strided slices and the rest through one sort of their incidences, and
     temporaries are sized by the block (at least 2^17 entries and one per
     sieve prime with a multiple in the interval), not by y.  Where y >
-    MIN_BLOCK and the process may run on two or more CPUs, two threads
-    factor blocks of at least 2^16 entries at a time (see _factor_segment);
-    the table does not depend on the number of CPUs.
+    MIN_BLOCK, at most 2^16 sieve primes have a multiple in the interval
+    and the process may run on two or more CPUs, two threads factor blocks
+    of 2^16 entries at a time (see _factor_segment); the table does not
+    depend on the number of CPUs.
     Refuses x+y > MAX_X_PLUS_Y or y > MAX_Y with ScaleError before
     allocating.
     """

@@ -145,12 +145,15 @@ MUTANTS = [
            "np.multiply.at(prod, at, np.repeat(power, hits_k))", ("tests/test_numtheory.py",)),
     Mutant("a prime-power multiple left flagged square-free", NUMTHEORY,
            "    flags[at] = False\n", "", ("tests/test_numtheory.py",)),
-    # the factor table's blocks two at a time
+    # the factor table's blocks, each in its own room, two at a time
     Mutant("a block's used part not moved down", NUMTHEORY,
-           "        primes[pos : pos + used] = primes[room[k] : room[k] + used]\n", "",
+           "            primes[pos : pos + used] = primes[room[k] : room[k] + used]\n",
+           "            pass\n",
            ("tests/test_numtheory.py",)),
     Mutant("a block's offsets not shifted", NUMTHEORY,
            "        offsets[a + 1 : b + 1] += pos\n", "", ("tests/test_numtheory.py",)),
+    Mutant("two threads where half-size blocks miss kept primes", NUMTHEORY,
+           " and 2 * sieve.size <= MIN_BLOCK", "", ("tests/test_numtheory.py",)),
     Mutant("the helper not joined", NUMTHEORY,
            "        helper.join()\n", "        pass\n", ("tests/test_numtheory.py",)),
     Mutant("every exponent one short", NUMTHEORY,

@@ -404,12 +404,14 @@ def tables_on(cpus, lo, length):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3000))
+@given(st.integers(min_value=0, max_value=14_000), st.integers(min_value=1, max_value=3000))
 @example(0, 200)
 @example(959, 300)   # 2^10 in the first slot of a block on both paths
 @example(9943, 200)  # the prime 10,007 in the last slot of a block on both paths
-@example(10**6 - 5, 2000)  # 168 kept sieve primes: two threads take blocks of 168
+@example(10**6 - 5, 2000)  # 168 kept sieve primes: one thread on any CPU count
 def test_factor_segment_same_table_for_any_cpu_count(lo, length):
+    # hi <= 17,000 has at most 31 sieve primes, so two CPUs take two blocks
+    # of 32 at a time
     one = tables_on(1, lo, length)
     assert_same_arrays(tables_on(2, lo, length), one)
     assert_same_arrays(tables_on(3, lo, length), one)
@@ -418,7 +420,7 @@ def test_factor_segment_same_table_for_any_cpu_count(lo, length):
 def test_factor_segment_takes_each_block_once_under_fast_switching(monkeypatch):
     # a thread switch every microsecond: a block index handed out twice, or
     # lost, between the two threads shows in the spy or in the table
-    lo, length = 10**6 - 5, 20_000  # 169 kept sieve primes: 119 blocks of up to 169
+    lo, length = 10**4, 8000  # 32 sieve primes: 250 blocks of 32
     monkeypatch.setattr(numtheory, "MIN_BLOCK", 64)
     monkeypatch.setattr(numtheory, "_cpu_count", lambda: 2)
     blocks = blocks_of(monkeypatch)
@@ -428,7 +430,29 @@ def test_factor_segment_takes_each_block_once_under_fast_switching(monkeypatch):
         t = _factor_segment(lo, length)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(blocks) == [(lo + a, min(169, length - a)) for a in range(0, length, 169)]
+    assert sorted(blocks) == [(lo + a, 32) for a in range(0, length, 32)]
+    assert_same_arrays(table_arrays(t), reference_arrays(lo, length))
+
+
+@pytest.mark.parametrize("length, threads, blocks", [
+    (8768, 2, [32] * 274),  # hi = 18,768: 32 sieve primes fill a half-size block
+    (8769, 1, [64] * 137 + [1]),  # hi = 137^2: the 33rd does not
+])
+def test_factor_segment_two_threads_only_where_half_blocks_hold_the_primes(
+        monkeypatch, length, threads, blocks):
+    # blocks of more than MIN_BLOCK // 2 entries, two at a time, would hold
+    # more than MIN_BLOCK entries in flight
+    lo = 10**4
+    monkeypatch.setattr(numtheory, "MIN_BLOCK", 64)
+    monkeypatch.setattr(numtheory, "_cpu_count", lambda: 2)
+    calls = []
+    two_at_a_time = numtheory._two_at_a_time
+    monkeypatch.setattr(numtheory, "_two_at_a_time",
+                        lambda *args: calls.append(1) or two_at_a_time(*args))
+    spied = blocks_of(monkeypatch)
+    t = _factor_segment(lo, length)
+    assert block_lengths(spied) == blocks
+    assert len(calls) == threads - 1
     assert_same_arrays(table_arrays(t), reference_arrays(lo, length))
 
 
@@ -501,7 +525,8 @@ def test_key_widths_cover_the_scale_limits():
 def test_factor_segment_memory():
     # the larger of the sweep benchmark's two intervals; the argsort
     # construction peaked at 170 MiB here, one whole-interval packed-key
-    # sort at 82 MiB, and the block-wise build at 42.9 MiB, of which the
+    # sort at 82 MiB, and the block-wise build at 42.9 MiB on one CPU and
+    # 43.4 MiB with two blocks of half the size at a time, of which the
     # table itself holds 36.9 MiB
     tracemalloc.start()
     try:
